@@ -11,18 +11,17 @@ import argparse
 import json
 import random
 import sys
-from typing import Any, Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
                      WindowError, invert_from_factors, invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
-from .factorization import (FactorizationError, FactorizationResult, factorize,
-                            orthogonal_decompose)
+from .factorization import FactorizationError, factorize, orthogonal_decompose
 from .oracle import OracleError, cepstral_factorize, compare, root_split_factorize
-from .serialize import (result_to_json, ring_from_json, series_from_json,
-                        series_to_json)
+from .serialize import result_to_json, ring_from_json, series_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -35,7 +34,24 @@ class JobError(ValueError):
     """Invalid job description."""
 
 
+@contextmanager
+def _field(name: str) -> Iterator[None]:
+    """Report a malformed job field as a JobError.
+
+    Wraps only the parsing of outside input, so that a KeyError, TypeError
+    or ValueError raised by the computation itself stays an internal error.
+    """
+    try:
+        yield
+    except JobError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JobError("bad %r field: %s" % (name, exc)) from exc
+
+
 def _parse_factor(ring: Ring, item: Dict[str, Any]):
+    if not isinstance(item, dict):
+        raise JobError("a factor must be a JSON object")
     kind = item.get("type")
     if kind == "antiholo":
         return Antiholo(ring.parse(str(item["alpha"])))
@@ -53,15 +69,21 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     if has_factors == has_coeffs:
         raise JobError("exactly one of 'factors' or 'coefficients' must be given")
     if has_factors:
-        factors = [_parse_factor(ring, f) for f in job["factors"]]
+        with _field("factors"):
+            factors = [_parse_factor(ring, f) for f in job["factors"]]
         return invert_from_factors(ring, factors, window)
-    a = series_from_json(ring, job["coefficients"])
+    with _field("coefficients"):
+        a = series_from_json(ring, job["coefficients"])
     if "inverse" in job:
-        b = series_from_json(ring, job["inverse"], window)
+        with _field("inverse"):
+            b = series_from_json(ring, job["inverse"], window)
         return InvertiblePair.make(a, b)
     if ring.is_exact:
         raise JobError("exact rings need an explicit 'inverse'")
-    samples = int(job.get("samples", 1024))
+    with _field("samples"):
+        samples = int(job.get("samples", 1024))
+        if samples < 1 or samples & (samples - 1):
+            raise ValueError("not a power of two")
     return invert_numeric(a, samples)
 
 
@@ -74,13 +96,15 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
     mode = mode_override or job.get("mode", "factorize")
     if mode not in MODES:
         raise JobError("unknown mode: %r" % mode)
-    ring_spec = dict(job.get("ring", {"kind": "rational"}))
-    if tolerance_override is not None:
-        ring_spec["tolerance"] = tolerance_override
-    elif "tolerance" in job:
-        ring_spec.setdefault("tolerance", job["tolerance"])
-    ring = ring_from_json(ring_spec)
-    half = window_override if window_override is not None else int(job.get("window", 16))
+    with _field("ring"):
+        ring_spec = dict(job.get("ring", {"kind": "rational"}))
+        if tolerance_override is not None:
+            ring_spec["tolerance"] = tolerance_override
+        elif "tolerance" in job:
+            ring_spec.setdefault("tolerance", job["tolerance"])
+        ring = ring_from_json(ring_spec)
+    with _field("window"):
+        half = window_override if window_override is not None else int(job.get("window", 16))
     if half < 1:
         raise JobError("window must be a positive size")
     window = (-half, half)
@@ -91,7 +115,7 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
     pair = _build_pair(job, ring, window)
 
     if mode == "matrix-dump":
-        return EXIT_OK, _run_matrix_dump(pair, ring, window)
+        return EXIT_OK, {"matrices": _matrix_dumps(pair, ring, window)}
 
     if mode == "orthogonal":
         dec = orthogonal_decompose(pair)
@@ -105,9 +129,10 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
         fac = job.get("factorization")
         if not isinstance(fac, dict):
             raise JobError("verify mode needs a 'factorization' object")
-        pm = series_from_json(ring, fac.get("pi_minus", []))
-        pt = series_from_json(ring, fac.get("pi_tilde", []))
-        pp = series_from_json(ring, fac.get("pi_plus", []))
+        with _field("factorization"):
+            pm = series_from_json(ring, fac.get("pi_minus", []))
+            pt = series_from_json(ring, fac.get("pi_tilde", []))
+            pp = series_from_json(ring, fac.get("pi_plus", []))
         recon = pm.mul(pt).mul(pp).truncate(window)
         residual = recon.sup_diff(pair.a.truncate(window))
         tol = 0.0 if ring.is_exact else ring.tolerance * 100
@@ -126,14 +151,17 @@ def _run_oracle_compare(job: Dict[str, Any], ring: Ring, window: Tuple[int, int]
                         seed_override: Optional[int]) -> Tuple[int, Dict[str, Any]]:
     if ring.is_exact:
         raise JobError("oracle-compare requires the complex ring")
-    tol = job.get("compare_tolerance", 1e-8)
+    with _field("compare_tolerance"):
+        tol = float(job.get("compare_tolerance", 1e-8))
     cases = []
     if "factors" in job or "coefficients" in job:
         cases.append(_build_pair(job, ring, window))
     else:
-        seed = seed_override if seed_override is not None else int(job.get("seed", 0))
+        with _field("seed"):
+            seed = seed_override if seed_override is not None else int(job.get("seed", 0))
+        with _field("count"):
+            count = int(job.get("count", 20))
         rng = random.Random(seed)
-        count = int(job.get("count", 20))
         for _ in range(count):
             factors = random_complex_factors(rng)
             cases.append(invert_from_factors(ring, factors, window))
@@ -168,11 +196,6 @@ def _matrix_dumps(pair: InvertiblePair, ring: Ring,
     }
 
 
-def _run_matrix_dump(pair: InvertiblePair, ring: Ring,
-                     window: Tuple[int, int]) -> Dict[str, Any]:
-    return {"matrices": _matrix_dumps(pair, ring, window)}
-
-
 def main(argv: Optional[list] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="whlaurent",
@@ -197,8 +220,7 @@ def main(argv: Optional[list] = None) -> int:
             raise JobError("job must be a JSON object")
         code, payload = run_job(job, args.mode, args.window, args.seed,
                                 args.tolerance, args.dump_matrices)
-    except (json.JSONDecodeError, OSError, JobError, RingError, KeyError,
-            TypeError) as exc:
+    except (json.JSONDecodeError, OSError, JobError, RingError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     except (FactorizationError, WindowError, OracleError) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rings import Ring, RingError
 from .series import LaurentSeries, WindowError
@@ -93,7 +93,7 @@ def _series_matrix_bounds(rows: List[List[LaurentSeries]]) -> Tuple[int, int]:
 
 
 def _det_gauss_field(div: Callable, zero: Any, rows: List[List[Any]]) -> Any:
-    """Fraction-free-enough elimination over an exact field."""
+    """Gaussian elimination with division over an exact field."""
     n = len(rows)
     m = [list(r) for r in rows]
     det = None
@@ -219,9 +219,11 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
             parts.append(det_block(cring, comp))
         return ring.merge(parts)
     if ring.base is not None and isinstance(rows[0][0], LaurentSeries):
-        if ring.base.name == "Q" and n > 6:
+        # the fast paths need scalar base elements; nested series rings
+        # (base elements are themselves series) fall through to Berkowitz
+        if isinstance(ring.base.zero, Fraction) and n > 6:
             return _det_series_rational(ring, rows)
-        if ring.base.name == "C":
+        if isinstance(ring.base.zero, complex):
             return _det_series_complex(ring, rows)
     if n > MAX_BERKOWITZ:
         raise RingError("matrix size %d exceeds the determinant bound" % n)
@@ -291,21 +293,30 @@ def _f_inv_entry(variant: str, ring_w: Ring, w: Any, k: int, m: int) -> Optional
     None where it equals the plain identity entry."""
     if variant == "+":
         if k <= m <= 0:
-            return _pow_cached(ring_w, w, m - k)
+            return ring_w.pow(w, m - k)
     elif variant == "-":
         # F^{R-}(1,w) = 1 - w^-1 1_{Z^+} U(z), so the wedge carries w^-(k-m)
         if k >= m >= 0:
-            return ring_w.inverse(_pow_cached(ring_w, w, k - m))
+            return ring_w.inverse(ring_w.pow(w, k - m))
     else:
         raise ValueError("variant must be '+' or '-'")
     return None
 
 
-def _pow_cached(ring: Ring, w: Any, k: int) -> Any:
-    out = ring.one
-    for _ in range(k):
-        out = ring.mul(out, w)
-    return out
+def reduced_columns(variant: str, cols: Sequence[int]) -> List[int]:
+    """J': the columns of C = A F^-1 for a perturbation A with columns
+    ``cols``.  Column k of A spreads over the wedge of F^{R+-}(1,w)^-1,
+    i.e. [k, 0] for '+' and [0, k] for '-'; the result is sorted."""
+    jset = set(cols)
+    if variant == "+":
+        neg = [c for c in cols if c <= 0]
+        if neg:
+            jset |= set(range(min(neg), 1))
+    else:
+        pos = [c for c in cols if c >= 0]
+        if pos:
+            jset |= set(range(0, max(pos) + 1))
+    return sorted(jset)
 
 
 def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValue:
@@ -322,16 +333,7 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
     lo, hi = a.reliable
     if cols[0] <= lo or cols[-1] >= hi:
         raise WindowError("perturbation columns touch the reliable boundary")
-    jset = set(cols)
-    if variant == "+":
-        neg = [c for c in cols if c <= 0]
-        if neg:
-            jset |= set(range(min(neg), 1))
-    else:
-        pos = [c for c in cols if c >= 0]
-        if pos:
-            jset |= set(range(0, max(pos) + 1))
-    jp = sorted(jset)
+    jp = reduced_columns(variant, cols)
     if jp[0] <= lo or jp[-1] >= hi:
         raise WindowError("reduced column set exits the reliable window")
     rows_a: Dict[int, Dict[int, Any]] = {}

@@ -10,14 +10,14 @@ half-lattice truncated determinant (cross-check route).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .rings import Ring, RingError
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit, laurent_ring)
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
-from .determinants import DetValue, det_block, det_tilde_column_reduced, det_truncated
+from .determinants import det_tilde_column_reduced, det_truncated, reduced_columns
 
 
 class FactorizationError(ValueError):
@@ -48,131 +48,94 @@ class OrthogonalDecomposition:
     unit: Any
 
 
-# -- bracket perturbation matrices ------------------------------------
-
-def _bracket_matrix(pair: InvertiblePair, sign: str,
-                    window: Tuple[int, int]) -> WindowedMatrix:
-    """U(b) 1_S U(a) - 1_S for S = Z^- ('-') or Z^+ ('+'), which equals
-    U(b) [1_S, U(a)] and has finite column support for banded symbols."""
-    a, b = pair.a, pair.b
-    ring = a.ring
-    lo, hi = window
-    ents: Dict[Tuple[int, int], Any] = {}
-    # B = 1_S U(a) - U(a) 1_S, entries (chi_S(n) - chi_S(m)) a_{n-m}
-    bmat: Dict[Tuple[int, int], Any] = {}
-    for d, c in a.coeffs.items():
-        for m in range(lo, hi + 1):
-            n = m + d
-            if not (lo <= n <= hi):
-                continue
-            sn = (n < 0) if sign == "-" else (n > 0)
-            sm = (m < 0) if sign == "-" else (m > 0)
-            if sn == sm:
-                continue
-            bmat[(n, m)] = c if sn else ring.neg(c)
-    brange = sorted({r for (r, _c) in bmat})
-    need_lo = need_hi = None
-    rows_b: Dict[int, List[Tuple[int, Any]]] = {}
-    for (r, c), v in bmat.items():
-        rows_b.setdefault(r, []).append((c, v))
-    for n in range(lo, hi + 1):
-        for j, entries in rows_b.items():
-            coef = b.coeff(n - j)
-            if b.window is not None and not (b.window[0] <= n - j <= b.window[1]):
-                if need_lo is None or n - j < need_lo:
-                    need_lo = n - j
-                if need_hi is None or n - j > need_hi:
-                    need_hi = n - j
-                continue
-            if ring.is_zero(coef):
-                continue
-            for c, v in entries:
-                key = (n, c)
-                prod = ring.mul(coef, v)
-                prev = ents.get(key)
-                ents[key] = prod if prev is None else ring.add(prev, prod)
-    band = (max(abs(k) for k in a.coeffs) if a.coeffs else 0)
-    out = WindowedMatrix(ring, Lattice.INTEGER, window, ents, band, window)
-    out._prune()
-    return out
-
-
-def _needed_b_window(a: LaurentSeries, window: Tuple[int, int]) -> Tuple[int, int]:
-    d = max((abs(k) for k in a.coeffs), default=0)
-    return (-3 * d - 1, 3 * d + 1)
-
+# -- bracket perturbation blocks -------------------------------------
 
 def _check_b_window(pair: InvertiblePair) -> None:
-    a, b = pair.a, pair.b
+    b = pair.b
     if b.window is None:
         return
-    need = _needed_b_window(a, (0, 0))
+    d = max((abs(k) for k in pair.a.coeffs), default=0)
+    need = (-3 * d - 1, 3 * d + 1)
     if b.window[0] > need[0] or b.window[1] < need[1]:
         raise WindowError(
             "inverse window [%d,%d] too small; need at least [%d,%d]"
             % (b.window[0], b.window[1], need[0], need[1]))
 
 
-def _work_window(pair: InvertiblePair) -> Tuple[int, int]:
+def _bracket_block(pair: InvertiblePair, sign: str, ring_w: Ring,
+                   coef: Any) -> WindowedMatrix:
+    """coef * U(b) [1_S, U(a)] U(z^-s) on the rows J' that the column
+    reduction reads: S = Z^- with s = 1 (sign '-', reduced as variant '+')
+    or S = Z^+ with s = -1 (sign '+', variant '-').
+
+    The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
+    where j and m straddle S, so |m| <= max |d| over the support of a.
+    Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
+    so they are not built; the rows built read b only on [-2d, 2d].
+    """
+    _check_b_window(pair)
     a, b = pair.a, pair.b
-    d = max((abs(k) for k in a.coeffs), default=0)
-    if b.window is not None:
-        r = max(abs(b.window[0]), abs(b.window[1])) + d + 2
-    else:
-        db = max((abs(k) for k in b.coeffs), default=0)
-        r = d + db + 2
-    return (-r, r)
+    ring = a.ring
+    shift, variant = (1, "+") if sign == "-" else (-1, "-")
+
+    def in_s(k: int) -> bool:
+        return k < 0 if sign == "-" else k > 0
+
+    # shifted column -> [(row j, commutator entry)]
+    cols: Dict[int, List[Tuple[int, Any]]] = {}
+    for d, c in a.coeffs.items():
+        for m in range(-abs(d), abs(d) + 1):
+            j = m + d
+            if in_s(j) != in_s(m):
+                cols.setdefault(m + shift, []).append((j, c if in_s(j) else ring.neg(c)))
+    jp = reduced_columns(variant, sorted(cols))
+    ents: Dict[Tuple[int, int], Any] = {}
+    for r in jp:
+        for k, col in cols.items():
+            acc = ring.zero
+            for j, v in col:
+                acc = ring.add(acc, ring.mul(b.coeff(r - j), v))
+            if not ring.is_zero(acc):
+                ents[(r, k)] = ring_w.mul(coef, ring_w.const(acc))
+    lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
+    window = (lo - 1, hi + 1)
+    return WindowedMatrix(ring_w, Lattice.INTEGER, window, ents,
+                          window[1] - window[0], window)._prune()
 
 
-def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any,
-                           window: Optional[Tuple[int, int]] = None) -> WindowedMatrix:
-    """A with 1 + A = 1 - w U(b) 1_{Z^-} U(a) U(z^-1), relative to F^{R+}(1,w):
-    returns the perturbation A - (F^{R+}(1,w) - 1) ... i.e. the finite-column
-    part  -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1)."""
-    window = window or _work_window(pair)
-    k = _bracket_matrix(pair, "-", window)
-    shifted = mx.column_shift(k, 1)
-    return mx.lift_entries(shifted, ring_w,
-                           lambda c: ring_w.neg(ring_w.mul(w, ring_w.const(c))))
+def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
+    """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
+    for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A; only the
+    rows J' read by the column reduction are built."""
+    return _bracket_block(pair, "-", ring_w, ring_w.neg(w))
 
 
-def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any,
-                               window: Optional[Tuple[int, int]] = None) -> WindowedMatrix:
-    """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z)."""
-    window = window or _work_window(pair)
-    k = _bracket_matrix(pair, "+", window)
-    shifted = mx.column_shift(k, -1)
-    w_inv = ring_w.inverse(w)
-    return mx.lift_entries(shifted, ring_w,
-                           lambda c: ring_w.neg(ring_w.mul(w_inv, ring_w.const(c))))
+def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
+    """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
+    rows J' only."""
+    return _bracket_block(pair, "+", ring_w, ring_w.neg(ring_w.inverse(w)))
 
 
 # -- the projections --------------------------------------------------
 
-def pi_plus(pair: InvertiblePair,
-            window: Optional[Tuple[int, int]] = None) -> LaurentSeries:
+def pi_plus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly holomorphic projection, as a series in w."""
-    _check_b_window(pair)
     ring = pair.a.ring
     ring_w = laurent_ring(ring, "w")
     w = LaurentSeries.monomial(ring, 1)
-    a_mat = holomorphic_det_matrix(pair, ring_w, w, window)
-    det = det_tilde_column_reduced("+", a_mat, w)
-    out: LaurentSeries = det.value
+    a_mat = holomorphic_det_matrix(pair, ring_w, w)
+    out: LaurentSeries = det_tilde_column_reduced("+", a_mat, w).value
     _check_projection(out, "plus", ring)
     return out
 
 
-def pi_minus(pair: InvertiblePair,
-             window: Optional[Tuple[int, int]] = None) -> LaurentSeries:
+def pi_minus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly antiholomorphic projection, as a series in w^-1."""
-    _check_b_window(pair)
     ring = pair.a.ring
     ring_w = laurent_ring(ring, "w")
     w = LaurentSeries.monomial(ring, 1)
-    a_mat = antiholomorphic_det_matrix(pair, ring_w, w, window)
-    det = det_tilde_column_reduced("-", a_mat, w)
-    out: LaurentSeries = det.value
+    a_mat = antiholomorphic_det_matrix(pair, ring_w, w)
+    out: LaurentSeries = det_tilde_column_reduced("-", a_mat, w).value
     _check_projection(out, "minus", ring)
     return out
 
@@ -211,9 +174,6 @@ def pi_tilde_direct(pair: InvertiblePair,
     norm_inv = ring.mul(pp.evaluate(ring.one), pm.evaluate(ring.one))
     norm = ring.mul(a.evaluate(ring.one), ring.inverse(norm_inv))  # = pi_tilde(a, 1)
     ring_w = laurent_ring(ring, "w")
-    w_pow = {0: ring_w.one,
-             1: LaurentSeries.monomial(ring, 1),
-             -1: LaurentSeries.monomial(ring, -1)}
 
     def entry(n: int, m: int) -> LaurentSeries:
         # (U_half(a) D_w U_half(b) D_w^-1)[n, m]; D_w = w 1_{S^-} + 1_{S^+}
@@ -250,8 +210,8 @@ def factorize(pair: InvertiblePair,
               window: Optional[Tuple[int, int]] = None) -> FactorizationResult:
     """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus."""
     ring = pair.a.ring
-    pair_tol = 0.0 if ring.is_exact else ring.tolerance * 100
-    if pair.residual > pair_tol:
+    tol = 0.0 if ring.is_exact else ring.tolerance * 100
+    if pair.residual > tol:
         raise FactorizationError(
             "pair residual %.3g: the supplied series does not invert the symbol"
             % pair.residual)
@@ -264,7 +224,6 @@ def factorize(pair: InvertiblePair,
     pt = pi_tilde_derived(pair, pm, pp, window)
     recon = pm.mul(pt).mul(pp)
     residual = recon.sup_diff(pair.a.truncate(window))
-    tol = 0.0 if ring.is_exact else ring.tolerance * 100
     if residual > tol:
         raise FactorizationError(
             "reconstruction residual %.3g exceeds tolerance (window insufficient?)"

@@ -11,8 +11,8 @@ infinite object they model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from .rings import Ring, RingError
 from .series import LaurentSeries, WindowError
@@ -195,13 +195,6 @@ def build_Utilde(a: LaurentSeries, ring_w: Ring, w: Any,
 
 # -- conjugated shift matrices (closed forms) -------------------------
 
-def _pow(ring: Ring, x: Any, k: int) -> Any:
-    out = ring.one
-    for _ in range(k):
-        out = ring.mul(out, x)
-    return out
-
-
 def ur_monomial(variant: str, n: int, ring_w: Ring, t: Any, w: Any,
                 window: Tuple[int, int]) -> WindowedMatrix:
     """Closed form of the conjugation F^X(t,w) U(z^n) F^X(t,w)^-1.
@@ -238,7 +231,7 @@ def ur_monomial(variant: str, n: int, ring_w: Ring, t: Any, w: Any,
             shift_rows(lambda i: False)
             for i in range(0, n + 1):
                 for j in range(i - n + 1, 1):
-                    put(i, j, _pow(ring, tw, j - i + n))
+                    put(i, j, ring.pow(tw, j - i + n))
         else:
             shift_rows(lambda i: False)
             for i in range(-m, 0):
@@ -252,24 +245,24 @@ def ur_monomial(variant: str, n: int, ring_w: Ring, t: Any, w: Any,
             shift_rows(lambda i: False)
             for i in range(-m + 1, 1):
                 for j in range(0, i + m):
-                    put(i, j, _pow(ring, tw_inv, (i + m) - j))
+                    put(i, j, ring.pow(tw_inv, (i + m) - j))
     else:  # 'R'
         if n > 0:
             shift_rows(lambda i: 1 <= i <= n)
             for j in range(-n + 1, 1):
-                put(0, j, _pow(ring, tw, j + n))
+                put(0, j, ring.pow(tw, j + n))
             for i in range(1, n + 1):
                 put(i, i - n - 1, ring.neg(tw_inv))
                 for j in range(i - n, 1):
-                    put(i, j, ring.mul(_pow(ring, tw, j - i + n), one_minus_t2))
+                    put(i, j, ring.mul(ring.pow(tw, j - i + n), one_minus_t2))
         else:
             shift_rows(lambda i: -m <= i <= -1)
             for j in range(0, m):
-                put(0, j, _pow(ring, tw_inv, m - j))
+                put(0, j, ring.pow(tw_inv, m - j))
             for i in range(-m, 0):
                 put(i, i + m + 1, ring.neg(tw))
                 for j in range(0, i + m + 1):
-                    put(i, j, ring.mul(_pow(ring, tw_inv, (i + m) - j), one_minus_t2))
+                    put(i, j, ring.mul(ring.pow(tw_inv, (i + m) - j), one_minus_t2))
     return WindowedMatrix(ring, Lattice.INTEGER, window, ents, m + 1, window)._prune()
 
 
@@ -349,11 +342,6 @@ def column_shift(x: WindowedMatrix, s: int) -> WindowedMatrix:
             ents[(r, c + s)] = v
     return WindowedMatrix(x.ring, x.lattice, x.window, ents, x.band + abs(s),
                           _shrink(x.reliable, abs(s)))
-
-
-def lift_entries(x: WindowedMatrix, ring: Ring, embed: Callable[[Any], Any]) -> WindowedMatrix:
-    ents = {k: embed(v) for k, v in x.entries.items()}
-    return WindowedMatrix(ring, x.lattice, x.window, ents, x.band, x.reliable)._prune()
 
 
 # -- perturbation support ---------------------------------------------

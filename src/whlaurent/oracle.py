@@ -9,12 +9,12 @@ by the location of its zeros relative to the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
-from .rings import Ring, RingError
-from .series import InvertiblePair, LaurentSeries
+from .rings import Ring
+from .series import LaurentSeries
 from .factorization import FactorizationResult
 
 
@@ -64,7 +64,7 @@ def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationRe
                           % p_est)
     k = np.arange(samples)
     devals = vals * np.exp(-2j * np.pi * p * k / samples)
-    logv = np.log(np.abs(devals)) + 1j * _unwrap_closed(np.angle(devals))
+    logv = np.log(np.abs(devals)) + 1j * np.unwrap(np.angle(devals))
     # cepstrum: c_m = (1/N) sum_k logv_k exp(-2 pi i m k / N)
     cep = np.fft.fft(logv) / samples
     half = samples // 2
@@ -83,10 +83,6 @@ def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationRe
     recon = pi_m.mul(pi_t).mul(pi_p)
     residual = recon.sup_diff(a.truncate(recon.window))
     return FactorizationResult(pi_m, pi_t, pi_p, residual, p)
-
-
-def _unwrap_closed(angles: np.ndarray) -> np.ndarray:
-    return np.unwrap(angles)
 
 
 def root_split_factorize(a: LaurentSeries, circle_margin: float = 1e-6,

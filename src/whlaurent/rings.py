@@ -9,8 +9,7 @@ Elements themselves are plain Python values: ``Fraction`` for rationals,
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -64,6 +63,15 @@ class Ring:
         step = self.one if k >= 0 else self.neg(self.one)
         for _ in range(abs(k)):
             out = self.add(out, step)
+        return out
+
+    def pow(self, x: Any, k: int) -> Any:
+        """``x**k`` for ``k >= 0`` by repeated multiplication."""
+        if k < 0:
+            raise ValueError("pow needs a nonnegative exponent")
+        out = self.one
+        for _ in range(k):
+            out = self.mul(out, x)
         return out
 
     def inverse(self, x: Any) -> Any:

@@ -14,7 +14,7 @@ import enum
 import math
 from math import comb
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .rings import Ring, RingError
 
@@ -162,15 +162,11 @@ class LaurentSeries:
         inv = None
         for n, c in self.coeffs.items():
             if n >= 0:
-                p = ring.one
-                for _ in range(n):
-                    p = ring.mul(p, point)
+                p = ring.pow(point, n)
             else:
                 if inv is None:
                     inv = ring.inverse(point)
-                p = ring.one
-                for _ in range(-n):
-                    p = ring.mul(p, inv)
+                p = ring.pow(inv, -n)
             out = ring.add(out, ring.mul(c, p))
         return out
 
@@ -488,7 +484,7 @@ def _mixed_inverse_coeffs(ring: Ring, alphas: list, betas: list,
             for _ in range(g[1]):
                 rest = _poly_mul_trunc(ring, rest, lin, mult)
         numer = [ring.mul(ring.of_int(comb(deg_a, s)),
-                          _ring_pow(ring, root, deg_a - s))
+                          ring.pow(root, deg_a - s))
                  for s in range(min(mult, deg_a + 1))]
         e = _poly_mul_trunc(ring, numer, _series_inverse_prefix(ring, rest, mult),
                             mult)
@@ -510,20 +506,13 @@ def _mixed_inverse_coeffs(ring: Ring, alphas: list, betas: list,
                 if ring.is_zero(c):
                     continue
                 sign = ring.one if t % 2 == 0 else ring.neg(ring.one)
-                pw = _ring_pow(ring, rinv, t)  # root^-(k+t), starting at k=0
+                pw = ring.pow(rinv, t)  # root^-(k+t), starting at k=0
                 for k in range(0, hi + 1):
                     v = ring.mul(c, ring.mul(sign,
                         ring.mul(ring.of_int(comb(k + t - 1, t - 1)), pw)))
                     bump(k, v)
                     pw = ring.mul(pw, rinv)
     return coeffs
-
-
-def _ring_pow(ring: Ring, x: Any, k: int) -> Any:
-    out = ring.one
-    for _ in range(k):
-        out = ring.mul(out, x)
-    return out
 
 
 def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:

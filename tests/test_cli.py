@@ -154,3 +154,29 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert code == 3
     payload = json.loads(capsys.readouterr().out)
     assert "error" in payload
+
+
+def test_malformed_fields_exit_2(tmp_path, capsys):
+    bad_jobs = [
+        {"factors": [{"type": "antiholo"}]},          # no alpha
+        {"window": "x", "factors": []},
+        {"factors": ["antiholo"]},
+        {"ring": {"kind": "complex", "tolerance": "tight"}, "factors": []},
+        {"ring": {"kind": "complex"}, "samples": 1000,
+         "coefficients": [{"n": 0, "c": "1,0"}]},
+        {"ring": {"kind": "rational"}, "coefficients": [{"c": "1"}],
+         "inverse": []},
+        {"ring": {"kind": "complex"}, "mode": "oracle-compare", "count": "many"},
+    ]
+    for job in bad_jobs:
+        code, _ = run(tmp_path, capsys, job)
+        assert code == 2, job
+
+
+def test_internal_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr("whlaurent.cli.factorize", broken)
+    with pytest.raises(TypeError):
+        run(tmp_path, capsys, GOLDEN_JOB)

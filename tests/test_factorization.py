@@ -245,3 +245,42 @@ def test_inconsistent_pair_detected():
     wrong_b = LaurentSeries(Q, {n: Fraction(1, 2) ** n for n in range(40)}, (-40, 40))
     with pytest.raises((FactorizationError, WindowError)):
         wl.factorize(wl.InvertiblePair.make(a, wrong_b), (-10, 10))
+
+
+@pytest.mark.parametrize("sign", ["-", "+"])
+def test_bracket_block_matches_full_window_reference(sign):
+    # the direct builders against U(b) (1_S U(a) - U(a) 1_S) U(z^-s) formed
+    # with the windowed-matrix arithmetic on a window far wider than J'
+    from whlaurent import matrices as mx
+    from whlaurent.corpus import random_rational_factors
+    from whlaurent.determinants import reduced_columns
+    from whlaurent.factorization import (antiholomorphic_det_matrix,
+                                         holomorphic_det_matrix)
+    from whlaurent.matrices import Lattice
+    from whlaurent.series import laurent_ring
+
+    Qw = laurent_ring(Q, "w")
+    w = LaurentSeries.monomial(Q, 1)
+    if sign == "-":
+        builder, variant, shift, coef = holomorphic_det_matrix, "+", 1, Qw.neg(w)
+    else:
+        builder, variant, shift, coef = (antiholomorphic_det_matrix, "-", -1,
+                                         Qw.neg(Qw.inverse(w)))
+    win = (-30, 30)
+    rng = random.Random(23)
+    for _ in range(20):
+        facs = random_rational_factors(rng, max_factors=3)
+        pair = wl.invert_from_factors(Q, facs, (-60, 60))
+        u_a = mx.build_U(pair.a, Lattice.INTEGER, win)
+        one_s = mx.project(Q, Lattice.INTEGER, win, sign)
+        comm = mx.mat_sub(mx.mat_mul(one_s, u_a), mx.mat_mul(u_a, one_s))
+        u_b = mx.build_U(pair.b, Lattice.INTEGER, win)
+        ref = mx.column_shift(mx.mat_mul(u_b, comm), shift)
+        jp = set(reduced_columns(variant, sorted({c for _r, c in ref.entries})))
+        block = builder(pair, Qw, w)
+        assert {r for r, _c in block.entries} <= jp, facs
+        for (r, c), v in block.entries.items():
+            assert Qw.equals(v, Qw.mul(coef, Qw.const(ref.get(r, c)))), (facs, r, c)
+        for (r, c) in ref.entries:
+            if r in jp:
+                assert (r, c) in block.entries, (facs, r, c)
