@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .rings import Ring, RingError
 from .series import LaurentSeries, WindowError
@@ -23,7 +23,6 @@ MAX_BERKOWITZ = 64
 @dataclass
 class DetValue:
     value: Any
-    exact: bool
     tail: Optional[float] = None
     window_used: Optional[int] = None
 
@@ -92,34 +91,34 @@ def _series_matrix_bounds(rows: List[List[LaurentSeries]]) -> Tuple[int, int]:
     return lo, hi
 
 
-def _det_gauss_field(div: Callable, zero: Any, rows: List[List[Any]]) -> Any:
-    """Gaussian elimination with division over an exact field."""
+def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
+    """Gaussian elimination with division over Q (``Fraction`` entries)."""
     n = len(rows)
     m = [list(r) for r in rows]
-    det = None
+    det = Fraction(1)
     sign = 1
     for i in range(n):
         piv = None
         for r in range(i, n):
-            if m[r][i] != zero:
+            if m[r][i] != 0:
                 piv = r
                 break
         if piv is None:
-            return zero
+            return Fraction(0)
         if piv != i:
             m[i], m[piv] = m[piv], m[i]
             sign = -sign
         p = m[i][i]
-        det = p if det is None else det * p
+        det *= p
         for r in range(i + 1, n):
-            if m[r][i] == zero:
+            if m[r][i] == 0:
                 continue
-            f = div(m[r][i], p)
+            f = m[r][i] / p
             for c in range(i, n):
                 m[r][c] = m[r][c] - f * m[i][c]
     if sign < 0:
         det = -det
-    return det if det is not None else zero
+    return det
 
 
 def _det_series_rational(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
@@ -140,7 +139,7 @@ def _det_series_rational(ring_w: Ring, rows: List[List[LaurentSeries]]) -> Laure
     vals = []
     for p in pts:
         num = [[e.shift(shift).evaluate(p) for e in row] for row in rows]
-        vals.append(_det_gauss_field(base.div, base.zero, num))
+        vals.append(_det_gauss_field(num))
     coeffs = _lagrange_coeffs(pts, vals)
     out = {i - n * shift: c for i, c in enumerate(coeffs) if c != 0}
     return LaurentSeries(base, out)
@@ -172,7 +171,12 @@ def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[
 
 
 def _det_series_complex(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
-    """Unit-circle sampling determinant over C[w, w^-1]."""
+    """Unit-circle sampling determinant over C[w, w^-1].
+
+    At each sample w_s = exp(2 pi i s / nsamp) every entry is evaluated
+    from its own support and coefficients, sum_e c_e w_s^e; the FFT of the
+    nsamp determinants gives the coefficients of the determinant.
+    """
     import numpy as np
 
     base = ring_w.base
@@ -204,13 +208,17 @@ def _det_series_complex(ring_w: Ring, rows: List[List[LaurentSeries]]) -> Lauren
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
-    """Determinant of a dense block, dispatching on the entry ring."""
+    """Determinant of a dense square block over any commutative ring,
+    dispatching on the entry ring: product rings recurse per component,
+    Laurent polynomials over Q (n > 6) interpolate, over C sample the
+    unit circle, and everything else runs division-free Berkowitz."""
     n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
     if n == 0:
         return ring.one
     if ring.split is not None:
         parts = []
-        comp_rings = ring.components or ()
         split_rows = [[ring.split(e) for e in row] for row in rows]
         ncomp = len(split_rows[0][0])
         for i in range(ncomp):
@@ -239,18 +247,6 @@ def _component_entry_ring(ring: Ring, i: int) -> Ring:
     return ring.components[i]
 
 
-def det_finite(ring: Ring, rows: List[List[Any]]) -> Any:
-    """Division-free determinant over any commutative ring."""
-    for row in rows:
-        if len(row) != len(rows):
-            raise ValueError("matrix is not square")
-    if len(rows) > MAX_BERKOWITZ:
-        raise RingError("matrix size exceeds the configured bound")
-    if ring.split is not None:
-        return det_block(ring, rows)
-    return det_berkowitz(ring, rows)
-
-
 # -- identity + perturbation ------------------------------------------
 
 def _support_block(a: WindowedMatrix, axis: str) -> List[int]:
@@ -276,32 +272,17 @@ def det_identity_plus(a: WindowedMatrix, axis: str = "auto") -> DetValue:
     """
     idx = _support_block(a, axis)
     if not idx:
-        return DetValue(a.ring.one, exact=True)
+        return DetValue(a.ring.one)
     lo, hi = a.reliable
     if idx[0] <= lo or idx[-1] >= hi:
         raise WindowError("perturbation support touches the reliable boundary")
     ring = a.ring
     rows = [[ring.add(ring.one, a.get(r, c)) if r == c else a.get(r, c)
              for c in idx] for r in idx]
-    return DetValue(det_block(ring, rows), exact=True)
+    return DetValue(det_block(ring, rows))
 
 
 # -- the widetilde-determinant via column reduction -------------------
-
-def _f_inv_entry(variant: str, ring_w: Ring, w: Any, k: int, m: int) -> Optional[Any]:
-    """Entry (k, m) of F^{R+-}(1, w)^-1 from the path-counting expansion;
-    None where it equals the plain identity entry."""
-    if variant == "+":
-        if k <= m <= 0:
-            return ring_w.pow(w, m - k)
-    elif variant == "-":
-        # F^{R-}(1,w) = 1 - w^-1 1_{Z^+} U(z), so the wedge carries w^-(k-m)
-        if k >= m >= 0:
-            return ring_w.inverse(ring_w.pow(w, k - m))
-    else:
-        raise ValueError("variant must be '+' or '-'")
-    return None
-
 
 def reduced_columns(variant: str, cols: Sequence[int]) -> List[int]:
     """J': the columns of C = A F^-1 for a perturbation A with columns
@@ -325,36 +306,40 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
     Forms C = A * F^-1 using the closed-form column action of the
     (globally illegal) t=1 inverse; C keeps finite column support J' and
     the determinant reduces to the finite block (1 + C)[J', J'].
+    For '+', F^{R+}(1,w)^-1 has entry w^(m-k) on the wedge k <= m <= 0 and
+    is the identity elsewhere, so along the nonpositive part of J' (which
+    is contiguous), in ascending order,
+        C[r, m] = A[r, m] + w C[r, m-1],
+    starting from C[r, min J'] = A[r, min J'], and C[r, m] = A[r, m] off
+    the wedge.  For '-' the wedge is k >= m >= 0 with entry w^-(k-m), and
+    C[r, m] = A[r, m] + w^-1 C[r, m+1] descends over [0, max J'].
     """
+    if variant not in ("+", "-"):
+        raise ValueError("variant must be '+' or '-'")
     ring = a.ring
     cols = sorted({c for (_r, c) in a.entries})
     if not cols:
-        return DetValue(ring.one, exact=True)
+        return DetValue(ring.one)
     lo, hi = a.reliable
     if cols[0] <= lo or cols[-1] >= hi:
         raise WindowError("perturbation columns touch the reliable boundary")
     jp = reduced_columns(variant, cols)
     if jp[0] <= lo or jp[-1] >= hi:
         raise WindowError("reduced column set exits the reliable window")
-    rows_a: Dict[int, Dict[int, Any]] = {}
-    for (r, k), v in a.entries.items():
-        rows_a.setdefault(r, {})[k] = v
+    if variant == "+":
+        wedge = [m for m in jp if m <= 0]
+        step = w
+    else:
+        wedge = [m for m in reversed(jp) if m >= 0]
+        step = ring.inverse(w)
     block = []
     for r in jp:
-        arow = rows_a.get(r, {})
-        out_row = []
-        for m in jp:
-            acc = ring.one if r == m else ring.zero
-            for k, v in arow.items():
-                fe = _f_inv_entry(variant, ring, w, k, m)
-                if fe is None:
-                    if k == m:
-                        acc = ring.add(acc, v)
-                else:
-                    acc = ring.add(acc, ring.mul(v, fe))
-            out_row.append(acc)
-        block.append(out_row)
-    return DetValue(det_block(ring, block), exact=True)
+        row = {m: a.get(r, m) for m in jp}
+        for prev, m in zip(wedge, wedge[1:]):
+            row[m] = ring.add(row[m], ring.mul(step, row[prev]))
+        row[r] = ring.add(ring.one, row[r])
+        block.append([row[m] for m in jp])
+    return DetValue(det_block(ring, block))
 
 
 # -- truncated determinants on nested windows -------------------------
@@ -382,4 +367,4 @@ def det_truncated(entry_fn: Callable[[int, int], Any], ring: Ring,
     for i in range(1, len(tails)):
         if tails[i] > tails[i - 1] + slack and tails[i] > ring.tolerance:
             raise WindowError("tail estimate is not decreasing; window too small")
-    return DetValue(vals[-1], exact=False, tail=tails[-1], window_used=windows[-1])
+    return DetValue(vals[-1], tail=tails[-1], window_used=windows[-1])

@@ -47,9 +47,6 @@ class WindowedMatrix:
     def get(self, r: int, c: int) -> Any:
         return self.entries.get((r, c), self.ring.zero)
 
-    def indices(self) -> range:
-        return range(self.window[0], self.window[1] + 1)
-
     def _prune(self) -> "WindowedMatrix":
         self.entries = {k: v for k, v in self.entries.items() if not self.ring.is_zero(v)}
         return self

@@ -41,7 +41,6 @@ class Ring:
     is_exact: bool
     tolerance: float = 0.0
     invert: Optional[Callable[[Any], Any]] = None
-    div: Optional[Callable[[Any, Any], Any]] = None
     components: Optional[Tuple["Ring", ...]] = None
     split: Optional[Callable[[Any], Sequence[Any]]] = None
     merge: Optional[Callable[[Sequence[Any]], Any]] = None
@@ -106,7 +105,6 @@ def rational_ring() -> Ring:
         equals=lambda x, y: x == y,
         is_exact=True,
         invert=inv,
-        div=lambda x, y: x / y,
         fmt=lambda x: str(Fraction(x)),
         parse=_parse_rational,
     )
@@ -141,7 +139,6 @@ def complex_ring(tolerance: float = DEFAULT_TOLERANCE) -> Ring:
         is_exact=False,
         tolerance=tolerance,
         invert=inv,
-        div=lambda x, y: complex(x) / complex(y),
         fmt=fmt,
         parse=parse,
     )
@@ -187,8 +184,6 @@ def product_ring(base: Ring, arity: int) -> Ring:
         is_exact=base.is_exact,
         tolerance=base.tolerance,
         invert=inv,
-        div=(None if base.div is None
-             else lambda x, y: tuple(base.div(a, b) for a, b in zip(x, y))),
         components=tuple(base for _ in range(arity)),
         split=lambda x: list(x),
         merge=lambda xs: tuple(xs),

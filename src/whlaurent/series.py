@@ -149,12 +149,6 @@ class LaurentSeries:
         s_lo, s_hi = exact._supp_bounds()
         return (windowed.window[0] + s_hi, windowed.window[1] + s_lo)
 
-    def pow(self, k: int) -> "LaurentSeries":
-        out = LaurentSeries.one(self.ring)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
-
     def evaluate(self, point: Any) -> Any:
         """Sum a_n * point**n; needs an invertible point for negative n."""
         ring = self.ring
@@ -190,10 +184,6 @@ class LaurentSeries:
                 continue
             worst = max(worst, self.ring.seminorm(self.ring.sub(self.coeff(n), other.coeff(n))))
         return worst
-
-    def map_coeffs(self, fn, ring: Optional[Ring] = None) -> "LaurentSeries":
-        return LaurentSeries(ring or self.ring, {n: fn(c) for n, c in self.coeffs.items()},
-                             self.window)
 
     def truncate(self, window: Window) -> "LaurentSeries":
         return LaurentSeries(self.ring, self.coeffs, _win_meet(self.window, window))
@@ -522,7 +512,7 @@ def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:
     ring = a.ring
     if ring.is_exact:
         raise RingError("invert_numeric requires a floating complex ring")
-    if samples & (samples - 1):
+    if samples < 1 or samples & (samples - 1):
         raise ValueError("samples must be a power of two")
     n = np.array(a.support())
     c = np.array([complex(a.coeffs[k]) for k in a.support()])
@@ -560,31 +550,23 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     if not supp or not ring.equals(u.coeff(0), ring.one):
         raise RingError("divisor has no unit pivot coefficient")
     lo, hi = window
-    q: Dict[int, Any] = {}
     if all(n >= 0 for n in supp):
-        for n in range(lo, hi + 1):
-            acc = x.coeff(n)
-            for m, um in u.coeffs.items():
-                if m == 0:
-                    continue
-                prev = q.get(n - m)
-                if prev is not None:
-                    acc = ring.sub(acc, ring.mul(prev, um))
-            if not ring.is_zero(acc):
-                q[n] = acc
+        order = range(lo, hi + 1)
     elif all(n <= 0 for n in supp):
-        for n in range(hi, lo - 1, -1):
-            acc = x.coeff(n)
-            for m, um in u.coeffs.items():
-                if m == 0:
-                    continue
-                prev = q.get(n - m)
-                if prev is not None:
-                    acc = ring.sub(acc, ring.mul(prev, um))
-            if not ring.is_zero(acc):
-                q[n] = acc
+        order = range(hi, lo - 1, -1)
     else:
         raise RingError("divisor is neither a power series in w nor in w^-1")
+    q: Dict[int, Any] = {}
+    for n in order:
+        acc = x.coeff(n)
+        for m, um in u.coeffs.items():
+            if m == 0:
+                continue
+            prev = q.get(n - m)
+            if prev is not None:
+                acc = ring.sub(acc, ring.mul(prev, um))
+        if not ring.is_zero(acc):
+            q[n] = acc
     return LaurentSeries(ring, q, _win_meet(x.window, window))
 
 
@@ -612,17 +594,15 @@ def laurent_ring(base: Ring, var: str = "w") -> Ring:
     merge = None
     if base.split is not None:
         comps = base.components or ()
-        ncomp = len(comps)
-        comp_rings = [laurent_ring(c, var) for c in comps]
 
-        def split(x: LaurentSeries, _n=ncomp, _r=comp_rings):
-            outs = [dict() for _ in range(_n)]
+        def split(x: LaurentSeries):
+            outs = [dict() for _ in comps]
             for k, c in x.coeffs.items():
                 for i, ci in enumerate(base.split(c)):
                     outs[i][k] = ci
-            return [LaurentSeries(comps[i], outs[i], x.window) for i in range(_n)]
+            return [LaurentSeries(comp, out, x.window) for comp, out in zip(comps, outs)]
 
-        def merge(xs, _n=ncomp):
+        def merge(xs):
             keys = set()
             for x in xs:
                 keys |= set(x.coeffs)

@@ -9,7 +9,7 @@ import pytest
 import whlaurent as wl
 from whlaurent import matrices as mx
 from whlaurent.determinants import (DetValue, det_berkowitz, det_block,
-                                    det_identity_plus, det_finite,
+                                    det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
                                     _det_series_rational, _det_series_complex)
 from whlaurent.factorization import (antiholomorphic_det_matrix,
@@ -45,7 +45,7 @@ def test_berkowitz_matches_cofactor_expansion_product_ring():
     rng = random.Random(3)
     for n in range(1, 5):
         rows = rand_rows(R, rng, n, lambda r: (rand_q(r), rand_q(r)))
-        assert det_finite(R, rows) == det_cofactor(R, rows)
+        assert det_block(R, rows) == det_cofactor(R, rows)
 
 
 def test_determinant_is_multiplicative():
@@ -74,15 +74,34 @@ def test_interpolation_path_matches_division_free():
 
 def test_circle_sampling_path_matches_division_free():
     C = wl.complex_ring()
-    Cw = laurent_ring(C, "w")
     rng = random.Random(6)
-    n = 4
-    rows = [[LaurentSeries(C, {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                               for k in range(-1, 2)})
-             for _ in range(n)] for _ in range(n)]
-    fast = _det_series_complex(Cw, rows)
-    slow = det_berkowitz(Cw, rows)
-    assert fast.sup_diff(slow) < 1e-10
+    # (n, exponent support, share of zero entries, product-ring arity)
+    cases = [
+        (4, (-1, 1), 0.0, 1),
+        (3, (0, 3), 0.0, 1),
+        (3, (-3, 0), 0.0, 1),
+        (5, (-1, 2), 0.0, 1),
+        (6, (-1, 1), 0.4, 1),
+        (8, (-1, 1), 0.3, 1),
+        (3, (-1, 1), 0.2, 2),  # C^2, through det_block's componentwise split
+    ]
+    for n, (lo, hi), p_zero, arity in cases:
+        R = C if arity == 1 else wl.product_ring(C, arity)
+        Rw = laurent_ring(R, "w")
+
+        def coeff():
+            cs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(arity)]
+            return cs[0] if arity == 1 else tuple(cs)
+
+        def entry():
+            if p_zero and rng.random() < p_zero:
+                return LaurentSeries.zero(R)
+            return LaurentSeries(R, {k: coeff() for k in range(lo, hi + 1)})
+
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        fast = _det_series_complex(Rw, rows) if arity == 1 else det_block(Rw, rows)
+        slow = det_berkowitz(Rw, rows)
+        assert fast.sup_diff(slow) < 1e-10, (n, lo, hi, arity)
 
 
 def test_product_ring_series_determinant_recurses():
@@ -100,7 +119,14 @@ def test_product_ring_series_determinant_recurses():
 def test_oversized_block_rejected():
     rows = [[Q.one] * 70 for _ in range(70)]
     with pytest.raises(RingError):
-        det_finite(Q, rows)
+        det_block(Q, rows)
+
+
+def test_non_square_block_rejected():
+    with pytest.raises(ValueError, match="not square"):
+        det_block(Q, [[Q.one, Q.zero], [Q.one]])
+    with pytest.raises(ValueError, match="not square"):
+        det_block(Q, [[Q.one, Q.zero]])
 
 
 def test_identity_plus_row_reduction_matches_dense():
@@ -150,16 +176,17 @@ def test_column_reduced_determinant_matches_dense_truncation(seed):
 
     rng = random.Random(seed)
     Qw = laurent_ring(Q, "w")
-    w = LaurentSeries.monomial(Q, 1)
     for _ in range(5):
         facs = random_rational_factors(rng, max_factors=2)
         pair = wl.invert_from_factors(Q, facs, (-54, 54))
-        for variant, builder in (("+", holomorphic_det_matrix),
-                                 ("-", antiholomorphic_det_matrix)):
-            A = builder(pair, Qw, w)
-            reduced = det_tilde_column_reduced(variant, A, w).value
-            dense = _dense_reflection_det(variant, A, Qw, w)
-            assert reduced.coeffs == dense.coeffs, (facs, variant)
+        # w itself and the non-monic unit 2w
+        for w in (LaurentSeries.monomial(Q, 1), LaurentSeries.monomial(Q, 1, Fraction(2))):
+            for variant, builder in (("+", holomorphic_det_matrix),
+                                     ("-", antiholomorphic_det_matrix)):
+                A = builder(pair, Qw, w)
+                reduced = det_tilde_column_reduced(variant, A, w).value
+                dense = _dense_reflection_det(variant, A, Qw, w)
+                assert reduced.coeffs == dense.coeffs, (facs, variant, w)
 
 
 def test_negative_winding_wedge_orientation():

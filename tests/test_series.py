@@ -135,6 +135,14 @@ def test_invert_numeric_symmetric_symbol():
         wl.invert_numeric(a, 100)  # not a power of two
 
 
+def test_invert_numeric_rejects_nonpositive_samples():
+    C = wl.complex_ring()
+    a = LaurentSeries(C, {-1: -1.0 + 0j, 0: 3.0 + 0j, 1: -1.0 + 0j})
+    for samples in (0, -4):
+        with pytest.raises(ValueError, match="samples must be a power of two"):
+            wl.invert_numeric(a, samples)
+
+
 def test_invert_numeric_rejects_circle_zero():
     C = wl.complex_ring()
     a = LaurentSeries(C, {0: 1.0 + 0j, 1: -1.0 + 0j})
