@@ -5,7 +5,7 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .rings import Ring, rational_ring, complex_ring, product_ring
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,

@@ -345,12 +345,12 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
 # -- truncated determinants on nested windows -------------------------
 
 def det_truncated(entry_fn: Callable[[int, int], Any], ring: Ring,
-                  windows: Sequence[int],
-                  lattice_half: bool = True) -> DetValue:
+                  windows: Sequence[int]) -> DetValue:
     """Determinant of an identity-plus-decay matrix on nested windows.
 
     ``entry_fn(n, m)`` returns the (n, m) entry (half-integer indices are
-    passed in integer representation).  The tail estimate is the seminorm
+    passed in integer representation); window ``wsize`` is the index range
+    ``[-wsize, wsize)``.  The tail estimate is the seminorm
     of the difference between the last two window values; it must not
     increase along the sequence.
     """
@@ -358,8 +358,7 @@ def det_truncated(entry_fn: Callable[[int, int], Any], ring: Ring,
         raise ValueError("need at least two nested windows")
     vals = []
     for wsize in windows:
-        lo, hi = (-wsize, wsize - 1) if lattice_half else (-wsize, wsize)
-        idx = list(range(lo, hi + 1))
+        idx = list(range(-wsize, wsize))
         rows = [[entry_fn(n, m) for m in idx] for n in idx]
         vals.append(det_block(ring, rows))
     tails = [ring.seminorm(ring.sub(vals[i + 1], vals[i])) for i in range(len(vals) - 1)]

@@ -189,9 +189,9 @@ def pi_tilde_direct(pair: InvertiblePair,
             acc[e] = ring.add(acc.get(e, ring.zero), v)
         return LaurentSeries(ring, acc)
 
-    det = det_truncated(entry, ring_w, list(windows), lattice_half=True)
+    det = det_truncated(entry, ring_w, list(windows))
     series: LaurentSeries = det.value.scale(norm)
-    return series, (det.tail if det.tail is not None else 0.0) * ring.seminorm(norm)
+    return series, det.tail * ring.seminorm(norm)
 
 
 def winding_index(pi_tilde: LaurentSeries) -> Optional[int]:
@@ -345,7 +345,7 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
             coeffs[1 + shift] = ring.add(coeffs.get(1 + shift, ring.zero), base)
         return LaurentSeries(ring, coeffs)
 
-    det = det_truncated(entry, ring_z, list(windows), lattice_half=True)
+    det = det_truncated(entry, ring_z, list(windows))
     out: LaurentSeries = det.value
     if SeriesClass.ORTHOGONAL not in classify(out) or \
             not ring.equals(out.evaluate(ring.one), ring.one):

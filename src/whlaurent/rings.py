@@ -57,13 +57,6 @@ class Ring:
     def is_zero(self, x: Any) -> bool:
         return self.equals(x, self.zero)
 
-    def of_int(self, k: int) -> Any:
-        out = self.zero
-        step = self.one if k >= 0 else self.neg(self.one)
-        for _ in range(abs(k)):
-            out = self.add(out, step)
-        return out
-
     def pow(self, x: Any, k: int) -> Any:
         """``x**k`` for ``k >= 0`` by repeated multiplication."""
         if k < 0:

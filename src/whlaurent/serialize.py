@@ -7,7 +7,7 @@ bit-exactly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .rings import Ring, RingError, complex_ring, product_ring, rational_ring
 from .series import LaurentSeries, Window

@@ -11,8 +11,6 @@ computation.
 from __future__ import annotations
 
 import enum
-import math
-from math import comb
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -297,25 +295,6 @@ def factor_series(ring: Ring, f: Factor) -> LaurentSeries:
     raise TypeError("not an elementary factor: %r" % (f,))
 
 
-def _factor_inverse(ring: Ring, f: Factor, window: Tuple[int, int]) -> LaurentSeries:
-    lo, hi = window
-    if isinstance(f, Antiholo):
-        coeffs, p = {}, ring.one
-        for j in range(0, -lo + 1):
-            coeffs[-j] = p
-            p = ring.mul(p, f.alpha)
-        return LaurentSeries(ring, coeffs, window)
-    if isinstance(f, Holo):
-        coeffs, p = {}, ring.one
-        for j in range(0, hi + 1):
-            coeffs[j] = p
-            p = ring.mul(p, f.beta)
-        return LaurentSeries(ring, coeffs, window)
-    if isinstance(f, Mono):
-        return LaurentSeries(ring, {-f.p: ring.inverse(f.u)})
-    raise TypeError("not an elementary factor: %r" % (f,))
-
-
 def factors_to_series(ring: Ring, factors: Sequence[Factor]) -> LaurentSeries:
     out = LaurentSeries.one(ring)
     for f in factors:
@@ -328,10 +307,14 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
     """Build (a, a^-1) from elementary factors.
 
     ``a`` is exact (a Laurent polynomial); ``b`` carries the coefficients
-    of the true two-sided inverse on ``window``, computed in closed form
-    by a partial-fraction expansion over the factor roots.  Over exact
-    rings the coefficients are exact, so the pair residual is zero.  For
-    floating rings the geometric parameters must have seminorm < 1.
+    of the true two-sided inverse on ``window``.  With ``A`` the product of
+    the antiholomorphic factors (degree ``r`` in ``z^-1``) and ``B`` that
+    of the holomorphic ones, one Bezout identity ``V*B + U*A = 1`` gives
+    ``1/(AB) = V/A + U/B``: ``V/A`` fills the exponents ``< r`` and
+    ``U/B`` those ``>= r`` (before the monomial shift), each by exact long
+    division.  Over exact rings the coefficients are exact, so the pair
+    residual is zero.  For floating rings the geometric parameters must
+    have seminorm < 1.
     """
     if not ring.is_exact:
         for f in factors:
@@ -346,20 +329,23 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
 
 def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
                             window: Tuple[int, int]) -> LaurentSeries:
-    """True inverse of a product of elementary factors on ``window``."""
+    """True inverse of a product of elementary factors on ``window``.
+
+    For ``a = u z^p A(z^-1) B(z)`` with ``A = prod(1 - alpha z^-1)`` of
+    degree ``r`` and ``B = prod(1 - beta z)``, the Bezout identity
+    ``V*B + U*A = 1`` (:func:`_bezout`) splits ``1/(AB) = V/A + U/B``:
+    ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
+    series in ``z`` on the exponents ``>= r``, each a long division.
+    """
     if ring.components is not None and ring.split is not None:
         parts = []
         for ci, base in enumerate(ring.components):
             cf = []
             for f in factors:
                 if isinstance(f, Antiholo):
-                    al = ring.split(f.alpha)[ci]
-                    if not base.is_zero(al):
-                        cf.append(Antiholo(al))
+                    cf.append(Antiholo(ring.split(f.alpha)[ci]))
                 elif isinstance(f, Holo):
-                    be = ring.split(f.beta)[ci]
-                    if not base.is_zero(be):
-                        cf.append(Holo(be))
+                    cf.append(Holo(ring.split(f.beta)[ci]))
                 else:
                     cf.append(Mono(f.p, ring.split(f.u)[ci]))
             parts.append(_factors_inverse_series(base, cf, window))
@@ -370,139 +356,58 @@ def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
         return LaurentSeries(ring, coeffs, window)
 
     p_tot, u_tot = 0, ring.one
-    alphas, betas = [], []
     for f in factors:
-        if isinstance(f, Antiholo):
-            if not ring.is_zero(f.alpha):
-                alphas.append(f.alpha)
-        elif isinstance(f, Holo):
-            if not ring.is_zero(f.beta):
-                betas.append(f.beta)
-        elif isinstance(f, Mono):
+        if isinstance(f, Mono):
             p_tot += f.p
             u_tot = ring.mul(u_tot, f.u)
-        else:
-            raise TypeError("not an elementary factor: %r" % (f,))
+    anti = factors_to_series(ring, [f for f in factors if isinstance(f, Antiholo)])
+    holo = factors_to_series(ring, [f for f in factors if isinstance(f, Holo)])
     w0 = (window[0] + p_tot, window[1] + p_tot)
     if w0[0] > w0[1]:
         raise WindowError("window too small for the monomial shift")
-    if alphas and betas:
-        b0 = LaurentSeries(ring, _mixed_inverse_coeffs(ring, alphas, betas, w0), w0)
-    elif alphas or betas:
-        # one-sided: truncated geometric convolutions are already exact
+    r, s = -anti._supp_bounds()[0], holo._supp_bounds()[1]
+    if r + s == 0:
         b0 = LaurentSeries.one(ring, w0)
-        for par in alphas:
-            b0 = b0.mul(_factor_inverse(ring, Antiholo(par), w0))
-        for par in betas:
-            b0 = b0.mul(_factor_inverse(ring, Holo(par), w0))
     else:
-        b0 = LaurentSeries.one(ring, w0)
+        v, u = _bezout(ring, anti, holo, r, s)
+        coeffs = div_unit(v, anti, (w0[0], r - 1)).coeffs
+        coeffs.update(div_unit(u, holo, (r, w0[1])).coeffs)
+        b0 = LaurentSeries(ring, coeffs, w0)
     return b0.shift(-p_tot).scale(ring.inverse(u_tot))
 
 
-def _poly_mul_trunc(ring: Ring, p: list, q: list, order: int) -> list:
-    out = [ring.zero] * min(order, len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            if i + j >= order:
-                break
-            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-    return out
+def _bezout(ring: Ring, anti: LaurentSeries, holo: LaurentSeries,
+            r: int, s: int) -> Tuple[LaurentSeries, LaurentSeries]:
+    """``V`` on exponents ``[0, r)`` and ``U`` on ``[r, r+s)`` with
+    ``V*holo + U*anti = 1``.
 
-
-def _series_inverse_prefix(ring: Ring, r: list, order: int) -> list:
-    """First ``order`` coefficients of 1 / sum(r[s] x^s); r[0] invertible."""
-    inv0 = ring.inverse(r[0])
-    out = [inv0]
-    for s in range(1, order):
-        acc = ring.zero
-        for t in range(1, min(s, len(r) - 1) + 1):
-            acc = ring.add(acc, ring.mul(r[t], out[s - t]))
-        out.append(ring.neg(ring.mul(inv0, acc)))
-    return out
-
-
-def _mixed_inverse_coeffs(ring: Ring, alphas: list, betas: list,
-                          window: Tuple[int, int]) -> Dict[int, Any]:
-    """Annulus Laurent coefficients of 1 / (prod(1-a_i/z) prod(1-b_j z)).
-
-    Partial fractions of z^A / q(z) with q = prod(z-a_i) prod(-b_j)(z-1/b_j);
-    roots from the antiholomorphic factors expand in z^-1, roots from the
-    holomorphic factors expand in z.
+    The Sylvester system of the identity, one equation per exponent in
+    ``[0, r+s)``, solved by Gauss-Jordan elimination with the pivot of
+    largest seminorm.  It is singular exactly when some root ``alpha`` of
+    ``anti`` equals ``1/beta`` for a root ``beta`` of ``holo``.
     """
-    lo, hi = window
-    groups: list = []  # [root, multiplicity, side]; side -1 inside, +1 outside
-    for al in alphas:
-        for g in groups:
-            if g[2] == -1 and ring.equals(g[0], al):
-                g[1] += 1
-                break
-        else:
-            groups.append([al, 1, -1])
-    for be in betas:
-        rho = ring.inverse(be)
-        for g in groups:
-            if g[2] == +1 and ring.equals(g[0], rho):
-                g[1] += 1
-                break
-        else:
-            groups.append([rho, 1, +1])
-    for g1 in groups:
-        for g2 in groups:
-            if g1[2] == -1 and g2[2] == +1 and ring.equals(g1[0], g2[0]):
-                raise RingError(
-                    "no two-sided inverse: an antiholomorphic root meets "
-                    "the reciprocal of a holomorphic one")
-    deg_a = len(alphas)
-    const = ring.one
-    for be in betas:
-        const = ring.mul(const, ring.neg(be))
-    coeffs: Dict[int, Any] = {}
-
-    def bump(n: int, v: Any) -> None:
-        if lo <= n <= hi:
-            coeffs[n] = ring.add(coeffs.get(n, ring.zero), v)
-
-    for grp in groups:
-        root, mult, side = grp
-        # Taylor coefficients of z^deg_a / (q(z)/(z-root)^mult) at z=root
-        rest = [const]
-        for g in groups:
-            if g is grp:
-                continue
-            lin = [ring.sub(root, g[0]), ring.one]
-            for _ in range(g[1]):
-                rest = _poly_mul_trunc(ring, rest, lin, mult)
-        numer = [ring.mul(ring.of_int(comb(deg_a, s)),
-                          ring.pow(root, deg_a - s))
-                 for s in range(min(mult, deg_a + 1))]
-        e = _poly_mul_trunc(ring, numer, _series_inverse_prefix(ring, rest, mult),
-                            mult)
-        while len(e) < mult:
-            e.append(ring.zero)
-        if side == -1:
-            for t in range(1, mult + 1):
-                c = e[mult - t]
-                if ring.is_zero(c):
-                    continue
-                pw = ring.one  # root^(k-t), starting at k=t
-                for k in range(t, -lo + 1):
-                    bump(-k, ring.mul(c, ring.mul(ring.of_int(comb(k - 1, t - 1)), pw)))
-                    pw = ring.mul(pw, root)
-        else:
-            rinv = ring.inverse(root)
-            for t in range(1, mult + 1):
-                c = e[mult - t]
-                if ring.is_zero(c):
-                    continue
-                sign = ring.one if t % 2 == 0 else ring.neg(ring.one)
-                pw = ring.pow(rinv, t)  # root^-(k+t), starting at k=0
-                for k in range(0, hi + 1):
-                    v = ring.mul(c, ring.mul(sign,
-                        ring.mul(ring.of_int(comb(k + t - 1, t - 1)), pw)))
-                    bump(k, v)
-                    pw = ring.mul(pw, rinv)
-    return coeffs
+    n = r + s
+    partner = [holo] * r + [anti] * s
+    rows = [[partner[k].coeff(e - k) for k in range(n)]
+            + [ring.one if e == 0 else ring.zero] for e in range(n)]
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: ring.seminorm(rows[i][k]))
+        if ring.is_zero(rows[piv][k]):
+            raise RingError(
+                "no two-sided inverse: an antiholomorphic root meets "
+                "the reciprocal of a holomorphic one")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = ring.inverse(rows[k][k])
+        rows[k] = [ring.mul(inv, x) for x in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            # skip exact zeros only: a float entry under the ring's
+            # tolerance still has to be eliminated
+            if i != k and f != ring.zero:
+                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[k])]
+    v = LaurentSeries(ring, {k: rows[k][n] for k in range(r)})
+    u = LaurentSeries(ring, {k: rows[k][n] for k in range(r, n)})
+    return v, u
 
 
 def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:

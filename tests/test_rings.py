@@ -70,14 +70,6 @@ def test_complex_ring_tolerance_equality():
         wl.complex_ring(0.0)
 
 
-@given(st.integers(min_value=-20, max_value=20))
-def test_of_int(k):
-    Q = wl.rational_ring()
-    assert Q.of_int(k) == Fraction(k)
-    R = wl.product_ring(Q, 2)
-    assert R.of_int(k) == (Fraction(k), Fraction(k))
-
-
 def test_parse_fmt_round_trips():
     Q = wl.rational_ring()
     for x in [Fraction(3, 7), Fraction(-2), Fraction(0)]:

@@ -102,6 +102,34 @@ def test_mixed_repeated_roots_inverse_is_exact():
     assert pair.residual == 0.0
 
 
+def test_one_sided_inverse_on_window_without_zero():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    pair = wl.invert_from_factors(Q, [wl.Holo(half)], (3, 20))
+    assert pair.b.window == (3, 20)
+    for n in range(3, 21):
+        assert pair.b.coeff(n) == half ** n
+    pair = wl.invert_from_factors(Q, [wl.Antiholo(half), wl.Antiholo(third)], (-20, -3))
+    for n in range(3, 21):
+        assert pair.b.coeff(-n) == sum(half ** k * third ** (n - k) for k in range(n + 1))
+
+
+def test_exact_inverse_matches_circle_sampling():
+    C = wl.complex_ring()
+    rng = random.Random(7)
+    params = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)]
+    for _ in range(40):
+        fs = [rng.choice([wl.Antiholo, wl.Holo])(rng.choice(params))
+              for _ in range(rng.randint(1, 8))]
+        fs.append(wl.Mono(rng.randint(-2, 2), rng.choice([Fraction(1), Fraction(-2),
+                                                           Fraction(1, 3)])))
+        exact = wl.invert_from_factors(Q, fs, (-24, 24)).b
+        a = wl.factors_to_series(Q, fs)
+        numeric = wl.invert_numeric(
+            LaurentSeries(C, {n: complex(c) for n, c in a.coeffs.items()}), 1024).b
+        for n in range(-24, 25):
+            assert abs(float(exact.coeff(n)) - numeric.coeff(n)) < 1e-8, (fs, n)
+
+
 def test_reciprocal_root_collision_rejected():
     with pytest.raises(RingError):
         wl.invert_from_factors(Q, [wl.Antiholo(Fraction(1, 2)),
