@@ -5,6 +5,9 @@ commutative coefficient ring (product rings have zero divisors, so
 elimination is not).  Large windows with Laurent-polynomial entries are
 handled by evaluation/interpolation (exact fields) or unit-circle
 sampling (complex floats); product rings recurse componentwise.
+``charpoly`` gives the characteristic polynomial of a constant block, the
+outer projections' whole determinant: Berkowitz over exact rings, product
+rings included, and unit-circle sampling over ``C``.
 """
 
 from __future__ import annotations
@@ -65,6 +68,42 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
             new.append(acc)
         coeffs = new
     return coeffs
+
+
+def _charpoly_complex(a: List[List[complex]]) -> List[complex]:
+    """det(I - w A) = sum c_i w^i sampled at nsamp >= n + 1 roots of unity;
+    the FFT of the samples gives c_0..c_n without aliasing."""
+    import numpy as np
+
+    n = len(a)
+    nsamp = 1
+    while nsamp < n + 1:
+        nsamp *= 2
+    ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
+    mats = np.eye(n) - ws[:, None, None] * np.array(a, dtype=complex)
+    fc = np.fft.fft(np.linalg.det(mats)) / nsamp
+    return [complex(c) for c in fc[:n + 1]]
+
+
+def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
+    """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
+    are also those of det(I - w*A) = sum c_i w^i.
+
+    Exact rings, product rings with zero divisors included, run
+    division-free Berkowitz.  Over ``C`` its Krylov sums lose up to 1e-8
+    on strongly non-normal blocks (entries near 10, eigenvalues below 1),
+    so det(I - w*A) is sampled on the unit circle with a backward-stable
+    LU determinant per sample instead, one component at a time over
+    products of ``C``.
+    """
+    if ring.is_exact or not a:
+        return _berkowitz_charpoly(ring, a)
+    if ring.split is None:
+        return _charpoly_complex(a)
+    split_rows = [[ring.split(x) for x in row] for row in a]
+    parts = [charpoly(comp, [[x[i] for x in row] for row in split_rows])
+             for i, comp in enumerate(ring.components)]
+    return [ring.merge(cs) for cs in zip(*parts)]
 
 
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:

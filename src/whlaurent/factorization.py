@@ -1,10 +1,18 @@
 """Wiener-Hopf (Birkhoff) factorization over commutative coefficient rings.
 
-The three projections are computed from Toeplitz-determinant formulas:
-the holomorphic and antiholomorphic parts as widetilde-determinants of
-identity-minus-w-bracket matrices reduced to finite blocks, and the
-orthogonal middle part either by exact division (default) or through the
-half-lattice truncated determinant (cross-check route).
+The three projections are computed from Toeplitz-determinant formulas.
+The holomorphic part is pi_+(w) = det(I - w K_+) and the antiholomorphic
+part pi_-(w) = det(I - w^-1 K_-), where K_+- = E_+- + B is a constant
+matrix over the base ring on a finite index interval: the shift part of
+the reflection factor plus the bracket block U(b)[1_S, U(a)]U(z^-+1).
+Each is read off one characteristic polynomial of K_+-: division-free
+Berkowitz over the exact rings, product rings with zero divisors
+included, and unit-circle sampling over C, where Berkowitz loses
+accuracy on these non-normal blocks.  The orthogonal middle part comes either by exact division
+(default) or through the half-lattice truncated determinant (cross-check
+route).  The w-series blocks of the widetilde-determinant closed form
+(``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for
+checking against it.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit, laurent_ring)
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
-from .determinants import det_tilde_column_reduced, det_truncated, reduced_columns
+from .determinants import charpoly, det_truncated, reduced_columns
 
 
 class FactorizationError(ValueError):
@@ -62,11 +70,12 @@ def _check_b_window(pair: InvertiblePair) -> None:
             % (b.window[0], b.window[1], need[0], need[1]))
 
 
-def _bracket_block(pair: InvertiblePair, sign: str, ring_w: Ring,
-                   coef: Any) -> WindowedMatrix:
-    """coef * U(b) [1_S, U(a)] U(z^-s) on the rows J' that the column
-    reduction reads: S = Z^- with s = 1 (sign '-', reduced as variant '+')
-    or S = Z^+ with s = -1 (sign '+', variant '-').
+def _bracket_block(pair: InvertiblePair,
+                   sign: str) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
+    """U(b) [1_S, U(a)] U(z^-s) over the base ring, on the rows J' that
+    the column reduction reads: S = Z^- with s = 1 (sign '-', reduced as
+    variant '+') or S = Z^+ with s = -1 (sign '+', variant '-').
+    Returns (J', entries).
 
     The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
     where j and m straddle S, so |m| <= max |d| over the support of a.
@@ -96,10 +105,18 @@ def _bracket_block(pair: InvertiblePair, sign: str, ring_w: Ring,
             for j, v in col:
                 acc = ring.add(acc, ring.mul(b.coeff(r - j), v))
             if not ring.is_zero(acc):
-                ents[(r, k)] = ring_w.mul(coef, ring_w.const(acc))
+                ents[(r, k)] = acc
+    return jp, ents
+
+
+def _scaled_block(pair: InvertiblePair, sign: str, ring_w: Ring,
+                  coef: Any) -> WindowedMatrix:
+    """coef times the bracket block, as a w-series WindowedMatrix."""
+    jp, ents = _bracket_block(pair, sign)
     lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
     window = (lo - 1, hi + 1)
-    return WindowedMatrix(ring_w, Lattice.INTEGER, window, ents,
+    scaled = {rk: ring_w.mul(coef, ring_w.const(v)) for rk, v in ents.items()}
+    return WindowedMatrix(ring_w, Lattice.INTEGER, window, scaled,
                           window[1] - window[0], window)._prune()
 
 
@@ -107,36 +124,56 @@ def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Window
     """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
     for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A; only the
     rows J' read by the column reduction are built."""
-    return _bracket_block(pair, "-", ring_w, ring_w.neg(w))
+    return _scaled_block(pair, "-", ring_w, ring_w.neg(w))
 
 
 def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
     """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
     rows J' only."""
-    return _bracket_block(pair, "+", ring_w, ring_w.neg(ring_w.inverse(w)))
+    return _scaled_block(pair, "+", ring_w, ring_w.neg(ring_w.inverse(w)))
 
 
 # -- the projections --------------------------------------------------
 
-def pi_plus(pair: InvertiblePair) -> LaurentSeries:
-    """Strictly holomorphic projection, as a series in w."""
+def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
+    """det(I - v K) for the constant matrix K = E + B on P = [min J', max J'],
+    with v = w (sign '-') or w^-1 (sign '+'), from the characteristic
+    polynomial det(x I - K) = sum c_i x^(n-i): det(I - v K) = sum c_i v^i.
+
+    B is the bracket block without its -v factor, so that F + A = I - v K
+    with F = I - v E the reflection factor.  E has ones at (k, k+1) for
+    k + 1 <= 0 (sign '-') or at (m + 1, m) for m >= 0 (sign '+').  F is
+    unit triangular on the interval P and A vanishes off P's columns, so
+    widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
+    """
     ring = pair.a.ring
-    ring_w = laurent_ring(ring, "w")
-    w = LaurentSeries.monomial(ring, 1)
-    a_mat = holomorphic_det_matrix(pair, ring_w, w)
-    out: LaurentSeries = det_tilde_column_reduced("+", a_mat, w).value
-    _check_projection(out, "plus", ring)
+    jp, ents = _bracket_block(pair, sign)
+    idx = list(range(jp[0], jp[-1] + 1)) if jp else []
+    k_mat = [[ents.get((r, c), ring.zero) for c in idx] for r in idx]
+    for i in range(len(idx) - 1):
+        if sign == "-" and idx[i + 1] <= 0:
+            k_mat[i][i + 1] = ring.add(k_mat[i][i + 1], ring.one)
+        if sign == "+" and idx[i] >= 0:
+            k_mat[i + 1][i] = ring.add(k_mat[i + 1][i], ring.one)
+    step = 1 if sign == "-" else -1
+    coeffs = charpoly(ring, k_mat)
+    return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+
+
+def pi_plus(pair: InvertiblePair) -> LaurentSeries:
+    """Strictly holomorphic projection, as a series in w: det(I - w K_+)
+    for a constant matrix K_+ over the base ring, from one
+    characteristic polynomial."""
+    out = _outer_projection(pair, "-")
+    _check_projection(out, "plus", pair.a.ring)
     return out
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
-    """Strictly antiholomorphic projection, as a series in w^-1."""
-    ring = pair.a.ring
-    ring_w = laurent_ring(ring, "w")
-    w = LaurentSeries.monomial(ring, 1)
-    a_mat = antiholomorphic_det_matrix(pair, ring_w, w)
-    out: LaurentSeries = det_tilde_column_reduced("-", a_mat, w).value
-    _check_projection(out, "minus", ring)
+    """Strictly antiholomorphic projection, as a series in w^-1:
+    det(I - w^-1 K_-), from one characteristic polynomial."""
+    out = _outer_projection(pair, "+")
+    _check_projection(out, "minus", pair.a.ring)
     return out
 
 
@@ -325,8 +362,6 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
             if not ring.equals(p2.get(r, c), v):
                 raise FactorizationError("P is not idempotent on the window")
     ring_z = laurent_ring(ring, "z")
-    z = LaurentSeries.monomial(ring, 1)
-    z_inv = LaurentSeries.monomial(ring, -1)
 
     def entry(n: int, m: int) -> LaurentSeries:
         if n == m and not (p.window[0] <= n <= p.window[1]):

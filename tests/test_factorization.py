@@ -284,3 +284,117 @@ def test_bracket_block_matches_full_window_reference(sign):
         for (r, c) in ref.entries:
             if r in jp:
                 assert (r, c) in block.entries, (facs, r, c)
+
+
+def _q2_factors(rng, facs):
+    # a second, independent component per factor; a zero parameter makes
+    # the bracket entries zero divisors of Q^2
+    params = [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(1, 5)]
+    out = []
+    for f in facs:
+        if isinstance(f, wl.Antiholo):
+            out.append(wl.Antiholo((f.alpha, rng.choice(params))))
+        elif isinstance(f, wl.Holo):
+            out.append(wl.Holo((f.beta, rng.choice(params))))
+        else:
+            out.append(wl.Mono(f.p, (f.u, rng.choice([Fraction(-1), Fraction(3)]))))
+    return out
+
+
+def _column_reduced_projections(pair):
+    from whlaurent.determinants import det_tilde_column_reduced
+    from whlaurent.factorization import (antiholomorphic_det_matrix,
+                                         holomorphic_det_matrix)
+    from whlaurent.series import laurent_ring
+
+    ring = pair.a.ring
+    ring_w = laurent_ring(ring, "w")
+    w = LaurentSeries.monomial(ring, 1)
+    plus = det_tilde_column_reduced("+", holomorphic_det_matrix(pair, ring_w, w), w)
+    minus = det_tilde_column_reduced("-", antiholomorphic_det_matrix(pair, ring_w, w), w)
+    return plus.value, minus.value
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2"])
+def test_charpoly_projections_match_column_reduction_exact(ring_name):
+    # criterion 7's symbols (up to 2 factors) and lists of up to 8 factors
+    from whlaurent.corpus import random_rational_factors
+
+    rng = random.Random(61)
+    R = Q if ring_name == "Q" else wl.product_ring(Q, 2)
+    for max_factors, count in ((2, 15), (8, 10)):
+        for _ in range(count):
+            facs = random_rational_factors(rng, max_factors=max_factors)
+            if ring_name == "Q^2":
+                facs = _q2_factors(rng, facs)
+            pair = wl.invert_from_factors(R, facs, (-54, 54))
+            plus, minus = _column_reduced_projections(pair)
+            assert wl.pi_plus(pair).coeffs == plus.coeffs, facs
+            assert wl.pi_minus(pair).coeffs == minus.coeffs, facs
+
+
+def test_charpoly_projections_match_column_reduction_complex():
+    from whlaurent.corpus import random_complex_factors
+
+    C = wl.complex_ring()
+    rng = random.Random(62)
+    for n_factors in (1, 2, 4, 8):
+        for _ in range(6):
+            facs = random_complex_factors(rng, n_factors=n_factors)
+            pair = wl.invert_from_factors(C, facs, (-54, 54))
+            plus, minus = _column_reduced_projections(pair)
+            assert wl.pi_plus(pair).sup_diff(plus) <= 1e-12, facs
+            assert wl.pi_minus(pair).sup_diff(minus) <= 1e-12, facs
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2"])
+def test_outer_projections_scale_covariant_exact(ring_name):
+    # a constant unit multiplies a and divides b, so K_+ and K_- and with
+    # them both outer projections do not move
+    from whlaurent.corpus import random_rational_factors
+
+    rng = random.Random(63)
+    R = Q if ring_name == "Q" else wl.product_ring(Q, 2)
+    for _ in range(8):
+        facs = random_rational_factors(rng, max_factors=6)
+        if ring_name == "Q^2":
+            facs = _q2_factors(rng, facs)
+        pair = wl.invert_from_factors(R, facs, (-60, 60))
+        want = (wl.pi_plus(pair).coeffs, wl.pi_minus(pair).coeffs)
+        for c in (Fraction(1000), Fraction(1, 1000), Fraction(-7, 3)):
+            unit = c if ring_name == "Q" else (c, 1 / c)
+            scaled = wl.invert_from_factors(R, facs + [wl.Mono(0, unit)], (-60, 60))
+            got = (wl.pi_plus(scaled).coeffs, wl.pi_minus(scaled).coeffs)
+            assert got == want, (facs, c)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_outer_projections_complex_match_closed_form(arity):
+    # twelve factors make K_+- strongly non-normal (entries near 10,
+    # eigenvalues below 0.6); the projections must still match the
+    # closed forms prod (1 - beta w) and prod (1 - alpha w^-1) closely,
+    # over C and over C^2 (second component: conjugate parameters)
+    from whlaurent.corpus import random_complex_factors
+
+    C = wl.complex_ring()
+    R = C if arity == 1 else wl.product_ring(C, 2)
+
+    def lift(x):
+        return x if arity == 1 else (x, x.conjugate())
+
+    rng = random.Random(1)
+    for _ in range(17):
+        facs = random_complex_factors(rng, n_factors=12, modulus=(0.3, 0.6))
+        lifted, plus, minus = [], LaurentSeries.one(R), LaurentSeries.one(R)
+        for f in facs:
+            if isinstance(f, wl.Holo):
+                lifted.append(wl.Holo(lift(f.beta)))
+                plus = plus.mul(LaurentSeries(R, {0: R.one, 1: R.neg(lift(f.beta))}))
+            elif isinstance(f, wl.Antiholo):
+                lifted.append(wl.Antiholo(lift(f.alpha)))
+                minus = minus.mul(LaurentSeries(R, {0: R.one, -1: R.neg(lift(f.alpha))}))
+            else:
+                lifted.append(wl.Mono(f.p, lift(f.u)))
+        pair = wl.invert_from_factors(R, lifted, (-60, 60))
+        assert wl.pi_plus(pair).sup_diff(plus) <= 1e-12, facs
+        assert wl.pi_minus(pair).sup_diff(minus) <= 1e-12, facs
