@@ -4,7 +4,8 @@ The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
 elimination is not).  Large windows with Laurent-polynomial entries are
 handled by evaluation/interpolation (exact fields) or unit-circle
-sampling (complex floats); product rings recurse componentwise.
+sampling (complex floats) at the degree that per-column exponent shifts
+give (:func:`_column_bounds`); product rings recurse componentwise.
 ``charpoly`` gives the characteristic polynomial of a constant block, the
 outer projections' whole determinant: Berkowitz over exact rings, product
 rings included, and unit-circle sampling over ``C``.
@@ -119,15 +120,14 @@ def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
 
 # -- fast dense paths for Laurent-polynomial entries ------------------
 
-def _series_matrix_bounds(rows: List[List[LaurentSeries]]) -> Tuple[int, int]:
-    lo, hi = 0, 0
-    for row in rows:
-        for e in row:
-            if e.coeffs:
-                s = e.support()
-                lo = min(lo, s[0])
-                hi = max(hi, s[-1])
-    return lo, hi
+def _column_bounds(rows: List[List[LaurentSeries]]) -> Tuple[List[int], int]:
+    """Each column's lowest exponent ``lo_j`` and ``deg = sum_j (hi_j - lo_j)``.
+
+    The determinant is linear in each column, so it is ``w^(sum lo_j)``
+    times a polynomial of degree at most ``deg``.
+    """
+    cols = [[e for row in rows for e in row[j].coeffs] or [0] for j in range(len(rows))]
+    return [min(c) for c in cols], sum(max(c) - min(c) for c in cols)
 
 
 def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
@@ -161,27 +161,21 @@ def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
 
 
 def _det_series_rational(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
-    """Evaluation/interpolation determinant over Q[w, w^-1]."""
-    base = ring_w.base
-    n = len(rows)
-    lo, hi = _series_matrix_bounds(rows)
-    # clear negative powers columnwise: det scales by w^(n*lo)
-    shift = -lo if lo < 0 else 0
-    deg_bound = n * (hi + shift)
-    pts: List[Fraction] = []
-    k = 1
-    while len(pts) < deg_bound + 1:
-        pts.append(Fraction(k))
-        if len(pts) < deg_bound + 1:
-            pts.append(Fraction(-k))
-        k += 1
+    """Evaluation/interpolation determinant over Q[w, w^-1].
+
+    With column ``j`` shifted by ``-lo_j`` (:func:`_column_bounds`), the
+    determinant is evaluated at the ``deg + 1`` points 1, -1, 2, -2, ...
+    by Gaussian elimination and interpolated.
+    """
+    los, deg = _column_bounds(rows)
+    pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
     vals = []
     for p in pts:
-        num = [[e.shift(shift).evaluate(p) for e in row] for row in rows]
+        num = [[sum((c * p ** (e - lo) for e, c in x.coeffs.items()), Fraction(0))
+                for x, lo in zip(row, los)] for row in rows]
         vals.append(_det_gauss_field(num))
     coeffs = _lagrange_coeffs(pts, vals)
-    out = {i - n * shift: c for i, c in enumerate(coeffs) if c != 0}
-    return LaurentSeries(base, out)
+    return LaurentSeries(ring_w.base, {k + sum(los): c for k, c in enumerate(coeffs)})
 
 
 def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[Fraction]:
@@ -212,38 +206,30 @@ def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[
 def _det_series_complex(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
     """Unit-circle sampling determinant over C[w, w^-1].
 
-    At each sample w_s = exp(2 pi i s / nsamp) every entry is evaluated
-    from its own support and coefficients, sum_e c_e w_s^e; the FFT of the
-    nsamp determinants gives the coefficients of the determinant.
+    One ``(width, n, n)`` array holds the coefficients, column ``j``
+    shifted by ``-lo_j`` (:func:`_column_bounds`).  Contracted with the
+    powers of ``w_s`` it gives the sample matrices at the ``nsamp >= deg + 1``
+    roots of unity, sixteen to one batched determinant (a bounded stack);
+    the FFT gives ``c_0..c_deg`` at offset ``sum lo_j`` without aliasing.
     """
     import numpy as np
 
-    base = ring_w.base
     n = len(rows)
-    lo, hi = _series_matrix_bounds(rows)
-    span = n * max(hi, 0) - n * min(lo, 0) + 1
-    nsamp = 1
-    while nsamp < 2 * span:
-        nsamp *= 2
-    dets = np.empty(nsamp, dtype=complex)
-    supports = [[(np.array(e.support()),
-                  np.array([complex(c) for c in (e.coeffs[s] for s in e.support())]))
-                 for e in row] for row in rows]
-    for k in range(nsamp):
-        wv = np.exp(2j * np.pi * k / nsamp)
-        mat = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                exps, cs = supports[i][j]
-                mat[i, j] = np.sum(cs * wv ** exps) if len(exps) else 0.0
-        dets[k] = np.linalg.det(mat)
+    los, deg = _column_bounds(rows)
+    terms = [(e - lo, i, j, c) for i, row in enumerate(rows)
+             for j, (x, lo) in enumerate(zip(row, los)) for e, c in x.coeffs.items()]
+    coef = np.zeros((1 + max((t[0] for t in terms), default=0), n, n), dtype=complex)
+    for k, i, j, c in terms:
+        coef[k, i, j] = c
+    nsamp = 1 << deg.bit_length()  # the next power of two >= deg + 1
+    ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
+    powers = ws[:, None] ** np.arange(len(coef))
+    dets = np.concatenate([
+        np.linalg.det(np.tensordot(powers[s:s + 16], coef, axes=1))
+        for s in range(0, nsamp, 16)])
     fc = np.fft.fft(dets) / nsamp
-    half = nsamp // 2
-    coeffs = {}
-    for m in range(nsamp):
-        idx = m if m < half else m - nsamp
-        coeffs[idx] = complex(fc[m])
-    return LaurentSeries(base, coeffs)
+    off = sum(los)
+    return LaurentSeries(ring_w.base, {k + off: complex(fc[k]) for k in range(deg + 1)})
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
@@ -389,17 +375,23 @@ def det_truncated(entry_fn: Callable[[int, int], Any], ring: Ring,
 
     ``entry_fn(n, m)`` returns the (n, m) entry (half-integer indices are
     passed in integer representation); window ``wsize`` is the index range
-    ``[-wsize, wsize)``.  The tail estimate is the seminorm
+    ``[-wsize, wsize)``.  ``windows`` must be strictly increasing: the
+    entries of the largest window are built once, and each smaller window
+    is its centred sub-block.  The tail estimate is the seminorm
     of the difference between the last two window values; it must not
     increase along the sequence.
     """
     if len(windows) < 2:
         raise ValueError("need at least two nested windows")
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError("windows must be strictly increasing")
+    top = windows[-1]
+    idx = range(-top, top)
+    full = [[entry_fn(n, m) for m in idx] for n in idx]
     vals = []
     for wsize in windows:
-        idx = list(range(-wsize, wsize))
-        rows = [[entry_fn(n, m) for m in idx] for n in idx]
-        vals.append(det_block(ring, rows))
+        cut = slice(top - wsize, top + wsize)
+        vals.append(det_block(ring, [row[cut] for row in full[cut]]))
     tails = [ring.seminorm(ring.sub(vals[i + 1], vals[i])) for i in range(len(vals) - 1)]
     slack = 1e-12 if not ring.is_exact else 0.0
     for i in range(1, len(tails)):

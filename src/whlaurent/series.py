@@ -322,20 +322,21 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
                 f.beta if isinstance(f, Holo) else None)
             if par is not None and ring.seminorm(par) >= 1.0:
                 raise RingError("geometric parameter with seminorm >= 1")
-    a = factors_to_series(ring, factors)
-    b = _factors_inverse_series(ring, list(factors), window)
+    a, b = _factors_pair(ring, list(factors), window)
     return InvertiblePair.make(a, b)
 
 
-def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
-                            window: Tuple[int, int]) -> LaurentSeries:
-    """True inverse of a product of elementary factors on ``window``.
+def _factors_pair(ring: Ring, factors: Sequence[Factor],
+                  window: Tuple[int, int]) -> Tuple[LaurentSeries, LaurentSeries]:
+    """A product of elementary factors and its true inverse on ``window``.
 
     For ``a = u z^p A(z^-1) B(z)`` with ``A = prod(1 - alpha z^-1)`` of
-    degree ``r`` and ``B = prod(1 - beta z)``, the Bezout identity
-    ``V*B + U*A = 1`` (:func:`_bezout`) splits ``1/(AB) = V/A + U/B``:
+    degree ``r`` and ``B = prod(1 - beta z)``, ``a`` is built from the two
+    products ``A`` and ``B``, and the Bezout identity ``V*B + U*A = 1``
+    (:func:`_bezout`) splits ``1/(AB) = V/A + U/B``:
     ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
     series in ``z`` on the exponents ``>= r``, each a long division.
+    Product rings run per component.
     """
     if ring.components is not None and ring.split is not None:
         parts = []
@@ -348,12 +349,15 @@ def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
                     cf.append(Holo(ring.split(f.beta)[ci]))
                 else:
                     cf.append(Mono(f.p, ring.split(f.u)[ci]))
-            parts.append(_factors_inverse_series(base, cf, window))
-        support = set()
-        for s in parts:
-            support.update(s.coeffs)
-        coeffs = {n: ring.merge([s.coeff(n) for s in parts]) for n in support}
-        return LaurentSeries(ring, coeffs, window)
+            parts.append(_factors_pair(base, cf, window))
+
+        def merge(xs: Sequence[LaurentSeries], win: Window) -> LaurentSeries:
+            coeffs = {n: ring.merge([x.coeff(n) for x in xs])
+                      for n in set().union(*(x.coeffs for x in xs))}
+            return LaurentSeries(ring, coeffs, win)
+
+        a_parts, b_parts = zip(*parts)
+        return merge(a_parts, None), merge(b_parts, window)
 
     p_tot, u_tot = 0, ring.one
     for f in factors:
@@ -362,6 +366,7 @@ def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
             u_tot = ring.mul(u_tot, f.u)
     anti = factors_to_series(ring, [f for f in factors if isinstance(f, Antiholo)])
     holo = factors_to_series(ring, [f for f in factors if isinstance(f, Holo)])
+    a = anti.mul(holo).shift(p_tot).scale(u_tot)
     w0 = (window[0] + p_tot, window[1] + p_tot)
     if w0[0] > w0[1]:
         raise WindowError("window too small for the monomial shift")
@@ -373,7 +378,7 @@ def _factors_inverse_series(ring: Ring, factors: Sequence[Factor],
         coeffs = div_unit(v, anti, (w0[0], r - 1)).coeffs
         coeffs.update(div_unit(u, holo, (r, w0[1])).coeffs)
         b0 = LaurentSeries(ring, coeffs, w0)
-    return b0.shift(-p_tot).scale(ring.inverse(u_tot))
+    return a, b0.shift(-p_tot).scale(ring.inverse(u_tot))
 
 
 def _bezout(ring: Ring, anti: LaurentSeries, holo: LaurentSeries,

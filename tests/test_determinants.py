@@ -11,7 +11,8 @@ from whlaurent import matrices as mx
 from whlaurent.determinants import (DetValue, det_berkowitz, det_block,
                                     det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
-                                    _det_series_rational, _det_series_complex)
+                                    _column_bounds, _det_series_rational,
+                                    _det_series_complex)
 from whlaurent.factorization import (antiholomorphic_det_matrix,
                                      holomorphic_det_matrix)
 from whlaurent.matrices import Lattice
@@ -102,6 +103,45 @@ def test_circle_sampling_path_matches_division_free():
         fast = _det_series_complex(Rw, rows) if arity == 1 else det_block(Rw, rows)
         slow = det_berkowitz(Rw, rows)
         assert fast.sup_diff(slow) < 1e-10, (n, lo, hi, arity)
+
+
+def _unequal_span_rows(ring, coeff, n, zero_column):
+    """Column 0 holds only negative exponents, column 1 only constants (or
+    nothing), column 2 spans [-2, 4] and the rest [0, 1]."""
+    spans = [(-3, -2), (0, 0), (-2, 4)] + [(0, 1)] * (n - 3)
+    return [[LaurentSeries.zero(ring) if j == 1 and zero_column else
+             LaurentSeries(ring, {k: coeff() for k in range(lo, hi + 1)})
+             for j, (lo, hi) in enumerate(spans)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_column_bounds_exact_on_unequal_column_spans(zero_column):
+    # the determinant is w^-5 times a polynomial of degree n + 4 = 11,
+    # where one bound for all entries gave n * (4 + 3) = 49
+    n = 7
+    rng = random.Random(15)
+    Qw = laurent_ring(Q, "w")
+    rows = _unequal_span_rows(Q, lambda: rand_q(rng), n, zero_column)
+    assert _column_bounds(rows) == ([-3, 0, -2] + [0] * (n - 3), n + 4)
+    want = det_berkowitz(Qw, rows)
+    assert _det_series_rational(Qw, rows).coeffs == want.coeffs
+    assert zero_column == want.is_zero()
+
+    C = wl.complex_ring()
+    Cw = laurent_ring(C, "w")
+
+    def cplx():
+        # coefficients below 1 in modulus keep the determinant's coefficients
+        # near 1, so that 1e-12 is a relative bound
+        return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+
+    rows = _unequal_span_rows(C, cplx, n, zero_column)
+    assert _det_series_complex(Cw, rows).sup_diff(det_berkowitz(Cw, rows)) < 1e-12
+
+    C2 = wl.product_ring(C, 2)
+    C2w = laurent_ring(C2, "w")
+    rows = _unequal_span_rows(C2, lambda: (cplx(), cplx()), n, zero_column)
+    assert det_block(C2w, rows).sup_diff(det_berkowitz(C2w, rows)) < 1e-12
 
 
 def test_product_ring_series_determinant_recurses():
@@ -230,3 +270,34 @@ def test_truncated_determinant_needs_two_windows():
     Qz = laurent_ring(Q, "z")
     with pytest.raises(ValueError):
         det_truncated(lambda n, m: Qz.one, Qz, [4])
+
+
+def _diagonal_decay_entry(n, m):
+    if n != m:
+        return LaurentSeries.zero(Q)
+    return LaurentSeries(Q, {0: 1 + Fraction(1, 2) ** min(abs(n), 20)})
+
+
+def test_truncated_determinant_builds_largest_window_once():
+    Qz = laurent_ring(Q, "z")
+    windows = [4, 6, 8]
+    calls = []
+
+    def entry(n, m):
+        calls.append((n, m))
+        return _diagonal_decay_entry(n, m)
+
+    det = det_truncated(entry, Qz, windows)
+    assert len(calls) == (2 * max(windows)) ** 2
+    # reference: every window built on its own
+    vals = [det_block(Qz, [[_diagonal_decay_entry(n, m) for m in range(-w, w)]
+                           for n in range(-w, w)]) for w in windows]
+    assert det.value.coeffs == vals[-1].coeffs
+    assert det.tail == Qz.seminorm(Qz.sub(vals[-1], vals[-2]))
+
+
+@pytest.mark.parametrize("windows", [[6, 4], [4, 4, 6], [4, 8, 6]])
+def test_truncated_determinant_rejects_unordered_windows(windows):
+    Qz = laurent_ring(Q, "z")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        det_truncated(lambda n, m: Qz.one, Qz, windows)

@@ -231,3 +231,27 @@ def test_ring_from_json():
     assert prod.name == "Q^3"
     with pytest.raises(RingError):
         serialize.ring_from_json({"kind": "galois"})
+
+
+def test_pair_symbol_equals_product_of_factors():
+    # a is built as u z^p A B from the products the inverse uses; it must
+    # equal the product of the factors in the order given
+    rng = random.Random(17)
+    C = wl.complex_ring()
+    R = wl.product_ring(Q, 2)
+    params = [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(0)]
+    for _ in range(20):
+        kinds = [rng.choice([wl.Antiholo, wl.Holo]) for _ in range(rng.randint(0, 6))]
+        fs = [k(rng.choice(params)) for k in kinds] + [wl.Mono(rng.randint(-2, 2), Fraction(-2))]
+        rng.shuffle(fs)
+        assert wl.invert_from_factors(Q, fs, (-16, 16)).a.coeffs == \
+            wl.factors_to_series(Q, fs).coeffs
+        fs2 = [k((rng.choice(params), rng.choice(params))) for k in kinds] + \
+            [wl.Mono(1, (Fraction(3), Fraction(-1)))]
+        assert wl.invert_from_factors(R, fs2, (-16, 16)).a.coeffs == \
+            wl.factors_to_series(R, fs2).coeffs
+        fsc = [k(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6))) for k in kinds] + \
+            [wl.Mono(-1, complex(0.5, 2.0))]
+        got = wl.invert_from_factors(C, fsc, (-16, 16)).a
+        assert got.window is None
+        assert got.sup_diff(wl.factors_to_series(C, fsc)) < 1e-12
