@@ -6,19 +6,23 @@ elimination is not).  Large windows with Laurent-polynomial entries are
 handled by evaluation/interpolation (exact fields) or unit-circle
 sampling (complex floats) at the degree that per-column exponent shifts
 give (:func:`_column_bounds`); product rings recurse componentwise.
+``det_truncated`` takes its matrix as a pencil ``P0 + w P1`` over the base
+ring and samples it at the degree its rows allow (:func:`_det_pencil`).
 ``charpoly`` gives the characteristic polynomial of a constant block, the
 outer projections' whole determinant: Berkowitz over exact rings, product
-rings included, and unit-circle sampling over ``C``.
+rings included, and unit-circle sampling of the pencil ``I - w K`` over ``C``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .rings import Ring, RingError
-from .series import LaurentSeries, WindowError
+from .series import LaurentSeries, WindowError, laurent_ring
 from .matrices import WindowedMatrix
 
 MAX_BERKOWITZ = 64
@@ -71,21 +75,6 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     return coeffs
 
 
-def _charpoly_complex(a: List[List[complex]]) -> List[complex]:
-    """det(I - w A) = sum c_i w^i sampled at nsamp >= n + 1 roots of unity;
-    the FFT of the samples gives c_0..c_n without aliasing."""
-    import numpy as np
-
-    n = len(a)
-    nsamp = 1
-    while nsamp < n + 1:
-        nsamp *= 2
-    ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
-    mats = np.eye(n) - ws[:, None, None] * np.array(a, dtype=complex)
-    fc = np.fft.fft(np.linalg.det(mats)) / nsamp
-    return [complex(c) for c in fc[:n + 1]]
-
-
 def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
     are also those of det(I - w*A) = sum c_i w^i.
@@ -100,7 +89,8 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     if ring.is_exact or not a:
         return _berkowitz_charpoly(ring, a)
     if ring.split is None:
-        return _charpoly_complex(a)
+        k = ring_array(ring, a)
+        return _poly_det(ring, np.stack([np.eye(len(a)), -k]), len(a))
     split_rows = [[ring.split(x) for x in row] for row in a]
     parts = [charpoly(comp, [[x[i] for x in row] for row in split_rows])
              for i, comp in enumerate(ring.components)]
@@ -160,24 +150,6 @@ def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
     return det
 
 
-def _det_series_rational(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
-    """Evaluation/interpolation determinant over Q[w, w^-1].
-
-    With column ``j`` shifted by ``-lo_j`` (:func:`_column_bounds`), the
-    determinant is evaluated at the ``deg + 1`` points 1, -1, 2, -2, ...
-    by Gaussian elimination and interpolated.
-    """
-    los, deg = _column_bounds(rows)
-    pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
-    vals = []
-    for p in pts:
-        num = [[sum((c * p ** (e - lo) for e, c in x.coeffs.items()), Fraction(0))
-                for x, lo in zip(row, los)] for row in rows]
-        vals.append(_det_gauss_field(num))
-    coeffs = _lagrange_coeffs(pts, vals)
-    return LaurentSeries(ring_w.base, {k + sum(los): c for k, c in enumerate(coeffs)})
-
-
 def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[Fraction]:
     """Coefficients of the interpolating polynomial (Newton form)."""
     n = len(pts)
@@ -203,33 +175,60 @@ def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[
     return coeffs
 
 
-def _det_series_complex(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
-    """Unit-circle sampling determinant over C[w, w^-1].
+def ring_array(ring: Ring, values: Any) -> Any:
+    """``values`` (an element or nested rows of them) as a numpy array:
+    complex over ``C``, Python objects (``Fraction``) over exact rings.
+    Product-ring elements are tuples, so they add trailing component axes."""
+    return np.asarray(values, dtype=object if ring.is_exact else complex)
 
-    One ``(width, n, n)`` array holds the coefficients, column ``j``
-    shifted by ``-lo_j`` (:func:`_column_bounds`).  Contracted with the
-    powers of ``w_s`` it gives the sample matrices at the ``nsamp >= deg + 1``
-    roots of unity, sixteen to one batched determinant (a bounded stack);
-    the FFT gives ``c_0..c_deg`` at offset ``sum lo_j`` without aliasing.
+
+def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
+    """Coefficients ``c_0..c_deg`` of ``det(sum_k coef[k] w^k)``, a polynomial
+    of degree at most ``deg`` with ``coef`` a ``(width, n, n)`` array.
+
+    Over ``C`` it is sampled at the ``nsamp >= deg + 1`` roots of unity
+    (the next power of two), sixteen sample matrices to one batched
+    determinant (a bounded stack), and the FFT gives the coefficients
+    without aliasing.  Over ``Q`` it is evaluated at the ``deg + 1`` points
+    1, -1, 2, -2, ... by Gaussian elimination and interpolated.
     """
-    import numpy as np
-
-    n = len(rows)
-    los, deg = _column_bounds(rows)
-    terms = [(e - lo, i, j, c) for i, row in enumerate(rows)
-             for j, (x, lo) in enumerate(zip(row, los)) for e, c in x.coeffs.items()]
-    coef = np.zeros((1 + max((t[0] for t in terms), default=0), n, n), dtype=complex)
-    for k, i, j, c in terms:
-        coef[k, i, j] = c
-    nsamp = 1 << deg.bit_length()  # the next power of two >= deg + 1
+    if ring.is_exact:
+        pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
+        support = [c.nonzero() for c in coef]  # Fraction arithmetic on nonzero entries only
+        vals = []
+        for p in pts:
+            mat = np.full(coef.shape[1:], Fraction(0), dtype=object)
+            for k, (c, nz) in enumerate(zip(coef, support)):
+                mat[nz] += c[nz] * p ** k
+            vals.append(_det_gauss_field(mat.tolist()))
+        return _lagrange_coeffs(pts, vals)
+    nsamp = 1 << deg.bit_length()
     ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
     powers = ws[:, None] ** np.arange(len(coef))
     dets = np.concatenate([
         np.linalg.det(np.tensordot(powers[s:s + 16], coef, axes=1))
         for s in range(0, nsamp, 16)])
-    fc = np.fft.fft(dets) / nsamp
+    return [complex(c) for c in np.fft.fft(dets)[:deg + 1] / nsamp]
+
+
+def _det_series(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
+    """Determinant over Q[w, w^-1] or C[w, w^-1] by :func:`_poly_det`.
+
+    One ``(width, n, n)`` array holds the coefficients, column ``j``
+    shifted by ``-lo_j`` (:func:`_column_bounds`); the result is the
+    polynomial of degree ``deg`` at offset ``sum lo_j``.
+    """
+    base = ring_w.base
+    n = len(rows)
+    los, deg = _column_bounds(rows)
+    terms = [(e - lo, i, j, c) for i, row in enumerate(rows)
+             for j, (x, lo) in enumerate(zip(row, los)) for e, c in x.coeffs.items()]
+    coef = np.zeros((1 + max((t[0] for t in terms), default=0), n, n),
+                    dtype=ring_array(base, base.zero).dtype)
+    for k, i, j, c in terms:
+        coef[k, i, j] = c
     off = sum(los)
-    return LaurentSeries(ring_w.base, {k + off: complex(fc[k]) for k in range(deg + 1)})
+    return LaurentSeries(base, {k + off: c for k, c in enumerate(_poly_det(base, coef, deg))})
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
@@ -254,18 +253,15 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
     if ring.base is not None and isinstance(rows[0][0], LaurentSeries):
         # the fast paths need scalar base elements; nested series rings
         # (base elements are themselves series) fall through to Berkowitz
-        if isinstance(ring.base.zero, Fraction) and n > 6:
-            return _det_series_rational(ring, rows)
-        if isinstance(ring.base.zero, complex):
-            return _det_series_complex(ring, rows)
+        zero = ring.base.zero
+        if isinstance(zero, complex) or (isinstance(zero, Fraction) and n > 6):
+            return _det_series(ring, rows)
     if n > MAX_BERKOWITZ:
         raise RingError("matrix size %d exceeds the determinant bound" % n)
     return det_berkowitz(ring, rows)
 
 
 def _component_entry_ring(ring: Ring, i: int) -> Ring:
-    from .series import laurent_ring
-
     if ring.base is not None:
         # series ring over a product base
         return laurent_ring(ring.components[i], ring.var or "w")
@@ -369,30 +365,54 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
 
 # -- truncated determinants on nested windows -------------------------
 
-def det_truncated(entry_fn: Callable[[int, int], Any], ring: Ring,
-                  windows: Sequence[int]) -> DetValue:
-    """Determinant of an identity-plus-decay matrix on nested windows.
+def _det_pencil(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int]) -> LaurentSeries:
+    """det((P0 + w P1) diag(w^shifts)) for square arrays over ``ring``.
 
-    ``entry_fn(n, m)`` returns the (n, m) entry (half-integer indices are
-    passed in integer representation); window ``wsize`` is the index range
-    ``[-wsize, wsize)``.  ``windows`` must be strictly increasing: the
-    entries of the largest window are built once, and each smaller window
-    is its centred sub-block.  The tail estimate is the seminorm
-    of the difference between the last two window values; it must not
-    increase along the sequence.
+    The determinant is linear in each row: a row whose ``P0`` part is
+    exactly zero gives a factor ``w`` and keeps its ``P1`` part, a row
+    whose ``P1`` part is exactly zero is constant, so the rest is a
+    polynomial whose degree is at most the number of mixed rows.  Product
+    rings recurse per component.
+    """
+    if ring.split is not None:
+        return laurent_ring(ring).merge([_det_pencil(comp, p0[:, :, i], p1[:, :, i], shifts)
+                                         for i, comp in enumerate(ring.components)])
+    zero0 = (p0 == 0).all(axis=1)
+    const = zero0 | (p1 == 0).all(axis=1)
+    q0 = np.where(zero0[:, None], p1, p0)
+    q1 = np.where(const[:, None], 0, p1)
+    off = int(zero0.sum() + sum(shifts))
+    coeffs = _poly_det(ring, np.stack([q0, q1]), int((~const).sum()))
+    return LaurentSeries(ring, {k + off: c for k, c in enumerate(coeffs)})
+
+
+def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
+                  windows: Sequence[int]) -> DetValue:
+    """Determinant of an identity-plus-decay pencil on nested windows.
+
+    On the largest window ``top = windows[-1]`` the matrix is
+    ``(P0 + w P1) diag(w^shifts)``: ``p0`` and ``p1`` are ``2 top``-square
+    arrays over the base ``ring`` (:func:`ring_array`) indexed by
+    ``[-top, top)``, and column ``j`` carries the exponent offset
+    ``shifts[j]``.  ``windows`` must be strictly increasing; window
+    ``wsize`` is the centred sub-block on ``[-wsize, wsize)``.  Each value
+    is a Laurent polynomial in ``w`` over ``ring`` (:func:`_det_pencil`).
+    The tail estimate is the seminorm of the difference between the last
+    two window values; it must not increase along the sequence.
     """
     if len(windows) < 2:
         raise ValueError("need at least two nested windows")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be strictly increasing")
     top = windows[-1]
-    idx = range(-top, top)
-    full = [[entry_fn(n, m) for m in idx] for n in idx]
+    p0, p1 = ring_array(ring, p0), ring_array(ring, p1)
+    if p0.shape[:2] != (2 * top, 2 * top) or p1.shape != p0.shape or len(shifts) != 2 * top:
+        raise ValueError("pencil must be square on the largest window")
     vals = []
     for wsize in windows:
         cut = slice(top - wsize, top + wsize)
-        vals.append(det_block(ring, [row[cut] for row in full[cut]]))
-    tails = [ring.seminorm(ring.sub(vals[i + 1], vals[i])) for i in range(len(vals) - 1)]
+        vals.append(_det_pencil(ring, p0[cut, cut], p1[cut, cut], shifts[cut]))
+    tails = [vals[i + 1].sub(vals[i]).sup_seminorm() for i in range(len(vals) - 1)]
     slack = 1e-12 if not ring.is_exact else 0.0
     for i in range(1, len(tails)):
         if tails[i] > tails[i - 1] + slack and tails[i] > ring.tolerance:

@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .rings import Ring, RingError
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
-                     classify, div_unit, laurent_ring)
+                     classify, div_unit)
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
-from .determinants import charpoly, det_truncated, reduced_columns
+from .determinants import charpoly, det_truncated, reduced_columns, ring_array
 
 
 class FactorizationError(ValueError):
@@ -210,23 +212,23 @@ def pi_tilde_direct(pair: InvertiblePair,
     pm = pi_minus(pair)
     norm_inv = ring.mul(pp.evaluate(ring.one), pm.evaluate(ring.one))
     norm = ring.mul(a.evaluate(ring.one), ring.inverse(norm_inv))  # = pi_tilde(a, 1)
-    ring_w = laurent_ring(ring, "w")
-
-    def entry(n: int, m: int) -> LaurentSeries:
-        # (U_half(a) D_w U_half(b) D_w^-1)[n, m]; D_w = w 1_{S^-} + 1_{S^+}
-        acc: Dict[int, Any] = {}
-        e_m = 1 if m < 0 else 0
-        for d, c in a.coeffs.items():
-            k = n - d
-            bc = b.coeff(k - m)
-            if ring.is_zero(bc):
-                continue
-            e = (1 if k < 0 else 0) - e_m
-            v = ring.mul(c, bc)
-            acc[e] = ring.add(acc.get(e, ring.zero), v)
-        return LaurentSeries(ring, acc)
-
-    det = det_truncated(entry, ring_w, list(windows))
+    # (U_half(a) D_w U_half(b) D_w^-1)[n, m] = sum_d a_d b_{n-d-m} w^([n<d] - [m<0]),
+    # D_w = w 1_{S^-} + 1_{S^+}: the pencil P0 + w P1 (rows n >= d, rows n < d)
+    # with column m shifted by -[m<0], one Toeplitz slice of b per d
+    top = max(windows, default=0)
+    d_lo, d_hi = a._supp_bounds()
+    kmin = 1 - 2 * top - d_hi
+    bvec = ring_array(ring, [b.coeff(k) for k in range(kmin, 2 * top - d_lo)])
+    idx = np.arange(-top, top)
+    diff = idx[:, None] - idx[None, :] - kmin  # n - m as an index into bvec
+    p0 = np.zeros(diff.shape + bvec.shape[1:], dtype=bvec.dtype)
+    p1 = np.zeros_like(p0)
+    for d, c in a.coeffs.items():
+        r = min(max(d + top, 0), 2 * top)  # first row with n >= d
+        c = ring_array(ring, c)
+        p1[:r] += c * bvec[diff[:r] - d]
+        p0[r:] += c * bvec[diff[r:] - d]
+    det = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], list(windows))
     series: LaurentSeries = det.value.scale(norm)
     return series, det.tail * ring.seminorm(norm)
 
@@ -361,26 +363,21 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
         if p2.reliable[0] <= r <= p2.reliable[1] and p2.reliable[0] <= c <= p2.reliable[1]:
             if not ring.equals(p2.get(r, c), v):
                 raise FactorizationError("P is not idempotent on the window")
-    ring_z = laurent_ring(ring, "z")
+    top = max(windows, default=0)
+    idx = range(-top, top)
 
-    def entry(n: int, m: int) -> LaurentSeries:
+    def entry(n: int, m: int) -> Any:
         if n == m and not (p.window[0] <= n <= p.window[1]):
             # beyond its window P agrees with 1_{S^-}
-            base = ring.one if n < p.window[0] else ring.zero
-        else:
-            base = p.get(n, m)
-        coeffs: Dict[int, Any] = {}
-        shift = -1 if m < 0 else 0
-        # (1 - P)[n,m] + z P[n,m], then column scaled by z^shift
-        if n == m:
-            coeffs[shift] = ring.sub(ring.one, base)
-        elif not ring.is_zero(base):
-            coeffs[shift] = ring.neg(base)
-        if not ring.is_zero(base):
-            coeffs[1 + shift] = ring.add(coeffs.get(1 + shift, ring.zero), base)
-        return LaurentSeries(ring, coeffs)
+            return ring.one if n < p.window[0] else ring.zero
+        return p.get(n, m)
 
-    det = det_truncated(entry, ring_z, list(windows))
+    # the pencil (1 - P) + z P, column m shifted by -[m<0]
+    p1 = ring_array(ring, [[entry(n, m) for m in idx] for n in idx])
+    p0 = -p1
+    diag = np.arange(2 * top)
+    p0[diag, diag] += ring_array(ring, ring.one)
+    det = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], list(windows))
     out: LaurentSeries = det.value
     if SeriesClass.ORTHOGONAL not in classify(out) or \
             not ring.equals(out.evaluate(ring.one), ring.one):

@@ -4,6 +4,7 @@ identity-plus-perturbation operators, and nested-window truncations."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import whlaurent as wl
@@ -11,8 +12,8 @@ from whlaurent import matrices as mx
 from whlaurent.determinants import (DetValue, det_berkowitz, det_block,
                                     det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
-                                    _column_bounds, _det_series_rational,
-                                    _det_series_complex)
+                                    ring_array, _column_bounds, _det_pencil,
+                                    _det_series)
 from whlaurent.factorization import (antiholomorphic_det_matrix,
                                      holomorphic_det_matrix)
 from whlaurent.matrices import Lattice
@@ -66,7 +67,7 @@ def test_interpolation_path_matches_division_free():
     rows = [[LaurentSeries(Q, {k: rand_q(rng) for k in range(-1, 2)
                                if rng.random() < 0.8})
              for _ in range(n)] for _ in range(n)]
-    fast = _det_series_rational(Qw, rows)
+    fast = _det_series(Qw, rows)
     slow = det_berkowitz(Qw, rows)
     assert fast.coeffs == slow.coeffs
     # det_block dispatches the same way for blocks above the direct cutoff
@@ -100,7 +101,7 @@ def test_circle_sampling_path_matches_division_free():
             return LaurentSeries(R, {k: coeff() for k in range(lo, hi + 1)})
 
         rows = [[entry() for _ in range(n)] for _ in range(n)]
-        fast = _det_series_complex(Rw, rows) if arity == 1 else det_block(Rw, rows)
+        fast = _det_series(Rw, rows) if arity == 1 else det_block(Rw, rows)
         slow = det_berkowitz(Rw, rows)
         assert fast.sup_diff(slow) < 1e-10, (n, lo, hi, arity)
 
@@ -124,7 +125,7 @@ def test_column_bounds_exact_on_unequal_column_spans(zero_column):
     rows = _unequal_span_rows(Q, lambda: rand_q(rng), n, zero_column)
     assert _column_bounds(rows) == ([-3, 0, -2] + [0] * (n - 3), n + 4)
     want = det_berkowitz(Qw, rows)
-    assert _det_series_rational(Qw, rows).coeffs == want.coeffs
+    assert _det_series(Qw, rows).coeffs == want.coeffs
     assert zero_column == want.is_zero()
 
     C = wl.complex_ring()
@@ -136,7 +137,7 @@ def test_column_bounds_exact_on_unequal_column_spans(zero_column):
         return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
 
     rows = _unequal_span_rows(C, cplx, n, zero_column)
-    assert _det_series_complex(Cw, rows).sup_diff(det_berkowitz(Cw, rows)) < 1e-12
+    assert _det_series(Cw, rows).sup_diff(det_berkowitz(Cw, rows)) < 1e-12
 
     C2 = wl.product_ring(C, 2)
     C2w = laurent_ring(C2, "w")
@@ -240,64 +241,128 @@ def test_negative_winding_wedge_orientation():
         assert pm.coeffs == {0: Fraction(1), -1: -al}
 
 
+def _pencil_rows(ring, p0, p1, shifts):
+    """The w-series block (P0 + w P1) diag(w^shifts), entry by entry."""
+    return [[LaurentSeries(ring, {s: x0, s + 1: x1}) for x0, x1, s in zip(r0, r1, shifts)]
+            for r0, r1 in zip(p0, p1)]
+
+
+def _mixed_row_pencil(zero, coeff, n):
+    """Rows 0-1 have no P0 part, rows 2-3 no P1 part, the rest both."""
+    p0 = [[zero if i < 2 else coeff() for _ in range(n)] for i in range(n)]
+    p1 = [[zero if 2 <= i < 4 else coeff() for _ in range(n)] for i in range(n)]
+    return p0, p1
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "C", "C^2"])
+def test_pencil_row_shifts_exact(ring_name):
+    # linear in each row: w^(2 + sum shifts) times a polynomial of degree
+    # n - 4 (the mixed rows), where each column alone allows degree n
+    n = 8
+    shifts = [-2, 0, 1, -1, 0, 0, 3, -1]
+    rng = random.Random(17)
+    if ring_name == "Q":
+        ring, coeff = Q, lambda: rand_q(rng)
+    else:
+        C = wl.complex_ring()
+
+        def cplx():
+            return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+
+        ring, coeff = (C, cplx) if ring_name == "C" else (wl.product_ring(C, 2),
+                                                          lambda: (cplx(), cplx()))
+    p0, p1 = _mixed_row_pencil(ring.zero, coeff, n)
+    got = _det_pencil(ring, ring_array(ring, p0), ring_array(ring, p1), shifts)
+    want = det_berkowitz(laurent_ring(ring, "w"), _pencil_rows(ring, p0, p1, shifts))
+    assert want.support()[0] == 2 + sum(shifts) and want.support()[-1] == n - 2 + sum(shifts)
+    if ring.is_exact:
+        assert got.coeffs == want.coeffs
+    else:
+        assert got.sup_diff(want) < 1e-12
+
+
+def _decay_pencil(top):
+    """Diagonal 1 + 2^-|n| on [-top, top), no w part."""
+    idx = range(-top, top)
+    p0 = ring_array(Q, [[1 + Fraction(1, 2) ** min(abs(n), 20) if n == m else Fraction(0)
+                         for m in idx] for n in idx])
+    return p0, np.zeros_like(p0), [0] * (2 * top)
+
+
 def test_truncated_determinant_converges():
     # diagonal 1 + 2^-|n| decay: the nested values stabilize
-    def entry(n, m):
-        if n != m:
-            return LaurentSeries.zero(Q)
-        return LaurentSeries(Q, {0: 1 + Fraction(1, 2) ** min(abs(n), 20)})
-
-    Qz = laurent_ring(Q, "z")
-    det = det_truncated(entry, Qz, [4, 6, 8])
+    det = det_truncated(Q, *_decay_pencil(8), [4, 6, 8])
     assert det.tail is not None and det.window_used == 8
-    det2 = det_truncated(entry, Qz, [6, 8, 10])
+    det2 = det_truncated(Q, *_decay_pencil(10), [6, 8, 10])
     # deeper windows only multiply in factors closer to 1
     assert det2.tail <= det.tail
 
 
 def test_truncated_determinant_rejects_growing_tail():
     rng = random.Random(9)
-
-    def entry(n, m):
-        return LaurentSeries(Q, {0: Fraction(rng.randint(-3, 3), 2)})
-
-    Qz = laurent_ring(Q, "z")
+    p0 = ring_array(Q, [[Fraction(rng.randint(-3, 3), 2) for _ in range(10)]
+                        for _ in range(10)])
     with pytest.raises(WindowError):
-        det_truncated(entry, Qz, [2, 3, 4, 5])
+        det_truncated(Q, p0, np.zeros_like(p0), [0] * 10, [2, 3, 4, 5])
 
 
 def test_truncated_determinant_needs_two_windows():
-    Qz = laurent_ring(Q, "z")
-    with pytest.raises(ValueError):
-        det_truncated(lambda n, m: Qz.one, Qz, [4])
+    with pytest.raises(ValueError, match="two nested windows"):
+        det_truncated(Q, *_decay_pencil(4), [4])
 
 
-def _diagonal_decay_entry(n, m):
-    if n != m:
-        return LaurentSeries.zero(Q)
-    return LaurentSeries(Q, {0: 1 + Fraction(1, 2) ** min(abs(n), 20)})
+def _decaying_pencil(top):
+    """A pencil near diag(w 1_{n<0} + 1_{n>=0}) whose other entries decay
+    like 2^-(|n| + |m|), columns m < 0 shifted by -1: near the identity,
+    as in the half-lattice determinants."""
+    idx = range(-top, top)
+
+    def small(n, m, k):
+        return Fraction((3 * n + 5 * m + k) % 7 - 3, 2 ** (abs(n) + abs(m) + 2))
+
+    p0 = [[(n == m >= 0) + small(n, m, 0) for m in idx] for n in idx]
+    p1 = [[(n == m < 0) + small(n, m, 1) for m in idx] for n in idx]
+    return p0, p1, [-1 if m < 0 else 0 for m in idx]
 
 
-def test_truncated_determinant_builds_largest_window_once():
-    Qz = laurent_ring(Q, "z")
-    windows = [4, 6, 8]
-    calls = []
-
-    def entry(n, m):
-        calls.append((n, m))
-        return _diagonal_decay_entry(n, m)
-
-    det = det_truncated(entry, Qz, windows)
-    assert len(calls) == (2 * max(windows)) ** 2
-    # reference: every window built on its own
-    vals = [det_block(Qz, [[_diagonal_decay_entry(n, m) for m in range(-w, w)]
-                           for n in range(-w, w)]) for w in windows]
-    assert det.value.coeffs == vals[-1].coeffs
-    assert det.tail == Qz.seminorm(Qz.sub(vals[-1], vals[-2]))
+def test_truncated_determinant_windows_are_centred_sub_blocks():
+    # each window's value is the determinant of its own pencil computed
+    # alone: the last value directly, the one before it through the tail
+    windows = [2, 4, 6]
+    alone = [det_block(laurent_ring(Q, "w"), _pencil_rows(Q, *_decaying_pencil(w)))
+             for w in windows]
+    for k in range(1, len(windows)):
+        det = det_truncated(Q, *_decaying_pencil(windows[k]), windows[:k + 1])
+        assert det.value.coeffs == alone[k].coeffs
+        assert det.tail == alone[k].sub(alone[k - 1]).sup_seminorm()
 
 
 @pytest.mark.parametrize("windows", [[6, 4], [4, 4, 6], [4, 8, 6]])
 def test_truncated_determinant_rejects_unordered_windows(windows):
-    Qz = laurent_ring(Q, "z")
     with pytest.raises(ValueError, match="strictly increasing"):
-        det_truncated(lambda n, m: Qz.one, Qz, windows)
+        det_truncated(Q, *_decay_pencil(windows[-1]), windows)
+
+
+def test_truncated_determinant_samples_at_row_degree(monkeypatch):
+    # P0 and P1 of the half-lattice matrix share only the rows
+    # min d <= n < max d over a's support, so each window is sampled at
+    # the next power of two >= max d - min d + 1 roots of unity (4 here),
+    # where its 64 columns alone would need 128
+    C = wl.complex_ring()
+    factors = [wl.Antiholo(0.3 + 0.2j), wl.Antiholo(-0.2 + 0.1j), wl.Holo(-0.4 + 0.1j)]
+    pair = wl.invert_from_factors(C, factors, (-48, 48))
+    lo, hi = pair.a._supp_bounds()
+    bound = 1 << (hi - lo).bit_length()  # 2^ceil(log2(max d - min d + 1))
+    assert bound == 4
+    samples = {}
+    det = np.linalg.det
+
+    def counting(mats):
+        if mats.shape[-1] in (48, 64):  # the two windows, not charpoly's blocks
+            samples[mats.shape[-1]] = samples.get(mats.shape[-1], 0) + len(mats)
+        return det(mats)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    wl.pi_tilde_direct(pair, windows=(24, 32))
+    assert set(samples) == {48, 64}
+    assert max(samples.values()) <= bound

@@ -233,6 +233,19 @@ def test_middle_routes_agree_complex():
     assert direct.sup_diff(derived) <= max(tail, 1e-9)
 
 
+def test_middle_routes_agree_product_ring():
+    # product-ring coefficients become a trailing axis of the pencil
+    R = wl.product_ring(Q, 2)
+    factors = [wl.Antiholo((Fraction(1, 2), Fraction(1, 3))),
+               wl.Mono(1, (Fraction(1), Fraction(2))),
+               wl.Holo((Fraction(-1, 3), Fraction(1, 4)))]
+    pair = wl.invert_from_factors(R, factors, (-60, 60))
+    derived = wl.pi_tilde_derived(pair, wl.pi_minus(pair), wl.pi_plus(pair), (-12, 12))
+    direct, tail = wl.pi_tilde_direct(pair, windows=(10, 14, 18))
+    assert derived.coeffs == {1: (Fraction(1), Fraction(2))}
+    assert tail == 0.0 and direct.equals(derived)
+
+
 def test_small_inverse_window_rejected():
     a = LaurentSeries(Q, {0: Fraction(1), 1: Fraction(-1, 3)})
     b = LaurentSeries(Q, {n: Fraction(1, 3) ** n for n in range(3)}, (0, 2))
