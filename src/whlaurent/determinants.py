@@ -2,27 +2,28 @@
 
 The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
-elimination is not).  Large windows with Laurent-polynomial entries are
-handled by evaluation/interpolation (exact fields) or unit-circle
-sampling (complex floats) at the degree that per-column exponent shifts
-give (:func:`_column_bounds`); product rings recurse componentwise.
-``det_truncated`` takes its matrix as a pencil ``P0 + w P1`` over the base
-ring and samples it at the degree its rows allow (:func:`_det_pencil`).
+elimination is not).  Every determinant in ``w`` over ``Q``, ``C`` or a
+product of them is instead one ``(width, n, n)`` coefficient array over
+the base ring, shifted row by row to its true degree (:func:`_det_rows`)
+and then evaluated and interpolated over ``Q`` or sampled on the unit
+circle over ``C`` (:func:`_poly_det`, the one place that splits a product
+ring into its components).  ``det_block`` builds that array from Laurent
+polynomial entries, ``det_truncated`` from a pencil ``P0 + w P1``.
 ``charpoly`` gives the characteristic polynomial of a constant block, the
 outer projections' whole determinant: Berkowitz over exact rings, product
-rings included, and unit-circle sampling of the pencil ``I - w K`` over ``C``.
+rings included, and unit-circle sampling of ``I - w K`` over ``C``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from .rings import Ring, RingError
-from .series import LaurentSeries, WindowError, laurent_ring
+from .series import LaurentSeries, WindowError
 from .matrices import WindowedMatrix
 
 MAX_BERKOWITZ = 64
@@ -82,19 +83,16 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     Exact rings, product rings with zero divisors included, run
     division-free Berkowitz.  Over ``C`` its Krylov sums lose up to 1e-8
     on strongly non-normal blocks (entries near 10, eigenvalues below 1),
-    so det(I - w*A) is sampled on the unit circle with a backward-stable
-    LU determinant per sample instead, one component at a time over
-    products of ``C``.
+    so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree ``n``,
+    which samples it with a backward-stable LU determinant per sample.
     """
     if ring.is_exact or not a:
         return _berkowitz_charpoly(ring, a)
-    if ring.split is None:
-        k = ring_array(ring, a)
-        return _poly_det(ring, np.stack([np.eye(len(a)), -k]), len(a))
-    split_rows = [[ring.split(x) for x in row] for row in a]
-    parts = [charpoly(comp, [[x[i] for x in row] for row in split_rows])
-             for i, comp in enumerate(ring.components)]
-    return [ring.merge(cs) for cs in zip(*parts)]
+    k = ring_array(ring, a)
+    coef = np.empty((2,) + k.shape, k.dtype)
+    coef[0] = np.eye(len(a)).reshape(k.shape[:2] + (1,) * (k.ndim - 2))  # I in each component
+    coef[1] = -k
+    return _poly_det(ring, coef, len(a))
 
 
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
@@ -108,17 +106,7 @@ def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
     return d
 
 
-# -- fast dense paths for Laurent-polynomial entries ------------------
-
-def _column_bounds(rows: List[List[LaurentSeries]]) -> Tuple[List[int], int]:
-    """Each column's lowest exponent ``lo_j`` and ``deg = sum_j (hi_j - lo_j)``.
-
-    The determinant is linear in each column, so it is ``w^(sum lo_j)``
-    times a polynomial of degree at most ``deg``.
-    """
-    cols = [[e for row in rows for e in row[j].coeffs] or [0] for j in range(len(rows))]
-    return [min(c) for c in cols], sum(max(c) - min(c) for c in cols)
-
+# -- determinants in w: one coefficient array over the base ring ------
 
 def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
     """Gaussian elimination with division over Q (``Fraction`` entries)."""
@@ -190,8 +178,13 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     (the next power of two), sixteen sample matrices to one batched
     determinant (a bounded stack), and the FFT gives the coefficients
     without aliasing.  Over ``Q`` it is evaluated at the ``deg + 1`` points
-    1, -1, 2, -2, ... by Gaussian elimination and interpolated.
+    1, -1, 2, -2, ... by Gaussian elimination and interpolated.  A product
+    ring runs per component along its first component axis
+    (``coef[:, :, :, i]``), so that nested products recurse in order.
     """
+    if ring.components is not None:
+        parts = [_poly_det(comp, coef[:, :, :, i], deg) for i, comp in enumerate(ring.components)]
+        return [ring.merge(cs) for cs in zip(*parts)]
     if ring.is_exact:
         pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
         support = [c.nonzero() for c in coef]  # Fraction arithmetic on nonzero entries only
@@ -211,61 +204,50 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     return [complex(c) for c in np.fft.fft(dets)[:deg + 1] / nsamp]
 
 
-def _det_series(ring_w: Ring, rows: List[List[LaurentSeries]]) -> LaurentSeries:
-    """Determinant over Q[w, w^-1] or C[w, w^-1] by :func:`_poly_det`.
+def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
+    """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over ``ring``.
 
-    One ``(width, n, n)`` array holds the coefficients, column ``j``
-    shifted by ``-lo_j`` (:func:`_column_bounds`); the result is the
-    polynomial of degree ``deg`` at offset ``sum lo_j``.
+    The determinant is linear in each row: row ``i``, nonzero only at
+    ``w^lo_i..w^hi_i``, gives the factor ``w^lo_i`` and degree
+    ``hi_i - lo_i``, and a zero row gives 0.  Each row is shifted down by
+    its ``lo_i`` and the rest goes to :func:`_poly_det` at the summed degree.
     """
-    base = ring_w.base
-    n = len(rows)
-    los, deg = _column_bounds(rows)
-    terms = [(e - lo, i, j, c) for i, row in enumerate(rows)
-             for j, (x, lo) in enumerate(zip(row, los)) for e, c in x.coeffs.items()]
-    coef = np.zeros((1 + max((t[0] for t in terms), default=0), n, n),
-                    dtype=ring_array(base, base.zero).dtype)
-    for k, i, j, c in terms:
-        coef[k, i, j] = c
-    off = sum(los)
-    return LaurentSeries(base, {k + off: c for k, c in enumerate(_poly_det(base, coef, deg))})
+    width, n = coef.shape[:2]
+    # as bool: any() over an object array may return its elements
+    nz = coef.any(axis=tuple(range(2, coef.ndim))).astype(bool)
+    if not nz.any(axis=0).all():
+        return LaurentSeries(ring, {})
+    lo = nz.argmax(axis=0)
+    span = width - 1 - nz[::-1].argmax(axis=0) - lo
+    # exponent lo_i + j of row i; one past the top wraps to one below lo_i, a zero
+    k = (np.arange(1 + span.max(initial=0))[:, None] + lo) % width
+    coeffs = _poly_det(ring, coef[k, np.arange(n)], int(span.sum()))
+    off = int(lo.sum())
+    return LaurentSeries(ring, {i + off: c for i, c in enumerate(coeffs)})
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
-    """Determinant of a dense square block over any commutative ring,
-    dispatching on the entry ring: product rings recurse per component,
-    Laurent polynomials over Q (n > 6) interpolate, over C sample the
-    unit circle, and everything else runs division-free Berkowitz."""
+    """Determinant of a dense square block over any commutative ring.
+
+    Laurent polynomials over a ring with no series base of its own (``Q``,
+    ``C`` or a product of them) become one coefficient array, read from
+    the lowest exponent of the block, for :func:`_det_rows`; every other
+    ring, nested series rings included, runs division-free Berkowitz."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         return ring.one
-    if ring.split is not None:
-        parts = []
-        split_rows = [[ring.split(e) for e in row] for row in rows]
-        ncomp = len(split_rows[0][0])
-        for i in range(ncomp):
-            comp = [[split_rows[r][c][i] for c in range(n)] for r in range(n)]
-            cring = _component_entry_ring(ring, i)
-            parts.append(det_block(cring, comp))
-        return ring.merge(parts)
-    if ring.base is not None and isinstance(rows[0][0], LaurentSeries):
-        # the fast paths need scalar base elements; nested series rings
-        # (base elements are themselves series) fall through to Berkowitz
-        zero = ring.base.zero
-        if isinstance(zero, complex) or (isinstance(zero, Fraction) and n > 6):
-            return _det_series(ring, rows)
+    base = ring.base
+    if base is not None and base.base is None:
+        exps = [e for row in rows for x in row for e in x.coeffs] or [0]
+        lo = min(exps)
+        coef = ring_array(base, [[[x.coeff(lo + k) for x in row] for row in rows]
+                                 for k in range(1 + max(exps) - lo)])
+        return _det_rows(base, coef).shift(n * lo)
     if n > MAX_BERKOWITZ:
         raise RingError("matrix size %d exceeds the determinant bound" % n)
     return det_berkowitz(ring, rows)
-
-
-def _component_entry_ring(ring: Ring, i: int) -> Ring:
-    if ring.base is not None:
-        # series ring over a product base
-        return laurent_ring(ring.components[i], ring.var or "w")
-    return ring.components[i]
 
 
 # -- identity + perturbation ------------------------------------------
@@ -365,27 +347,6 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
 
 # -- truncated determinants on nested windows -------------------------
 
-def _det_pencil(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int]) -> LaurentSeries:
-    """det((P0 + w P1) diag(w^shifts)) for square arrays over ``ring``.
-
-    The determinant is linear in each row: a row whose ``P0`` part is
-    exactly zero gives a factor ``w`` and keeps its ``P1`` part, a row
-    whose ``P1`` part is exactly zero is constant, so the rest is a
-    polynomial whose degree is at most the number of mixed rows.  Product
-    rings recurse per component.
-    """
-    if ring.split is not None:
-        return laurent_ring(ring).merge([_det_pencil(comp, p0[:, :, i], p1[:, :, i], shifts)
-                                         for i, comp in enumerate(ring.components)])
-    zero0 = (p0 == 0).all(axis=1)
-    const = zero0 | (p1 == 0).all(axis=1)
-    q0 = np.where(zero0[:, None], p1, p0)
-    q1 = np.where(const[:, None], 0, p1)
-    off = int(zero0.sum() + sum(shifts))
-    coeffs = _poly_det(ring, np.stack([q0, q1]), int((~const).sum()))
-    return LaurentSeries(ring, {k + off: c for k, c in enumerate(coeffs)})
-
-
 def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
                   windows: Sequence[int]) -> DetValue:
     """Determinant of an identity-plus-decay pencil on nested windows.
@@ -396,7 +357,7 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     ``[-top, top)``, and column ``j`` carries the exponent offset
     ``shifts[j]``.  ``windows`` must be strictly increasing; window
     ``wsize`` is the centred sub-block on ``[-wsize, wsize)``.  Each value
-    is a Laurent polynomial in ``w`` over ``ring`` (:func:`_det_pencil`).
+    is a Laurent polynomial in ``w`` over ``ring`` (:func:`_det_rows`).
     The tail estimate is the seminorm of the difference between the last
     two window values; it must not increase along the sequence.
     """
@@ -411,7 +372,8 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     vals = []
     for wsize in windows:
         cut = slice(top - wsize, top + wsize)
-        vals.append(_det_pencil(ring, p0[cut, cut], p1[cut, cut], shifts[cut]))
+        pencil = np.stack([p0[cut, cut], p1[cut, cut]])
+        vals.append(_det_rows(ring, pencil).shift(sum(shifts[cut])))
     tails = [vals[i + 1].sub(vals[i]).sup_seminorm() for i in range(len(vals) - 1)]
     slack = 1e-12 if not ring.is_exact else 0.0
     for i in range(1, len(tails)):

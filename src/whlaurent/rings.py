@@ -25,9 +25,8 @@ class Ring:
     """Descriptor of a commutative ring with seminorm.
 
     ``invert`` is partial: it raises :class:`RingError` on non-units.
-    ``split``/``merge`` are present when elements decompose componentwise
-    (product rings, and series rings over them); they let determinant code
-    recurse per component.
+    ``components``, ``split`` and ``merge`` exist for product rings only;
+    the exact inverse and the sampled determinant run per component.
     """
 
     name: str

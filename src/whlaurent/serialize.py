@@ -36,7 +36,10 @@ def series_from_json(ring: Ring, data: List[Dict[str, Any]],
         raise RingError("ring %r cannot parse elements" % ring.name)
     coeffs = {}
     for item in data:
-        coeffs[int(item["n"])] = ring.parse(str(item["c"]))
+        n = int(item["n"])
+        if n in coeffs:
+            raise ValueError("repeated exponent %d" % n)
+        coeffs[n] = ring.parse(str(item["c"]))
     return LaurentSeries(ring, coeffs, window)
 
 

@@ -338,7 +338,7 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
     series in ``z`` on the exponents ``>= r``, each a long division.
     Product rings run per component.
     """
-    if ring.components is not None and ring.split is not None:
+    if ring.components is not None:
         parts = []
         for ci, base in enumerate(ring.components):
             cf = []
@@ -500,27 +500,6 @@ def laurent_ring(base: Ring, var: str = "w") -> Ring:
         n = supp[0]
         return LaurentSeries(base, {-n: base.inverse(x.coeffs[n])})
 
-    split = None
-    merge = None
-    if base.split is not None:
-        comps = base.components or ()
-
-        def split(x: LaurentSeries):
-            outs = [dict() for _ in comps]
-            for k, c in x.coeffs.items():
-                for i, ci in enumerate(base.split(c)):
-                    outs[i][k] = ci
-            return [LaurentSeries(comp, out, x.window) for comp, out in zip(comps, outs)]
-
-        def merge(xs):
-            keys = set()
-            for x in xs:
-                keys |= set(x.coeffs)
-            out = {}
-            for k in keys:
-                out[k] = base.merge([x.coeff(k) for x in xs])
-            return LaurentSeries(base, out)
-
     def fmt(x: LaurentSeries) -> str:
         if not x.coeffs:
             return "0"
@@ -539,9 +518,6 @@ def laurent_ring(base: Ring, var: str = "w") -> Ring:
         is_exact=base.is_exact,
         tolerance=base.tolerance,
         invert=inv,
-        components=base.components,
-        split=split,
-        merge=merge,
         fmt=fmt,
         base=base,
         var=var,

@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -180,3 +181,18 @@ def test_internal_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr("whlaurent.cli.factorize", broken)
     with pytest.raises(TypeError):
         run(tmp_path, capsys, GOLDEN_JOB)
+
+
+def test_repeated_exponent_exit_2(tmp_path, capsys):
+    # two entries for z^1 must not silently keep the last one (which would
+    # factorize 1 - z/3, whose exact inverse is given)
+    inverse = [{"n": k, "c": str(Fraction(1, 3 ** k))} for k in range(17)]
+    job = {"ring": {"kind": "rational"}, "window": 16,
+           "coefficients": [{"n": 0, "c": "1"}, {"n": 1, "c": "-1/2"},
+                            {"n": 1, "c": "-1/3"}],
+           "inverse": inverse}
+    code, _ = run(tmp_path, capsys, job)
+    assert code == 2
+    job["coefficients"].pop(1)
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0 and payload["pi_plus"] == [{"n": 0, "c": "1"}, {"n": 1, "c": "-1/3"}]

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import whlaurent as wl
+from whlaurent import determinants
 from whlaurent import matrices as mx
 from whlaurent.determinants import (DetValue, det_berkowitz, det_block,
                                     det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
-                                    ring_array, _column_bounds, _det_pencil,
-                                    _det_series)
+                                    ring_array, _det_rows)
 from whlaurent.factorization import (antiholomorphic_det_matrix,
                                      holomorphic_det_matrix)
 from whlaurent.matrices import Lattice
@@ -67,11 +67,9 @@ def test_interpolation_path_matches_division_free():
     rows = [[LaurentSeries(Q, {k: rand_q(rng) for k in range(-1, 2)
                                if rng.random() < 0.8})
              for _ in range(n)] for _ in range(n)]
-    fast = _det_series(Qw, rows)
+    fast = det_block(Qw, rows)
     slow = det_berkowitz(Qw, rows)
     assert fast.coeffs == slow.coeffs
-    # det_block dispatches the same way for blocks above the direct cutoff
-    assert det_block(Qw, rows).coeffs == slow.coeffs
 
 
 def test_circle_sampling_path_matches_division_free():
@@ -85,7 +83,7 @@ def test_circle_sampling_path_matches_division_free():
         (5, (-1, 2), 0.0, 1),
         (6, (-1, 1), 0.4, 1),
         (8, (-1, 1), 0.3, 1),
-        (3, (-1, 1), 0.2, 2),  # C^2, through det_block's componentwise split
+        (3, (-1, 1), 0.2, 2),  # C^2, sampled per component
     ]
     for n, (lo, hi), p_zero, arity in cases:
         R = C if arity == 1 else wl.product_ring(C, arity)
@@ -101,32 +99,46 @@ def test_circle_sampling_path_matches_division_free():
             return LaurentSeries(R, {k: coeff() for k in range(lo, hi + 1)})
 
         rows = [[entry() for _ in range(n)] for _ in range(n)]
-        fast = _det_series(Rw, rows) if arity == 1 else det_block(Rw, rows)
+        fast = det_block(Rw, rows)
         slow = det_berkowitz(Rw, rows)
         assert fast.sup_diff(slow) < 1e-10, (n, lo, hi, arity)
 
 
-def _unequal_span_rows(ring, coeff, n, zero_column):
-    """Column 0 holds only negative exponents, column 1 only constants (or
-    nothing), column 2 spans [-2, 4] and the rest [0, 1]."""
+def _unequal_span_rows(ring, coeff, n, zero_row):
+    """Row 0 holds only negative exponents, row 1 only constants (or
+    nothing), row 2 spans [-2, 4] and the rest [0, 1]."""
     spans = [(-3, -2), (0, 0), (-2, 4)] + [(0, 1)] * (n - 3)
-    return [[LaurentSeries.zero(ring) if j == 1 and zero_column else
+    return [[LaurentSeries.zero(ring) if i == 1 and zero_row else
              LaurentSeries(ring, {k: coeff() for k in range(lo, hi + 1)})
-             for j, (lo, hi) in enumerate(spans)] for _ in range(n)]
+             for _ in range(n)] for i, (lo, hi) in enumerate(spans)]
 
 
-@pytest.mark.parametrize("zero_column", [False, True])
-def test_column_bounds_exact_on_unequal_column_spans(zero_column):
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_row_bounds_exact_on_unequal_row_spans(zero_row, monkeypatch):
     # the determinant is w^-5 times a polynomial of degree n + 4 = 11,
-    # where one bound for all entries gave n * (4 + 3) = 49
+    # where one bound for all entries gave n * (4 + 3) = 49; a zero row
+    # gives 0 without sampling
     n = 7
     rng = random.Random(15)
+    degrees = []
+    poly_det = determinants._poly_det
+
+    def spy(ring, coef, deg):
+        degrees.append(deg)
+        return poly_det(ring, coef, deg)
+
+    monkeypatch.setattr(determinants, "_poly_det", spy)
+
+    def check_degrees():
+        assert set(degrees) == (set() if zero_row else {n + 4})
+        degrees.clear()
+
     Qw = laurent_ring(Q, "w")
-    rows = _unequal_span_rows(Q, lambda: rand_q(rng), n, zero_column)
-    assert _column_bounds(rows) == ([-3, 0, -2] + [0] * (n - 3), n + 4)
+    rows = _unequal_span_rows(Q, lambda: rand_q(rng), n, zero_row)
     want = det_berkowitz(Qw, rows)
-    assert _det_series(Qw, rows).coeffs == want.coeffs
-    assert zero_column == want.is_zero()
+    assert det_block(Qw, rows).coeffs == want.coeffs
+    assert zero_row == want.is_zero()
+    check_degrees()
 
     C = wl.complex_ring()
     Cw = laurent_ring(C, "w")
@@ -136,13 +148,15 @@ def test_column_bounds_exact_on_unequal_column_spans(zero_column):
         # near 1, so that 1e-12 is a relative bound
         return complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
 
-    rows = _unequal_span_rows(C, cplx, n, zero_column)
-    assert _det_series(Cw, rows).sup_diff(det_berkowitz(Cw, rows)) < 1e-12
+    rows = _unequal_span_rows(C, cplx, n, zero_row)
+    assert det_block(Cw, rows).sup_diff(det_berkowitz(Cw, rows)) < 1e-12
+    check_degrees()
 
     C2 = wl.product_ring(C, 2)
     C2w = laurent_ring(C2, "w")
-    rows = _unequal_span_rows(C2, lambda: (cplx(), cplx()), n, zero_column)
+    rows = _unequal_span_rows(C2, lambda: (cplx(), cplx()), n, zero_row)
     assert det_block(C2w, rows).sup_diff(det_berkowitz(C2w, rows)) < 1e-12
+    check_degrees()
 
 
 def test_product_ring_series_determinant_recurses():
@@ -155,6 +169,24 @@ def test_product_ring_series_determinant_recurses():
     got = det_block(Rw, rows)
     want = det_cofactor(Rw, rows)
     assert got.equals(want)
+    # 7 rows, and row 2 is zero in the first component only: that
+    # component's determinant is 0 while the second one's is not
+    n = 7
+    rows = [[LaurentSeries(R, {k: (Fraction(0) if i == 2 else rand_q(rng), rand_q(rng))
+                               for k in (-1, 0, 1)}) for _ in range(n)] for i in range(n)]
+    got = det_block(Rw, rows)
+    assert got.coeffs == det_berkowitz(Rw, rows).coeffs
+    assert all(c[0] == 0 for c in got.coeffs.values()) and got.coeffs
+    # (Q^2)^2[w]: two component axes, each leaf its own determinant
+    R = wl.product_ring(R, 2)
+    Rw = laurent_ring(R, "w")
+
+    def coeff():
+        return ((rand_q(rng), rand_q(rng)), (rand_q(rng), rand_q(rng)))
+
+    rows = [[LaurentSeries(R, {k: coeff() for k in (-1, 0, 1) if rng.random() < 0.7})
+             for _ in range(n)] for _ in range(n)]
+    assert det_block(Rw, rows).coeffs == det_berkowitz(Rw, rows).coeffs
 
 
 def test_oversized_block_rejected():
@@ -272,7 +304,8 @@ def test_pencil_row_shifts_exact(ring_name):
         ring, coeff = (C, cplx) if ring_name == "C" else (wl.product_ring(C, 2),
                                                           lambda: (cplx(), cplx()))
     p0, p1 = _mixed_row_pencil(ring.zero, coeff, n)
-    got = _det_pencil(ring, ring_array(ring, p0), ring_array(ring, p1), shifts)
+    pencil = np.stack([ring_array(ring, p0), ring_array(ring, p1)])
+    got = _det_rows(ring, pencil).shift(sum(shifts))
     want = det_berkowitz(laurent_ring(ring, "w"), _pencil_rows(ring, p0, p1, shifts))
     assert want.support()[0] == 2 + sum(shifts) and want.support()[-1] == n - 2 + sum(shifts)
     if ring.is_exact:

@@ -411,3 +411,54 @@ def test_outer_projections_complex_match_closed_form(arity):
         pair = wl.invert_from_factors(R, lifted, (-60, 60))
         assert wl.pi_plus(pair).sup_diff(plus) <= 1e-12, facs
         assert wl.pi_minus(pair).sup_diff(minus) <= 1e-12, facs
+
+
+def _nest(leaves):
+    """The (B^2)^2 element ((x0, x1), (x2, x3)) of four leaf values."""
+    return ((leaves[0], leaves[1]), (leaves[2], leaves[3]))
+
+
+@pytest.mark.parametrize("base_name", ["Q", "C"])
+def test_nested_product_ring_matches_its_leaves(base_name):
+    # (B^2)^2 adds two component axes; each of the four leaves must keep
+    # its own factors through factorize and pi_tilde_direct.  Leaf (0, 1)
+    # alone has winding 2, so a split along the wrong axis, which swaps
+    # leaves (0, 1) and (1, 0), shows in every projection
+    if base_name == "Q":
+        base = Q
+        alphas = [Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(2, 5)]
+        betas = [Fraction(1, 3), Fraction(0), Fraction(-1, 4), Fraction(1, 5)]
+        units = [Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)]
+    else:
+        base = wl.complex_ring()
+        alphas = [0.3 + 0.2j, -0.2 + 0.1j, 0j, 0.4 - 0.3j]
+        betas = [-0.4 + 0.1j, 0j, 0.25j, 0.2 + 0.2j]
+        units = [1 + 0j, 2 + 0j, -0.5 + 1j, 0.5 + 0j]
+    extra = [0, 1, 0, 0]  # the idempotent e of the orthogonal factor (1 - e) + e z
+    R = wl.product_ring(wl.product_ring(base, 2), 2)
+    e = _nest([base.one if x else base.zero for x in extra])
+
+    def factors(al, u, be):
+        return [wl.Antiholo(al), wl.Mono(1, u), wl.Holo(be)]
+
+    window = (-12, 12)
+    pair = wl.invert_from_factors(R, factors(_nest(alphas), _nest(units), _nest(betas)),
+                                  (-60, 60))
+    ortho_a = LaurentSeries(R, {0: R.sub(R.one, e), 1: e})
+    ortho_b = LaurentSeries(R, {0: R.sub(R.one, e), -1: e})
+    pair = wl.InvertiblePair.make(pair.a.mul(ortho_a), pair.b.mul(ortho_b))
+    res = wl.factorize(pair, window)
+    direct, tail = wl.pi_tilde_direct(pair, windows=(10, 14, 18))
+    for k, (al, u, be) in enumerate(zip(alphas, units, betas)):
+        i, j = divmod(k, 2)
+        leaf = factors(al, u, be) + [wl.Mono(extra[k], base.one)]
+        want = wl.factorize(wl.invert_from_factors(base, leaf, (-60, 60)), window)
+        for got, ref in ((res.pi_minus, want.pi_minus), (res.pi_tilde, want.pi_tilde),
+                         (res.pi_plus, want.pi_plus), (direct, want.pi_tilde)):
+            got = LaurentSeries(base, {n: c[i][j] for n, c in got.coeffs.items()})
+            if base.is_exact:
+                assert got.coeffs == ref.coeffs, (k, ref)
+            else:
+                assert got.sup_diff(ref) < 1e-9, (k, ref)
+    if base.is_exact:
+        assert res.residual == 0.0 and tail == 0.0
