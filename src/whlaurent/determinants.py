@@ -4,21 +4,25 @@ The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
 elimination is not).  Every determinant in ``w`` over ``Q``, ``C`` or a
 product of them is instead one ``(width, n, n)`` coefficient array over
-the base ring, shifted row by row to its true degree (:func:`_det_rows`)
-and then evaluated and interpolated over ``Q`` or sampled on the unit
-circle over ``C`` (:func:`_poly_det`, the one place that splits a product
-ring into its components).  ``det_block`` builds that array from Laurent
-polynomial entries, ``det_truncated`` from a pencil ``P0 + w P1``.
-``charpoly`` gives the characteristic polynomial of a constant block, the
-outer projections' whole determinant: Berkowitz over exact rings, product
-rings included, and unit-circle sampling of ``I - w K`` over ``C``.
+the base ring, split into its components (:func:`_per_component`, the one
+place that splits a product ring), shifted row by row to its true degree
+(:func:`_det_rows`) and then evaluated and interpolated over ``Q`` or
+sampled on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block``
+builds that array from Laurent polynomial entries, ``det_truncated`` from
+a pencil ``P0 + w P1``.  ``charpoly`` gives the characteristic polynomial
+of a constant block, the outer projections' whole determinant, per
+component of a product ring: over ``Q`` it clears one common denominator
+and runs Berkowitz on Python integers, over ``C`` it samples ``I - w K``
+on the unit circle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, List, Optional, Sequence
+from operator import mul
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +51,12 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
         # principal r x r block, partitioned around its last row/column
         top = a[r - 1][r - 1]
         row = [a[r - 1][j] for j in range(r - 1)]
-        col = [a[i][r - 1] for i in range(r - 1)]
-        # Toeplitz column: [1, -top, -row*col, -row*A*col, ...]
+        cur = [a[i][r - 1] for i in range(r - 1)]
+        # Toeplitz column: [1, -top, -row*col, -row*A*col, ...]; the last
+        # entry needs A^(r-2)*col, so A*cur is formed r-2 times
         tvec = [ring.one, ring.neg(top)]
-        if r >= 2:
-            cur = col
-            for _ in range(r - 1):
-                s = ring.zero
-                for x, y in zip(row, cur):
-                    s = ring.add(s, ring.mul(x, y))
-                tvec.append(ring.neg(s))
+        for t in range(r - 1):
+            if t:
                 nxt = []
                 for i in range(r - 1):
                     acc = ring.zero
@@ -64,6 +64,10 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
                         acc = ring.add(acc, ring.mul(a[i][j], cur[j]))
                     nxt.append(acc)
                 cur = nxt
+            s = ring.zero
+            for x, y in zip(row, cur):
+                s = ring.add(s, ring.mul(x, y))
+            tvec.append(ring.neg(s))
         new = []
         for i in range(r + 1):
             acc = ring.zero
@@ -76,23 +80,56 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     return coeffs
 
 
+def _int_charpoly(k: List[List[Fraction]]) -> List[Fraction]:
+    """:func:`_berkowitz_charpoly` over ``Q`` on Python integers.
+
+    With ``D`` the lcm of the entries' denominators, ``M = D K`` is an
+    integer matrix and its coefficients are ``m_i = D^i c_i``, so the same
+    division-free recurrence runs without a ``Fraction`` (and its ``gcd``)
+    per operation; ``c_i = m_i / D^i`` is exact."""
+    d = math.lcm(*(x.denominator for row in k for x in row))
+    m = [[x.numerator * (d // x.denominator) for x in row] for row in k]
+    coeffs = [1]
+    for r in range(1, len(m) + 1):
+        row = m[r - 1][:r - 1]
+        cur = [m[i][r - 1] for i in range(r - 1)]
+        tvec = [1, -m[r - 1][r - 1]]
+        for t in range(r - 1):
+            if t:  # map() stops at the shorter input, so m[i] is read on the leading block
+                cur = [sum(map(mul, m[i], cur)) for i in range(r - 1)]
+            tvec.append(-sum(map(mul, row, cur)))
+        coeffs = [sum(map(mul, coeffs, tvec[i::-1])) for i in range(r + 1)]
+    return [Fraction(c, d ** i) for i, c in enumerate(coeffs)]
+
+
+def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
+    """:func:`charpoly` of an ``(n, n)`` array over ``Q`` or ``C``."""
+    if isinstance(ring.zero, Fraction):
+        return dict(enumerate(_int_charpoly(k.tolist())))
+    coef = np.empty((2,) + k.shape, k.dtype)
+    coef[0] = np.eye(len(k))
+    coef[1] = -k
+    return dict(enumerate(_poly_det(ring, coef, len(k))))
+
+
 def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
     are also those of det(I - w*A) = sum c_i w^i.
 
-    Exact rings, product rings with zero divisors included, run
-    division-free Berkowitz.  Over ``C`` its Krylov sums lose up to 1e-8
-    on strongly non-normal blocks (entries near 10, eigenvalues below 1),
-    so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree ``n``,
-    which samples it with a backward-stable LU determinant per sample.
+    ``Q``, and each component of a product of ``Q`` (:func:`_per_component`),
+    clears one common denominator and runs Berkowitz on Python integers
+    (:func:`_int_charpoly`).  Over ``C`` Berkowitz's Krylov sums lose up to
+    1e-8 on strongly non-normal blocks (entries near 10, eigenvalues below
+    1), so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree
+    ``n``, which samples it with a backward-stable LU determinant per
+    sample.  Every other exact ring runs division-free Berkowitz on its
+    own elements.
     """
-    if ring.is_exact or not a:
+    if not a or (ring.is_exact and ring.components is None
+                 and not isinstance(ring.zero, Fraction)):
         return _berkowitz_charpoly(ring, a)
-    k = ring_array(ring, a)
-    coef = np.empty((2,) + k.shape, k.dtype)
-    coef[0] = np.eye(len(a)).reshape(k.shape[:2] + (1,) * (k.ndim - 2))  # I in each component
-    coef[1] = -k
-    return _poly_det(ring, coef, len(a))
+    coeffs = _per_component(ring, ring_array(ring, a), 2, _charpoly_leaf)
+    return [coeffs[i] for i in range(len(a) + 1)]
 
 
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
@@ -170,21 +207,33 @@ def ring_array(ring: Ring, values: Any) -> Any:
     return np.asarray(values, dtype=object if ring.is_exact else complex)
 
 
+def _per_component(ring: Ring, arr: Any, lead: int,
+                   leaf: Callable[[Ring, Any], Dict[int, Any]]) -> Dict[int, Any]:
+    """``leaf(ring, arr)``, a map from exponent to coefficient, taken per
+    component of a product ring and merged: the one place that splits a
+    product ring.  Component ``i`` is ``arr`` at index ``i`` of its first
+    component axis, the one after the ``lead`` leading axes, so that nested
+    products such as ``(Q^2)^2`` recurse in order.  An exponent that one
+    component lacks takes that component's zero."""
+    if ring.components is None:
+        return leaf(ring, arr)
+    parts = [_per_component(comp, arr[(slice(None),) * lead + (i,)], lead, leaf)
+             for i, comp in enumerate(ring.components)]
+    return {e: ring.merge([p.get(e, comp.zero) for p, comp in zip(parts, ring.components)])
+            for e in sorted(set().union(*parts))}
+
+
 def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     """Coefficients ``c_0..c_deg`` of ``det(sum_k coef[k] w^k)``, a polynomial
-    of degree at most ``deg`` with ``coef`` a ``(width, n, n)`` array.
+    of degree at most ``deg`` with ``coef`` a ``(width, n, n)`` array over
+    ``Q`` or ``C``.
 
     Over ``C`` it is sampled at the ``nsamp >= deg + 1`` roots of unity
     (the next power of two), sixteen sample matrices to one batched
     determinant (a bounded stack), and the FFT gives the coefficients
     without aliasing.  Over ``Q`` it is evaluated at the ``deg + 1`` points
-    1, -1, 2, -2, ... by Gaussian elimination and interpolated.  A product
-    ring runs per component along its first component axis
-    (``coef[:, :, :, i]``), so that nested products recurse in order.
+    1, -1, 2, -2, ... by Gaussian elimination and interpolated.
     """
-    if ring.components is not None:
-        parts = [_poly_det(comp, coef[:, :, :, i], deg) for i, comp in enumerate(ring.components)]
-        return [ring.merge(cs) for cs in zip(*parts)]
     if ring.is_exact:
         pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
         support = [c.nonzero() for c in coef]  # Fraction arithmetic on nonzero entries only
@@ -204,26 +253,33 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     return [complex(c) for c in np.fft.fft(dets)[:deg + 1] / nsamp]
 
 
-def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
-    """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over ``ring``.
-
-    The determinant is linear in each row: row ``i``, nonzero only at
-    ``w^lo_i..w^hi_i``, gives the factor ``w^lo_i`` and degree
-    ``hi_i - lo_i``, and a zero row gives 0.  Each row is shifted down by
-    its ``lo_i`` and the rest goes to :func:`_poly_det` at the summed degree.
-    """
+def _row_det(ring: Ring, coef: Any) -> Dict[int, Any]:
+    """:func:`_det_rows` over ``Q`` or ``C``, as a map from exponent to
+    coefficient."""
     width, n = coef.shape[:2]
-    # as bool: any() over an object array may return its elements
-    nz = coef.any(axis=tuple(range(2, coef.ndim))).astype(bool)
+    nz = coef.any(axis=2).astype(bool)  # any() over an object array may return its elements
     if not nz.any(axis=0).all():
-        return LaurentSeries(ring, {})
+        return {}
     lo = nz.argmax(axis=0)
     span = width - 1 - nz[::-1].argmax(axis=0) - lo
     # exponent lo_i + j of row i; one past the top wraps to one below lo_i, a zero
     k = (np.arange(1 + span.max(initial=0))[:, None] + lo) % width
     coeffs = _poly_det(ring, coef[k, np.arange(n)], int(span.sum()))
     off = int(lo.sum())
-    return LaurentSeries(ring, {i + off: c for i, c in enumerate(coeffs)})
+    return {i + off: c for i, c in enumerate(coeffs)}
+
+
+def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
+    """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over ``ring``.
+
+    A product ring is split first (:func:`_per_component`), so each
+    component gets its own row bound.  The determinant is linear in each
+    row: row ``i``, nonzero only at ``w^lo_i..w^hi_i``, gives the factor
+    ``w^lo_i`` and degree ``hi_i - lo_i``, and a zero row gives 0.  Each row
+    is shifted down by its ``lo_i`` and the rest goes to :func:`_poly_det`
+    at the summed degree.
+    """
+    return LaurentSeries(ring, _per_component(ring, coef, 3, _row_det))
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:

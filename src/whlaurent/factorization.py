@@ -5,10 +5,11 @@ The holomorphic part is pi_+(w) = det(I - w K_+) and the antiholomorphic
 part pi_-(w) = det(I - w^-1 K_-), where K_+- = E_+- + B is a constant
 matrix over the base ring on a finite index interval: the shift part of
 the reflection factor plus the bracket block U(b)[1_S, U(a)]U(z^-+1).
-Each is read off one characteristic polynomial of K_+-: division-free
-Berkowitz over the exact rings, product rings with zero divisors
-included, and unit-circle sampling over C, where Berkowitz loses
-accuracy on these non-normal blocks.  The orthogonal middle part comes either by exact division
+Each is read off one characteristic polynomial of K_+-, per component
+of a product ring: over Q one common denominator is cleared and
+division-free Berkowitz runs on Python integers, and over C the pencil is
+sampled on the unit circle, where Berkowitz loses accuracy on these
+non-normal blocks.  The orthogonal middle part comes either by exact division
 (default) or through the half-lattice truncated determinant (cross-check
 route).  The w-series blocks of the widetilde-determinant closed form
 (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for

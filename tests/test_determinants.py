@@ -1,6 +1,7 @@
 """Determinant engine: division-free core, fast dense paths, reductions of
 identity-plus-perturbation operators, and nested-window truncations."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from whlaurent.series import LaurentSeries, WindowError, laurent_ring
 from conftest import det_cofactor, worked_pair
 
 Q = wl.rational_ring()
+Q2 = wl.product_ring(Q, 2)
 WIN = (-14, 14)
 
 
@@ -58,6 +60,56 @@ def test_determinant_is_multiplicative():
     ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
           for i in range(n)]
     assert det_berkowitz(Q, ab) == det_berkowitz(Q, a) * det_berkowitz(Q, b)
+
+
+CHARPOLY_DRAWS = {
+    "mixed": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+    "integer": lambda rng: Fraction(rng.randint(-20, 20)),
+    "negative": lambda rng: Fraction(-rng.randint(1, 9), rng.randint(1, 9)),
+    # pairwise coprime denominators: their lcm has about 124 bits
+    "coprime": lambda rng: Fraction(rng.randint(-5, 5), rng.choice([2**61 - 1, 2**31 - 1, 3**20])),
+}
+
+
+def _element(ring, draw, rng):
+    """A random element, with every leaf component drawn by ``draw``."""
+    if ring.components is None:
+        return draw(rng)
+    return ring.merge([_element(comp, draw, rng) for comp in ring.components])
+
+
+@pytest.mark.parametrize("ring", [Q, Q2, wl.product_ring(Q2, 2)], ids=["Q", "Q^2", "(Q^2)^2"])
+def test_charpoly_on_integers_matches_berkowitz(ring):
+    rng = random.Random(ring.name)
+    kinds = sorted(CHARPOLY_DRAWS)
+    for n in range(13):
+        draw = CHARPOLY_DRAWS[kinds[n % len(kinds)]]
+        a = [[_element(ring, draw, rng) for _ in range(n)] for _ in range(n)]
+        if n % 3 == 1:
+            a[n // 2] = [ring.zero] * n
+        got = determinants.charpoly(ring, a)
+        # the same rationals, so the same reduced Fractions
+        assert repr(got) == repr(determinants._berkowitz_charpoly(ring, a)), n
+        assert (got[-1] == ring.zero) == (n % 3 == 1), n
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_charpoly_over_q_makes_no_ring_multiplication(arity):
+    # a copy of Q whose mul counts its calls: the integer kernel must not
+    # fall back to Berkowitz on Fractions, alone or per product component
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        return x * y
+
+    Qc = dataclasses.replace(Q, mul=mul)
+    ring = Qc if arity == 1 else wl.product_ring(Qc, arity)
+    rng = random.Random(19)
+    a = [[_element(ring, rand_q, rng) for _ in range(8)] for _ in range(8)]
+    got = determinants.charpoly(ring, a)
+    assert not calls
+    assert got == determinants._berkowitz_charpoly(ring, a) and calls
 
 
 def test_interpolation_path_matches_division_free():
@@ -312,6 +364,33 @@ def test_pencil_row_shifts_exact(ring_name):
         assert got.coeffs == want.coeffs
     else:
         assert got.sup_diff(want) < 1e-12
+
+
+def test_product_ring_row_bound_per_component(monkeypatch):
+    # row i is pure P0 in one component and pure P1 in the other, so it is
+    # mixed over Q^2 as a whole but of degree 0 in each component: w^2 in
+    # the first component and w^4 in the second
+    n = 6
+    rng = random.Random(23)
+    degrees = []
+    poly_det = determinants._poly_det
+
+    def spy(ring, coef, deg):
+        degrees.append((ring.name, deg))
+        return poly_det(ring, coef, deg)
+
+    monkeypatch.setattr(determinants, "_poly_det", spy)
+    p0 = [[(rand_q(rng), Fraction(0)) if i % 3 else (Fraction(0), rand_q(rng))
+           for _ in range(n)] for i in range(n)]
+    p1 = [[(Fraction(0), rand_q(rng)) if i % 3 else (rand_q(rng), Fraction(0))
+           for _ in range(n)] for i in range(n)]
+    shifts = [0, 1, -1, 0, 2, 0]
+    pencil = np.stack([ring_array(Q2, p0), ring_array(Q2, p1)])
+    got = _det_rows(Q2, pencil).shift(sum(shifts))
+    assert degrees == [("Q", 0), ("Q", 0)]
+    want = det_berkowitz(laurent_ring(Q2, "w"), _pencil_rows(Q2, p0, p1, shifts))
+    assert got.coeffs == want.coeffs
+    assert got.support() == [2 + sum(shifts), 4 + sum(shifts)]
 
 
 def _decay_pencil(top):
