@@ -4,10 +4,11 @@ The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
 elimination is not).  Every determinant in ``w`` over ``Q``, ``C`` or a
 product of them is instead one ``(width, n, n)`` coefficient array over
-the base ring, split into its components (:func:`_per_component`, the one
-place that splits a product ring), shifted row by row to its true degree
-(:func:`_det_rows`) and then evaluated and interpolated over ``Q`` or
-sampled on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block``
+the base ring, split into its components (:func:`rings.per_component`,
+the one place that splits a product ring), shifted row by row to its true
+degree (:func:`_det_rows`) and then evaluated at integer points with
+fraction-free elimination and interpolated over ``Q`` or sampled on the
+unit circle over ``C`` (:func:`_poly_det`).  ``det_block``
 builds that array from Laurent polynomial entries, ``det_truncated`` from
 a pencil ``P0 + w P1``.  ``charpoly`` gives the characteristic polynomial
 of a constant block, the outer projections' whole determinant, per
@@ -18,15 +19,14 @@ on the unit circle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .rings import Ring, RingError
+from .exact import bareiss, clear, int_charpoly
+from .rings import Ring, RingError, leaf_ring, per_component
 from .series import LaurentSeries, WindowError
 from .matrices import WindowedMatrix
 
@@ -80,32 +80,12 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     return coeffs
 
 
-def _int_charpoly(k: List[List[Fraction]]) -> List[Fraction]:
-    """:func:`_berkowitz_charpoly` over ``Q`` on Python integers.
-
-    With ``D`` the lcm of the entries' denominators, ``M = D K`` is an
-    integer matrix and its coefficients are ``m_i = D^i c_i``, so the same
-    division-free recurrence runs without a ``Fraction`` (and its ``gcd``)
-    per operation; ``c_i = m_i / D^i`` is exact."""
-    d = math.lcm(*(x.denominator for row in k for x in row))
-    m = [[x.numerator * (d // x.denominator) for x in row] for row in k]
-    coeffs = [1]
-    for r in range(1, len(m) + 1):
-        row = m[r - 1][:r - 1]
-        cur = [m[i][r - 1] for i in range(r - 1)]
-        tvec = [1, -m[r - 1][r - 1]]
-        for t in range(r - 1):
-            if t:  # map() stops at the shorter input, so m[i] is read on the leading block
-                cur = [sum(map(mul, m[i], cur)) for i in range(r - 1)]
-            tvec.append(-sum(map(mul, row, cur)))
-        coeffs = [sum(map(mul, coeffs, tvec[i::-1])) for i in range(r + 1)]
-    return [Fraction(c, d ** i) for i, c in enumerate(coeffs)]
-
-
 def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
     """:func:`charpoly` of an ``(n, n)`` array over ``Q`` or ``C``."""
     if isinstance(ring.zero, Fraction):
-        return dict(enumerate(_int_charpoly(k.tolist())))
+        m, d = clear(k.ravel().tolist())
+        n = len(k)
+        return dict(enumerate(int_charpoly([m[i:i + n] for i in range(0, n * n, n)], d)))
     coef = np.empty((2,) + k.shape, k.dtype)
     coef[0] = np.eye(len(k))
     coef[1] = -k
@@ -116,19 +96,18 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
     are also those of det(I - w*A) = sum c_i w^i.
 
-    ``Q``, and each component of a product of ``Q`` (:func:`_per_component`),
+    ``Q``, and each component of a product of ``Q`` (:func:`per_component`),
     clears one common denominator and runs Berkowitz on Python integers
-    (:func:`_int_charpoly`).  Over ``C`` Berkowitz's Krylov sums lose up to
-    1e-8 on strongly non-normal blocks (entries near 10, eigenvalues below
-    1), so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree
+    (:func:`exact.int_charpoly`).  Over ``C`` Berkowitz's Krylov sums lose
+    up to 1e-8 on strongly non-normal blocks (entries near 10, eigenvalues
+    below 1), so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree
     ``n``, which samples it with a backward-stable LU determinant per
-    sample.  Every other exact ring runs division-free Berkowitz on its
-    own elements.
+    sample.  Every other ring (series rings, rings with nilpotents) runs
+    division-free Berkowitz on its own elements.
     """
-    if not a or (ring.is_exact and ring.components is None
-                 and not isinstance(ring.zero, Fraction)):
+    if not a or not isinstance(leaf_ring(ring).zero, (Fraction, complex)):
         return _berkowitz_charpoly(ring, a)
-    coeffs = _per_component(ring, ring_array(ring, a), 2, _charpoly_leaf)
+    coeffs = per_component(ring, _charpoly_leaf, _component_slices(2), ring_array(ring, a))
     return [coeffs[i] for i in range(len(a) + 1)]
 
 
@@ -144,36 +123,6 @@ def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
 
 
 # -- determinants in w: one coefficient array over the base ring ------
-
-def _det_gauss_field(rows: List[List[Fraction]]) -> Fraction:
-    """Gaussian elimination with division over Q (``Fraction`` entries)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    sign = 1
-    for i in range(n):
-        piv = None
-        for r in range(i, n):
-            if m[r][i] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            m[i], m[piv] = m[piv], m[i]
-            sign = -sign
-        p = m[i][i]
-        det *= p
-        for r in range(i + 1, n):
-            if m[r][i] == 0:
-                continue
-            f = m[r][i] / p
-            for c in range(i, n):
-                m[r][c] = m[r][c] - f * m[i][c]
-    if sign < 0:
-        det = -det
-    return det
-
 
 def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[Fraction]:
     """Coefficients of the interpolating polynomial (Newton form)."""
@@ -207,20 +156,12 @@ def ring_array(ring: Ring, values: Any) -> Any:
     return np.asarray(values, dtype=object if ring.is_exact else complex)
 
 
-def _per_component(ring: Ring, arr: Any, lead: int,
-                   leaf: Callable[[Ring, Any], Dict[int, Any]]) -> Dict[int, Any]:
-    """``leaf(ring, arr)``, a map from exponent to coefficient, taken per
-    component of a product ring and merged: the one place that splits a
-    product ring.  Component ``i`` is ``arr`` at index ``i`` of its first
-    component axis, the one after the ``lead`` leading axes, so that nested
-    products such as ``(Q^2)^2`` recurse in order.  An exponent that one
-    component lacks takes that component's zero."""
-    if ring.components is None:
-        return leaf(ring, arr)
-    parts = [_per_component(comp, arr[(slice(None),) * lead + (i,)], lead, leaf)
-             for i, comp in enumerate(ring.components)]
-    return {e: ring.merge([p.get(e, comp.zero) for p, comp in zip(parts, ring.components)])
-            for e in sorted(set().union(*parts))}
+def _component_slices(lead: int):
+    """Split for :func:`per_component`: component ``i`` of an array is its
+    index ``i`` on the first component axis, the one after ``lead``
+    leading axes."""
+    return lambda ring, arr: [arr[(slice(None),) * lead + (i,)]
+                              for i in range(len(ring.components))]
 
 
 def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
@@ -231,19 +172,24 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     Over ``C`` it is sampled at the ``nsamp >= deg + 1`` roots of unity
     (the next power of two), sixteen sample matrices to one batched
     determinant (a bounded stack), and the FFT gives the coefficients
-    without aliasing.  Over ``Q`` it is evaluated at the ``deg + 1`` points
-    1, -1, 2, -2, ... by Gaussian elimination and interpolated.
+    without aliasing.  Over ``Q`` the array is cleared to integers over one
+    common denominator ``d``; each of the ``deg + 1`` points 1, -1, 2, -2,
+    ... gives an integer matrix, whose determinant comes from fraction-free
+    elimination (:func:`exact.bareiss`), and the interpolated coefficients
+    are divided by ``d^n``.
     """
     if ring.is_exact:
-        pts = [Fraction((k // 2 + 1) * (-1) ** k) for k in range(deg + 1)]
-        support = [c.nonzero() for c in coef]  # Fraction arithmetic on nonzero entries only
+        nums, d = clear(coef.ravel().tolist())
+        ints = np.array(nums, dtype=object).reshape(coef.shape)
+        pts = [(k // 2 + 1) * (-1) ** k for k in range(deg + 1)]
         vals = []
         for p in pts:
-            mat = np.full(coef.shape[1:], Fraction(0), dtype=object)
-            for k, (c, nz) in enumerate(zip(coef, support)):
-                mat[nz] += c[nz] * p ** k
-            vals.append(_det_gauss_field(mat.tolist()))
-        return _lagrange_coeffs(pts, vals)
+            mat = ints[-1]
+            for c in ints[-2::-1]:  # Horner in p, on integers
+                mat = mat * p + c
+            vals.append(bareiss(mat.tolist()))
+        scale = d ** coef.shape[1]  # det(d M) = d^n det(M)
+        return [c / scale for c in _lagrange_coeffs([Fraction(p) for p in pts], vals)]
     nsamp = 1 << deg.bit_length()
     ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
     powers = ws[:, None] ** np.arange(len(coef))
@@ -272,14 +218,14 @@ def _row_det(ring: Ring, coef: Any) -> Dict[int, Any]:
 def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
     """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over ``ring``.
 
-    A product ring is split first (:func:`_per_component`), so each
+    A product ring is split first (:func:`rings.per_component`), so each
     component gets its own row bound.  The determinant is linear in each
     row: row ``i``, nonzero only at ``w^lo_i..w^hi_i``, gives the factor
     ``w^lo_i`` and degree ``hi_i - lo_i``, and a zero row gives 0.  Each row
     is shifted down by its ``lo_i`` and the rest goes to :func:`_poly_det`
     at the summed degree.
     """
-    return LaurentSeries(ring, _per_component(ring, coef, 3, _row_det))
+    return LaurentSeries(ring, per_component(ring, _row_det, _component_slices(3), coef))
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:

@@ -1,0 +1,167 @@
+"""Exact arithmetic over ``Q`` on Python integers.
+
+A ``Q`` array is held as one list of integer numerators over one common
+denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial (Hart,
+"FLINT: Fast Library for Number Theory", 2010).  The kernels below run on
+the numerators alone, so no operation builds a ``Fraction`` (or takes its
+``gcd``); a caller turns each output into one ``Fraction`` at the end.
+Products are integer convolutions, division by a unit is a
+fraction-free recurrence, linear systems and determinants use
+fraction-free Bareiss elimination, and characteristic polynomials
+division-free Berkowitz.  Over a product of ``Q`` the callers
+run them per component (:func:`rings.per_component`).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from .rings import Ring, leaf_ring
+
+
+def is_rational(ring: Ring) -> bool:
+    """``Q`` or a (nested) product of ``Q``: the rings these kernels serve."""
+    return isinstance(leaf_ring(ring).zero, Fraction)
+
+
+def clear(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Numerators ``nums`` and the least common denominator ``d`` with
+    ``values[i] = nums[i] / d``."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def to_ints(coeffs: Dict[int, Fraction], lo: int, hi: int) -> Tuple[List[int], int]:
+    """A coefficient map on ``[lo, hi]`` as numerators over one denominator:
+    ``coeffs[lo + i] = nums[i] / d``, 0 where the map has no entry."""
+    inside = [(n, c) for n, c in coeffs.items() if lo <= n <= hi]
+    vals, d = clear([c for _n, c in inside])
+    nums = [0] * (hi - lo + 1)
+    for (n, _c), v in zip(inside, vals):
+        nums[n - lo] = v
+    return nums, d
+
+
+def to_fractions(lo: int, nums: Sequence[int], d: int,
+                 window: Optional[Tuple[int, int]] = None) -> Dict[int, Fraction]:
+    """The nonzero ``nums[i] / d`` at exponent ``lo + i``, inside ``window``
+    when one is given: one ``Fraction`` per output coefficient."""
+    start, stop = 0, len(nums)
+    if window is not None:
+        start, stop = max(start, window[0] - lo), min(stop, window[1] - lo + 1)
+    return {lo + i: Fraction(nums[i], d) for i in range(start, stop) if nums[i]}
+
+
+def int_mul(x: Sequence[int], y: Sequence[int]) -> List[int]:
+    """Product of two integer polynomials (coefficient lists, lowest
+    power first): the schoolbook convolution, skipping zero terms of the
+    shorter one."""
+    if not x or not y:
+        return []
+    if len(x) > len(y):
+        x, y = y, x
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y, i):
+                out[j] += a * b
+    return out
+
+
+def int_div(x: Sequence[int], u: Sequence[int], count: int) -> List[int]:
+    """The first ``count`` terms of the power series ``x / u`` for integer
+    coefficient lists (lowest power first, ``x`` zero past its end) with
+    ``c = u[0] != 0``, as ``Q`` with ``x / u = sum_t Q[t] / c^(t+1) v^t``.
+
+    From ``q_t = (x_t - sum_m u_m q_(t-m)) / c`` and ``q_t = Q_t / c^(t+1)``:
+    ``Q_t = c^t x_t - sum_m (u_m c^(m-1)) Q_(t-m)``, with one running power
+    of ``c`` and no division."""
+    c = u[0]
+    tail = [um * c ** m for m, um in enumerate(u[1:])]
+    out: List[int] = []
+    cp = 1
+    for t in range(count):
+        # map() stops at the shorter input: tail[m-1] meets out[t-m]
+        out.append((cp * x[t] if t < len(x) else 0) - sum(map(mul, tail, reversed(out))))
+        cp *= c
+    return out
+
+
+def bareiss(rows: List[List[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", 1968) of the
+    leading square block of integer ``rows``, in place, with any extra
+    columns carried along.  Returns the block's determinant, 0 if it is
+    singular.  After a nonsingular run the block is upper triangular from
+    the diagonal on; every division is exact.
+
+    Step ``k`` maps a row whose column-``k`` entry is 0 to itself times
+    ``p_k / p_(k-1)`` (``p_k`` the ``k``-th pivot), so such rows are left
+    alone and scaled by ``p_(k-1) / p_(l-1)`` only when a later step reads
+    them, ``l`` the number of steps applied so far: a nearly triangular
+    matrix costs about ``n^2`` operations, not ``n^3``."""
+    n = len(rows)
+    sign = 1
+    pivots = [1]  # pivots[k] = p_(k-1), with p_(-1) = 1
+    level = [0] * n  # steps applied to each row
+
+    def catch_up(i: int, k: int) -> None:
+        if level[i] < k:
+            row, s, t = rows[i], pivots[k], pivots[level[i]]
+            row[k:] = [x * s // t for x in row[k:]]
+            level[i] = k
+
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            level[k], level[piv] = level[piv], level[k]
+            sign = -sign
+        catch_up(k, k)
+        top = rows[k]
+        p, prev = top[k], pivots[k]
+        for i in range(k + 1, n):
+            if rows[i][k]:
+                catch_up(i, k)
+                row, f = rows[i], rows[i][k]
+                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+                level[i] = k + 1
+        pivots.append(p)
+    return sign * pivots[-1]
+
+
+def bareiss_solve(rows: List[List[int]]) -> Tuple[List[int], int]:
+    """``(z, det)`` with ``M z = det * b`` for augmented integer rows
+    ``[M | b]`` and ``det = det M``; ``([], 0)`` if ``M`` is singular.  By
+    Cramer's rule ``z`` is integral, so back substitution divides exactly."""
+    det = bareiss(rows)
+    if not det:
+        return [], 0
+    n = len(rows)
+    z = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        z[k] = (det * row[n] - sum(map(mul, row[k + 1:n], z[k + 1:]))) // row[k]
+    return z, det
+
+
+def int_charpoly(m: List[List[int]], d: int) -> List[Fraction]:
+    """Coefficients ``c_0..c_n`` of ``det(x I - M / d)``, by division-free
+    Berkowitz on the integer matrix ``M``: its coefficients are
+    ``m_i = d^i c_i``, so ``c_i = m_i / d^i`` is exact."""
+    coeffs = [1]
+    for r in range(1, len(m) + 1):
+        row = m[r - 1][:r - 1]
+        cur = [m[i][r - 1] for i in range(r - 1)]
+        tvec = [1, -m[r - 1][r - 1]]
+        for t in range(r - 1):
+            if t:  # map() stops at the shorter input, so m[i] is read on the leading block
+                cur = [sum(map(mul, m[i], cur)) for i in range(r - 1)]
+            tvec.append(-sum(map(mul, row, cur)))
+        coeffs = [sum(map(mul, coeffs, tvec[i::-1])) for i in range(r + 1)]
+    return [Fraction(c, d ** i) for i, c in enumerate(coeffs)]

@@ -6,24 +6,30 @@ part pi_-(w) = det(I - w^-1 K_-), where K_+- = E_+- + B is a constant
 matrix over the base ring on a finite index interval: the shift part of
 the reflection factor plus the bracket block U(b)[1_S, U(a)]U(z^-+1).
 Each is read off one characteristic polynomial of K_+-, per component
-of a product ring: over Q one common denominator is cleared and
-division-free Berkowitz runs on Python integers, and over C the pencil is
-sampled on the unit circle, where Berkowitz loses accuracy on these
-non-normal blocks.  The orthogonal middle part comes either by exact division
-(default) or through the half-lattice truncated determinant (cross-check
-route).  The w-series blocks of the widetilde-determinant closed form
+of a product ring.  Over Q the bracket block is an integer Toeplitz
+product of the numerators of a and b over the common denominator
+d = da db, and d K_+- goes straight to division-free Berkowitz on Python
+integers.  Over C the pencil is sampled on the unit circle, where
+Berkowitz loses accuracy on these non-normal blocks.  The orthogonal
+middle part comes either by exact division (default) or through the
+half-lattice truncated determinant (cross-check route); over Q the
+long division runs on integers too (``series.div_unit``).  The w-series
+blocks of the widetilde-determinant closed form
 (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for
 checking against it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rings import Ring, RingError
+from .exact import int_charpoly, is_rational, to_ints
+from .rings import Ring, RingError, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit)
 from . import matrices as mx
@@ -73,6 +79,51 @@ def _check_b_window(pair: InvertiblePair) -> None:
             % (b.window[0], b.window[1], need[0], need[1]))
 
 
+Columns = Dict[int, List[Tuple[int, int, int]]]
+
+
+def _bracket_cols(a: LaurentSeries, sign: str) -> Tuple[List[int], Columns]:
+    """J' and the commutator [1_S, U(a)] U(z^-s) by shifted column: each
+    column lists ``(row j, exponent d, sign)`` for its entry ``sign * a_d``.
+
+    The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
+    where j and m straddle S, so |m| <= max |d| over the support of a.
+    """
+    shift, variant = (1, "+") if sign == "-" else (-1, "-")
+
+    def in_s(k: int) -> bool:
+        return k < 0 if sign == "-" else k > 0
+
+    cols: Columns = {}
+    for d in a.coeffs:
+        for m in range(-abs(d), abs(d) + 1):
+            j = m + d
+            if in_s(j) != in_s(m):
+                cols.setdefault(m + shift, []).append((j, d, 1 if in_s(j) else -1))
+    return reduced_columns(variant, sorted(cols)), cols
+
+
+def _int_bracket(jp: List[int], cols: Columns, a: Dict[int, Fraction],
+                 b: Dict[int, Fraction]) -> Tuple[Dict[Tuple[int, int], int], int]:
+    """The nonzero bracket entries over ``Q`` as an integer Toeplitz
+    product: numerators over the common denominator ``d = da db`` of the
+    entries of ``a`` and of the part of ``b`` that the rows ``jp`` read."""
+    if not cols:
+        return {}, 1
+    js = [j for col in cols.values() for j, _d, _s in col]
+    lo, a_lo = jp[0] - max(js), min(a)
+    bs, db = to_ints(b, lo, jp[-1] - min(js))
+    an, da = to_ints(a, a_lo, max(a))
+    weights = [(k, [(j + lo, s * an[d - a_lo]) for j, d, s in col]) for k, col in cols.items()]
+    ents: Dict[Tuple[int, int], int] = {}
+    for r in jp:
+        for k, col in weights:
+            acc = sum(w * bs[r - j] for j, w in col)
+            if acc:
+                ents[(r, k)] = acc
+    return ents, da * db
+
+
 def _bracket_block(pair: InvertiblePair,
                    sign: str) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
     """U(b) [1_S, U(a)] U(z^-s) over the base ring, on the rows J' that
@@ -80,30 +131,27 @@ def _bracket_block(pair: InvertiblePair,
     variant '+') or S = Z^+ with s = -1 (sign '+', variant '-').
     Returns (J', entries).
 
-    The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
-    where j and m straddle S, so |m| <= max |d| over the support of a.
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
-    so they are not built; the rows built read b only on [-2d, 2d].
+    so they are not built; the rows built read b only on [-2d, 2d], d the
+    largest |exponent| of a.  Over ``Q`` (and per component of a product of
+    ``Q``) the entries are an integer Toeplitz product (:func:`_int_bracket`).
     """
     _check_b_window(pair)
     a, b = pair.a, pair.b
     ring = a.ring
-    shift, variant = (1, "+") if sign == "-" else (-1, "-")
+    jp, cols = _bracket_cols(a, sign)
+    if is_rational(ring):
+        def leaf(_q: Ring, ac: Dict[int, Fraction],
+                 bc: Dict[int, Fraction]) -> Dict[Tuple[int, int], Fraction]:
+            ents, d = _int_bracket(jp, cols, ac, bc)
+            return {rk: Fraction(v, d) for rk, v in ents.items()}
 
-    def in_s(k: int) -> bool:
-        return k < 0 if sign == "-" else k > 0
-
-    # shifted column -> [(row j, commutator entry)]
-    cols: Dict[int, List[Tuple[int, Any]]] = {}
-    for d, c in a.coeffs.items():
-        for m in range(-abs(d), abs(d) + 1):
-            j = m + d
-            if in_s(j) != in_s(m):
-                cols.setdefault(m + shift, []).append((j, c if in_s(j) else ring.neg(c)))
-    jp = reduced_columns(variant, sorted(cols))
+        return jp, per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
+    vals = {k: [(j, a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d])) for j, d, s in col]
+            for k, col in cols.items()}
     ents: Dict[Tuple[int, int], Any] = {}
     for r in jp:
-        for k, col in cols.items():
+        for k, col in vals.items():
             acc = ring.zero
             for j, v in col:
                 acc = ring.add(acc, ring.mul(b.coeff(r - j), v))
@@ -148,19 +196,42 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     k + 1 <= 0 (sign '-') or at (m + 1, m) for m >= 0 (sign '+').  F is
     unit triangular on the interval P and A vanishes off P's columns, so
     widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
+
+    Over ``Q`` (and per component of a product of ``Q``) the integer
+    bracket block ``d B`` and ``d E`` go straight to integer Berkowitz
+    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.
     """
     ring = pair.a.ring
+    step = 1 if sign == "-" else -1
+    if is_rational(ring):
+        _check_b_window(pair)
+        jp, cols = _bracket_cols(pair.a, sign)
+
+        def leaf(_q: Ring, ac: Dict[int, Fraction],
+                 bc: Dict[int, Fraction]) -> Dict[int, Fraction]:
+            ents, d = _int_bracket(jp, cols, ac, bc)
+            k_mat = _k_matrix(jp, ents, sign, 0, d, operator.add)
+            return {step * i: c for i, c in enumerate(int_charpoly(k_mat, d)) if c}
+
+        return LaurentSeries._trusted(ring, per_component(
+            ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
     jp, ents = _bracket_block(pair, sign)
+    coeffs = charpoly(ring, _k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add))
+    return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+
+
+def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], sign: str, zero: Any,
+              one: Any, add: Callable[[Any, Any], Any]) -> List[List[Any]]:
+    """K = E + B as dense rows on P = [min J', max J'], with ``one`` the
+    value of E's entries."""
     idx = list(range(jp[0], jp[-1] + 1)) if jp else []
-    k_mat = [[ents.get((r, c), ring.zero) for c in idx] for r in idx]
+    k_mat = [[ents.get((r, c), zero) for c in idx] for r in idx]
     for i in range(len(idx) - 1):
         if sign == "-" and idx[i + 1] <= 0:
-            k_mat[i][i + 1] = ring.add(k_mat[i][i + 1], ring.one)
+            k_mat[i][i + 1] = add(k_mat[i][i + 1], one)
         if sign == "+" and idx[i] >= 0:
-            k_mat[i + 1][i] = ring.add(k_mat[i + 1][i], ring.one)
-    step = 1 if sign == "-" else -1
-    coeffs = charpoly(ring, k_mat)
-    return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+            k_mat[i + 1][i] = add(k_mat[i + 1][i], one)
+    return k_mat
 
 
 def pi_plus(pair: InvertiblePair) -> LaurentSeries:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -26,7 +26,8 @@ class Ring:
 
     ``invert`` is partial: it raises :class:`RingError` on non-units.
     ``components``, ``split`` and ``merge`` exist for product rings only;
-    the exact inverse and the sampled determinant run per component.
+    the exact kernels, the inverse and the sampled determinants run per
+    component (:func:`per_component`).
     """
 
     name: str
@@ -182,6 +183,47 @@ def product_ring(base: Ring, arity: int) -> Ring:
         fmt=fmt,
         parse=parse,
     )
+
+
+def leaf_ring(ring: Ring) -> Ring:
+    """The ring a (nested) product ring is built from; any other ring itself."""
+    while ring.components is not None:
+        ring = ring.components[0]
+    return ring
+
+
+def split_map(ring: Ring, values: Dict[Any, Any]) -> List[Dict[Any, Any]]:
+    """A map to elements of a product ring as one map per component."""
+    parts: List[Dict[Any, Any]] = [{} for _ in ring.components]
+    for key, x in values.items():
+        for part, c in zip(parts, ring.split(x)):
+            part[key] = c
+    return parts
+
+
+def per_component(ring: Ring, leaf: Callable[..., Any],
+                  split: Callable[[Ring, Any], Sequence[Any]], *args: Any) -> Any:
+    """``leaf(ring, *args)`` taken per component of a product ring and
+    merged: the one place that splits a product ring.
+
+    ``split(ring, x)`` lists the components of an argument ``x``.  ``leaf``
+    returns a map from keys to elements, or a tuple of such maps; the
+    components' maps are merged key by key, and a key that one component
+    lacks takes that component's zero.  Nested products such as ``(Q^2)^2``
+    recurse in order.
+    """
+    if ring.components is None:
+        return leaf(ring, *args)
+    pieces = zip(*(split(ring, x) for x in args))
+    parts = [per_component(comp, leaf, split, *p) for comp, p in zip(ring.components, pieces)]
+    if isinstance(parts[0], tuple):
+        return tuple(_merge(ring, maps) for maps in zip(*parts))
+    return _merge(ring, parts)
+
+
+def _merge(ring: Ring, parts: Sequence[Dict[Any, Any]]) -> Dict[Any, Any]:
+    return {key: ring.merge([p.get(key, comp.zero) for p, comp in zip(parts, ring.components)])
+            for key in sorted(set().union(*parts))}
 
 
 def _split_product(body: str) -> list:

@@ -6,15 +6,27 @@ coefficient, stored or not, is the true one.  A finite window means the
 coefficients are meaningful (and stored) only inside it; operations track
 the sub-window on which their result still agrees with the untruncated
 computation.
+
+The coefficient map is the interchange form; the kernels choose their
+own.  Over ``Q``, and per component of a product of ``Q``
+(:func:`rings.per_component`), ``mul``, ``div_unit`` and the inverse of a
+product of elementary factors run on one integer numerator array over
+one common denominator (:mod:`whlaurent.exact`): a product is one integer
+convolution, a long division an integer recurrence, the Bezout system a
+fraction-free elimination, and only each output coefficient becomes a
+``Fraction``.  Every other ring runs the same algorithms on its own
+elements.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .rings import Ring, RingError
+from .exact import bareiss_solve, int_div, int_mul, is_rational, to_fractions, to_ints
+from .rings import Ring, RingError, per_component, split_map
 
 Window = Optional[Tuple[int, int]]
 
@@ -47,6 +59,14 @@ class LaurentSeries:
         self.ring = ring
         self.coeffs = coeffs
         self.window = window
+
+    @classmethod
+    def _trusted(cls, ring: Ring, coeffs: Dict[int, Any], window: Window = None) -> "LaurentSeries":
+        """A series from a map that holds only nonzero coefficients inside
+        ``window``, as the kernels return it: no normalisation pass."""
+        out = cls.__new__(cls)
+        out.ring, out.coeffs, out.window = ring, coeffs, window
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -117,14 +137,20 @@ class LaurentSeries:
         return LaurentSeries(self.ring, {n + k: c for n, c in self.coeffs.items()}, w)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
+        """Product on its reliable window; over ``Q`` (and per component of
+        a product of ``Q``) one integer product of the numerators."""
         self._check(other)
         ring = self.ring
+        window = self._mul_window(other)
+        if is_rational(ring):
+            return LaurentSeries._trusted(ring, per_component(
+                ring, lambda _q, x, y: _q_mul(x, y, window), split_map,
+                self.coeffs, other.coeffs), window)
         out: Dict[int, Any] = {}
         for n, a in self.coeffs.items():
             for m, b in other.coeffs.items():
                 k = n + m
                 out[k] = ring.add(out.get(k, ring.zero), ring.mul(a, b))
-        window = self._mul_window(other)
         return LaurentSeries(ring, out, window)
 
     def _mul_window(self, other: "LaurentSeries") -> Window:
@@ -333,32 +359,42 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
     For ``a = u z^p A(z^-1) B(z)`` with ``A = prod(1 - alpha z^-1)`` of
     degree ``r`` and ``B = prod(1 - beta z)``, ``a`` is built from the two
     products ``A`` and ``B``, and the Bezout identity ``V*B + U*A = 1``
-    (:func:`_bezout`) splits ``1/(AB) = V/A + U/B``:
+    splits ``1/(AB) = V/A + U/B``:
     ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
     series in ``z`` on the exponents ``>= r``, each a long division.
-    Product rings run per component.
+    Product rings run per component (:func:`per_component`), ``Q`` on
+    integers (:func:`_q_pair`) and every other ring on its own elements
+    (:func:`_ring_pair`).
     """
-    if ring.components is not None:
-        parts = []
-        for ci, base in enumerate(ring.components):
-            cf = []
-            for f in factors:
-                if isinstance(f, Antiholo):
-                    cf.append(Antiholo(ring.split(f.alpha)[ci]))
-                elif isinstance(f, Holo):
-                    cf.append(Holo(ring.split(f.beta)[ci]))
-                else:
-                    cf.append(Mono(f.p, ring.split(f.u)[ci]))
-            parts.append(_factors_pair(base, cf, window))
+    def leaf(comp: Ring, fs: List[Factor]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
+        return (_q_pair if isinstance(comp.zero, Fraction) else _ring_pair)(comp, fs, window)
 
-        def merge(xs: Sequence[LaurentSeries], win: Window) -> LaurentSeries:
-            coeffs = {n: ring.merge([x.coeff(n) for x in xs])
-                      for n in set().union(*(x.coeffs for x in xs))}
-            return LaurentSeries(ring, coeffs, win)
+    a, b = per_component(ring, leaf, _split_factors, list(factors))
+    return LaurentSeries._trusted(ring, a), LaurentSeries._trusted(ring, b, window)
 
-        a_parts, b_parts = zip(*parts)
-        return merge(a_parts, None), merge(b_parts, window)
 
+def _split_factors(ring: Ring, factors: Sequence[Factor]) -> List[List[Factor]]:
+    """A factor list over a product ring as one list per component."""
+    out: List[List[Factor]] = [[] for _ in ring.components]
+    for f in factors:
+        if isinstance(f, Antiholo):
+            parts = [Antiholo(c) for c in ring.split(f.alpha)]
+        elif isinstance(f, Holo):
+            parts = [Holo(c) for c in ring.split(f.beta)]
+        else:
+            parts = [Mono(f.p, c) for c in ring.split(f.u)]
+        for fs, g in zip(out, parts):
+            fs.append(g)
+    return out
+
+
+_NO_INVERSE = ("no two-sided inverse: an antiholomorphic root meets "
+               "the reciprocal of a holomorphic one")
+
+
+def _ring_pair(ring: Ring, factors: Sequence[Factor],
+               window: Tuple[int, int]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
+    """The coefficients of :func:`_factors_pair` on the ring's own elements."""
     p_tot, u_tot = 0, ring.one
     for f in factors:
         if isinstance(f, Mono):
@@ -378,29 +414,93 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
         coeffs = div_unit(v, anti, (w0[0], r - 1)).coeffs
         coeffs.update(div_unit(u, holo, (r, w0[1])).coeffs)
         b0 = LaurentSeries(ring, coeffs, w0)
-    return a, b0.shift(-p_tot).scale(ring.inverse(u_tot))
+    return a.coeffs, b0.shift(-p_tot).scale(ring.inverse(u_tot)).coeffs
+
+
+def _q_pair(ring: Ring, factors: Sequence[Factor],
+            window: Tuple[int, int]) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+    """The coefficients of :func:`_factors_pair` over ``Q``, on integers.
+
+    ``A`` and ``B`` are integer polynomials over their denominators ``da``
+    and ``db``, which are also their constant terms.  The Bezout identity is
+    the integer one ``Vz*B + Uz*A = det`` of the integer Sylvester system,
+    by fraction-free elimination (:func:`exact.bareiss_solve`), so that
+    ``V = db Vz / det`` and ``U = da Uz / det``.  The two long divisions
+    run on integers with one running power of ``da`` or ``db``
+    (:func:`exact.int_div`).  Only the outputs become ``Fraction`` objects.
+    """
+    p, un, ud = 0, 1, 1
+    anti, da, holo, db = [1], 1, [1], 1
+    for f in factors:
+        if isinstance(f, Mono):
+            p, un, ud = p + f.p, un * f.u.numerator, ud * f.u.denominator
+        elif isinstance(f, Antiholo) and f.alpha:
+            anti, da = _times_linear(anti, f.alpha), da * f.alpha.denominator
+        elif isinstance(f, Holo) and f.beta:
+            holo, db = _times_linear(holo, f.beta), db * f.beta.denominator
+    r, s = len(anti) - 1, len(holo) - 1
+    a = to_fractions(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
+    w0 = (window[0] + p, window[1] + p)
+    if w0[0] > w0[1]:
+        raise WindowError("window too small for the monomial shift")
+    terms = [(0, 1, 1)]  # (exponent, numerator, denominator) of 1/(AB)
+    if r + s:
+        z, det = bareiss_solve(_sylvester(anti, holo, 0, 1))
+        if not det:
+            raise RingError(_NO_INVERSE)
+        terms = []
+        # V/A = (da db / det) Vz/A descends from r - 1; Vz/A = Q_t / da^(t+1)
+        den = det
+        for t, c in enumerate(int_div(z[:r][::-1], anti, r - w0[0])):
+            terms.append((r - 1 - t, db * c, den))
+            den *= da
+        # U/B = (da db / det) Uz/B ascends from r
+        den = det
+        for t, c in enumerate(int_div(z[r:], holo, w0[1] - r + 1)):
+            terms.append((r + t, da * c, den))
+            den *= db
+    inv = ring.inverse(Fraction(un, ud))
+    b = {n - p: Fraction(c * inv.numerator, d * inv.denominator)
+         for n, c, d in terms if c and w0[0] <= n <= w0[1]}
+    return a, b
+
+
+def _times_linear(poly: List[int], c: Fraction) -> List[int]:
+    """``poly * (q - m v)`` for ``c = m / q``: an integer polynomial (lowest
+    power first) times the numerator of ``1 - c v``."""
+    q, m = c.denominator, c.numerator
+    return [q * x - m * y for x, y in zip(poly + [0], [0] + poly)]
+
+
+def _sylvester(anti: Sequence[Any], holo: Sequence[Any], zero: Any, one: Any) -> List[List[Any]]:
+    """Augmented rows ``[M | e_0]`` of ``V*holo + U*anti = 1``, one equation
+    per exponent ``e`` in ``[0, r+s)``: ``holo`` lists the coefficients of
+    ``z^0..z^s`` and ``anti`` those of ``z^0..z^-r``; column ``k < r``
+    (``V``) holds ``holo`` and column ``k >= r`` (``U``) holds ``anti``, each
+    shifted by ``k``."""
+    r, s = len(anti) - 1, len(holo) - 1
+    return [[holo[e - k] if 0 <= e - k <= s else zero for k in range(r)]
+            + [anti[k - e] if 0 <= k - e <= r else zero for k in range(r, r + s)]
+            + [one if e == 0 else zero] for e in range(r + s)]
 
 
 def _bezout(ring: Ring, anti: LaurentSeries, holo: LaurentSeries,
             r: int, s: int) -> Tuple[LaurentSeries, LaurentSeries]:
     """``V`` on exponents ``[0, r)`` and ``U`` on ``[r, r+s)`` with
-    ``V*holo + U*anti = 1``.
+    ``V*holo + U*anti = 1``, on the ring's own elements.
 
-    The Sylvester system of the identity, one equation per exponent in
-    ``[0, r+s)``, solved by Gauss-Jordan elimination with the pivot of
-    largest seminorm.  It is singular exactly when some root ``alpha`` of
-    ``anti`` equals ``1/beta`` for a root ``beta`` of ``holo``.
+    The Sylvester system of the identity (:func:`_sylvester`), solved by
+    Gauss-Jordan elimination with the pivot of largest seminorm.  It is
+    singular exactly when some root ``alpha`` of ``anti`` equals
+    ``1/beta`` for a root ``beta`` of ``holo``.
     """
     n = r + s
-    partner = [holo] * r + [anti] * s
-    rows = [[partner[k].coeff(e - k) for k in range(n)]
-            + [ring.one if e == 0 else ring.zero] for e in range(n)]
+    rows = _sylvester([anti.coeff(-j) for j in range(r + 1)],
+                      [holo.coeff(j) for j in range(s + 1)], ring.zero, ring.one)
     for k in range(n):
         piv = max(range(k, n), key=lambda i: ring.seminorm(rows[i][k]))
         if ring.is_zero(rows[piv][k]):
-            raise RingError(
-                "no two-sided inverse: an antiholomorphic root meets "
-                "the reciprocal of a holomorphic one")
+            raise RingError(_NO_INVERSE)
         rows[k], rows[piv] = rows[piv], rows[k]
         inv = ring.inverse(rows[k][k])
         rows[k] = [ring.mul(inv, x) for x in rows[k]]
@@ -453,21 +553,24 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     ``u`` must be a unit power series in the variable (constant term 1,
     nonnegative exponents: ascending division) or its mirror in the
     inverse variable (nonpositive exponents, w^0 term 1: descending
-    division).
+    division).  Over ``Q`` (and per component of a product of ``Q``) the
+    recurrence runs on integers (:func:`_q_div`).
     """
     ring = x.ring
     supp = u.support()
     if not supp or not ring.equals(u.coeff(0), ring.one):
         raise RingError("divisor has no unit pivot coefficient")
     lo, hi = window
-    if all(n >= 0 for n in supp):
-        order = range(lo, hi + 1)
-    elif all(n <= 0 for n in supp):
-        order = range(hi, lo - 1, -1)
-    else:
+    ascending = all(n >= 0 for n in supp)
+    if not ascending and not all(n <= 0 for n in supp):
         raise RingError("divisor is neither a power series in w nor in w^-1")
+    keep = _win_meet(x.window, window)
+    if is_rational(ring):
+        return LaurentSeries._trusted(ring, per_component(
+            ring, lambda _q, xc, uc: _q_div(xc, uc, window, ascending, keep), split_map,
+            x.coeffs, u.coeffs), keep)
     q: Dict[int, Any] = {}
-    for n in order:
+    for n in (range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)):
         acc = x.coeff(n)
         for m, um in u.coeffs.items():
             if m == 0:
@@ -477,7 +580,39 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
                 acc = ring.sub(acc, ring.mul(prev, um))
         if not ring.is_zero(acc):
             q[n] = acc
-    return LaurentSeries(ring, q, _win_meet(x.window, window))
+    return LaurentSeries(ring, q, keep)
+
+
+def _q_div(x: Dict[int, Fraction], u: Dict[int, Fraction], window: Tuple[int, int],
+           ascending: bool, keep: Tuple[int, int]) -> Dict[int, Fraction]:
+    """:func:`div_unit` over ``Q`` on integers, kept on ``keep``.  With
+    ``x = X / dx`` and ``u = U / du`` (so ``U_0 = du``), the ``t``-th
+    quotient term is ``Q_t / (dx du^t)`` (:func:`exact.int_div`)."""
+    lo, hi = window
+    xs, dx = to_ints(x, lo, hi)
+    us, du = to_ints(u, 0, max(u)) if ascending else to_ints(u, min(u), 0)
+    if not ascending:
+        xs.reverse()
+        us.reverse()
+    out: Dict[int, Fraction] = {}
+    den = dx
+    for t, c in enumerate(int_div(xs, us, hi - lo + 1)):
+        n = lo + t if ascending else hi - t
+        if c and keep[0] <= n <= keep[1]:
+            out[n] = Fraction(c, den)
+        den *= du
+    return out
+
+
+def _q_mul(x: Dict[int, Fraction], y: Dict[int, Fraction], window: Window) -> Dict[int, Fraction]:
+    """:meth:`LaurentSeries.mul` over ``Q``: one integer product of the
+    numerators over the product of the two common denominators."""
+    if not x or not y:
+        return {}
+    xl, yl = min(x), min(y)
+    xs, dx = to_ints(x, xl, max(x))
+    ys, dy = to_ints(y, yl, max(y))
+    return to_fractions(xl + yl, int_mul(xs, ys), dx * dy, window)
 
 
 # -- the series ring constructor --------------------------------------

@@ -112,6 +112,29 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     assert got == determinants._berkowitz_charpoly(ring, a) and calls
 
 
+def test_charpoly_on_dual_numbers_over_c_runs_berkowitz():
+    # C[e]/(e^2): tuple elements, inexact, no components; neither Q, C nor
+    # a product of them, so charpoly falls back to Berkowitz on the ring
+    C = wl.complex_ring()
+
+    def dmul(x, y):
+        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
+
+    def dinv(x):
+        return (1 / x[0], -x[1] / x[0] ** 2)
+
+    dual = wl.Ring(name="C[e]", zero=(0j, 0j), one=(1 + 0j, 0j),
+                   add=lambda x, y: (x[0] + y[0], x[1] + y[1]), mul=dmul,
+                   neg=lambda x: (-x[0], -x[1]), seminorm=lambda x: abs(x[0]),
+                   equals=lambda x, y: C.equals(x[0], y[0]) and C.equals(x[1], y[1]),
+                   is_exact=False, tolerance=C.tolerance, invert=dinv)
+    a = [[(0.5 + 1j, 2.0 + 0j), (-1.5 + 0j, 0.25j)],
+         [(3.0 + 0j, -1j), (0.75 - 0.5j, 1.0 + 0j)]]
+    got = determinants.charpoly(dual, a)
+    assert got == determinants._berkowitz_charpoly(dual, a)
+    assert got[0] == dual.one and len(got) == 3
+
+
 def test_interpolation_path_matches_division_free():
     Qw = laurent_ring(Q, "w")
     rng = random.Random(5)

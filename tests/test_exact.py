@@ -1,0 +1,62 @@
+"""Integer kernels over Q: long division, fraction-free elimination and
+the common-denominator conversions (products are checked through
+LaurentSeries.mul in test_series)."""
+
+import random
+from fractions import Fraction
+
+import whlaurent as wl
+from whlaurent import exact
+from whlaurent.determinants import det_berkowitz
+
+Q = wl.rational_ring()
+
+
+def test_int_div_matches_fraction_recurrence():
+    rng = random.Random(4)
+    for _ in range(60):
+        u = [rng.choice([1, 2, 3, -6, 35])] + [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+        x = [rng.randint(-20, 20) for _ in range(rng.randint(0, 8))]
+        count = rng.randint(0, 40)
+        got = exact.int_div(x, u, count)
+        q = []
+        for t in range(count):
+            acc = Fraction(x[t] if t < len(x) else 0)
+            acc -= sum(u[m] * q[t - m] for m in range(1, min(t, len(u) - 1) + 1))
+            q.append(acc / u[0])
+        assert [Fraction(g, u[0] ** (t + 1)) for t, g in enumerate(got)] == q
+
+
+def test_bareiss_determinant_and_solve():
+    rng = random.Random(9)
+    for trial in range(150):
+        n = rng.randint(0, 9)
+        density = (0.15, 0.5, 1.0)[trial % 3]  # nearly diagonal, sparse, dense
+        m = [[rng.randint(-9, 9) if i == j or rng.random() < density else 0
+              for j in range(n)] for i in range(n)]
+        want = det_berkowitz(Q, [[Fraction(v) for v in row] for row in m])
+        assert exact.bareiss([list(row) for row in m]) == want, m
+        b = [rng.randint(-5, 5) for _ in range(n)]
+        z, det = exact.bareiss_solve([row + [bi] for row, bi in zip(m, b)])
+        if want:
+            assert det == want
+            assert all(sum(map(lambda p, q: p * q, row, z)) == det * bi for row, bi in zip(m, b))
+        else:
+            assert (z, det) == ([], 0)
+
+
+def test_common_denominator_round_trip():
+    coeffs = {-3: Fraction(1, 6), 0: Fraction(-5, 4), 2: Fraction(7), 9: Fraction(1, 10)}
+    nums, d = exact.to_ints(coeffs, -3, 2)
+    assert d == 12 and nums == [2, 0, 0, -15, 0, 84]
+    assert exact.to_fractions(-3, nums, d) == {n: c for n, c in coeffs.items() if n <= 2}
+    assert exact.to_fractions(-3, nums, d, (-1, 5)) == {0: Fraction(-5, 4), 2: Fraction(7)}
+    assert exact.to_ints({}, 0, 1) == ([0, 0], 1)
+
+
+def test_is_rational_reads_the_leaf_ring():
+    assert exact.is_rational(Q)
+    assert exact.is_rational(wl.product_ring(wl.product_ring(Q, 2), 3))
+    assert not exact.is_rational(wl.complex_ring())
+    assert not exact.is_rational(wl.product_ring(wl.complex_ring(), 2))
+    assert not exact.is_rational(wl.laurent_ring(Q))

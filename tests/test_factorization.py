@@ -260,6 +260,28 @@ def test_inconsistent_pair_detected():
         wl.factorize(wl.InvertiblePair.make(a, wrong_b), (-10, 10))
 
 
+@pytest.mark.parametrize("arity", [1, 2])
+def test_perturbed_inverse_coefficient_fails_residual_check(arity):
+    # one b coefficient off by 1/1000, in one component only over Q^2: the
+    # residual a*b - 1 is nonzero on the window and factorize refuses it
+    R = Q if arity == 1 else wl.product_ring(Q, 2)
+    one = Fraction(1)
+    elem = (lambda x: x) if arity == 1 else (lambda x: (x, one - x))
+    facs = [wl.Antiholo(elem(Fraction(1, 2))), wl.Holo(elem(Fraction(-1, 3))),
+            wl.Mono(1, elem(Fraction(2, 3)))]
+    pair = wl.invert_from_factors(R, facs, (-24, 24))
+    assert pair.residual == 0.0
+    wl.factorize(pair)
+    for n in (-5, 0, 3):
+        eps = elem(Fraction(1, 1000)) if arity == 1 else (Fraction(0), Fraction(1, 1000))
+        coeffs = dict(pair.b.coeffs)
+        coeffs[n] = R.add(pair.b.coeff(n), eps)
+        bad = wl.InvertiblePair.make(pair.a, LaurentSeries(R, coeffs, pair.b.window))
+        assert bad.residual > 0.0, n
+        with pytest.raises(FactorizationError, match="pair residual"):
+            wl.factorize(bad)
+
+
 @pytest.mark.parametrize("sign", ["-", "+"])
 def test_bracket_block_matches_full_window_reference(sign):
     # the direct builders against U(b) (1_S U(a) - U(a) 1_S) U(z^-s) formed

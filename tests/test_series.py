@@ -1,5 +1,6 @@
 """Laurent series arithmetic, truncation windows, and inverses."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import whlaurent as wl
 from whlaurent import serialize
+from whlaurent.corpus import random_rational_factors, random_rational_parameter
+from whlaurent.factorization import _bracket_block
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass
 
@@ -255,3 +258,186 @@ def test_pair_symbol_equals_product_of_factors():
         got = wl.invert_from_factors(C, fsc, (-16, 16)).a
         assert got.window is None
         assert got.sup_diff(wl.factors_to_series(C, fsc)) < 1e-12
+
+
+# -- the integer kernels over Q and Q^2 against plain Fraction loops --
+
+Q2 = wl.product_ring(Q, 2)
+
+
+def _ref_mul(x, y):
+    """Product of two maps to Fractions by the schoolbook dict loop."""
+    out = {}
+    for n, a in x.items():
+        for m, b in y.items():
+            out[n + m] = out.get(n + m, 0) + a * b
+    return out
+
+
+def _ref_div(x, u, window):
+    """div_unit's recurrence on Fractions: q_n = x_n - sum_m u_m q_(n-m)."""
+    lo, hi = window
+    ascending = all(n >= 0 for n in u)
+    q = {}
+    for n in (range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)):
+        q[n] = x.get(n, 0) - sum(um * q.get(n - m, 0) for m, um in u.items() if m)
+    return q
+
+
+def _componentwise(ring, f, *maps):
+    """``f`` on each component's maps, zipped back into ``ring``'s
+    elements, zeros dropped and restricted to ``window`` (last argument)."""
+    *maps, window = maps
+    arity = 1 if ring.components is None else len(ring.components)
+    parts = [f(*[{n: (c if arity == 1 else c[i]) for n, c in m.items()} for m in maps])
+             for i in range(arity)]
+    out = {}
+    for n in set().union(*parts):
+        if window is not None and not window[0] <= n <= window[1]:
+            continue
+        vals = tuple(Fraction(p.get(n, 0)) for p in parts)
+        if any(vals):
+            out[n] = vals[0] if arity == 1 else vals
+    return out
+
+
+def _rand_elem(ring, rng, zero_share=0.2):
+    def leaf():
+        if rng.random() < zero_share:
+            return Fraction(0)
+        return Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 7, 12, 2**31 - 1, 3**20]))
+    return leaf() if ring.components is None else tuple(leaf() for _ in ring.components)
+
+
+def _rand_series(ring, rng, size, lo, windowed):
+    coeffs = {lo + k: _rand_elem(ring, rng) for k in range(size)}
+    window = (lo + rng.randint(-3, size // 2), lo + size - 1 + rng.randint(-size // 2, 3)) \
+        if windowed else None
+    return LaurentSeries(ring, coeffs, window)
+
+
+def _ref_mul_window(x, y):
+    if x.window is None and y.window is None:
+        return None
+    if x.window is not None and y.window is not None:
+        return (max(x.window[0], y.window[0]), min(x.window[1], y.window[1]))
+    exact, windowed = (x, y) if x.window is None else (y, x)
+    supp = exact.support()
+    if not supp:
+        return windowed.window
+    return (windowed.window[0] + supp[-1], windowed.window[1] + supp[0])
+
+
+@pytest.mark.parametrize("ring", [Q, Q2], ids=["Q", "Q^2"])
+def test_mul_matches_fraction_loop(ring):
+    rng = random.Random("mul" + ring.name)
+    sizes = list(range(1, 71, 3)) + [1, 2, 16, 17, 70]
+    for i, size in enumerate(sizes):
+        x = _rand_series(ring, rng, size, rng.randint(-40, 10), windowed=i % 3 == 1)
+        y = _rand_series(ring, rng, rng.choice(sizes), rng.randint(-40, 10), windowed=i % 4 == 2)
+        got = x.mul(y)
+        assert got.window == _ref_mul_window(x, y)
+        assert got.coeffs == _componentwise(ring, _ref_mul, x.coeffs, y.coeffs, got.window), size
+        assert all(type(c) is Fraction for e in got.coeffs.values()
+                   for c in (e if isinstance(e, tuple) else (e,)))
+
+
+@pytest.mark.parametrize("ring", [Q, Q2], ids=["Q", "Q^2"])
+def test_div_unit_matches_fraction_recurrence(ring):
+    rng = random.Random("div" + ring.name)
+    for i, size in enumerate(list(range(1, 71, 4)) + [70]):
+        x = _rand_series(ring, rng, size, rng.randint(-35, 5), windowed=i % 2 == 1)
+        sgn = 1 if i % 3 else -1
+        u = {sgn * k: _rand_elem(ring, rng) for k in range(1, rng.randint(1, 12))}
+        u = LaurentSeries(ring, {0: ring.one, **u})
+        lo = rng.randint(-40, 0)
+        window = (lo, lo + rng.randint(0, 70))
+        got = wl.div_unit(x, u, window)
+        keep = window if x.window is None else (max(window[0], x.window[0]),
+                                                min(window[1], x.window[1]))
+        assert got.window == keep
+        want = _componentwise(ring, lambda xc, uc: _ref_div(xc, uc, window),
+                              x.truncate(window).coeffs, u.coeffs, keep)
+        assert got.coeffs == want, size
+
+
+# a copy of Q whose zero is not a Fraction takes the ring-element path
+# (dict loops, Gauss-Jordan Bezout solve, div_unit loop) on Fractions:
+# the reference for the integer kernels
+Q_ELEMENTS = dataclasses.replace(Q, zero=0)
+
+
+def _q2_factors(rng, facs):
+    out = []
+    for f in facs:
+        other = rng.choice([Fraction(0), random_rational_parameter(rng)])
+        if isinstance(f, wl.Antiholo):
+            out.append(wl.Antiholo((f.alpha, other)))
+        elif isinstance(f, wl.Holo):
+            out.append(wl.Holo((f.beta, other)))
+        else:
+            out.append(wl.Mono(f.p, (f.u, rng.choice([Fraction(-1), Fraction(3, 2)]))))
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_inverse_pair_matches_ring_element_path(arity):
+    rng = random.Random(31 + arity)
+    fast = Q if arity == 1 else Q2
+    slow = Q_ELEMENTS if arity == 1 else wl.product_ring(Q_ELEMENTS, 2)
+    for max_factors, count, half in ((2, 15, 54), (3, 15, 16), (11, 10, 40)):
+        for _ in range(count):
+            facs = random_rational_factors(rng, max_factors=max_factors)
+            if arity == 2:
+                facs = _q2_factors(rng, facs)
+            got = wl.invert_from_factors(fast, facs, (-half, half))
+            want = wl.invert_from_factors(slow, facs, (-half, half))
+            assert got.a.coeffs == want.a.coeffs and got.a.window is None, facs
+            assert got.b.coeffs == want.b.coeffs and got.b.window == want.b.window, facs
+            assert got.residual == want.residual == 0.0, facs
+
+
+def test_reciprocal_root_collision_rejected_per_component():
+    # only the first component has alpha * beta = 1
+    facs = [wl.Antiholo((Fraction(1, 2), Fraction(1, 3))), wl.Holo((Fraction(2), Fraction(1, 5))),
+            wl.Mono(1, Q2.one)]
+    with pytest.raises(RingError, match="no two-sided inverse"):
+        wl.invert_from_factors(Q2, facs, (-8, 8))
+    with pytest.raises(RingError, match="no two-sided inverse"):
+        wl.invert_from_factors(Q, [wl.Antiholo(Fraction(-2, 3)), wl.Holo(Fraction(-3, 2))], (-8, 8))
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_q_series_kernels_make_no_ring_multiplication(arity):
+    # a copy of Q whose mul counts its calls: the inverse, its residual,
+    # products, long division and the bracket block all run on integers
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        return x * y
+
+    def counting(zero):
+        leaf = dataclasses.replace(Q, mul=mul, zero=zero)
+        return leaf if arity == 1 else wl.product_ring(leaf, arity)
+
+    ring = counting(Fraction(0))
+
+    def elem(x):
+        return x if arity == 1 else (x, 1 - x / 5)
+
+    facs = [wl.Antiholo(elem(Fraction(1, 2))), wl.Holo(elem(Fraction(-2, 3))),
+            wl.Antiholo(elem(Fraction(2, 5))), wl.Mono(-1, elem(Fraction(3))),
+            wl.Holo(elem(Fraction(1, 7)))]
+    pair = wl.invert_from_factors(ring, facs, (-30, 30))
+    prod = pair.a.mul(pair.b)
+    u = LaurentSeries(ring, {0: ring.one, 1: elem(Fraction(-1, 4)), 2: elem(Fraction(2, 9))})
+    q = wl.div_unit(pair.a, u, (-10, 10))
+    for sign in "-+":
+        _bracket_block(pair, sign)
+    assert not calls
+    assert pair.residual == 0.0 and prod.truncate((-20, 20)).equals(LaurentSeries.one(ring))
+    assert q.mul(u).equals(pair.a.truncate((-8, 8)))
+    # the same inverse on the ring-element path does count
+    slow = wl.invert_from_factors(counting(0), facs, (-30, 30))
+    assert calls and slow.b.coeffs == pair.b.coeffs
