@@ -14,14 +14,14 @@ import sys
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from .rings import Ring, RingError
+from .rings import Ring, RingError, leaf_kind
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
                      WindowError, invert_from_factors, invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import FactorizationError, factorize, orthogonal_decompose
 from .oracle import OracleError, cepstral_factorize, compare, root_split_factorize
-from .serialize import result_to_json, ring_from_json, series_from_json
+from .serialize import json_int, result_to_json, ring_from_json, series_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,7 +58,7 @@ def _parse_factor(ring: Ring, item: Dict[str, Any]):
     if kind == "holo":
         return Holo(ring.parse(str(item["beta"])))
     if kind == "mono":
-        return Mono(int(item.get("p", 0)), ring.parse(str(item.get("u", "1"))))
+        return Mono(json_int(item.get("p", 0)), ring.parse(str(item.get("u", "1"))))
     raise JobError("unknown factor type: %r" % kind)
 
 
@@ -81,7 +81,7 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     if ring.is_exact:
         raise JobError("exact rings need an explicit 'inverse'")
     with _field("samples"):
-        samples = int(job.get("samples", 1024))
+        samples = json_int(job.get("samples", 1024))
         if samples < 1 or samples & (samples - 1):
             raise ValueError("not a power of two")
     return invert_numeric(a, samples)
@@ -104,7 +104,7 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
             ring_spec.setdefault("tolerance", job["tolerance"])
         ring = ring_from_json(ring_spec)
     with _field("window"):
-        half = window_override if window_override is not None else int(job.get("window", 16))
+        half = window_override if window_override is not None else json_int(job.get("window", 16))
     if half < 1:
         raise JobError("window must be a positive size")
     window = (-half, half)
@@ -149,7 +149,7 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
 
 def _run_oracle_compare(job: Dict[str, Any], ring: Ring, window: Tuple[int, int],
                         seed_override: Optional[int]) -> Tuple[int, Dict[str, Any]]:
-    if ring.is_exact:
+    if leaf_kind(ring) is not complex or ring.components:
         raise JobError("oracle-compare requires the complex ring")
     with _field("compare_tolerance"):
         tol = float(job.get("compare_tolerance", 1e-8))
@@ -158,9 +158,9 @@ def _run_oracle_compare(job: Dict[str, Any], ring: Ring, window: Tuple[int, int]
         cases.append(_build_pair(job, ring, window))
     else:
         with _field("seed"):
-            seed = seed_override if seed_override is not None else int(job.get("seed", 0))
+            seed = seed_override if seed_override is not None else json_int(job.get("seed", 0))
         with _field("count"):
-            count = int(job.get("count", 20))
+            count = json_int(job.get("count", 20))
         rng = random.Random(seed)
         for _ in range(count):
             factors = random_complex_factors(rng)

@@ -5,11 +5,10 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .rings import Ring, rational_ring, complex_ring, product_ring
-from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
-                     invert_from_factors)
+from .rings import product_ring, rational_ring
+from .series import Antiholo, Holo, InvertiblePair, LaurentSeries, Mono
 
 
 def random_rational_parameter(rng: random.Random) -> Fraction:
@@ -38,14 +37,6 @@ def random_rational_factors(rng: random.Random, max_factors: int = 3,
     return out
 
 
-def random_rational_pair(rng: random.Random, window: Tuple[int, int] = (-16, 16),
-                         max_factors: int = 3,
-                         kinds: Sequence[str] = ("antiholo", "mono", "holo"),
-                         ) -> Tuple[list, InvertiblePair]:
-    factors = random_rational_factors(rng, max_factors, kinds)
-    return factors, invert_from_factors(rational_ring(), factors, window)
-
-
 def random_complex_parameter(rng: random.Random,
                              modulus: Tuple[float, float] = (0.1, 0.6)) -> complex:
     r = rng.uniform(*modulus)
@@ -65,14 +56,6 @@ def random_complex_factors(rng: random.Random, n_factors: int = 3,
         else:
             out.append(Mono(rng.randint(-1, 1), complex(1.0)))
     return out
-
-
-def random_complex_pair(rng: random.Random, window: Tuple[int, int] = (-24, 24),
-                        n_factors: int = 3, ring: Optional[Ring] = None,
-                        modulus: Tuple[float, float] = (0.1, 0.6),
-                        ) -> Tuple[list, InvertiblePair]:
-    factors = random_complex_factors(rng, n_factors, modulus)
-    return factors, invert_from_factors(ring or complex_ring(), factors, window)
 
 
 def random_orthogonal_pair(base_arity: int, rng: random.Random,

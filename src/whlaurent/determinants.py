@@ -2,19 +2,22 @@
 
 The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
-elimination is not).  Every determinant in ``w`` over ``Q``, ``C`` or a
-product of them is instead one ``(width, n, n)`` coefficient array over
-the base ring, split into its components (:func:`rings.per_component`,
-the one place that splits a product ring), shifted row by row to its true
-degree (:func:`_det_rows`) and then evaluated at integer points with
-fraction-free elimination and interpolated over ``Q`` or sampled on the
-unit circle over ``C`` (:func:`_poly_det`).  ``det_block``
-builds that array from Laurent polynomial entries, ``det_truncated`` from
-a pencil ``P0 + w P1``.  ``charpoly`` gives the characteristic polynomial
-of a constant block, the outer projections' whole determinant, per
-component of a product ring: over ``Q`` it clears one common denominator
-and runs Berkowitz on Python integers, over ``C`` it samples ``I - w K``
-on the unit circle.
+elimination is not).  :func:`rings.leaf_kind` picks the path: every
+determinant in ``w`` over ``Q``, ``C`` or a product of them is instead one
+``(width, n, n)`` coefficient array over the base ring, split into its
+components (:func:`rings.per_component`, the one place that splits a
+product ring), shifted row by row to its true degree (:func:`_det_rows`)
+and then evaluated at integer points with fraction-free elimination and
+interpolated by a fraction-free Vandermonde solve over ``Q``, or sampled
+on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block`` builds
+that array from Laurent polynomial entries, and runs Berkowitz over any
+other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
+has no path for other rings (:func:`ring_array` raises ``RingError``).
+``charpoly`` gives the characteristic polynomial of a constant block,
+the outer projections' whole determinant, per component of a product
+ring: over ``Q`` it clears one common denominator and runs Berkowitz on
+Python integers, over ``C`` it samples ``I - w K`` on the unit circle,
+and over any other ring it runs Berkowitz on the ring's elements.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .exact import bareiss, clear, int_charpoly
-from .rings import Ring, RingError, leaf_ring, per_component
+from .exact import bareiss, bareiss_solve, clear, int_charpoly
+from .rings import Ring, RingError, leaf_kind, per_component
 from .series import LaurentSeries, WindowError
 from .matrices import WindowedMatrix
 
@@ -82,7 +85,7 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
 
 def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
     """:func:`charpoly` of an ``(n, n)`` array over ``Q`` or ``C``."""
-    if isinstance(ring.zero, Fraction):
+    if leaf_kind(ring) is Fraction:
         m, d = clear(k.ravel().tolist())
         n = len(k)
         return dict(enumerate(int_charpoly([m[i:i + n] for i in range(0, n * n, n)], d)))
@@ -105,7 +108,7 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     sample.  Every other ring (series rings, rings with nilpotents) runs
     division-free Berkowitz on its own elements.
     """
-    if not a or not isinstance(leaf_ring(ring).zero, (Fraction, complex)):
+    if not a or not leaf_kind(ring):
         return _berkowitz_charpoly(ring, a)
     coeffs = per_component(ring, _charpoly_leaf, _component_slices(2), ring_array(ring, a))
     return [coeffs[i] for i in range(len(a) + 1)]
@@ -124,36 +127,15 @@ def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
 
 # -- determinants in w: one coefficient array over the base ring ------
 
-def _lagrange_coeffs(pts: Sequence[Fraction], vals: Sequence[Fraction]) -> List[Fraction]:
-    """Coefficients of the interpolating polynomial (Newton form)."""
-    n = len(pts)
-    divided = list(vals)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (pts[i] - pts[i - j])
-    coeffs = [Fraction(0)] * n
-    acc = [Fraction(0)] * n  # running product poly, starts as 1
-    acc[0] = Fraction(1)
-    deg = 0
-    for j in range(n):
-        for i in range(deg + 1):
-            coeffs[i] += divided[j] * acc[i]
-        # acc *= (x - pts[j])
-        if j < n - 1:
-            new = [Fraction(0)] * n
-            for i in range(deg + 1):
-                new[i + 1] += acc[i]
-                new[i] -= pts[j] * acc[i]
-            acc = new
-            deg += 1
-    return coeffs
-
-
 def ring_array(ring: Ring, values: Any) -> Any:
     """``values`` (an element or nested rows of them) as a numpy array:
-    complex over ``C``, Python objects (``Fraction``) over exact rings.
-    Product-ring elements are tuples, so they add trailing component axes."""
-    return np.asarray(values, dtype=object if ring.is_exact else complex)
+    complex over ``C``, Python objects (``Fraction``) over ``Q``.
+    Product-ring elements are tuples, so they add trailing component axes.
+    Any other ring has no array form: :class:`RingError`."""
+    kind = leaf_kind(ring)
+    if kind is None:
+        raise RingError("ring %r has no coefficient-array form" % ring.name)
+    return np.asarray(values, dtype=object if kind is Fraction else complex)
 
 
 def _component_slices(lead: int):
@@ -175,21 +157,24 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     without aliasing.  Over ``Q`` the array is cleared to integers over one
     common denominator ``d``; each of the ``deg + 1`` points 1, -1, 2, -2,
     ... gives an integer matrix, whose determinant comes from fraction-free
-    elimination (:func:`exact.bareiss`), and the interpolated coefficients
-    are divided by ``d^n``.
+    elimination (:func:`exact.bareiss`).  The integer Vandermonde system
+    of the points and those determinants is solved by the same
+    elimination (:func:`exact.bareiss_solve`), and its solution is divided
+    by its determinant and by ``d^n``.
     """
-    if ring.is_exact:
+    if leaf_kind(ring) is Fraction:
         nums, d = clear(coef.ravel().tolist())
         ints = np.array(nums, dtype=object).reshape(coef.shape)
-        pts = [(k // 2 + 1) * (-1) ** k for k in range(deg + 1)]
-        vals = []
-        for p in pts:
+        rows = []
+        for k in range(deg + 1):
+            p = (k // 2 + 1) * (-1) ** k
             mat = ints[-1]
             for c in ints[-2::-1]:  # Horner in p, on integers
                 mat = mat * p + c
-            vals.append(bareiss(mat.tolist()))
-        scale = d ** coef.shape[1]  # det(d M) = d^n det(M)
-        return [c / scale for c in _lagrange_coeffs([Fraction(p) for p in pts], vals)]
+            rows.append([p ** j for j in range(deg + 1)] + [bareiss(mat.tolist())])
+        z, det = bareiss_solve(rows)
+        scale = det * d ** coef.shape[1]  # det(d M) = d^n det(M)
+        return [Fraction(c, scale) for c in z]
     nsamp = 1 << deg.bit_length()
     ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
     powers = ws[:, None] ** np.arange(len(coef))
@@ -231,17 +216,18 @@ def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
     """Determinant of a dense square block over any commutative ring.
 
-    Laurent polynomials over a ring with no series base of its own (``Q``,
-    ``C`` or a product of them) become one coefficient array, read from
-    the lowest exponent of the block, for :func:`_det_rows`; every other
-    ring, nested series rings included, runs division-free Berkowitz."""
+    Laurent polynomials over ``Q``, ``C`` or a product of them
+    (:func:`rings.leaf_kind`) become one coefficient array, read from the
+    lowest exponent of the block, for :func:`_det_rows`; every other ring,
+    nested series rings and rings with nilpotents included, runs
+    division-free Berkowitz."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
     if n == 0:
         return ring.one
     base = ring.base
-    if base is not None and base.base is None:
+    if base is not None and leaf_kind(base):
         exps = [e for row in rows for x in row for e in x.coeffs] or [0]
         lo = min(exps)
         coef = ring_array(base, [[[x.coeff(lo + k) for x in row] for row in rows]

@@ -6,10 +6,12 @@ denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial (Hart,
 the numerators alone, so no operation builds a ``Fraction`` (or takes its
 ``gcd``); a caller turns each output into one ``Fraction`` at the end.
 Products are integer convolutions, division by a unit is a
-fraction-free recurrence, linear systems and determinants use
-fraction-free Bareiss elimination, and characteristic polynomials
-division-free Berkowitz.  Over a product of ``Q`` the callers
-run them per component (:func:`rings.per_component`).
+fraction-free recurrence, linear systems (the Bezout system of an
+inverse, the Vandermonde system of an interpolation) and determinants
+use fraction-free Bareiss elimination, and characteristic polynomials
+division-free Berkowitz.  A caller takes these kernels when
+:func:`rings.leaf_kind` reads ``Fraction``; over a product of ``Q`` it
+runs them per component (:func:`rings.per_component`).
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from .rings import Ring, leaf_ring
-
-
-def is_rational(ring: Ring) -> bool:
-    """``Q`` or a (nested) product of ``Q``: the rings these kernels serve."""
-    return isinstance(leaf_ring(ring).zero, Fraction)
 
 
 def clear(values: Sequence[Fraction]) -> Tuple[List[int], int]:

@@ -28,8 +28,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import int_charpoly, is_rational, to_ints
-from .rings import Ring, RingError, per_component, split_map
+from .exact import int_charpoly, to_ints
+from .rings import Ring, RingError, leaf_kind, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit)
 from . import matrices as mx
@@ -48,9 +48,6 @@ class FactorizationResult:
     pi_plus: LaurentSeries
     residual: float
     winding: Optional[int]
-
-    def factors(self) -> Tuple[LaurentSeries, LaurentSeries, LaurentSeries]:
-        return (self.pi_minus, self.pi_tilde, self.pi_plus)
 
     def reconstruct(self) -> LaurentSeries:
         return self.pi_minus.mul(self.pi_tilde).mul(self.pi_plus)
@@ -140,7 +137,7 @@ def _bracket_block(pair: InvertiblePair,
     a, b = pair.a, pair.b
     ring = a.ring
     jp, cols = _bracket_cols(a, sign)
-    if is_rational(ring):
+    if leaf_kind(ring) is Fraction:
         def leaf(_q: Ring, ac: Dict[int, Fraction],
                  bc: Dict[int, Fraction]) -> Dict[Tuple[int, int], Fraction]:
             ents, d = _int_bracket(jp, cols, ac, bc)
@@ -203,7 +200,7 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     """
     ring = pair.a.ring
     step = 1 if sign == "-" else -1
-    if is_rational(ring):
+    if leaf_kind(ring) is Fraction:
         _check_b_window(pair)
         jp, cols = _bracket_cols(pair.a, sign)
 
@@ -322,7 +319,7 @@ def factorize(pair: InvertiblePair,
     """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus."""
     ring = pair.a.ring
     tol = 0.0 if ring.is_exact else ring.tolerance * 100
-    if pair.residual > tol:
+    if not pair.residual <= tol:  # NaN fails too
         raise FactorizationError(
             "pair residual %.3g: the supplied series does not invert the symbol"
             % pair.residual)
@@ -335,7 +332,7 @@ def factorize(pair: InvertiblePair,
     pt = pi_tilde_derived(pair, pm, pp, window)
     recon = pm.mul(pt).mul(pp)
     residual = recon.sup_diff(pair.a.truncate(window))
-    if residual > tol:
+    if not residual <= tol:
         raise FactorizationError(
             "reconstruction residual %.3g exceeds tolerance (window insufficient?)"
             % residual)

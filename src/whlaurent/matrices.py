@@ -57,12 +57,6 @@ class WindowedMatrix:
         if self.ring.name != other.ring.name:
             raise RingError("entry ring mismatch")
 
-    def dense(self, lo: int, hi: int) -> List[List[Any]]:
-        """Dense block on rows/cols [lo, hi] (must lie in the window)."""
-        if lo < self.window[0] or hi > self.window[1]:
-            raise WindowError("dense block exceeds the matrix window")
-        return [[self.get(r, c) for c in range(lo, hi + 1)] for r in range(lo, hi + 1)]
-
     def dump(self) -> str:
         """Row-major text with separator lines around the 0th row/column
         (integer lattice) or between the -1/2 and 1/2 rows/columns."""

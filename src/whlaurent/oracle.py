@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from .rings import Ring
+from .rings import Ring, leaf_kind
 from .series import LaurentSeries
 from .factorization import FactorizationResult
 
@@ -23,7 +23,7 @@ class OracleError(ValueError):
 
 
 def _require_complex(a: LaurentSeries) -> None:
-    if a.ring.is_exact:
+    if leaf_kind(a.ring) is not complex or a.ring.components:
         raise OracleError("classical oracles require the complex ring")
 
 

@@ -9,9 +9,11 @@ Elements themselves are plain Python values: ``Fraction`` for rationals,
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -75,6 +77,13 @@ class Ring:
         return "Ring(%s)" % self.name
 
 
+def sup(norms: Iterable[float]) -> float:
+    """The largest of ``norms``, 0 for none, and NaN if any is NaN: ``max``
+    would drop a NaN, and a tolerance test must fail on it."""
+    vals = list(norms)
+    return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
+
+
 def _parse_rational(s: str) -> Fraction:
     return Fraction(s.strip())
 
@@ -118,7 +127,10 @@ def complex_ring(tolerance: float = DEFAULT_TOLERANCE) -> Ring:
 
     def parse(s: str) -> complex:
         re, im = s.split(",")
-        return complex(float(re), float(im))
+        x = complex(float(re), float(im))
+        if not cmath.isfinite(x):
+            raise RingError("non-finite complex element: %r" % s)
+        return x
 
     return Ring(
         name="C",
@@ -172,7 +184,7 @@ def product_ring(base: Ring, arity: int) -> Ring:
         add=lambda x, y: tuple(base.add(a, b) for a, b in zip(x, y)),
         mul=lambda x, y: tuple(base.mul(a, b) for a, b in zip(x, y)),
         neg=lambda x: tuple(base.neg(c) for c in x),
-        seminorm=lambda x: max(base.seminorm(c) for c in x),
+        seminorm=lambda x: sup(base.seminorm(c) for c in x),
         equals=lambda x, y: all(base.equals(a, b) for a, b in zip(x, y)),
         is_exact=base.is_exact,
         tolerance=base.tolerance,
@@ -185,11 +197,16 @@ def product_ring(base: Ring, arity: int) -> Ring:
     )
 
 
-def leaf_ring(ring: Ring) -> Ring:
-    """The ring a (nested) product ring is built from; any other ring itself."""
+def leaf_kind(ring: Ring) -> Optional[type]:
+    """The one test that picks a kernel's path: ``Fraction`` for ``Q``,
+    ``complex`` for ``C``, each also for a (nested) product of them, whose
+    kernels run per component (:func:`per_component`), and ``None`` for
+    every other ring (series rings, rings with nilpotents), which runs the
+    algorithms on its own elements."""
     while ring.components is not None:
         ring = ring.components[0]
-    return ring
+    kind = type(ring.zero)
+    return kind if kind in (Fraction, complex) else None
 
 
 def split_map(ring: Ring, values: Dict[Any, Any]) -> List[Dict[Any, Any]]:

@@ -14,6 +14,15 @@ from .series import LaurentSeries, Window
 from .factorization import FactorizationResult
 
 
+def json_int(value: Any) -> int:
+    """An integer field of a JSON job: an ``int`` that is not a ``bool``, or
+    a string that ``int()`` parses.  Anything else, a float included, is a
+    ``ValueError`` rather than a silent truncation."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError("not an integer: %r" % (value,))
+
+
 def ring_from_json(spec: Dict[str, Any]) -> Ring:
     kind = spec.get("kind")
     if kind == "rational":
@@ -22,7 +31,7 @@ def ring_from_json(spec: Dict[str, Any]) -> Ring:
         return complex_ring(float(spec.get("tolerance", 1e-9)))
     if kind == "product":
         base = ring_from_json(spec.get("base", {"kind": "rational"}))
-        return product_ring(base, int(spec.get("arity", 2)))
+        return product_ring(base, json_int(spec.get("arity", 2)))
     raise RingError("unknown ring kind: %r" % kind)
 
 
@@ -36,7 +45,7 @@ def series_from_json(ring: Ring, data: List[Dict[str, Any]],
         raise RingError("ring %r cannot parse elements" % ring.name)
     coeffs = {}
     for item in data:
-        n = int(item["n"])
+        n = json_int(item["n"])
         if n in coeffs:
             raise ValueError("repeated exponent %d" % n)
         coeffs[n] = ring.parse(str(item["c"]))

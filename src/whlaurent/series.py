@@ -9,7 +9,8 @@ computation.
 
 The coefficient map is the interchange form; the kernels choose their
 own.  Over ``Q``, and per component of a product of ``Q``
-(:func:`rings.per_component`), ``mul``, ``div_unit`` and the inverse of a
+(:func:`rings.leaf_kind` reads ``Fraction``; :func:`rings.per_component`
+splits the product), ``mul``, ``div_unit`` and the inverse of a
 product of elementary factors run on one integer numerator array over
 one common denominator (:mod:`whlaurent.exact`): a product is one integer
 convolution, a long division an integer recurrence, the Bezout system a
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .exact import bareiss_solve, int_div, int_mul, is_rational, to_fractions, to_ints
-from .rings import Ring, RingError, per_component, split_map
+from .exact import bareiss_solve, int_div, int_mul, to_fractions, to_ints
+from .rings import Ring, RingError, leaf_kind, per_component, split_map, sup
 
 Window = Optional[Tuple[int, int]]
 
@@ -104,9 +105,7 @@ class LaurentSeries:
         return (s[0], s[-1])
 
     def sup_seminorm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(self.ring.seminorm(c) for c in self.coeffs.values())
+        return sup(self.ring.seminorm(c) for c in self.coeffs.values())
 
     # -- arithmetic ---------------------------------------------------
 
@@ -142,7 +141,7 @@ class LaurentSeries:
         self._check(other)
         ring = self.ring
         window = self._mul_window(other)
-        if is_rational(ring):
+        if leaf_kind(ring) is Fraction:
             return LaurentSeries._trusted(ring, per_component(
                 ring, lambda _q, x, y: _q_mul(x, y, window), split_map,
                 self.coeffs, other.coeffs), window)
@@ -202,12 +201,9 @@ class LaurentSeries:
     def sup_diff(self, other: "LaurentSeries") -> float:
         """Sup seminorm of the coefficient difference on the common window."""
         w = _win_meet(self.window, other.window)
-        worst = 0.0
-        for n in set(self.coeffs) | set(other.coeffs):
-            if w is not None and not (w[0] <= n <= w[1]):
-                continue
-            worst = max(worst, self.ring.seminorm(self.ring.sub(self.coeff(n), other.coeff(n))))
-        return worst
+        return sup(self.ring.seminorm(self.ring.sub(self.coeff(n), other.coeff(n)))
+                    for n in set(self.coeffs) | set(other.coeffs)
+                    if w is None or w[0] <= n <= w[1])
 
     def truncate(self, window: Window) -> "LaurentSeries":
         return LaurentSeries(self.ring, self.coeffs, _win_meet(self.window, window))
@@ -346,8 +342,8 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
         for f in factors:
             par = f.alpha if isinstance(f, Antiholo) else (
                 f.beta if isinstance(f, Holo) else None)
-            if par is not None and ring.seminorm(par) >= 1.0:
-                raise RingError("geometric parameter with seminorm >= 1")
+            if par is not None and not ring.seminorm(par) < 1.0:  # NaN fails too
+                raise RingError("geometric parameter with seminorm not below 1")
     a, b = _factors_pair(ring, list(factors), window)
     return InvertiblePair.make(a, b)
 
@@ -367,7 +363,7 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
     (:func:`_ring_pair`).
     """
     def leaf(comp: Ring, fs: List[Factor]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
-        return (_q_pair if isinstance(comp.zero, Fraction) else _ring_pair)(comp, fs, window)
+        return (_q_pair if leaf_kind(comp) is Fraction else _ring_pair)(comp, fs, window)
 
     a, b = per_component(ring, leaf, _split_factors, list(factors))
     return LaurentSeries._trusted(ring, a), LaurentSeries._trusted(ring, b, window)
@@ -520,8 +516,8 @@ def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:
     import numpy as np
 
     ring = a.ring
-    if ring.is_exact:
-        raise RingError("invert_numeric requires a floating complex ring")
+    if leaf_kind(ring) is not complex or ring.components:
+        raise RingError("invert_numeric requires the complex ring")
     if samples < 1 or samples & (samples - 1):
         raise ValueError("samples must be a power of two")
     n = np.array(a.support())
@@ -565,7 +561,7 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     if not ascending and not all(n <= 0 for n in supp):
         raise RingError("divisor is neither a power series in w nor in w^-1")
     keep = _win_meet(x.window, window)
-    if is_rational(ring):
+    if leaf_kind(ring) is Fraction:
         return LaurentSeries._trusted(ring, per_component(
             ring, lambda _q, xc, uc: _q_div(xc, uc, window, ascending, keep), split_map,
             x.coeffs, u.coeffs), keep)

@@ -28,6 +28,25 @@ def QQQ():
     return wl.product_ring(wl.rational_ring(), 3)
 
 
+def dual_ring(base):
+    """Dual numbers ``base[e]/(e^2)`` as pairs ``(x, x')``: a ring with
+    nilpotents, neither ``Q``, ``C`` nor a product of them."""
+    def mul(x, y):
+        return (base.mul(x[0], y[0]), base.add(base.mul(x[0], y[1]), base.mul(x[1], y[0])))
+
+    def inv(x):
+        i = base.inverse(x[0])
+        return (i, base.neg(base.mul(x[1], base.mul(i, i))))
+
+    return wl.Ring(name="%s[e]" % base.name, zero=(base.zero, base.zero),
+                   one=(base.one, base.zero),
+                   add=lambda x, y: (base.add(x[0], y[0]), base.add(x[1], y[1])), mul=mul,
+                   neg=lambda x: (base.neg(x[0]), base.neg(x[1])),
+                   seminorm=lambda x: base.seminorm(x[0]),
+                   equals=lambda x, y: base.equals(x[0], y[0]) and base.equals(x[1], y[1]),
+                   is_exact=base.is_exact, tolerance=base.tolerance, invert=inv)
+
+
 def det_cofactor(ring, rows):
     """Independent dense determinant by cofactor expansion (any ring)."""
     n = len(rows)

@@ -196,3 +196,53 @@ def test_repeated_exponent_exit_2(tmp_path, capsys):
     job["coefficients"].pop(1)
     code, payload = run(tmp_path, capsys, job)
     assert code == 0 and payload["pi_plus"] == [{"n": 0, "c": "1"}, {"n": 1, "c": "-1/3"}]
+
+
+def test_non_finite_complex_input_exit_2(tmp_path, capsys):
+    # nan and inf parse as floats; a complex element must reject them
+    jobs = [
+        {"ring": {"kind": "complex"}, "factors": [{"type": "mono", "p": 0, "u": "inf,0"}]},
+        {"ring": {"kind": "complex"}, "coefficients": [{"n": 0, "c": "nan,0"}]},
+        {"ring": {"kind": "complex"}, "factors": [{"type": "holo", "beta": "nan,0"}]},
+    ]
+    for job in jobs:
+        code, _ = run(tmp_path, capsys, job)
+        assert code == 2, job
+
+
+MONO_JOB = {"ring": {"kind": "rational"}, "factors": [{"type": "mono", "p": 1, "u": "2"}]}
+COEFF_JOB = {"ring": {"kind": "complex"}, "coefficients": [{"n": 0, "c": "1,0"}]}
+ORACLE_JOB = {"ring": {"kind": "complex"}, "mode": "oracle-compare", "count": 1}
+
+
+INT_FIELDS = {  # field: (job, keys down to the field, a value that runs)
+    "p": (MONO_JOB, ("factors", 0, "p"), 1),
+    "n": (COEFF_JOB, ("coefficients", 0, "n"), 0),
+    "window": (MONO_JOB, ("window",), 8),
+    "arity": ({"ring": {"kind": "product", "arity": 2},
+               "factors": [{"type": "mono", "p": 1, "u": "(2|3)"}]}, ("ring", "arity"), 2),
+    "samples": (COEFF_JOB, ("samples",), 64),
+    "seed": (ORACLE_JOB, ("seed",), 3),
+    "count": (ORACLE_JOB, ("count",), 1),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
+    # an int or a string int() reads runs; a float or a bool exits 2
+    job, path, good = INT_FIELDS[field]
+
+    def with_value(value):
+        out = json.loads(json.dumps(job))
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return out
+
+    for value in (good, str(good)):
+        code, _ = run(tmp_path, capsys, with_value(value))
+        assert code == 0, value
+    for value in (good + 0.7, float(good), True, [good], None):
+        code, _ = run(tmp_path, capsys, with_value(value))
+        assert code == 2, value

@@ -21,7 +21,7 @@ from whlaurent.matrices import Lattice
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
 
-from conftest import det_cofactor, worked_pair
+from conftest import det_cofactor, dual_ring, worked_pair
 
 Q = wl.rational_ring()
 Q2 = wl.product_ring(Q, 2)
@@ -112,27 +112,46 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     assert got == determinants._berkowitz_charpoly(ring, a) and calls
 
 
+def _dual_elem(base, rng):
+    if base.is_exact:
+        return (rand_q(rng), rand_q(rng))
+    return tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+
+
+DUAL_BASES = {"Q": Q, "C": wl.complex_ring()}
+
+
 def test_charpoly_on_dual_numbers_over_c_runs_berkowitz():
     # C[e]/(e^2): tuple elements, inexact, no components; neither Q, C nor
     # a product of them, so charpoly falls back to Berkowitz on the ring
-    C = wl.complex_ring()
-
-    def dmul(x, y):
-        return (x[0] * y[0], x[0] * y[1] + x[1] * y[0])
-
-    def dinv(x):
-        return (1 / x[0], -x[1] / x[0] ** 2)
-
-    dual = wl.Ring(name="C[e]", zero=(0j, 0j), one=(1 + 0j, 0j),
-                   add=lambda x, y: (x[0] + y[0], x[1] + y[1]), mul=dmul,
-                   neg=lambda x: (-x[0], -x[1]), seminorm=lambda x: abs(x[0]),
-                   equals=lambda x, y: C.equals(x[0], y[0]) and C.equals(x[1], y[1]),
-                   is_exact=False, tolerance=C.tolerance, invert=dinv)
+    dual = dual_ring(wl.complex_ring())
     a = [[(0.5 + 1j, 2.0 + 0j), (-1.5 + 0j, 0.25j)],
          [(3.0 + 0j, -1j), (0.75 - 0.5j, 1.0 + 0j)]]
     got = determinants.charpoly(dual, a)
     assert got == determinants._berkowitz_charpoly(dual, a)
     assert got[0] == dual.one and len(got) == 3
+
+
+@pytest.mark.parametrize("base_name", sorted(DUAL_BASES))
+def test_det_block_on_dual_numbers_runs_berkowitz(base_name):
+    # Laurent polynomials over a dual ring have no coefficient array, so
+    # det_block takes division-free Berkowitz on the ring's elements
+    base = DUAL_BASES[base_name]
+    dual = dual_ring(base)
+    dw = laurent_ring(dual, "w")
+    rng = random.Random(23)
+    rows = [[LaurentSeries(dual, {k: _dual_elem(base, rng) for k in (-1, 0, 1)})
+             for _ in range(3)] for _ in range(3)]
+    got = det_block(dw, rows)
+    assert got.coeffs and got.coeffs == det_berkowitz(dw, rows).coeffs
+
+
+@pytest.mark.parametrize("base_name", sorted(DUAL_BASES))
+def test_det_truncated_rejects_dual_numbers(base_name):
+    dual = dual_ring(DUAL_BASES[base_name])
+    p0 = [[dual.one if i == j else dual.zero for j in range(4)] for i in range(4)]
+    with pytest.raises(RingError, match="coefficient-array"):
+        det_truncated(dual, p0, p0, [0] * 4, [1, 2])
 
 
 def test_interpolation_path_matches_division_free():

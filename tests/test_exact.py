@@ -52,11 +52,3 @@ def test_common_denominator_round_trip():
     assert exact.to_fractions(-3, nums, d) == {n: c for n, c in coeffs.items() if n <= 2}
     assert exact.to_fractions(-3, nums, d, (-1, 5)) == {0: Fraction(-5, 4), 2: Fraction(7)}
     assert exact.to_ints({}, 0, 1) == ([0, 0], 1)
-
-
-def test_is_rational_reads_the_leaf_ring():
-    assert exact.is_rational(Q)
-    assert exact.is_rational(wl.product_ring(wl.product_ring(Q, 2), 3))
-    assert not exact.is_rational(wl.complex_ring())
-    assert not exact.is_rational(wl.product_ring(wl.complex_ring(), 2))
-    assert not exact.is_rational(wl.laurent_ring(Q))

@@ -12,7 +12,7 @@ from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
 
-from conftest import worked_pair
+from conftest import dual_ring, worked_pair
 
 Q = wl.rational_ring()
 
@@ -484,3 +484,74 @@ def test_nested_product_ring_matches_its_leaves(base_name):
                 assert got.sup_diff(ref) < 1e-9, (k, ref)
     if base.is_exact:
         assert res.residual == 0.0 and tail == 0.0
+
+
+DUAL_PARAMS = {  # (alpha, u, beta) as (x, x') strings per base ring
+    "Q": (("1/2", "1"), ("2", "1/3"), ("1/3", "-1")),
+    "C": (("0.5,0.1", "1,0"), ("2,0", "0.3,-0.2"), ("0.25,-0.2", "-1,0.5")),
+}
+
+
+def _dual_pair(base_name):
+    base = wl.rational_ring() if base_name == "Q" else wl.complex_ring()
+    ring = dual_ring(base)
+    alpha, u, beta = [tuple(base.parse(x) for x in p) for p in DUAL_PARAMS[base_name]]
+    facs = [wl.Antiholo(alpha), wl.Mono(1, u), wl.Holo(beta)]
+    return ring, (alpha, u, beta), wl.invert_from_factors(ring, facs, (-24, 24))
+
+
+@pytest.mark.parametrize("base_name", sorted(DUAL_PARAMS))
+def test_factorize_on_dual_numbers_matches_closed_form(base_name):
+    # a ring with nilpotents runs every kernel on its own elements
+    ring, (alpha, u, beta), pair = _dual_pair(base_name)
+    res = wl.factorize(pair)
+    assert res.pi_minus.equals(LaurentSeries(ring, {0: ring.one, -1: ring.neg(alpha)}))
+    assert res.pi_tilde.equals(LaurentSeries(ring, {1: u}))
+    assert res.pi_plus.equals(LaurentSeries(ring, {0: ring.one, 1: ring.neg(beta)}))
+    assert res.winding == 1
+    assert res.residual == 0.0 if ring.is_exact else res.residual < 1e-9
+
+
+@pytest.mark.parametrize("base_name", sorted(DUAL_PARAMS))
+def test_array_paths_reject_dual_numbers(base_name):
+    # the sampled and array routes know only Q, C and their products
+    from whlaurent.oracle import OracleError, cepstral_factorize, root_split_factorize
+
+    ring, _params, pair = _dual_pair(base_name)
+    with pytest.raises(RingError):
+        wl.pi_tilde_direct(pair)
+    proj = wl.projection_matrix(wl.OrthogonalDecomposition(ring, {0: ring.one}, ring.one),
+                                (-10, 10))
+    with pytest.raises(RingError, match="coefficient-array"):
+        wl.n_p_series(proj)
+    with pytest.raises(RingError):
+        wl.invert_numeric(pair.a, 64)
+    for oracle in (cepstral_factorize, root_split_factorize):
+        with pytest.raises(OracleError):
+            oracle(pair.a)
+
+
+def test_numeric_paths_reject_a_product_of_c():
+    from whlaurent.oracle import OracleError, cepstral_factorize
+
+    C2 = wl.product_ring(wl.complex_ring(), 2)
+    a = LaurentSeries(C2, {0: (1 + 0j, 1 + 0j), 1: (0.5 + 0j, -0.5 + 0j)})
+    with pytest.raises(RingError):
+        wl.invert_numeric(a, 64)
+    with pytest.raises(OracleError):
+        cepstral_factorize(a)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+def test_non_finite_coefficient_fails_factorize(bad):
+    # a NaN residual must fail the tolerance test, not pass it
+    C = wl.complex_ring()
+    a = LaurentSeries(C, {0: 1 + 0j, 1: bad})
+    b = LaurentSeries(C, {0: 1 + 0j}, (-8, 8))
+    pair = wl.InvertiblePair.make(a, b)
+    assert math.isnan(pair.residual) or math.isinf(pair.residual)
+    with pytest.raises(FactorizationError, match="pair residual"):
+        wl.factorize(pair)
+    mono = wl.invert_from_factors(C, [wl.Mono(0, bad)], (-8, 8))
+    with pytest.raises(FactorizationError):
+        wl.factorize(mono)

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports and no unreferenced private helpers
-in the library modules (stdlib ``ast`` only)."""
+"""Source hygiene: no unused imports, no unreferenced private helpers,
+and no ring test but ``rings.leaf_kind`` picking a kernel's path, in the
+library modules (stdlib ``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,49 @@ def test_every_private_definition_is_referenced():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert [p for p in private if p[1] not in refs] == []
+
+
+RING_TESTS = {"is_rational", "leaf_ring"}
+
+
+def _stand_ins(tree, exempt):
+    """Line numbers of ring tests that stand in for ``rings.leaf_kind``: a
+    definition, import or use of ``is_rational`` or ``leaf_ring``,
+    ``isinstance(x.zero, ...)`` or ``type(x.zero)``, and ``x.base.base``.
+    The body of the function named ``exempt`` is not searched."""
+    skip = {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == exempt
+            for n in ast.walk(node) if n is not node}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None))
+        if name in RING_TESTS:
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("isinstance", "type") and node.args
+              and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "zero"):
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "base"
+              and isinstance(node.value, ast.Attribute) and node.value.attr == "base"):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_kernel_paths_are_picked_by_leaf_kind(path):
+    exempt = "leaf_kind" if path.name == "rings.py" else None
+    assert _stand_ins(_tree(path), exempt) == []
+
+
+def test_stand_in_search_finds_each_form():
+    src = ("from .exact import is_rational\n"
+           "def leaf_ring(r): pass\n"
+           "x = exact.is_rational(r)\n"
+           "y = isinstance(r.zero, Fraction)\n"
+           "z = type(r.base.zero)\n"
+           "w = r.base.base\n"
+           "def leaf_kind(r): return type(r.zero)\n")
+    assert _stand_ins(ast.parse(src), "leaf_kind") == [1, 2, 3, 4, 5, 6]

@@ -1,12 +1,15 @@
 """Ring descriptor axioms and element round trips."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import whlaurent as wl
-from whlaurent.rings import RingError
+from whlaurent.rings import RingError, leaf_kind, sup
+
+from conftest import dual_ring
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -90,3 +93,37 @@ def test_product_split_merge():
     x = (Fraction(1), Fraction(2), Fraction(3))
     assert R.merge(R.split(x)) == x
     assert len(R.components) == 3
+
+
+def test_leaf_kind_reads_the_leaf_ring():
+    Q, C = wl.rational_ring(), wl.complex_ring()
+    assert leaf_kind(Q) is Fraction
+    assert leaf_kind(wl.product_ring(wl.product_ring(Q, 2), 3)) is Fraction
+    assert leaf_kind(C) is complex
+    assert leaf_kind(wl.product_ring(C, 2)) is complex
+    assert leaf_kind(wl.laurent_ring(Q)) is None
+    assert leaf_kind(dual_ring(C)) is None
+    assert leaf_kind(wl.product_ring(dual_ring(Q), 2)) is None
+
+
+def test_complex_parse_rejects_non_finite_parts():
+    C = wl.complex_ring()
+    for s in ("nan,0", "0,nan", "inf,0", "1,-inf"):
+        with pytest.raises(RingError, match="non-finite"):
+            C.parse(s)
+    with pytest.raises(RingError):
+        wl.product_ring(C, 2).parse("(1,0|nan,0)")
+
+
+def test_sup_keeps_nan():
+    # max() drops a NaN met after a larger value; a sup norm must not
+    nan = float("nan")
+    assert sup([]) == 0.0 and sup([0.5, 2.0, 1.0]) == 2.0
+    for norms in ([nan, 3.0], [3.0, nan], [0.0, nan, 1.0]):
+        assert math.isnan(sup(norms))
+    C2 = wl.product_ring(wl.complex_ring(), 2)
+    assert math.isnan(C2.seminorm((2 + 0j, complex(nan, 0))))
+    a = wl.LaurentSeries(wl.complex_ring(), {0: 2 + 0j, 1: complex(nan, 0)})
+    for x in (a, a.shift(-2)):
+        assert math.isnan(x.sup_seminorm())
+        assert math.isnan(x.sup_diff(wl.LaurentSeries.one(x.ring)))

@@ -152,8 +152,9 @@ def test_product_ring_inverse_componentwise():
 
 def test_float_parameter_on_circle_rejected():
     C = wl.complex_ring()
-    with pytest.raises(RingError):
-        wl.invert_from_factors(C, [wl.Holo(complex(1.0))], (-8, 8))
+    for par in (complex(1.0), complex(math.nan, 0.0)):  # NaN is not below 1 either
+        with pytest.raises(RingError):
+            wl.invert_from_factors(C, [wl.Holo(par)], (-8, 8))
 
 
 def test_invert_numeric_symmetric_symbol():
