@@ -14,8 +14,8 @@ from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
 from .matrices import (Lattice, WindowedMatrix, build_F, build_U, build_Utilde,
                        conjugate_UR, identity, mat_add, mat_mul, mat_sub,
                        perturbation_columns, project, ur_monomial)
-from .determinants import (DetValue, det_block, det_identity_plus,
-                           det_tilde_column_reduced, det_truncated)
+from .determinants import (det_block, det_identity_plus, det_tilde_column_reduced,
+                           det_truncated)
 from .factorization import (FactorizationError, FactorizationResult,
                             OrthogonalDecomposition, factorize,
                             n_p_series, orthogonal_decompose, orthonormal_split,
@@ -35,7 +35,7 @@ __all__ = [
     "Lattice", "WindowedMatrix", "build_F", "build_U", "build_Utilde",
     "conjugate_UR", "identity", "mat_add", "mat_mul", "mat_sub",
     "perturbation_columns", "project", "ur_monomial",
-    "DetValue", "det_block", "det_identity_plus",
+    "det_block", "det_identity_plus",
     "det_tilde_column_reduced", "det_truncated",
     "FactorizationError", "FactorizationResult", "OrthogonalDecomposition",
     "factorize", "n_p_series", "orthogonal_decompose", "orthonormal_split",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -153,6 +154,8 @@ def _run_oracle_compare(job: Dict[str, Any], ring: Ring, window: Tuple[int, int]
         raise JobError("oracle-compare requires the complex ring")
     with _field("compare_tolerance"):
         tol = float(job.get("compare_tolerance", 1e-8))
+        if not 0 < tol < math.inf:  # NaN fails too
+            raise ValueError("must be positive and finite")
     cases = []
     if "factors" in job or "coefficients" in job:
         cases.append(_build_pair(job, ring, window))

@@ -14,33 +14,26 @@ that array from Laurent polynomial entries, and runs Berkowitz over any
 other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
 has no path for other rings (:func:`ring_array` raises ``RingError``).
 ``charpoly`` gives the characteristic polynomial of a constant block,
-the outer projections' whole determinant, per component of a product
-ring: over ``Q`` it clears one common denominator and runs Berkowitz on
-Python integers, over ``C`` it samples ``I - w K`` on the unit circle,
-and over any other ring it runs Berkowitz on the ring's elements.
+the outer projections' whole determinant over ``C``: per component of a
+product of ``C`` it samples ``I - w K`` on the unit circle, and over any
+other ring it runs Berkowitz on the ring's elements.  Over ``Q`` the
+outer projections do not call it: ``factorization._outer_projection``
+hands its integer block to :func:`exact.int_charpoly` itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .exact import bareiss, bareiss_solve, clear, int_charpoly
+from .exact import bareiss, bareiss_solve, clear
 from .rings import Ring, RingError, leaf_kind, per_component
 from .series import LaurentSeries, WindowError
 from .matrices import WindowedMatrix
 
 MAX_BERKOWITZ = 64
-
-
-@dataclass
-class DetValue:
-    value: Any
-    tail: Optional[float] = None
-    window_used: Optional[int] = None
 
 
 # -- Berkowitz --------------------------------------------------------
@@ -84,11 +77,7 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
 
 
 def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
-    """:func:`charpoly` of an ``(n, n)`` array over ``Q`` or ``C``."""
-    if leaf_kind(ring) is Fraction:
-        m, d = clear(k.ravel().tolist())
-        n = len(k)
-        return dict(enumerate(int_charpoly([m[i:i + n] for i in range(0, n * n, n)], d)))
+    """:func:`charpoly` of an ``(n, n)`` array over ``C``."""
     coef = np.empty((2,) + k.shape, k.dtype)
     coef[0] = np.eye(len(k))
     coef[1] = -k
@@ -99,16 +88,14 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
     are also those of det(I - w*A) = sum c_i w^i.
 
-    ``Q``, and each component of a product of ``Q`` (:func:`per_component`),
-    clears one common denominator and runs Berkowitz on Python integers
-    (:func:`exact.int_charpoly`).  Over ``C`` Berkowitz's Krylov sums lose
-    up to 1e-8 on strongly non-normal blocks (entries near 10, eigenvalues
-    below 1), so the pencil ``I - w*A`` goes to :func:`_poly_det` at degree
-    ``n``, which samples it with a backward-stable LU determinant per
-    sample.  Every other ring (series rings, rings with nilpotents) runs
-    division-free Berkowitz on its own elements.
+    Over ``C`` Berkowitz's Krylov sums lose up to 1e-8 on strongly
+    non-normal blocks (entries near 10, eigenvalues below 1), so the pencil
+    ``I - w*A`` goes to :func:`_poly_det` at degree ``n``, per component of
+    a product of ``C`` (:func:`per_component`), which samples it with a
+    backward-stable LU determinant per sample.  Every other ring, ``Q``
+    included, runs division-free Berkowitz on its own elements.
     """
-    if not a or not leaf_kind(ring):
+    if not a or leaf_kind(ring) is not complex:
         return _berkowitz_charpoly(ring, a)
     coeffs = per_component(ring, _charpoly_leaf, _component_slices(2), ring_array(ring, a))
     return [coeffs[i] for i in range(len(a) + 1)]
@@ -240,37 +227,23 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
 
 # -- identity + perturbation ------------------------------------------
 
-def _support_block(a: WindowedMatrix, axis: str) -> List[int]:
-    rows = sorted({r for (r, _c) in a.entries})
-    cols = sorted({c for (_r, c) in a.entries})
-    if axis == "rows":
-        return rows
-    if axis == "cols":
-        return cols
-    if axis == "auto":
-        if not a.entries:
-            return []
-        return rows if len(rows) <= len(cols) else cols
-    raise ValueError("axis must be 'rows', 'cols' or 'auto'")
+def det_identity_plus(a: WindowedMatrix) -> Any:
+    """det(1 + A) for a perturbation with finite row support.
 
-
-def det_identity_plus(a: WindowedMatrix, axis: str = "auto") -> DetValue:
-    """det(1 + A) for a perturbation with finite row or column support.
-
-    If the nonzero entries occupy finitely many rows (resp. columns), the
-    infinite determinant equals the determinant of the principal block on
-    those rows (resp. columns); the rest of the matrix is identity there.
+    If the nonzero entries occupy finitely many rows, the infinite
+    determinant equals the determinant of the principal block on those
+    rows; the rest of the matrix is identity there.
     """
-    idx = _support_block(a, axis)
+    idx = sorted({r for (r, _c) in a.entries})
     if not idx:
-        return DetValue(a.ring.one)
+        return a.ring.one
     lo, hi = a.reliable
     if idx[0] <= lo or idx[-1] >= hi:
         raise WindowError("perturbation support touches the reliable boundary")
     ring = a.ring
     rows = [[ring.add(ring.one, a.get(r, c)) if r == c else a.get(r, c)
              for c in idx] for r in idx]
-    return DetValue(det_block(ring, rows))
+    return det_block(ring, rows)
 
 
 # -- the widetilde-determinant via column reduction -------------------
@@ -291,7 +264,7 @@ def reduced_columns(variant: str, cols: Sequence[int]) -> List[int]:
     return sorted(jset)
 
 
-def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValue:
+def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> Any:
     """widetilde-det(F^{RX}(1,w) + A) with A of finite column support.
 
     Forms C = A * F^-1 using the closed-form column action of the
@@ -310,7 +283,7 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
     ring = a.ring
     cols = sorted({c for (_r, c) in a.entries})
     if not cols:
-        return DetValue(ring.one)
+        return ring.one
     lo, hi = a.reliable
     if cols[0] <= lo or cols[-1] >= hi:
         raise WindowError("perturbation columns touch the reliable boundary")
@@ -330,13 +303,13 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> DetValu
             row[m] = ring.add(row[m], ring.mul(step, row[prev]))
         row[r] = ring.add(ring.one, row[r])
         block.append([row[m] for m in jp])
-    return DetValue(det_block(ring, block))
+    return det_block(ring, block)
 
 
 # -- truncated determinants on nested windows -------------------------
 
 def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
-                  windows: Sequence[int]) -> DetValue:
+                  windows: Sequence[int]) -> Tuple[LaurentSeries, float]:
     """Determinant of an identity-plus-decay pencil on nested windows.
 
     On the largest window ``top = windows[-1]`` the matrix is
@@ -346,8 +319,9 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     ``shifts[j]``.  ``windows`` must be strictly increasing; window
     ``wsize`` is the centred sub-block on ``[-wsize, wsize)``.  Each value
     is a Laurent polynomial in ``w`` over ``ring`` (:func:`_det_rows`).
-    The tail estimate is the seminorm of the difference between the last
-    two window values; it must not increase along the sequence.
+    Returns ``(value, tail)``: the largest window's value, and the seminorm
+    of the difference between the last two window values as the tail
+    estimate, which must not increase along the sequence.
     """
     if len(windows) < 2:
         raise ValueError("need at least two nested windows")
@@ -367,4 +341,4 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     for i in range(1, len(tails)):
         if tails[i] > tails[i - 1] + slack and tails[i] > ring.tolerance:
             raise WindowError("tail estimate is not decreasing; window too small")
-    return DetValue(vals[-1], tail=tails[-1], window_used=windows[-1])
+    return vals[-1], tails[-1]

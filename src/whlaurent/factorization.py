@@ -16,7 +16,8 @@ half-lattice truncated determinant (cross-check route); over Q the
 long division runs on integers too (``series.div_unit``).  The w-series
 blocks of the widetilde-determinant closed form
 (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for
-checking against it.
+checking against it; they build the bracket block from ring elements
+over every ring, Q included.
 """
 
 from __future__ import annotations
@@ -130,20 +131,14 @@ def _bracket_block(pair: InvertiblePair,
 
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
     so they are not built; the rows built read b only on [-2d, 2d], d the
-    largest |exponent| of a.  Over ``Q`` (and per component of a product of
-    ``Q``) the entries are an integer Toeplitz product (:func:`_int_bracket`).
+    largest |exponent| of a.  The entries are sums of ring products over
+    every ring; over ``Q`` the outer projections build the integer block
+    themselves (:func:`_outer_projection`).
     """
     _check_b_window(pair)
     a, b = pair.a, pair.b
     ring = a.ring
     jp, cols = _bracket_cols(a, sign)
-    if leaf_kind(ring) is Fraction:
-        def leaf(_q: Ring, ac: Dict[int, Fraction],
-                 bc: Dict[int, Fraction]) -> Dict[Tuple[int, int], Fraction]:
-            ents, d = _int_bracket(jp, cols, ac, bc)
-            return {rk: Fraction(v, d) for rk, v in ents.items()}
-
-        return jp, per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
     vals = {k: [(j, a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d])) for j, d, s in col]
             for k, col in cols.items()}
     ents: Dict[Tuple[int, int], Any] = {}
@@ -194,9 +189,12 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     unit triangular on the interval P and A vanishes off P's columns, so
     widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
 
-    Over ``Q`` (and per component of a product of ``Q``) the integer
-    bracket block ``d B`` and ``d E`` go straight to integer Berkowitz
-    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.
+    This is the one place that picks integers over ``Q``: there (and per
+    component of a product of ``Q``) the integer bracket block ``d B``
+    (:func:`_int_bracket`) and ``d E`` go straight to integer Berkowitz
+    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.  Every
+    other ring builds ``B`` from ring elements (:func:`_bracket_block`) and
+    reads :func:`determinants.charpoly`, which samples over ``C``.
     """
     ring = pair.a.ring
     step = 1 if sign == "-" else -1
@@ -297,9 +295,9 @@ def pi_tilde_direct(pair: InvertiblePair,
         c = ring_array(ring, c)
         p1[:r] += c * bvec[diff[:r] - d]
         p0[r:] += c * bvec[diff[r:] - d]
-    det = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], list(windows))
-    series: LaurentSeries = det.value.scale(norm)
-    return series, det.tail * ring.seminorm(norm)
+    value, tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx],
+                                list(windows))
+    return value.scale(norm), tail * ring.seminorm(norm)
 
 
 def winding_index(pi_tilde: LaurentSeries) -> Optional[int]:
@@ -446,8 +444,8 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
     p0 = -p1
     diag = np.arange(2 * top)
     p0[diag, diag] += ring_array(ring, ring.one)
-    det = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], list(windows))
-    out: LaurentSeries = det.value
+    out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx],
+                               list(windows))
     if SeriesClass.ORTHOGONAL not in classify(out) or \
             not ring.equals(out.evaluate(ring.one), ring.one):
         raise FactorizationError("determinant did not yield an orthonormal series")

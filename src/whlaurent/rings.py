@@ -50,7 +50,6 @@ class Ring:
     parse: Optional[Callable[[str], Any]] = None
     # set for series rings built by laurent_ring()
     base: Optional["Ring"] = None
-    var: Optional[str] = None
     const: Optional[Callable[[Any], Any]] = None
 
     def sub(self, x: Any, y: Any) -> Any:
@@ -114,8 +113,8 @@ def rational_ring() -> Ring:
 
 def complex_ring(tolerance: float = DEFAULT_TOLERANCE) -> Ring:
     """Complex floating arithmetic with absolute-tolerance equality."""
-    if tolerance <= 0:
-        raise RingError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:  # NaN fails too
+        raise RingError("tolerance must be positive and finite")
 
     def inv(x: complex) -> complex:
         if abs(x) <= tolerance:

@@ -651,6 +651,5 @@ def laurent_ring(base: Ring, var: str = "w") -> Ring:
         invert=inv,
         fmt=fmt,
         base=base,
-        var=var,
         const=lambda c: LaurentSeries.const(base, c),
     )

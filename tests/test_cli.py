@@ -210,6 +210,39 @@ def test_non_finite_complex_input_exit_2(tmp_path, capsys):
         assert code == 2, job
 
 
+def run_err(tmp_path, capsys, job, *extra):
+    """Exit code and standard error of one job."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main(["--input", str(path), *extra])
+    return code, capsys.readouterr().err
+
+
+HOLO_JOB = {"ring": {"kind": "complex"}, "factors": [{"type": "holo", "beta": "0.5,0"}]}
+
+
+@pytest.mark.parametrize("value, flag", [("nan", False), ("inf", False), ("nan", True)],
+                         ids=["nan", "inf", "flag-nan"])
+def test_non_finite_ring_tolerance_exit_2(tmp_path, capsys, value, flag):
+    # a NaN or infinite tolerance must fail as a bad ring, not later in the
+    # inverse with a message that names no field
+    job = json.loads(json.dumps(HOLO_JOB))
+    if flag:
+        code, err = run_err(tmp_path, capsys, job, "--tolerance", value)
+    else:
+        job["ring"]["tolerance"] = value
+        code, err = run_err(tmp_path, capsys, job)
+    assert code == 2 and "'ring'" in err and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_compare_tolerance_exit_2(tmp_path, capsys, value):
+    # NaN and -1 rejected every difference (exit 3), inf accepted any (exit 0)
+    job = dict(ORACLE_JOB, compare_tolerance=value)
+    code, err = run_err(tmp_path, capsys, job)
+    assert code == 2 and "'compare_tolerance'" in err
+
+
 MONO_JOB = {"ring": {"kind": "rational"}, "factors": [{"type": "mono", "p": 1, "u": "2"}]}
 COEFF_JOB = {"ring": {"kind": "complex"}, "coefficients": [{"n": 0, "c": "1,0"}]}
 ORACLE_JOB = {"ring": {"kind": "complex"}, "mode": "oracle-compare", "count": 1}

@@ -11,12 +11,13 @@ import pytest
 import whlaurent as wl
 from whlaurent import determinants
 from whlaurent import matrices as mx
-from whlaurent.determinants import (DetValue, det_berkowitz, det_block,
-                                    det_identity_plus,
+from whlaurent.determinants import (det_berkowitz, det_block, det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
                                     ring_array, _det_rows)
+from whlaurent.exact import clear, int_charpoly
 from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                     holomorphic_det_matrix)
+                                     holomorphic_det_matrix, _bracket_block,
+                                     _k_matrix)
 from whlaurent.matrices import Lattice
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
@@ -78,6 +79,18 @@ def _element(ring, draw, rng):
     return ring.merge([_element(comp, draw, rng) for comp in ring.components])
 
 
+def _int_charpoly(ring, a):
+    """:func:`exact.int_charpoly` of ``a`` cleared to integers over one
+    common denominator, per component of a product ring."""
+    if ring.components is not None:
+        parts = [_int_charpoly(comp, [[ring.split(x)[i] for x in row] for row in a])
+                 for i, comp in enumerate(ring.components)]
+        return [ring.merge(c) for c in zip(*parts)]
+    n = len(a)
+    m, d = clear([x for row in a for x in row])
+    return int_charpoly([m[i * n:(i + 1) * n] for i in range(n)], d)
+
+
 @pytest.mark.parametrize("ring", [Q, Q2, wl.product_ring(Q2, 2)], ids=["Q", "Q^2", "(Q^2)^2"])
 def test_charpoly_on_integers_matches_berkowitz(ring):
     rng = random.Random(ring.name)
@@ -87,7 +100,7 @@ def test_charpoly_on_integers_matches_berkowitz(ring):
         a = [[_element(ring, draw, rng) for _ in range(n)] for _ in range(n)]
         if n % 3 == 1:
             a[n // 2] = [ring.zero] * n
-        got = determinants.charpoly(ring, a)
+        got = _int_charpoly(ring, a)
         # the same rationals, so the same reduced Fractions
         assert repr(got) == repr(determinants._berkowitz_charpoly(ring, a)), n
         assert (got[-1] == ring.zero) == (n % 3 == 1), n
@@ -95,8 +108,9 @@ def test_charpoly_on_integers_matches_berkowitz(ring):
 
 @pytest.mark.parametrize("arity", [1, 2])
 def test_charpoly_over_q_makes_no_ring_multiplication(arity):
-    # a copy of Q whose mul counts its calls: the integer kernel must not
-    # fall back to Berkowitz on Fractions, alone or per product component
+    # a copy of Q whose mul counts its calls: the outer projections must
+    # not fall back to the bracket block and Berkowitz on Fractions, alone
+    # or per product component
     calls = []
 
     def mul(x, y):
@@ -106,10 +120,19 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     Qc = dataclasses.replace(Q, mul=mul)
     ring = Qc if arity == 1 else wl.product_ring(Qc, arity)
     rng = random.Random(19)
-    a = [[_element(ring, rand_q, rng) for _ in range(8)] for _ in range(8)]
-    got = determinants.charpoly(ring, a)
+    facs = [f(_element(ring, lambda r: rand_q(r) / 7, rng))
+            for f in (wl.Antiholo, wl.Holo, wl.Antiholo, wl.Holo)]
+    pair = wl.invert_from_factors(ring, facs + [wl.Mono(1, ring.one)], (-40, 40))
+    calls.clear()
+    got = {"-": wl.pi_plus(pair), "+": wl.pi_minus(pair)}
     assert not calls
-    assert got == determinants._berkowitz_charpoly(ring, a) and calls
+    # the ring-element reference: the bracket block and Berkowitz on Fractions
+    for sign, step in (("-", 1), ("+", -1)):
+        jp, ents = _bracket_block(pair, sign)
+        ref = determinants.charpoly(ring, _k_matrix(jp, ents, sign, ring.zero, ring.one,
+                                                    ring.add))
+        assert got[sign].equals(LaurentSeries(ring, {step * i: c for i, c in enumerate(ref)}))
+    assert calls
 
 
 def _dual_elem(base, rng):
@@ -303,20 +326,18 @@ def test_identity_plus_row_reduction_matches_dense():
                 for r in range(-2, 3) for c in range(-2, 3)
                 if rng.random() < 0.6}
         a = mx.WindowedMatrix(Q, Lattice.INTEGER, WIN, ents, 4, WIN)
-        # all reduction axes agree with the dense support-union block
+        # the row reduction agrees with the dense support-union block
         idx = sorted({r for r, _ in ents} | {c for _, c in ents})
         dense = [[Q.add(Q.one if r == c else Q.zero, a.get(r, c))
                   for c in idx] for r in idx]
-        want = det_cofactor(Q, dense)
-        for axis in ("rows", "cols", "auto"):
-            assert det_identity_plus(a, axis=axis).value == want
+        assert det_identity_plus(a) == det_cofactor(Q, dense)
 
 
 def test_identity_plus_boundary_guard():
     ents = {(WIN[0], 0): Fraction(1)}
     a = mx.WindowedMatrix(Q, Lattice.INTEGER, WIN, ents, 14, WIN)
     with pytest.raises(WindowError):
-        det_identity_plus(a, axis="rows")
+        det_identity_plus(a)
 
 
 def _dense_reflection_det(variant, A, Qw, w, size=9):
@@ -351,7 +372,7 @@ def test_column_reduced_determinant_matches_dense_truncation(seed):
             for variant, builder in (("+", holomorphic_det_matrix),
                                      ("-", antiholomorphic_det_matrix)):
                 A = builder(pair, Qw, w)
-                reduced = det_tilde_column_reduced(variant, A, w).value
+                reduced = det_tilde_column_reduced(variant, A, w)
                 dense = _dense_reflection_det(variant, A, Qw, w)
                 assert reduced.coeffs == dense.coeffs, (facs, variant, w)
 
@@ -445,11 +466,11 @@ def _decay_pencil(top):
 
 def test_truncated_determinant_converges():
     # diagonal 1 + 2^-|n| decay: the nested values stabilize
-    det = det_truncated(Q, *_decay_pencil(8), [4, 6, 8])
-    assert det.tail is not None and det.window_used == 8
-    det2 = det_truncated(Q, *_decay_pencil(10), [6, 8, 10])
+    _value, tail = det_truncated(Q, *_decay_pencil(8), [4, 6, 8])
+    assert tail is not None
+    _value2, tail2 = det_truncated(Q, *_decay_pencil(10), [6, 8, 10])
     # deeper windows only multiply in factors closer to 1
-    assert det2.tail <= det.tail
+    assert tail2 <= tail
 
 
 def test_truncated_determinant_rejects_growing_tail():
@@ -486,9 +507,9 @@ def test_truncated_determinant_windows_are_centred_sub_blocks():
     alone = [det_block(laurent_ring(Q, "w"), _pencil_rows(Q, *_decaying_pencil(w)))
              for w in windows]
     for k in range(1, len(windows)):
-        det = det_truncated(Q, *_decaying_pencil(windows[k]), windows[:k + 1])
-        assert det.value.coeffs == alone[k].coeffs
-        assert det.tail == alone[k].sub(alone[k - 1]).sup_seminorm()
+        value, tail = det_truncated(Q, *_decaying_pencil(windows[k]), windows[:k + 1])
+        assert value.coeffs == alone[k].coeffs
+        assert tail == alone[k].sub(alone[k - 1]).sup_seminorm()
 
 
 @pytest.mark.parametrize("windows", [[6, 4], [4, 4, 6], [4, 8, 6]])

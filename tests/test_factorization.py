@@ -347,7 +347,7 @@ def _column_reduced_projections(pair):
     w = LaurentSeries.monomial(ring, 1)
     plus = det_tilde_column_reduced("+", holomorphic_det_matrix(pair, ring_w, w), w)
     minus = det_tilde_column_reduced("-", antiholomorphic_det_matrix(pair, ring_w, w), w)
-    return plus.value, minus.value
+    return plus, minus
 
 
 @pytest.mark.parametrize("ring_name", ["Q", "Q^2"])

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no unreferenced private helpers,
-and no ring test but ``rings.leaf_kind`` picking a kernel's path, in the
-library modules (stdlib ``ast`` only)."""
+no ring test but ``rings.leaf_kind`` picking a kernel's path, and no
+dataclass field that nothing reads, in the library modules (stdlib
+``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,39 @@ def test_stand_in_search_finds_each_form():
            "w = r.base.base\n"
            "def leaf_kind(r): return type(r.zero)\n")
     assert _stand_ins(ast.parse(src), "leaf_kind") == [1, 2, 3, 4, 5, 6]
+
+
+def _dataclass_fields(tree):
+    """``(class, field)`` for each annotated field of a ``@dataclass``
+    class, with or without arguments or the module prefix."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = [getattr(d, "id", None) or getattr(d, "attr", None)
+                 for d in (dec.func if isinstance(dec, ast.Call) else dec
+                           for dec in node.decorator_list)]
+        if "dataclass" in names:
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def _write_only_fields(trees):
+    """Dataclass fields that no ``x.field`` reads (an assignment to
+    ``x.field`` is no read)."""
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f for tree in trees for f in _dataclass_fields(tree) if f[1] not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    assert _write_only_fields([_tree(p) for p in SRC.glob("*.py")]) == []
+
+
+def test_field_search_finds_a_write_only_field():
+    src = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+           "@dataclasses.dataclass\nclass B:\n    z: int\n"
+           "class C:\n    u: int\n"
+           "def f(a, b):\n    a.y = 1\n    return a.x + b.z\n")
+    assert _write_only_fields([ast.parse(src)]) == [("A", "y")]
