@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from contextlib import contextmanager
@@ -20,15 +19,16 @@ from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
                      WindowError, invert_from_factors, invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
-from .factorization import FactorizationError, factorize, orthogonal_decompose
+from .factorization import FactorizationError, factorize, orthogonal_decompose, residual_bound
 from .oracle import OracleError, cepstral_factorize, compare, root_split_factorize
-from .serialize import json_int, result_to_json, ring_from_json, series_from_json
+from .serialize import json_float, json_int, result_to_json, ring_from_json, series_from_json
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 MODES = ("factorize", "verify", "orthogonal", "oracle-compare", "matrix-dump")
+DEFAULT_RING = {"kind": "rational"}
 
 
 class JobError(ValueError):
@@ -88,30 +88,24 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     return invert_numeric(a, samples)
 
 
-def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
-            window_override: Optional[int] = None,
-            seed_override: Optional[int] = None,
-            tolerance_override: Optional[float] = None,
-            dump_matrices: bool = False) -> Tuple[int, Dict[str, Any]]:
+def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict[str, Any]]:
     """Execute one job; returns (exit_code, json_payload)."""
-    mode = mode_override or job.get("mode", "factorize")
+    mode = job.get("mode", "factorize")
     if mode not in MODES:
         raise JobError("unknown mode: %r" % mode)
     with _field("ring"):
-        ring_spec = dict(job.get("ring", {"kind": "rational"}))
-        if tolerance_override is not None:
-            ring_spec["tolerance"] = tolerance_override
-        elif "tolerance" in job:
+        ring_spec = dict(job.get("ring", DEFAULT_RING))
+        if "tolerance" in job:
             ring_spec.setdefault("tolerance", job["tolerance"])
         ring = ring_from_json(ring_spec)
     with _field("window"):
-        half = window_override if window_override is not None else json_int(job.get("window", 16))
+        half = json_int(job.get("window", 16))
     if half < 1:
         raise JobError("window must be a positive size")
     window = (-half, half)
 
     if mode == "oracle-compare":
-        return _run_oracle_compare(job, ring, window, seed_override)
+        return _run_oracle_compare(job, ring, window)
 
     pair = _build_pair(job, ring, window)
 
@@ -136,8 +130,7 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
             pp = series_from_json(ring, fac.get("pi_plus", []))
         recon = pm.mul(pt).mul(pp).truncate(window)
         residual = recon.sup_diff(pair.a.truncate(window))
-        tol = 0.0 if ring.is_exact else ring.tolerance * 100
-        code = EXIT_OK if residual <= tol else EXIT_NUMERICAL
+        code = EXIT_OK if residual <= residual_bound(ring) else EXIT_NUMERICAL
         return code, {"residual": residual}
 
     # factorize
@@ -148,20 +141,20 @@ def run_job(job: Dict[str, Any], mode_override: Optional[str] = None,
     return EXIT_OK, payload
 
 
-def _run_oracle_compare(job: Dict[str, Any], ring: Ring, window: Tuple[int, int],
-                        seed_override: Optional[int]) -> Tuple[int, Dict[str, Any]]:
+def _run_oracle_compare(job: Dict[str, Any], ring: Ring,
+                        window: Tuple[int, int]) -> Tuple[int, Dict[str, Any]]:
     if leaf_kind(ring) is not complex or ring.components:
         raise JobError("oracle-compare requires the complex ring")
     with _field("compare_tolerance"):
-        tol = float(job.get("compare_tolerance", 1e-8))
-        if not 0 < tol < math.inf:  # NaN fails too
-            raise ValueError("must be positive and finite")
+        tol = json_float(job.get("compare_tolerance", 1e-8))
+        if not tol > 0:
+            raise ValueError("must be positive")
     cases = []
     if "factors" in job or "coefficients" in job:
         cases.append(_build_pair(job, ring, window))
     else:
         with _field("seed"):
-            seed = seed_override if seed_override is not None else json_int(job.get("seed", 0))
+            seed = json_int(job.get("seed", 0))
         with _field("count"):
             count = json_int(job.get("count", 20))
         rng = random.Random(seed)
@@ -221,8 +214,13 @@ def main(argv: Optional[list] = None) -> int:
                 job = json.load(fh)
         if not isinstance(job, dict):
             raise JobError("job must be a JSON object")
-        code, payload = run_job(job, args.mode, args.window, args.seed,
-                                args.tolerance, args.dump_matrices)
+        # the flags override the job's fields, and --tolerance the ring spec's own
+        job.update((key, getattr(args, key)) for key in ("mode", "window", "seed")
+                   if getattr(args, key) is not None)
+        if args.tolerance is not None:
+            with _field("ring"):
+                job["ring"] = dict(job.get("ring", DEFAULT_RING), tolerance=args.tolerance)
+        code, payload = run_job(job, args.dump_matrices)
     except (json.JSONDecodeError, OSError, JobError, RingError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION

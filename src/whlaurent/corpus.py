@@ -58,17 +58,15 @@ def random_complex_factors(rng: random.Random, n_factors: int = 3,
     return out
 
 
-def random_orthogonal_pair(base_arity: int, rng: random.Random,
-                           exponent_range: Tuple[int, int] = (-3, 3),
-                           ) -> InvertiblePair:
+def random_orthogonal_pair(base_arity: int, rng: random.Random) -> InvertiblePair:
     """Random orthogonal invertible series over Q^arity.
 
-    Each component is assigned an exponent and an invertible rational
+    Each component is assigned an exponent in [-3, 3] and an invertible rational
     unit; the coefficient at n is the indicator-weighted tuple, which
     makes distinct coefficients multiply to zero componentwise.
     """
     ring = product_ring(rational_ring(), base_arity)
-    exps = [rng.randint(*exponent_range) for _ in range(base_arity)]
+    exps = [rng.randint(-3, 3) for _ in range(base_arity)]
     units = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
              for _ in range(base_arity)]
     a_coeffs = {}

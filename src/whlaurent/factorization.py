@@ -312,11 +312,15 @@ def winding_index(pi_tilde: LaurentSeries) -> Optional[int]:
     return supp[0]
 
 
+def residual_bound(ring: Ring) -> float:
+    """The largest residual accepted over ``ring``: 0 over an exact ring."""
+    return ring.tolerance * 100
+
+
 def factorize(pair: InvertiblePair,
               window: Optional[Tuple[int, int]] = None) -> FactorizationResult:
     """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus."""
-    ring = pair.a.ring
-    tol = 0.0 if ring.is_exact else ring.tolerance * 100
+    tol = residual_bound(pair.a.ring)
     if not pair.residual <= tol:  # NaN fails too
         raise FactorizationError(
             "pair residual %.3g: the supplied series does not invert the symbol"
@@ -417,9 +421,11 @@ def projection_matrix(d: OrthogonalDecomposition,
     return WindowedMatrix(ring, Lattice.HALF, window, ents, 0, window)
 
 
-def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> LaurentSeries:
+def n_p_series(p: WindowedMatrix) -> LaurentSeries:
     """Orthonormal series of a half-lattice idempotent close to 1_{S^-}:
-    det((1 - P + z P)(1_{S^+} + z 1_{S^-})^-1) on nested windows."""
+    det((1 - P + z P)(1_{S^+} + z 1_{S^-})^-1) on the nested windows
+    8, 12 and 16."""
+    windows = [8, 12, 16]
     ring = p.ring
     if p.lattice is not Lattice.HALF:
         raise RingError("P must live on the half-integer lattice")
@@ -430,7 +436,7 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
         if p2.reliable[0] <= r <= p2.reliable[1] and p2.reliable[0] <= c <= p2.reliable[1]:
             if not ring.equals(p2.get(r, c), v):
                 raise FactorizationError("P is not idempotent on the window")
-    top = max(windows, default=0)
+    top = windows[-1]
     idx = range(-top, top)
 
     def entry(n: int, m: int) -> Any:
@@ -444,8 +450,7 @@ def n_p_series(p: WindowedMatrix, windows: Sequence[int] = (8, 12, 16)) -> Laure
     p0 = -p1
     diag = np.arange(2 * top)
     p0[diag, diag] += ring_array(ring, ring.one)
-    out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx],
-                               list(windows))
+    out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], windows)
     if SeriesClass.ORTHOGONAL not in classify(out) or \
             not ring.equals(out.evaluate(ring.one), ring.one):
         raise FactorizationError("determinant did not yield an orthonormal series")

@@ -85,9 +85,10 @@ def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationRe
     return FactorizationResult(pi_m, pi_t, pi_p, residual, p)
 
 
-def root_split_factorize(a: LaurentSeries, circle_margin: float = 1e-6,
-                         tail: int = 64) -> FactorizationResult:
-    """Factorization by splitting polynomial roots at the unit circle."""
+def root_split_factorize(a: LaurentSeries) -> FactorizationResult:
+    """Factorization by splitting polynomial roots at the unit circle: a
+    root within 1e-6 of the circle is rejected, and the outer factors are
+    kept on the window [-64, 64]."""
     _require_complex(a)
     if a.is_zero():
         raise OracleError("zero symbol")
@@ -97,11 +98,11 @@ def root_split_factorize(a: LaurentSeries, circle_margin: float = 1e-6,
     deg = hi - lo
     coeffs = [complex(a.coeff(hi - j)) for j in range(deg + 1)]  # leading first
     roots = np.roots(coeffs) if deg > 0 else np.array([])
-    if len(roots) and np.min(np.abs(np.abs(roots) - 1.0)) < circle_margin:
-        raise OracleError("root within %.1e of the unit circle" % circle_margin)
+    if len(roots) and np.min(np.abs(np.abs(roots) - 1.0)) < 1e-6:
+        raise OracleError("root within 1.0e-06 of the unit circle")
     inside = [r for r in roots if abs(r) < 1.0]
     outside = [r for r in roots if abs(r) > 1.0]
-    window = (-tail, tail)
+    window = (-64, 64)
     pi_m = LaurentSeries.one(ring, window)
     for r in inside:
         pi_m = pi_m.mul(LaurentSeries(ring, {0: ring.one, -1: -complex(r)}))

@@ -2,7 +2,7 @@
 
 Every algebraic object in this library is generic over a :class:`Ring`,
 which bundles the arithmetic callables, a seminorm, and an equality
-predicate (exact for exact rings, absolute-tolerance for floating ones).
+predicate with an absolute tolerance (0 for the exact rings).
 Elements themselves are plain Python values: ``Fraction`` for rationals,
 ``complex`` for the floating instance, tuples for product rings.
 """
@@ -27,9 +27,10 @@ class Ring:
     """Descriptor of a commutative ring with seminorm.
 
     ``invert`` is partial: it raises :class:`RingError` on non-units.
-    ``components``, ``split`` and ``merge`` exist for product rings only;
-    the exact kernels, the inverse and the sampled determinants run per
-    component (:func:`per_component`).
+    ``tolerance`` is the absolute tolerance of ``equals``, 0 for an exact
+    ring (:attr:`is_exact`).  ``components`` is set for product rings
+    only, whose elements are tuples; the exact kernels, the inverse and
+    the sampled determinants run per component (:func:`per_component`).
     """
 
     name: str
@@ -40,17 +41,18 @@ class Ring:
     neg: Callable[[Any], Any]
     seminorm: Callable[[Any], float]
     equals: Callable[[Any, Any], bool]
-    is_exact: bool
+    invert: Callable[[Any], Any]
     tolerance: float = 0.0
-    invert: Optional[Callable[[Any], Any]] = None
     components: Optional[Tuple["Ring", ...]] = None
-    split: Optional[Callable[[Any], Sequence[Any]]] = None
-    merge: Optional[Callable[[Sequence[Any]], Any]] = None
     fmt: Callable[[Any], str] = str
     parse: Optional[Callable[[str], Any]] = None
     # set for series rings built by laurent_ring()
     base: Optional["Ring"] = None
     const: Optional[Callable[[Any], Any]] = None
+
+    @property
+    def is_exact(self) -> bool:
+        return self.tolerance == 0
 
     def sub(self, x: Any, y: Any) -> Any:
         return self.add(x, self.neg(y))
@@ -68,8 +70,6 @@ class Ring:
         return out
 
     def inverse(self, x: Any) -> Any:
-        if self.invert is None:
-            raise RingError("ring %r has no inversion" % self.name)
         return self.invert(x)
 
     def __repr__(self) -> str:  # keep dataclass noise out of test output
@@ -104,7 +104,6 @@ def rational_ring() -> Ring:
         neg=lambda x: -x,
         seminorm=lambda x: float(abs(x)),
         equals=lambda x, y: x == y,
-        is_exact=True,
         invert=inv,
         fmt=lambda x: str(Fraction(x)),
         parse=_parse_rational,
@@ -140,7 +139,6 @@ def complex_ring(tolerance: float = DEFAULT_TOLERANCE) -> Ring:
         neg=lambda x: -complex(x),
         seminorm=abs,
         equals=lambda x, y: abs(complex(x) - complex(y)) <= tolerance,
-        is_exact=False,
         tolerance=tolerance,
         invert=inv,
         fmt=fmt,
@@ -185,12 +183,9 @@ def product_ring(base: Ring, arity: int) -> Ring:
         neg=lambda x: tuple(base.neg(c) for c in x),
         seminorm=lambda x: sup(base.seminorm(c) for c in x),
         equals=lambda x, y: all(base.equals(a, b) for a, b in zip(x, y)),
-        is_exact=base.is_exact,
         tolerance=base.tolerance,
         invert=inv,
         components=tuple(base for _ in range(arity)),
-        split=lambda x: list(x),
-        merge=lambda xs: tuple(xs),
         fmt=fmt,
         parse=parse,
     )
@@ -210,11 +205,7 @@ def leaf_kind(ring: Ring) -> Optional[type]:
 
 def split_map(ring: Ring, values: Dict[Any, Any]) -> List[Dict[Any, Any]]:
     """A map to elements of a product ring as one map per component."""
-    parts: List[Dict[Any, Any]] = [{} for _ in ring.components]
-    for key, x in values.items():
-        for part, c in zip(parts, ring.split(x)):
-            part[key] = c
-    return parts
+    return [{key: x[i] for key, x in values.items()} for i in range(len(ring.components))]
 
 
 def per_component(ring: Ring, leaf: Callable[..., Any],
@@ -238,7 +229,7 @@ def per_component(ring: Ring, leaf: Callable[..., Any],
 
 
 def _merge(ring: Ring, parts: Sequence[Dict[Any, Any]]) -> Dict[Any, Any]:
-    return {key: ring.merge([p.get(key, comp.zero) for p, comp in zip(parts, ring.components)])
+    return {key: tuple(p.get(key, comp.zero) for p, comp in zip(parts, ring.components))
             for key in sorted(set().union(*parts))}
 
 

@@ -7,6 +7,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
 from .rings import Ring, RingError, complex_ring, product_ring, rational_ring
@@ -23,12 +24,23 @@ def json_int(value: Any) -> int:
     raise ValueError("not an integer: %r" % (value,))
 
 
+def json_float(value: Any) -> float:
+    """A real field of a JSON job: a finite number that is not a ``bool``,
+    or a string that ``float()`` parses to one."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x):
+            return x
+    raise ValueError("not a finite number: %r" % (value,))
+
+
 def ring_from_json(spec: Dict[str, Any]) -> Ring:
     kind = spec.get("kind")
     if kind == "rational":
         return rational_ring()
     if kind == "complex":
-        return complex_ring(float(spec.get("tolerance", 1e-9)))
+        return (complex_ring(json_float(spec["tolerance"])) if "tolerance" in spec
+                else complex_ring())
     if kind == "product":
         base = ring_from_json(spec.get("base", {"kind": "rational"}))
         return product_ring(base, json_int(spec.get("arity", 2)))

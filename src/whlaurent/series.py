@@ -80,12 +80,12 @@ class LaurentSeries:
         return LaurentSeries.const(ring, ring.one, window)
 
     @staticmethod
-    def zero(ring: Ring, window: Window = None) -> "LaurentSeries":
-        return LaurentSeries(ring, {}, window)
+    def zero(ring: Ring) -> "LaurentSeries":
+        return LaurentSeries(ring, {})
 
     @staticmethod
-    def monomial(ring: Ring, n: int, c: Any = None, window: Window = None) -> "LaurentSeries":
-        return LaurentSeries(ring, {n: ring.one if c is None else c}, window)
+    def monomial(ring: Ring, n: int, c: Any = None) -> "LaurentSeries":
+        return LaurentSeries(ring, {n: ring.one if c is None else c})
 
     # -- basic queries ------------------------------------------------
 
@@ -336,7 +336,8 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
     ``U/B`` those ``>= r`` (before the monomial shift), each by exact long
     division.  Over exact rings the coefficients are exact, so the pair
     residual is zero.  For floating rings the geometric parameters must
-    have seminorm < 1.
+    have seminorm < 1.  An empty window (``lo > hi``) is a
+    :class:`WindowError`.
     """
     if not ring.is_exact:
         for f in factors:
@@ -344,6 +345,8 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
                 f.beta if isinstance(f, Holo) else None)
             if par is not None and not ring.seminorm(par) < 1.0:  # NaN fails too
                 raise RingError("geometric parameter with seminorm not below 1")
+    if window[0] > window[1]:
+        raise WindowError("empty window [%d,%d]" % window)
     a, b = _factors_pair(ring, list(factors), window)
     return InvertiblePair.make(a, b)
 
@@ -371,17 +374,12 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
 
 def _split_factors(ring: Ring, factors: Sequence[Factor]) -> List[List[Factor]]:
     """A factor list over a product ring as one list per component."""
-    out: List[List[Factor]] = [[] for _ in ring.components]
-    for f in factors:
+    def part(f: Factor, i: int) -> Factor:
         if isinstance(f, Antiholo):
-            parts = [Antiholo(c) for c in ring.split(f.alpha)]
-        elif isinstance(f, Holo):
-            parts = [Holo(c) for c in ring.split(f.beta)]
-        else:
-            parts = [Mono(f.p, c) for c in ring.split(f.u)]
-        for fs, g in zip(out, parts):
-            fs.append(g)
-    return out
+            return Antiholo(f.alpha[i])
+        return Holo(f.beta[i]) if isinstance(f, Holo) else Mono(f.p, f.u[i])
+
+    return [[part(f, i) for f in factors] for i in range(len(ring.components))]
 
 
 _NO_INVERSE = ("no two-sided inverse: an antiholomorphic root meets "
@@ -400,8 +398,6 @@ def _ring_pair(ring: Ring, factors: Sequence[Factor],
     holo = factors_to_series(ring, [f for f in factors if isinstance(f, Holo)])
     a = anti.mul(holo).shift(p_tot).scale(u_tot)
     w0 = (window[0] + p_tot, window[1] + p_tot)
-    if w0[0] > w0[1]:
-        raise WindowError("window too small for the monomial shift")
     r, s = -anti._supp_bounds()[0], holo._supp_bounds()[1]
     if r + s == 0:
         b0 = LaurentSeries.one(ring, w0)
@@ -437,8 +433,6 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
     r, s = len(anti) - 1, len(holo) - 1
     a = to_fractions(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
     w0 = (window[0] + p, window[1] + p)
-    if w0[0] > w0[1]:
-        raise WindowError("window too small for the monomial shift")
     terms = [(0, 1, 1)]  # (exponent, numerator, denominator) of 1/(AB)
     if r + s:
         z, det = bareiss_solve(_sylvester(anti, holo, 0, 1))
@@ -646,7 +640,6 @@ def laurent_ring(base: Ring, var: str = "w") -> Ring:
         neg=lambda x: x.neg(),
         seminorm=lambda x: x.sup_seminorm(),
         equals=lambda x, y: x.equals(y),
-        is_exact=base.is_exact,
         tolerance=base.tolerance,
         invert=inv,
         fmt=fmt,

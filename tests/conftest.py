@@ -44,7 +44,7 @@ def dual_ring(base):
                    neg=lambda x: (base.neg(x[0]), base.neg(x[1])),
                    seminorm=lambda x: base.seminorm(x[0]),
                    equals=lambda x, y: base.equals(x[0], y[0]) and base.equals(x[1], y[1]),
-                   is_exact=base.is_exact, tolerance=base.tolerance, invert=inv)
+                   tolerance=base.tolerance, invert=inv)
 
 
 def det_cofactor(ring, rows):

@@ -221,11 +221,13 @@ def run_err(tmp_path, capsys, job, *extra):
 HOLO_JOB = {"ring": {"kind": "complex"}, "factors": [{"type": "holo", "beta": "0.5,0"}]}
 
 
-@pytest.mark.parametrize("value, flag", [("nan", False), ("inf", False), ("nan", True)],
-                         ids=["nan", "inf", "flag-nan"])
+@pytest.mark.parametrize("value, flag", [("nan", False), ("inf", False), ("nan", True),
+                                         (True, False)],
+                         ids=["nan", "inf", "flag-nan", "bool"])
 def test_non_finite_ring_tolerance_exit_2(tmp_path, capsys, value, flag):
-    # a NaN or infinite tolerance must fail as a bad ring, not later in the
-    # inverse with a message that names no field
+    # a NaN or infinite tolerance, or a JSON boolean (float(True) is 1.0),
+    # must fail as a bad ring, not later in the inverse with a message that
+    # names no field
     job = json.loads(json.dumps(HOLO_JOB))
     if flag:
         code, err = run_err(tmp_path, capsys, job, "--tolerance", value)
@@ -235,9 +237,10 @@ def test_non_finite_ring_tolerance_exit_2(tmp_path, capsys, value, flag):
     assert code == 2 and "'ring'" in err and "finite" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", True])
 def test_bad_compare_tolerance_exit_2(tmp_path, capsys, value):
-    # NaN and -1 rejected every difference (exit 3), inf accepted any (exit 0)
+    # NaN and -1 rejected every difference (exit 3), inf and a JSON boolean
+    # (read as 1) accepted any (exit 0)
     job = dict(ORACLE_JOB, compare_tolerance=value)
     code, err = run_err(tmp_path, capsys, job)
     assert code == 2 and "'compare_tolerance'" in err

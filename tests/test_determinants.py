@@ -76,16 +76,16 @@ def _element(ring, draw, rng):
     """A random element, with every leaf component drawn by ``draw``."""
     if ring.components is None:
         return draw(rng)
-    return ring.merge([_element(comp, draw, rng) for comp in ring.components])
+    return tuple(_element(comp, draw, rng) for comp in ring.components)
 
 
 def _int_charpoly(ring, a):
     """:func:`exact.int_charpoly` of ``a`` cleared to integers over one
     common denominator, per component of a product ring."""
     if ring.components is not None:
-        parts = [_int_charpoly(comp, [[ring.split(x)[i] for x in row] for row in a])
+        parts = [_int_charpoly(comp, [[x[i] for x in row] for row in a])
                  for i, comp in enumerate(ring.components)]
-        return [ring.merge(c) for c in zip(*parts)]
+        return [tuple(c) for c in zip(*parts)]
     n = len(a)
     m, d = clear([x for row in a for x in row])
     return int_charpoly([m[i * n:(i + 1) * n] for i in range(n)], d)

@@ -1,14 +1,16 @@
 """Source hygiene: no unused imports, no unreferenced private helpers,
-no ring test but ``rings.leaf_kind`` picking a kernel's path, and no
-dataclass field that nothing reads, in the library modules (stdlib
-``ast`` only)."""
+no ring test but ``rings.leaf_kind`` picking a kernel's path, no
+dataclass field that nothing reads, and no optional parameter that no
+call sets, in the library modules (stdlib ``ast`` only)."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "whlaurent"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "whlaurent"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -132,3 +134,76 @@ def test_field_search_finds_a_write_only_field():
            "class C:\n    u: int\n"
            "def f(a, b):\n    a.y = 1\n    return a.x + b.z\n")
     assert _write_only_fields([ast.parse(src)]) == [("A", "y")]
+
+
+def _optional_params(tree):
+    """``(name, parameter, position)`` for each parameter with a default of
+    every ``def`` in a module.  A call names a function or method by its
+    own name and ``__init__`` by its class; ``position`` is the index of
+    the parameter among such a call's positional arguments (``self`` or
+    ``cls`` is none of them), None for a keyword-only parameter."""
+    classes = {id(stmt): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               for stmt in node.body if isinstance(stmt, ast.FunctionDef)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name, skip = node.name, 0
+        if id(node) in classes:
+            skip = 0 if any(getattr(d, "id", None) == "staticmethod"
+                            for d in node.decorator_list) else 1
+            if name == "__init__":
+                name = classes[id(node)]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out += [(name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+        out += [(name, p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _calls(tree):
+    """``(name, positional arguments, keywords)`` for each call of a bare or
+    attribute name; a ``*args`` counts as every position and a ``**kwargs``
+    as every keyword (the keyword None)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            out.append((name, math.inf if starred else len(node.args),
+                        {k.arg for k in node.keywords}))
+    return out
+
+
+def _unset_params(defined, callers):
+    """The ``(name, parameter)`` of ``defined`` (module trees) that no call
+    in ``callers`` (module trees) sets, by keyword or by position."""
+    calls = [c for tree in callers for c in _calls(tree)]
+    return sorted((f, p) for tree in defined for f, p, pos in _optional_params(tree)
+                  if not any(name == f and (p in kws or None in kws
+                                            or (pos is not None and npos > pos))
+                             for name, npos, kws in calls))
+
+
+def test_every_optional_parameter_is_set():
+    callers = [_tree(p) for d in ("src", "tests", "demos", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert _unset_params([_tree(p) for p in SRC.glob("*.py")], callers) == []
+
+
+def test_parameter_search_finds_an_unset_parameter():
+    src = ("class A:\n"
+           "    def __init__(self, x, y=0): pass\n"
+           "    def m(self, u=1, v=2): pass\n"
+           "    @staticmethod\n"
+           "    def s(p, q=0): pass\n"
+           "def f(a, b=1, *, c=2): pass\n"
+           "def g(d=0): pass\n"
+           "A(1, 2).m(5)\n"
+           "A.s(1)\n"
+           "f(0, c=3)\n"
+           "g(*args)\n")
+    tree = ast.parse(src)
+    assert _unset_params([tree], [tree]) == [("f", "b"), ("m", "v"), ("s", "q")]

@@ -12,7 +12,9 @@ import whlaurent as wl
 from whlaurent import serialize
 from whlaurent.corpus import random_rational_factors, random_rational_parameter
 from whlaurent.rings import RingError
-from whlaurent.series import LaurentSeries, SeriesClass
+from whlaurent.series import LaurentSeries, SeriesClass, WindowError
+
+from conftest import dual_ring
 
 Q = wl.rational_ring()
 
@@ -136,6 +138,20 @@ def test_reciprocal_root_collision_rejected():
     with pytest.raises(RingError):
         wl.invert_from_factors(Q, [wl.Antiholo(Fraction(1, 2)),
                                    wl.Holo(Fraction(2))], (-8, 8))
+    # over the dual numbers the Sylvester elimination meets the zero pivot
+    D = dual_ring(Q)
+    with pytest.raises(RingError, match="no two-sided inverse"):
+        wl.invert_from_factors(D, [wl.Antiholo((Fraction(1, 2), Fraction(0))),
+                                   wl.Holo((Fraction(2), Fraction(0)))], (-8, 8))
+
+
+@pytest.mark.parametrize("ring, beta", [(Q, Fraction(1, 2)), (wl.complex_ring(), 0.5 + 0j)],
+                         ids=["Q", "C"])
+def test_empty_window_rejected(ring, beta):
+    # lo > hi fails as an empty window, with or without a monomial factor
+    for factors in ([wl.Holo(beta)], [wl.Holo(beta), wl.Mono(2, ring.one)]):
+        with pytest.raises(WindowError, match=r"empty window \[5,3\]"):
+            wl.invert_from_factors(ring, factors, (5, 3))
 
 
 def test_product_ring_inverse_componentwise():
