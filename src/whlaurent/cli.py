@@ -15,8 +15,9 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError, leaf_kind
-from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
-                     WindowError, invert_from_factors, invert_numeric, laurent_ring)
+from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, SeriesClass,
+                     WindowError, classify, invert_from_factors, invert_numeric,
+                     laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import FactorizationError, factorize, orthogonal_decompose, residual_bound
@@ -113,6 +114,8 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         return EXIT_OK, {"matrices": _matrix_dumps(pair, ring, window)}
 
     if mode == "orthogonal":
+        if SeriesClass.ORTHOGONAL not in classify(pair.a):
+            raise JobError("orthogonal mode needs an orthogonal symbol")
         dec = orthogonal_decompose(pair)
         return EXIT_OK, {
             "idempotents": [{"n": n, "c": ring.fmt(c)}

@@ -84,9 +84,10 @@ def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
     return dict(enumerate(_poly_det(ring, coef, len(k))))
 
 
-def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
+def charpoly(ring: Ring, a: Any) -> List[Any]:
     """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
-    are also those of det(I - w*A) = sum c_i w^i.
+    are also those of det(I - w*A) = sum c_i w^i, for ``A`` given as rows
+    of ring elements or, over ``C``, as an ``(n, n)`` array.
 
     Over ``C`` Berkowitz's Krylov sums lose up to 1e-8 on strongly
     non-normal blocks (entries near 10, eigenvalues below 1), so the pencil
@@ -95,7 +96,7 @@ def charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     backward-stable LU determinant per sample.  Every other ring, ``Q``
     included, runs division-free Berkowitz on its own elements.
     """
-    if not a or leaf_kind(ring) is not complex:
+    if len(a) == 0 or leaf_kind(ring) is not complex:
         return _berkowitz_charpoly(ring, a)
     coeffs = per_component(ring, _charpoly_leaf, _component_slices(2), ring_array(ring, a))
     return [coeffs[i] for i in range(len(a) + 1)]

@@ -9,15 +9,18 @@ Each is read off one characteristic polynomial of K_+-, per component
 of a product ring.  Over Q the bracket block is an integer Toeplitz
 product of the numerators of a and b over the common denominator
 d = da db, and d K_+- goes straight to division-free Berkowitz on Python
-integers.  Over C the pencil is sampled on the unit circle, where
-Berkowitz loses accuracy on these non-normal blocks.  The orthogonal
-middle part comes either by exact division (default) or through the
-half-lattice truncated determinant (cross-check route); over Q the
-long division runs on integers too (``series.div_unit``).  The w-series
-blocks of the widetilde-determinant closed form
+integers.  Over C, K_+- is one complex array, the bracket block one
+gather of b's Toeplitz slices times a matrix of signed coefficients of a,
+and its pencil is sampled on the unit circle, where Berkowitz loses
+accuracy on these non-normal blocks.  Other rings build the block from
+ring elements and run Berkowitz on them.  The orthogonal middle part
+comes either by exact division (default) or through the half-lattice
+truncated determinant (cross-check route); over Q and C the long
+division runs on integers or complex arrays too (``series.div_unit``).
+The w-series blocks of the widetilde-determinant closed form
 (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for
 checking against it; they build the bracket block from ring elements
-over every ring, Q included.
+over every ring, Q and C included.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import int_charpoly, to_ints
+from .floating import cut, to_array
 from .rings import Ring, RingError, leaf_kind, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit)
@@ -85,19 +89,15 @@ def _bracket_cols(a: LaurentSeries, sign: str) -> Tuple[List[int], Columns]:
     column lists ``(row j, exponent d, sign)`` for its entry ``sign * a_d``.
 
     The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
-    where j and m straddle S, so |m| <= max |d| over the support of a.
+    where j = m + d and m straddle S: for S = Z^- (o = 0) and S = Z^+
+    (o = 1) that is o - d <= m < o for d > 0, with j in S only for Z^+,
+    and o <= m < o - d for d < 0, with j in S only for Z^-.
     """
-    shift, variant = (1, "+") if sign == "-" else (-1, "-")
-
-    def in_s(k: int) -> bool:
-        return k < 0 if sign == "-" else k > 0
-
+    shift, variant, o, s = (1, "+", 0, -1) if sign == "-" else (-1, "-", 1, 1)
     cols: Columns = {}
     for d in a.coeffs:
-        for m in range(-abs(d), abs(d) + 1):
-            j = m + d
-            if in_s(j) != in_s(m):
-                cols.setdefault(m + shift, []).append((j, d, 1 if in_s(j) else -1))
+        for m in (range(o - d, o) if d > 0 else range(o, o - d)):
+            cols.setdefault(m + shift, []).append((m + d, d, s if d > 0 else -s))
     return reduced_columns(variant, sorted(cols)), cols
 
 
@@ -132,8 +132,8 @@ def _bracket_block(pair: InvertiblePair,
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
     so they are not built; the rows built read b only on [-2d, 2d], d the
     largest |exponent| of a.  The entries are sums of ring products over
-    every ring; over ``Q`` the outer projections build the integer block
-    themselves (:func:`_outer_projection`).
+    every ring; over ``Q`` and ``C`` the outer projections build the block
+    on integers or complex arrays themselves (:func:`_outer_projection`).
     """
     _check_b_window(pair)
     a, b = pair.a, pair.b
@@ -189,30 +189,45 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     unit triangular on the interval P and A vanishes off P's columns, so
     widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
 
-    This is the one place that picks integers over ``Q``: there (and per
-    component of a product of ``Q``) the integer bracket block ``d B``
+    This is the one place that picks the block's form.  Over ``Q`` (and
+    per component of a product of ``Q``) the integer bracket block ``d B``
     (:func:`_int_bracket`) and ``d E`` go straight to integer Berkowitz
-    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.  Every
-    other ring builds ``B`` from ring elements (:func:`_bracket_block`) and
-    reads :func:`determinants.charpoly`, which samples over ``C``.
+    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.  Over
+    ``C`` (and per component of a product of ``C``) K is one complex array
+    (:func:`_c_k_matrix`) for :func:`determinants.charpoly`, which samples
+    it.  Every other ring builds ``B`` from ring elements
+    (:func:`_bracket_block`) and runs Berkowitz on them.
     """
     ring = pair.a.ring
     step = 1 if sign == "-" else -1
-    if leaf_kind(ring) is Fraction:
-        _check_b_window(pair)
-        jp, cols = _bracket_cols(pair.a, sign)
+    kind = leaf_kind(ring)
+    if kind is None:
+        jp, ents = _bracket_block(pair, sign)
+        coeffs = charpoly(ring, _k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add))
+        return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+    _check_b_window(pair)
+    jp, cols = _bracket_cols(pair.a, sign)
 
-        def leaf(_q: Ring, ac: Dict[int, Fraction],
-                 bc: Dict[int, Fraction]) -> Dict[int, Fraction]:
+    def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
+        if kind is Fraction:
             ents, d = _int_bracket(jp, cols, ac, bc)
-            k_mat = _k_matrix(jp, ents, sign, 0, d, operator.add)
-            return {step * i: c for i, c in enumerate(int_charpoly(k_mat, d)) if c}
+            coeffs = int_charpoly(_k_matrix(jp, ents, sign, 0, d, operator.add), d)
+            return {step * i: c for i, c in enumerate(coeffs) if c}
+        coeffs = charpoly(comp, _c_k_matrix(jp, cols, sign, ac, bc, comp.tolerance))
+        return {step * i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
 
-        return LaurentSeries._trusted(ring, per_component(
-            ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
-    jp, ents = _bracket_block(pair, sign)
-    coeffs = charpoly(ring, _k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add))
-    return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+    return LaurentSeries._trusted(ring, per_component(
+        ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
+
+
+def _shift_entries(jp: List[int], sign: str) -> List[Tuple[int, int]]:
+    """The unit entries of E as (row, column) positions on P = [min J', max J']."""
+    if not jp:
+        return []
+    lo, n = jp[0], jp[-1] - jp[0] + 1
+    if sign == "-":
+        return [(i, i + 1) for i in range(n - 1) if lo + i + 1 <= 0]
+    return [(i + 1, i) for i in range(n - 1) if lo + i >= 0]
 
 
 def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], sign: str, zero: Any,
@@ -221,11 +236,37 @@ def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], sign: str, zero: 
     value of E's entries."""
     idx = list(range(jp[0], jp[-1] + 1)) if jp else []
     k_mat = [[ents.get((r, c), zero) for c in idx] for r in idx]
-    for i in range(len(idx) - 1):
-        if sign == "-" and idx[i + 1] <= 0:
-            k_mat[i][i + 1] = add(k_mat[i][i + 1], one)
-        if sign == "+" and idx[i] >= 0:
-            k_mat[i + 1][i] = add(k_mat[i + 1][i], one)
+    for i, j in _shift_entries(jp, sign):
+        k_mat[i][j] = add(k_mat[i][j], one)
+    return k_mat
+
+
+def _c_k_matrix(jp: List[int], cols: Columns, sign: str, a: Dict[int, complex],
+                b: Dict[int, complex], tol: float) -> Any:
+    """K = E + B over ``C`` as one complex array on P = [min J', max J'].
+
+    B on the rows J' is one gather of b's Toeplitz slices, G[r, j] =
+    b_(r-j), times the weights W[j, k] = sign * a_d of the column entries
+    (j, d, sign) of :func:`_bracket_cols`, so B = G W; each column holds
+    each j at most once.  Entries of B within ``tol`` of zero are cut, as
+    :func:`_bracket_block` drops them, before E is added.
+    """
+    n = jp[-1] - jp[0] + 1 if jp else 0
+    k_mat = np.zeros((n, n), complex)
+    if cols:
+        ks = sorted(cols)
+        js = sorted({j for col in cols.values() for j, _d, _s in col})
+        at = {j: i for i, j in enumerate(js)}
+        w = np.zeros((len(js), len(ks)), complex)
+        for c, k in enumerate(ks):
+            for j, d, s in cols[k]:
+                w[at[j], c] = a.get(d, 0j) if s > 0 else -a.get(d, 0j)
+        rows = np.array(jp)
+        lo = jp[0] - js[-1]
+        gather = to_array(b, lo, jp[-1] - js[0])[rows[:, None] - np.array(js) - lo]
+        k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = cut(gather @ w, tol)
+    for i, j in _shift_entries(jp, sign):
+        k_mat[i, j] += 1
     return k_mat
 
 

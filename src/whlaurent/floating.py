@@ -1,0 +1,78 @@
+"""Complex floating-point kernels on numpy arrays.
+
+A ``C`` coefficient map is held as one dense complex array from its
+lowest exponent, the way :mod:`whlaurent.exact` holds a ``Q`` map as
+integer numerators over one denominator.  Products are ``np.convolve``;
+the long division by a unit is a recurrence on Python complex numbers,
+and a product of linear factors a short Python list.  The ring-element
+path of a ``C`` ring drops every coefficient within the ring's absolute
+tolerance of zero (``Ring.is_zero``) wherever it builds a series; these
+kernels cut the same coefficients (:func:`cut`) at the same steps, so
+both paths keep the same exponents.  A caller takes them when
+:func:`rings.leaf_kind` reads ``complex``; over a product of ``C`` it
+runs them per component (:func:`rings.per_component`), so each
+component is cut on its own.
+"""
+
+from __future__ import annotations
+
+import operator
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+
+def cut(arr: Any, tol: float) -> Any:
+    """``arr`` with every entry within ``tol`` of zero set to 0, in place:
+    the ring's ``is_zero``, which keeps NaN."""
+    arr[np.abs(arr) <= tol] = 0
+    return arr
+
+
+def to_array(coeffs: Dict[int, complex], lo: int, hi: int) -> Any:
+    """A ``C`` coefficient map on ``[lo, hi]`` as one complex array (exponent
+    ``lo + i`` at index ``i``), 0 where the map has no entry."""
+    out = np.zeros(hi - lo + 1, complex)
+    for n, c in coeffs.items():
+        if lo <= n <= hi:
+            out[n - lo] = c
+    return out
+
+
+def from_array(lo: int, arr: Any, tol: float,
+               window: Optional[Tuple[int, int]]) -> Dict[int, complex]:
+    """The entries of a dense complex array that are not within ``tol`` of
+    zero, at exponent ``lo + i``, inside ``window`` when one is given."""
+    start, stop = 0, len(arr)
+    if window is not None:
+        start, stop = max(start, window[0] - lo), min(stop, window[1] - lo + 1)
+    idx = np.flatnonzero(~(np.abs(arr[start:max(start, stop)]) <= tol)) + start
+    return dict(zip((idx + lo).tolist(), arr[idx].tolist()))
+
+
+def recur(xs: Sequence[complex], us: Sequence[complex], tol: float) -> List[complex]:
+    """``q_t = x_t - sum_m u_m q_(t-m)`` over ``m >= 1`` for each ``x_t`` of
+    ``xs``: the power series ``x / u`` for ``u_0 = 1``, on Python complex
+    numbers, with each ``q_t`` within ``tol`` of zero set to 0 before the
+    next term reads it, as the ring-element loop of
+    :func:`series.div_unit` drops it."""
+    tail = us[1:]
+    out: List[complex] = []
+    for x in xs:
+        # map() stops at the shorter input: tail[m-1] meets out[t-m]
+        acc = x - sum(map(operator.mul, tail, reversed(out)))
+        out.append(0j if abs(acc) <= tol else acc)
+    return out
+
+
+def times_linear(poly: List[complex], c: complex, tol: float) -> List[complex]:
+    """``poly * (1 - c v)`` for a coefficient list ``poly`` (lowest power
+    first), with ``c`` and every product coefficient within ``tol`` of zero
+    cut and the trailing zeros trimmed, so the list ends at the support."""
+    if abs(c) <= tol:
+        return poly
+    out = [x - c * y for x, y in zip(poly + [0j], [0j] + poly)]
+    out = [0j if abs(x) <= tol else x for x in out]
+    while not out[-1]:
+        out.pop()
+    return out

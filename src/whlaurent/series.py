@@ -8,14 +8,19 @@ the sub-window on which their result still agrees with the untruncated
 computation.
 
 The coefficient map is the interchange form; the kernels choose their
-own.  Over ``Q``, and per component of a product of ``Q``
-(:func:`rings.leaf_kind` reads ``Fraction``; :func:`rings.per_component`
-splits the product), ``mul``, ``div_unit`` and the inverse of a
-product of elementary factors run on one integer numerator array over
-one common denominator (:mod:`whlaurent.exact`): a product is one integer
-convolution, a long division an integer recurrence, the Bezout system a
-fraction-free elimination, and only each output coefficient becomes a
-``Fraction``.  Every other ring runs the same algorithms on its own
+own, by :func:`rings.leaf_kind`, per component of a product ring
+(:func:`rings.per_component` splits it).  Over ``Q`` ``mul``,
+``div_unit`` and the inverse of a product of elementary factors run on
+one integer numerator array over one common denominator
+(:mod:`whlaurent.exact`): a product is one integer convolution, a long
+division an integer recurrence, the Bezout system a fraction-free
+elimination, and only each output coefficient becomes a ``Fraction``.
+Over ``C`` they run on one dense complex array (:mod:`whlaurent.floating`):
+a product is one ``np.convolve``, the Bezout system one
+``np.linalg.solve``, a long division a recurrence on Python complex
+numbers, and coefficients within the ring's tolerance of zero are cut at
+the steps where the ring-element path drops them.  Every other ring
+(rings with nilpotents, series rings) runs the same algorithms on its own
 elements.
 """
 
@@ -26,7 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .exact import bareiss_solve, int_div, int_mul, to_fractions, to_ints
+from .floating import cut, from_array, recur, times_linear, to_array
 from .rings import Ring, RingError, leaf_kind, per_component, split_map, sup
 
 Window = Optional[Tuple[int, int]]
@@ -136,14 +144,18 @@ class LaurentSeries:
         return LaurentSeries(self.ring, {n + k: c for n, c in self.coeffs.items()}, w)
 
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
-        """Product on its reliable window; over ``Q`` (and per component of
-        a product of ``Q``) one integer product of the numerators."""
+        """Product on its reliable window; over ``Q`` or ``C`` (and per
+        component of a product of them) one convolution of the dense
+        coefficients: integer numerators over ``Q``, a complex array over
+        ``C``."""
         self._check(other)
         ring = self.ring
         window = self._mul_window(other)
-        if leaf_kind(ring) is Fraction:
+        kind = leaf_kind(ring)
+        if kind is not None:
+            leaf = _q_mul if kind is Fraction else _c_mul
             return LaurentSeries._trusted(ring, per_component(
-                ring, lambda _q, x, y: _q_mul(x, y, window), split_map,
+                ring, lambda comp, x, y: leaf(comp, x, y, window), split_map,
                 self.coeffs, other.coeffs), window)
         out: Dict[int, Any] = {}
         for n, a in self.coeffs.items():
@@ -362,11 +374,13 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
     ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
     series in ``z`` on the exponents ``>= r``, each a long division.
     Product rings run per component (:func:`per_component`), ``Q`` on
-    integers (:func:`_q_pair`) and every other ring on its own elements
-    (:func:`_ring_pair`).
+    integers (:func:`_q_pair`), ``C`` on complex arrays (:func:`_c_pair`)
+    and every other ring on its own elements (:func:`_ring_pair`).
     """
     def leaf(comp: Ring, fs: List[Factor]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
-        return (_q_pair if leaf_kind(comp) is Fraction else _ring_pair)(comp, fs, window)
+        kind = leaf_kind(comp)
+        pair = _q_pair if kind is Fraction else _c_pair if kind is complex else _ring_pair
+        return pair(comp, fs, window)
 
     a, b = per_component(ring, leaf, _split_factors, list(factors))
     return LaurentSeries._trusted(ring, a), LaurentSeries._trusted(ring, b, window)
@@ -462,6 +476,49 @@ def _times_linear(poly: List[int], c: Fraction) -> List[int]:
     return [q * x - m * y for x, y in zip(poly + [0], [0] + poly)]
 
 
+# a non-finite unit gives NaN coefficients, as ring arithmetic on Python
+# complex numbers does, with no numpy warning
+@np.errstate(invalid="ignore", over="ignore")
+def _c_pair(ring: Ring, factors: Sequence[Factor],
+            window: Tuple[int, int]) -> Tuple[Dict[int, complex], Dict[int, complex]]:
+    """The coefficients of :func:`_factors_pair` over ``C``, on complex arrays.
+
+    ``A`` and ``B`` are products of linear factors (one ``np.convolve``
+    each), the Sylvester system of the Bezout identity is one
+    ``np.linalg.solve``, and the two long divisions are the recurrence of
+    :func:`div_unit` (:func:`floating.recur`).  Every coefficient within the
+    ring's tolerance of zero is cut where the ring-element path
+    (:func:`_ring_pair`) drops it: in each factor and product, in ``V`` and
+    ``U``, inside the recurrence and after each scaling.
+    """
+    tol = ring.tolerance
+    p, unit = 0, ring.one
+    anti, holo = [1 + 0j], [1 + 0j]
+    for f in factors:
+        if isinstance(f, Mono):
+            p, unit = p + f.p, unit * f.u
+        elif isinstance(f, Antiholo):
+            anti = times_linear(anti, f.alpha, tol)
+        else:
+            holo = times_linear(holo, f.beta, tol)
+    r, s = len(anti) - 1, len(holo) - 1
+    a = from_array(p - r, cut(np.convolve(anti[::-1], holo), tol) * unit, tol, None)
+    lo, hi = window[0] + p, window[1] + p
+    inv = ring.inverse(unit)
+    if r + s == 0:
+        return a, from_array(-p, np.array([inv]), tol, window)
+    rows = np.array(_sylvester(anti, holo, 0j, 1 + 0j))
+    try:
+        z = cut(np.linalg.solve(rows[:, :-1], rows[:, -1]), tol).tolist()
+    except np.linalg.LinAlgError:
+        raise RingError(_NO_INVERSE) from None
+    # V/A descends from r - 1 to lo, U/B ascends from r to hi
+    down = recur([z[r - 1 - t] if t < r else 0j for t in range(r - lo)], anti, tol)
+    up = recur([z[r + t] if t < s else 0j for t in range(hi - r + 1)], holo, tol)
+    b0 = np.array(down[::-1] + up, complex)
+    return a, from_array(r - len(down) - p, b0 * inv, tol, window)
+
+
 def _sylvester(anti: Sequence[Any], holo: Sequence[Any], zero: Any, one: Any) -> List[List[Any]]:
     """Augmented rows ``[M | e_0]`` of ``V*holo + U*anti = 1``, one equation
     per exponent ``e`` in ``[0, r+s)``: ``holo`` lists the coefficients of
@@ -507,8 +564,6 @@ def _bezout(ring: Ring, anti: LaurentSeries, holo: LaurentSeries,
 
 def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:
     """Inverse of a complex-coefficient symbol via unit-circle sampling."""
-    import numpy as np
-
     ring = a.ring
     if leaf_kind(ring) is not complex or ring.components:
         raise RingError("invert_numeric requires the complex ring")
@@ -543,8 +598,9 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     ``u`` must be a unit power series in the variable (constant term 1,
     nonnegative exponents: ascending division) or its mirror in the
     inverse variable (nonpositive exponents, w^0 term 1: descending
-    division).  Over ``Q`` (and per component of a product of ``Q``) the
-    recurrence runs on integers (:func:`_q_div`).
+    division).  Over ``Q`` or ``C`` (and per component of a product of
+    them) the recurrence runs on integers (:func:`_q_div`) or on complex
+    numbers (:func:`_c_div`).
     """
     ring = x.ring
     supp = u.support()
@@ -555,9 +611,11 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     if not ascending and not all(n <= 0 for n in supp):
         raise RingError("divisor is neither a power series in w nor in w^-1")
     keep = _win_meet(x.window, window)
-    if leaf_kind(ring) is Fraction:
+    kind = leaf_kind(ring)
+    if kind is not None:
+        leaf = _q_div if kind is Fraction else _c_div
         return LaurentSeries._trusted(ring, per_component(
-            ring, lambda _q, xc, uc: _q_div(xc, uc, window, ascending, keep), split_map,
+            ring, lambda comp, xc, uc: leaf(comp, xc, uc, window, ascending, keep), split_map,
             x.coeffs, u.coeffs), keep)
     q: Dict[int, Any] = {}
     for n in (range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)):
@@ -573,7 +631,7 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     return LaurentSeries(ring, q, keep)
 
 
-def _q_div(x: Dict[int, Fraction], u: Dict[int, Fraction], window: Tuple[int, int],
+def _q_div(_q: Ring, x: Dict[int, Fraction], u: Dict[int, Fraction], window: Tuple[int, int],
            ascending: bool, keep: Tuple[int, int]) -> Dict[int, Fraction]:
     """:func:`div_unit` over ``Q`` on integers, kept on ``keep``.  With
     ``x = X / dx`` and ``u = U / du`` (so ``U_0 = du``), the ``t``-th
@@ -594,7 +652,8 @@ def _q_div(x: Dict[int, Fraction], u: Dict[int, Fraction], window: Tuple[int, in
     return out
 
 
-def _q_mul(x: Dict[int, Fraction], y: Dict[int, Fraction], window: Window) -> Dict[int, Fraction]:
+def _q_mul(_q: Ring, x: Dict[int, Fraction], y: Dict[int, Fraction],
+           window: Window) -> Dict[int, Fraction]:
     """:meth:`LaurentSeries.mul` over ``Q``: one integer product of the
     numerators over the product of the two common denominators."""
     if not x or not y:
@@ -603,6 +662,30 @@ def _q_mul(x: Dict[int, Fraction], y: Dict[int, Fraction], window: Window) -> Di
     xs, dx = to_ints(x, xl, max(x))
     ys, dy = to_ints(y, yl, max(y))
     return to_fractions(xl + yl, int_mul(xs, ys), dx * dy, window)
+
+
+# -- C kernels on complex arrays ---------------------------------------
+
+def _c_mul(ring: Ring, x: Dict[int, complex], y: Dict[int, complex],
+           window: Window) -> Dict[int, complex]:
+    """:meth:`LaurentSeries.mul` over ``C``: one ``np.convolve`` of the dense
+    coefficients."""
+    if not x or not y:
+        return {}
+    xl, yl = min(x), min(y)
+    prod = np.convolve(to_array(x, xl, max(x)), to_array(y, yl, max(y)))
+    return from_array(xl + yl, prod, ring.tolerance, window)
+
+
+def _c_div(ring: Ring, x: Dict[int, complex], u: Dict[int, complex], window: Tuple[int, int],
+           ascending: bool, keep: Tuple[int, int]) -> Dict[int, complex]:
+    """:func:`div_unit` over ``C`` by :func:`floating.recur`, kept on ``keep``."""
+    lo, hi = window
+    exps = range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)
+    sign = 1 if ascending else -1
+    us = [u.get(sign * m, 0j) for m in range(max(sign * n for n in u) + 1)]
+    q = recur([x.get(n, 0j) for n in exps], us, ring.tolerance)
+    return {n: c for n, c in zip(exps, q) if c and keep[0] <= n <= keep[1]}
 
 
 # -- the series ring constructor --------------------------------------

@@ -77,6 +77,15 @@ def test_orthogonal_mode(tmp_path, capsys):
     assert payload["unit"] == "(1|1)"
 
 
+def test_orthogonal_mode_rejects_non_orthogonal_symbol(tmp_path, capsys):
+    # a job error (exit 2) that names the problem, not a numerical failure
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(GOLDEN_JOB, mode="orthogonal")))
+    assert main(["--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "orthogonal symbol" in err
+
+
 def test_matrix_dump_mode(tmp_path, capsys):
     job = dict(GOLDEN_JOB)
     job["mode"] = "matrix-dump"

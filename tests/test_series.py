@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import whlaurent as wl
 from whlaurent import serialize
-from whlaurent.corpus import random_rational_factors, random_rational_parameter
+from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
+                             random_rational_factors, random_rational_parameter)
+from whlaurent.factorization import residual_bound
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
 
@@ -456,3 +458,124 @@ def test_q_series_kernels_make_no_ring_multiplication(arity):
     # the same inverse on the ring-element path does count
     slow = wl.invert_from_factors(counting(0), facs, (-30, 30))
     assert calls and slow.b.coeffs == pair.b.coeffs
+
+
+# a copy of C whose zero is not a complex takes the ring-element path on
+# complex numbers: the reference for the array kernels
+C = wl.complex_ring()
+C_ELEMENTS = dataclasses.replace(C, zero=0)
+
+
+def _c2_factors(rng, facs):
+    out = []
+    for f in facs:
+        other = rng.choice([0j, random_complex_parameter(rng, (0.1, 0.9))])
+        if isinstance(f, wl.Antiholo):
+            out.append(wl.Antiholo((f.alpha, other)))
+        elif isinstance(f, wl.Holo):
+            out.append(wl.Holo((f.beta, other)))
+        else:
+            out.append(wl.Mono(f.p, (f.u, rng.choice([1 + 0j, complex(-2.0, 0.5)]))))
+    return out
+
+
+def _c_half_window(facs):
+    """The smallest symmetric inverse window the outer projections accept,
+    at least 16."""
+    p = sum(f.p for f in facs if isinstance(f, wl.Mono))
+    lo = p - sum(isinstance(f, wl.Antiholo) for f in facs)
+    hi = p + sum(isinstance(f, wl.Holo) for f in facs)
+    return max(16, 3 * max(abs(lo), abs(hi)) + 1)
+
+
+def _part(f, i):
+    """Component ``i`` of a factor over ``C^2``."""
+    if isinstance(f, wl.Antiholo):
+        return wl.Antiholo(f.alpha[i])
+    return wl.Holo(f.beta[i]) if isinstance(f, wl.Holo) else wl.Mono(f.p, f.u[i])
+
+
+def _close(got, wants):
+    """Each component of ``got`` has the exponents of its reference in
+    ``wants`` and agrees with it within 1e-12 of the reference's sup norm,
+    on ``got``'s window: a product's window narrows by the support of its
+    exact factor, which over ``C^2`` spans every component's."""
+    for i, want in enumerate(wants):
+        comp = got if len(wants) == 1 else LaurentSeries(
+            C, {n: c[i] for n, c in got.coeffs.items() if c[i]}, got.window)
+        want = want.truncate(comp.window)
+        assert set(comp.coeffs) == set(want.coeffs) and comp.window == want.window
+        assert comp.sup_diff(want) <= 1e-12 * want.sup_seminorm()
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_complex_kernels_match_ring_element_path(arity):
+    # the reference runs on ring elements, per component over C^2: the
+    # kernels cut each component within the tolerance of zero, where a
+    # product of C_ELEMENTS would keep it while another component is larger
+    rng = random.Random(41 + arity)
+    fast = C if arity == 1 else wl.product_ring(C, 2)
+    for k in range(-3, 4):
+        for _ in range(4):
+            facs = random_complex_factors(rng, rng.randint(1, 12), (0.1, 0.9))
+            facs.append(wl.Mono(0, complex(10.0 ** k)))
+            parts = [facs]
+            if arity == 2:
+                facs = _c2_factors(rng, facs)
+                parts = [[_part(f, i) for f in facs] for i in range(2)]
+            half = _c_half_window(facs)
+            got = wl.invert_from_factors(fast, facs, (-half, half))
+            wants = [wl.invert_from_factors(C_ELEMENTS, p, (-half, half)) for p in parts]
+            _close(got.a, [w.a for w in wants])
+            _close(got.b, [w.b for w in wants])
+            prod = got.a.mul(got.b)
+            _close(prod, [w.a.mul(w.b) for w in wants])
+            one = LaurentSeries.one(C, prod.window)
+            residual = max(w.a.mul(w.b).truncate(prod.window).sup_diff(one) for w in wants)
+            assert abs(got.residual - residual) <= 1e-12, facs
+            _close(got.b.mul(got.b), [w.b.mul(w.b) for w in wants])
+            for kind in (wl.Holo, wl.Antiholo):
+                u = wl.factors_to_series(fast, [f for f in facs if isinstance(f, kind)])
+                us = [wl.factors_to_series(C_ELEMENTS, [f for f in p if isinstance(f, kind)])
+                      for p in parts]
+                for x, xs in ((got.a, [w.a for w in wants]), (got.b, [w.b for w in wants])):
+                    _close(wl.div_unit(x, u, (-half, half)),
+                           [wl.div_unit(xw, uw, (-half, half)) for xw, uw in zip(xs, us)])
+            _close(wl.pi_plus(got), [wl.pi_plus(w) for w in wants])
+            _close(wl.pi_minus(got), [wl.pi_minus(w) for w in wants])
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_complex_series_kernels_make_no_ring_multiplication(arity):
+    # a copy of C whose mul counts its calls: the inverse, its residual,
+    # products, long division and the outer projections all run on arrays
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        return complex(x) * complex(y)
+
+    def counting(zero):
+        leaf = dataclasses.replace(C, mul=mul, zero=zero)
+        return leaf if arity == 1 else wl.product_ring(leaf, arity)
+
+    ring = counting(0j)
+
+    def elem(x):
+        return x if arity == 1 else (x, x / 3)
+
+    facs = [wl.Antiholo(elem(0.5j)), wl.Holo(elem(complex(-0.4, 0.3))),
+            wl.Antiholo(elem(0.25 + 0j)), wl.Mono(-1, elem(complex(3.0, -1.0))),
+            wl.Holo(elem(0.125 + 0j))]
+    pair = wl.invert_from_factors(ring, facs, (-30, 30))
+    prod = pair.a.mul(pair.b)
+    u = LaurentSeries(ring, {0: ring.one, 1: elem(-0.25 + 0j), 2: elem(0.2j)})
+    q = wl.div_unit(pair.a, u, (-10, 10))
+    wl.pi_plus(pair), wl.pi_minus(pair)
+    assert not calls
+    assert pair.residual <= residual_bound(ring)
+    assert prod.truncate((-20, 20)).equals(LaurentSeries.one(ring))
+    assert q.mul(u).equals(pair.a.truncate((-8, 8)))
+    # the same inverse on the ring-element path does count
+    slow = wl.invert_from_factors(counting(0), facs, (-30, 30))
+    assert calls and slow.b.sup_diff(pair.b) <= 1e-12
