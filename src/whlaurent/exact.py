@@ -1,17 +1,20 @@
 """Exact arithmetic over ``Q`` on Python integers.
 
-A ``Q`` array is held as one list of integer numerators over one common
-denominator, as FLINT's ``fmpq_poly`` holds a rational polynomial (Hart,
-"FLINT: Fast Library for Number Theory", 2010).  The kernels below run on
-the numerators alone, so no operation builds a ``Fraction`` (or takes its
-``gcd``); a caller turns each output into one ``Fraction`` at the end.
-Products are integer convolutions, division by a unit is a
-fraction-free recurrence, linear systems (the Bezout system of an
-inverse, the Vandermonde system of an interpolation) and determinants
-use fraction-free Bareiss elimination, and characteristic polynomials
-division-free Berkowitz.  A caller takes these kernels when
-:func:`rings.leaf_kind` reads ``Fraction``; over a product of ``Q`` it
-runs them per component (:func:`rings.per_component`).
+A ``Q`` series is held as one list of integer numerators over one common
+denominator, ``(lo, nums, den)`` in lowest terms (:data:`Ints`), as
+FLINT's ``fmpq_poly`` holds a rational polynomial (Hart, "FLINT: Fast
+Library for Number Theory", 2010).  The kernels read and write this form
+directly, so no operation between them builds a ``Fraction``; one is
+built per coefficient only when a caller reads the coefficients
+(:func:`to_fractions`).  Lowest terms make a slice of the form
+(:func:`slice_ints`) the numerators and the least common denominator
+that clearing its ``Fraction`` values would give.  Products are integer
+convolutions, division by a unit is a fraction-free recurrence, linear
+systems (the Bezout system of an inverse, the Vandermonde system of an
+interpolation) and determinants use fraction-free Bareiss elimination,
+and characteristic polynomials division-free Berkowitz.  A caller takes
+these kernels when :func:`rings.leaf_kind` reads ``Fraction``; over a
+(nested) product of ``Q`` a series holds one form per leaf.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
+Ints = Tuple[int, List[int], int]
+"""A ``Q`` series ``(lo, nums, den)``: ``nums[i] / den`` at exponent
+``lo + i``, zero ends trimmed, ``den > 0`` and ``gcd(den, *nums) == 1``;
+``(0, [], 1)`` is zero."""
+
+
 def clear(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Numerators ``nums`` and the least common denominator ``d`` with
     ``values[i] = nums[i] / d``."""
@@ -29,25 +38,71 @@ def clear(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
-def to_ints(coeffs: Dict[int, Fraction], lo: int, hi: int) -> Tuple[List[int], int]:
-    """A coefficient map on ``[lo, hi]`` as numerators over one denominator:
-    ``coeffs[lo + i] = nums[i] / d``, 0 where the map has no entry."""
-    inside = [(n, c) for n, c in coeffs.items() if lo <= n <= hi]
-    vals, d = clear([c for _n, c in inside])
-    nums = [0] * (hi - lo + 1)
-    for (n, _c), v in zip(inside, vals):
-        nums[n - lo] = v
-    return nums, d
-
-
-def to_fractions(lo: int, nums: Sequence[int], d: int,
-                 window: Optional[Tuple[int, int]] = None) -> Dict[int, Fraction]:
-    """The nonzero ``nums[i] / d`` at exponent ``lo + i``, inside ``window``
-    when one is given: one ``Fraction`` per output coefficient."""
+def reduced(lo: int, nums: Sequence[int], den: int,
+            window: Optional[Tuple[int, int]] = None) -> Ints:
+    """The values ``nums[i] / den`` at exponent ``lo + i`` (inside
+    ``window`` when one is given) as an :data:`Ints` in lowest terms: one
+    multi-argument ``gcd``, no ``Fraction``."""
     start, stop = 0, len(nums)
     if window is not None:
         start, stop = max(start, window[0] - lo), min(stop, window[1] - lo + 1)
-    return {lo + i: Fraction(nums[i], d) for i in range(start, stop) if nums[i]}
+    while start < stop and not nums[start]:
+        start += 1
+    while stop > start and not nums[stop - 1]:
+        stop -= 1
+    if start >= stop:
+        return (0, [], 1)
+    part = list(nums[start:stop])
+    g = math.gcd(den, *part)
+    if den < 0:
+        g = -g
+    if g != 1:
+        part, den = [x // g for x in part], den // g
+    return (lo + start, part, den)
+
+
+def restrict(form: Ints, window: Optional[Tuple[int, int]]) -> Ints:
+    """``form`` on ``window`` (all of it for ``None``), in lowest terms."""
+    lo, nums, den = form
+    if window is None or (window[0] <= lo and lo + len(nums) <= window[1] + 1):
+        return form
+    return reduced(lo, nums, den, window)
+
+
+def from_terms(terms: Sequence[Tuple[int, int, int]]) -> Ints:
+    """The :data:`Ints` of the values ``num / den`` at exponent ``n``, for
+    ``(n, num, den)`` triples with distinct ``n`` and ``den > 0``, over the
+    least common multiple of the ``den``."""
+    if not terms:
+        return (0, [], 1)
+    d = math.lcm(*(den for _n, _num, den in terms))
+    lo = min(n for n, _num, _den in terms)
+    nums = [0] * (max(n for n, _num, _den in terms) - lo + 1)
+    for n, num, den in terms:
+        nums[n - lo] = num * (d // den)
+    return reduced(lo, nums, d)
+
+
+def slice_ints(form: Ints, lo: int, hi: int) -> Tuple[List[int], int]:
+    """The values of ``form`` on ``[lo, hi]`` (0 outside it) as numerators
+    over their least common denominator.  In lowest terms that is
+    ``den / gcd(den, *slice)``: the lcm of the reduced denominators, which
+    clearing the ``Fraction`` values would give too."""
+    f_lo, nums, den = form
+    a, b = max(lo, f_lo), min(hi, f_lo + len(nums) - 1)
+    if a > b:
+        return [0] * (hi - lo + 1), 1
+    part = nums[a - f_lo:b - f_lo + 1]
+    g = math.gcd(den, *part)
+    if g != 1:
+        part, den = [x // g for x in part], den // g
+    return [0] * (a - lo) + part + [0] * (hi - b), den
+
+
+def to_fractions(form: Ints) -> Dict[int, Fraction]:
+    """The nonzero coefficients of ``form``, one ``Fraction`` each."""
+    lo, nums, d = form
+    return {lo + i: Fraction(x, d) for i, x in enumerate(nums) if x}
 
 
 def int_mul(x: Sequence[int], y: Sequence[int]) -> List[int]:
@@ -145,10 +200,10 @@ def bareiss_solve(rows: List[List[int]]) -> Tuple[List[int], int]:
     return z, det
 
 
-def int_charpoly(m: List[List[int]], d: int) -> List[Fraction]:
-    """Coefficients ``c_0..c_n`` of ``det(x I - M / d)``, by division-free
-    Berkowitz on the integer matrix ``M``: its coefficients are
-    ``m_i = d^i c_i``, so ``c_i = m_i / d^i`` is exact."""
+def int_charpoly(m: List[List[int]]) -> List[int]:
+    """Coefficients ``c_0..c_n`` of ``det(x I - M)`` for an integer matrix
+    ``M``, by division-free Berkowitz.  For ``M = d K`` the coefficients of
+    ``det(x I - K)`` are ``c_i / d^i``."""
     coeffs = [1]
     for r in range(1, len(m) + 1):
         row = m[r - 1][:r - 1]
@@ -159,4 +214,4 @@ def int_charpoly(m: List[List[int]], d: int) -> List[Fraction]:
                 cur = [sum(map(mul, m[i], cur)) for i in range(r - 1)]
             tvec.append(-sum(map(mul, row, cur)))
         coeffs = [sum(map(mul, coeffs, tvec[i::-1])) for i in range(r + 1)]
-    return [Fraction(c, d ** i) for i, c in enumerate(coeffs)]
+    return coeffs

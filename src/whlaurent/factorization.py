@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import int_charpoly, to_ints
+from .exact import Ints, int_charpoly, reduced, slice_ints
 from .floating import cut, to_array
 from .rings import Ring, RingError, leaf_kind, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
@@ -73,7 +73,7 @@ def _check_b_window(pair: InvertiblePair) -> None:
     b = pair.b
     if b.window is None:
         return
-    d = max((abs(k) for k in pair.a.coeffs), default=0)
+    d = max(map(abs, pair.a._supp_bounds()))
     need = (-3 * d - 1, 3 * d + 1)
     if b.window[0] > need[0] or b.window[1] < need[1]:
         raise WindowError(
@@ -95,23 +95,26 @@ def _bracket_cols(a: LaurentSeries, sign: str) -> Tuple[List[int], Columns]:
     """
     shift, variant, o, s = (1, "+", 0, -1) if sign == "-" else (-1, "-", 1, 1)
     cols: Columns = {}
-    for d in a.coeffs:
+    for d in a.support():
         for m in (range(o - d, o) if d > 0 else range(o, o - d)):
             cols.setdefault(m + shift, []).append((m + d, d, s if d > 0 else -s))
     return reduced_columns(variant, sorted(cols)), cols
 
 
-def _int_bracket(jp: List[int], cols: Columns, a: Dict[int, Fraction],
-                 b: Dict[int, Fraction]) -> Tuple[Dict[Tuple[int, int], int], int]:
+def _int_bracket(jp: List[int], cols: Columns, a: Ints,
+                 b: Ints) -> Tuple[Dict[Tuple[int, int], int], int]:
     """The nonzero bracket entries over ``Q`` as an integer Toeplitz
-    product: numerators over the common denominator ``d = da db`` of the
-    entries of ``a`` and of the part of ``b`` that the rows ``jp`` read."""
+    product: numerators over the common denominator ``d = da db`` of ``a``
+    and of the slice of ``b`` that the rows ``jp`` read."""
     if not cols:
         return {}, 1
     js = [j for col in cols.values() for j, _d, _s in col]
-    lo, a_lo = jp[0] - max(js), min(a)
-    bs, db = to_ints(b, lo, jp[-1] - min(js))
-    an, da = to_ints(a, a_lo, max(a))
+    ds = [d for col in cols.values() for _j, d, _s in col]
+    lo = jp[0] - max(js)
+    bs, db = slice_ints(b, lo, jp[-1] - min(js))
+    # all of a, so that da is its denominator, and every exponent read
+    a_lo = min(a[0], *ds)
+    an, da = slice_ints(a, a_lo, max(a[0] + len(a[1]) - 1, *ds))
     weights = [(k, [(j + lo, s * an[d - a_lo]) for j, d, s in col]) for k, col in cols.items()]
     ents: Dict[Tuple[int, int], int] = {}
     for r in jp:
@@ -190,9 +193,11 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
 
     This is the one place that picks the block's form.  Over ``Q`` (and
-    per component of a product of ``Q``) the integer bracket block ``d B``
-    (:func:`_int_bracket`) and ``d E`` go straight to integer Berkowitz
-    (:func:`exact.int_charpoly`), with no ``Fraction`` in between.  Over
+    per leaf of a product of ``Q``) the integer bracket block ``d B``
+    (:func:`_int_bracket`, on the integer forms of ``a`` and ``b``) and
+    ``d E`` go straight to integer Berkowitz (:func:`exact.int_charpoly`),
+    and the projection is one integer form over ``d^n``, with no
+    ``Fraction`` in between.  Over
     ``C`` (and per component of a product of ``C``) K is one complex array
     (:func:`_c_k_matrix`) for :func:`determinants.charpoly`, which samples
     it.  Every other ring builds ``B`` from ring elements
@@ -207,17 +212,27 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
         return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
     _check_b_window(pair)
     jp, cols = _bracket_cols(pair.a, sign)
+    if kind is Fraction:
+        return LaurentSeries._from_ints(ring, [_int_projection(jp, cols, sign, a, b)
+                                               for a, b in zip(pair.a.ints, pair.b.ints)])
 
     def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
-        if kind is Fraction:
-            ents, d = _int_bracket(jp, cols, ac, bc)
-            coeffs = int_charpoly(_k_matrix(jp, ents, sign, 0, d, operator.add), d)
-            return {step * i: c for i, c in enumerate(coeffs) if c}
         coeffs = charpoly(comp, _c_k_matrix(jp, cols, sign, ac, bc, comp.tolerance))
         return {step * i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
 
     return LaurentSeries._trusted(ring, per_component(
         ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
+
+
+def _int_projection(jp: List[int], cols: Columns, sign: str, a: Ints, b: Ints) -> Ints:
+    """det(I - v K) over ``Q`` as an integer form: for ``M = d K`` with
+    ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``v^i`` is
+    ``m_i / d^i = m_i d^(n-i) / d^n``."""
+    ents, d = _int_bracket(jp, cols, a, b)
+    ms = int_charpoly(_k_matrix(jp, ents, sign, 0, d, operator.add))
+    n = len(ms) - 1
+    nums = [m * d ** (n - i) for i, m in enumerate(ms)]
+    return reduced(0, nums, d ** n) if sign == "-" else reduced(-n, nums[::-1], d ** n)
 
 
 def _shift_entries(jp: List[int], sign: str) -> List[Tuple[int, int]]:

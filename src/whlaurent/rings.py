@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -83,8 +84,48 @@ def sup(norms: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
 
 
-def _parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+# the literals Fraction(str) accepts (Python 3.11): a sign, digits with
+# underscores, then a denominator, or a decimal part and an exponent
+_RATIONAL = re.compile(r"""
+    \A\s*                                 # optional whitespace at the start,
+    (?P<sign>[-+]?)                       # an optional sign, then
+    (?=\d|\.\d)                           # lookahead for digit or .digit
+    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
+    (?:                                   # followed by
+       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
+    |                                     # or
+       (?:\.(?P<decimal>d*|\d+(_\d+)*))?  # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
+    )
+    \s*\Z                                 # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def parse_rational(s: str) -> Tuple[int, int]:
+    """``(numerator, denominator)`` of a rational literal, not reduced, with
+    a positive denominator: the literals and values of ``Fraction(s)``.
+    Any other string, and a zero denominator, is a ``ValueError``."""
+    m = _RATIONAL.match(s)
+    if m is None:
+        raise ValueError("Invalid literal for Fraction: %r" % s.strip())
+    sign, num, denom, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
+    num, den = int(num or "0"), 1
+    if denom:
+        den = int(denom)
+        if not den:
+            raise ValueError("zero denominator in %r" % s)
+    else:
+        if decimal:
+            decimal = decimal.replace("_", "")
+            den = 10 ** len(decimal)
+            num = num * den + int(decimal)
+        if exp:
+            e = int(exp)
+            if e >= 0:
+                num *= 10 ** e
+            else:
+                den *= 10 ** -e
+    return (-num if sign == "-" else num), den
 
 
 def rational_ring() -> Ring:
@@ -106,7 +147,7 @@ def rational_ring() -> Ring:
         equals=lambda x, y: x == y,
         invert=inv,
         fmt=lambda x: str(Fraction(x)),
-        parse=_parse_rational,
+        parse=lambda s: Fraction(*parse_rational(s)),
     )
 
 
@@ -166,13 +207,7 @@ def product_ring(base: Ring, arity: int) -> Ring:
         return "(" + "|".join(base.fmt(c) for c in x) + ")"
 
     def parse(s: str):
-        s = s.strip()
-        if not (s.startswith("(") and s.endswith(")")):
-            raise RingError("malformed product element: %r" % s)
-        parts = _split_product(s[1:-1])
-        if len(parts) != arity:
-            raise RingError("expected %d components, got %d" % (arity, len(parts)))
-        return tuple(base.parse(p) for p in parts)
+        return tuple(base.parse(p) for p in _product_parts(s, arity))
 
     return Ring(
         name="%s^%d" % (base.name, arity),
@@ -208,16 +243,32 @@ def split_map(ring: Ring, values: Dict[Any, Any]) -> List[Dict[Any, Any]]:
     return [{key: x[i] for key, x in values.items()} for i in range(len(ring.components))]
 
 
+def split_leaves(ring: Ring, leaves: Sequence[Any]) -> List[Sequence[Any]]:
+    """A list with one value per leaf of a (nested) product ring, as one
+    list per component.  The components are copies of one ring
+    (:func:`product_ring`), so each takes an equal share, in order."""
+    k = len(leaves) // len(ring.components)
+    return [leaves[i * k:(i + 1) * k] for i in range(len(ring.components))]
+
+
+def split_literals(ring: Ring, literals: Sequence[str]) -> List[List[str]]:
+    """Element literals ``(c1|c2|...)`` of a product ring as one list of
+    literals per component."""
+    parts = [_product_parts(s, len(ring.components)) for s in literals]
+    return [[p[i] for p in parts] for i in range(len(ring.components))]
+
+
 def per_component(ring: Ring, leaf: Callable[..., Any],
                   split: Callable[[Ring, Any], Sequence[Any]], *args: Any) -> Any:
     """``leaf(ring, *args)`` taken per component of a product ring and
     merged: the one place that splits a product ring.
 
     ``split(ring, x)`` lists the components of an argument ``x``.  ``leaf``
-    returns a map from keys to elements, or a tuple of such maps; the
-    components' maps are merged key by key, and a key that one component
-    lacks takes that component's zero.  Nested products such as ``(Q^2)^2``
-    recurse in order.
+    returns a map from keys to elements, a list of per-leaf values, or a
+    tuple of such.  The components' maps are merged key by key, and a key
+    that one component lacks takes that component's zero; their lists are
+    joined, so that a nested product gives one flat list in leaf order.
+    Nested products such as ``(Q^2)^2`` recurse in order.
     """
     if ring.components is None:
         return leaf(ring, *args)
@@ -228,23 +279,27 @@ def per_component(ring: Ring, leaf: Callable[..., Any],
     return _merge(ring, parts)
 
 
-def _merge(ring: Ring, parts: Sequence[Dict[Any, Any]]) -> Dict[Any, Any]:
+def _merge(ring: Ring, parts: Sequence[Any]) -> Any:
+    if isinstance(parts[0], list):
+        return [x for part in parts for x in part]
     return {key: tuple(p.get(key, comp.zero) for p, comp in zip(parts, ring.components))
             for key in sorted(set().union(*parts))}
 
 
-def _split_product(body: str) -> list:
-    """Split ``c1|c2|...`` respecting nested parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "|" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+def _product_parts(s: str, arity: int) -> List[str]:
+    """The ``arity`` component literals of ``(c1|c2|...)``, split at the
+    bars outside nested parentheses."""
+    s = s.strip()
+    if not (s.startswith("(") and s.endswith(")")):
+        raise RingError("malformed product element: %r" % s)
+    parts: List[str] = []
+    depth = 0  # of the parentheses before the next bar
+    for piece in s[1:-1].split("|"):
+        if depth:
+            parts[-1] += "|" + piece
         else:
-            cur.append(ch)
-    parts.append("".join(cur))
+            parts.append(piece)
+        depth += piece.count("(") - piece.count(")")
+    if len(parts) != arity:
+        raise RingError("expected %d components, got %d" % (arity, len(parts)))
     return parts

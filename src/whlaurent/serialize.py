@@ -2,15 +2,19 @@
 
 Ring elements travel as strings: ``p/q`` for rationals, ``re,im`` for
 complex, ``(c1|c2|...)`` for product rings.  Exact rings round-trip
-bit-exactly.
+bit-exactly.  A series over ``Q`` or a product of ``Q`` is parsed straight
+into integer numerators, one form per leaf, with no ``Fraction`` built.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from fractions import Fraction
+from typing import Any, Dict, List, Sequence
 
-from .rings import Ring, RingError, complex_ring, product_ring, rational_ring
+from .exact import Ints, from_terms
+from .rings import (Ring, RingError, complex_ring, leaf_kind, parse_rational, per_component,
+                    product_ring, rational_ring, split_literals)
 from .series import LaurentSeries, Window
 from .factorization import FactorizationResult
 
@@ -53,15 +57,27 @@ def series_to_json(a: LaurentSeries) -> List[Dict[str, Any]]:
 
 def series_from_json(ring: Ring, data: List[Dict[str, Any]],
                      window: Window = None) -> LaurentSeries:
+    """A series from ``[{"n": exponent, "c": literal}, ...]``.  Over ``Q`` or
+    a product of ``Q`` each leaf's literals are read as ``(numerator,
+    denominator)`` pairs (:func:`rings.parse_rational`) and cleared to one
+    integer form (:func:`exact.from_terms`), with no ``Fraction`` built."""
     if ring.parse is None:
         raise RingError("ring %r cannot parse elements" % ring.name)
-    coeffs = {}
+    literals: Dict[int, str] = {}
     for item in data:
         n = json_int(item["n"])
-        if n in coeffs:
+        if n in literals:
             raise ValueError("repeated exponent %d" % n)
-        coeffs[n] = ring.parse(str(item["c"]))
-    return LaurentSeries(ring, coeffs, window)
+        literals[n] = str(item["c"])
+    if leaf_kind(ring) is not Fraction:
+        return LaurentSeries(ring, {n: ring.parse(s) for n, s in literals.items()}, window)
+
+    def leaf(_q: Ring, parts: Sequence[str]) -> List[Ints]:
+        terms = [(n, *parse_rational(s)) for n, s in zip(literals, parts)]
+        return [from_terms([t for t in terms if window is None or window[0] <= t[0] <= window[1]])]
+
+    return LaurentSeries._from_ints(
+        ring, per_component(ring, leaf, split_literals, list(literals.values())), window)
 
 
 def result_to_json(res: FactorizationResult) -> Dict[str, Any]:

@@ -9,13 +9,17 @@ computation.
 
 The coefficient map is the interchange form; the kernels choose their
 own, by :func:`rings.leaf_kind`, per component of a product ring
-(:func:`rings.per_component` splits it).  Over ``Q`` ``mul``,
-``div_unit`` and the inverse of a product of elementary factors run on
-one integer numerator array over one common denominator
+(:func:`rings.per_component` splits it).  Over ``Q``, and per leaf of a
+(nested) product of ``Q``, a series holds its coefficients as integer
+numerators over one denominator in lowest terms, ``(lo, nums, den)``
+(:attr:`LaurentSeries.ints`, :data:`exact.Ints`), and builds its map of
+``Fraction`` objects only when something reads it.  ``mul``,
+``div_unit``, the inverse of a product of elementary factors and the
+pair and reconstruction residuals read and write that form
 (:mod:`whlaurent.exact`): a product is one integer convolution, a long
 division an integer recurrence, the Bezout system a fraction-free
-elimination, and only each output coefficient becomes a ``Fraction``.
-Over ``C`` they run on one dense complex array (:mod:`whlaurent.floating`):
+elimination, and a residual a comparison of reduced forms.  Over ``C``
+they run on one dense complex array (:mod:`whlaurent.floating`):
 a product is one ``np.convolve``, the Bezout system one
 ``np.linalg.solve``, a long division a recurrence on Python complex
 numbers, and coefficients within the ring's tolerance of zero are cut at
@@ -33,9 +37,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import bareiss_solve, int_div, int_mul, to_fractions, to_ints
+from .exact import (Ints, bareiss_solve, from_terms, int_div, int_mul, reduced, restrict,
+                    slice_ints, to_fractions)
 from .floating import cut, from_array, recur, times_linear, to_array
-from .rings import Ring, RingError, leaf_kind, per_component, split_map, sup
+from .rings import Ring, RingError, leaf_kind, per_component, split_leaves, split_map, sup
 
 Window = Optional[Tuple[int, int]]
 
@@ -57,25 +62,58 @@ def _win_meet(w1: Window, w2: Window) -> Window:
 
 
 class LaurentSeries:
-    """Finitely supported Laurent series over a coefficient ring."""
+    """Finitely supported Laurent series over a coefficient ring.
 
-    __slots__ = ("ring", "coeffs", "window")
+    ``coeffs`` (read-only) maps exponents to nonzero coefficients.  Over
+    ``Q`` and products of ``Q`` a series may instead hold only its integer
+    forms (:attr:`ints`); ``coeffs`` is then built on first read.
+    """
+
+    __slots__ = ("ring", "_coeffs", "window", "_ints")
 
     def __init__(self, ring: Ring, coeffs: Dict[int, Any], window: Window = None):
         coeffs = _norm_coeffs(ring, coeffs)
         if window is not None:
             coeffs = {n: c for n, c in coeffs.items() if window[0] <= n <= window[1]}
         self.ring = ring
-        self.coeffs = coeffs
+        self._coeffs = coeffs
         self.window = window
+        self._ints: Optional[List[Ints]] = None
 
     @classmethod
     def _trusted(cls, ring: Ring, coeffs: Dict[int, Any], window: Window = None) -> "LaurentSeries":
         """A series from a map that holds only nonzero coefficients inside
         ``window``, as the kernels return it: no normalisation pass."""
         out = cls.__new__(cls)
-        out.ring, out.coeffs, out.window = ring, coeffs, window
+        out.ring, out._coeffs, out.window, out._ints = ring, coeffs, window, None
         return out
+
+    @classmethod
+    def _from_ints(cls, ring: Ring, ints: List[Ints], window: Window = None) -> "LaurentSeries":
+        """A series over ``Q`` or a product of ``Q`` from one integer form
+        per leaf, each inside ``window``; its map is built when read."""
+        out = cls.__new__(cls)
+        out.ring, out._coeffs, out.window, out._ints = ring, None, window, ints
+        return out
+
+    @property
+    def coeffs(self) -> Dict[int, Any]:
+        if self._coeffs is None:
+            self._coeffs = per_component(self.ring, lambda _q, forms: to_fractions(forms[0]),
+                                         split_leaves, self._ints)
+        return self._coeffs
+
+    @property
+    def ints(self) -> List[Ints]:
+        """Over ``Q`` or a (nested) product of ``Q``: the coefficients of each
+        leaf, in leaf order, as ``(lo, nums, den)`` in lowest terms
+        (:data:`exact.Ints`), built from ``coeffs`` on first read."""
+        if self._ints is None:
+            self._ints = per_component(
+                self.ring, lambda _q, m: [from_terms([(n, c.numerator, c.denominator)
+                                                      for n, c in m.items() if c])],
+                split_map, self.coeffs)
+        return self._ints
 
     # -- constructors -------------------------------------------------
 
@@ -101,16 +139,16 @@ class LaurentSeries:
         return self.coeffs.get(n, self.ring.zero)
 
     def support(self) -> List[int]:
-        return sorted(self.coeffs)
+        if self._ints is None:
+            return sorted(self.coeffs)
+        return sorted({lo + i for lo, nums, _d in self._ints for i, x in enumerate(nums) if x})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.support()
 
     def _supp_bounds(self) -> Tuple[int, int]:
-        if not self.coeffs:
-            return (0, 0)
         s = self.support()
-        return (s[0], s[-1])
+        return (s[0], s[-1]) if s else (0, 0)
 
     def sup_seminorm(self) -> float:
         return sup(self.ring.seminorm(c) for c in self.coeffs.values())
@@ -152,10 +190,13 @@ class LaurentSeries:
         ring = self.ring
         window = self._mul_window(other)
         kind = leaf_kind(ring)
-        if kind is not None:
-            leaf = _q_mul if kind is Fraction else _c_mul
+        if kind is Fraction:
+            return LaurentSeries._from_ints(ring, [
+                reduced(x[0] + y[0], int_mul(x[1], y[1]), x[2] * y[2], window)
+                for x, y in zip(self.ints, other.ints)], window)
+        if kind is complex:
             return LaurentSeries._trusted(ring, per_component(
-                ring, lambda comp, x, y: leaf(comp, x, y, window), split_map,
+                ring, lambda comp, x, y: _c_mul(comp, x, y, window), split_map,
                 self.coeffs, other.coeffs), window)
         out: Dict[int, Any] = {}
         for n, a in self.coeffs.items():
@@ -211,14 +252,22 @@ class LaurentSeries:
         return True
 
     def sup_diff(self, other: "LaurentSeries") -> float:
-        """Sup seminorm of the coefficient difference on the common window."""
+        """Sup seminorm of the coefficient difference on the common window;
+        over ``Q`` (and products of ``Q``) 0.0 as soon as the two reduced
+        integer forms agree there."""
         w = _win_meet(self.window, other.window)
-        return sup(self.ring.seminorm(self.ring.sub(self.coeff(n), other.coeff(n)))
-                    for n in set(self.coeffs) | set(other.coeffs)
-                    if w is None or w[0] <= n <= w[1])
+        if leaf_kind(self.ring) is Fraction and \
+                [restrict(f, w) for f in self.ints] == [restrict(f, w) for f in other.ints]:
+            return 0.0
+        ring, x, y = self.ring, self.coeffs, other.coeffs
+        return sup(ring.seminorm(ring.sub(x.get(n, ring.zero), y.get(n, ring.zero)))
+                   for n in set(x) | set(y) if w is None or w[0] <= n <= w[1])
 
     def truncate(self, window: Window) -> "LaurentSeries":
-        return LaurentSeries(self.ring, self.coeffs, _win_meet(self.window, window))
+        w = _win_meet(self.window, window)
+        if self._ints is None:
+            return LaurentSeries(self.ring, self.coeffs, w)
+        return LaurentSeries._from_ints(self.ring, [restrict(f, w) for f in self._ints], w)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -374,15 +423,16 @@ def _factors_pair(ring: Ring, factors: Sequence[Factor],
     ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
     series in ``z`` on the exponents ``>= r``, each a long division.
     Product rings run per component (:func:`per_component`), ``Q`` on
-    integers (:func:`_q_pair`), ``C`` on complex arrays (:func:`_c_pair`)
-    and every other ring on its own elements (:func:`_ring_pair`).
+    integer forms (:func:`_q_pair`), ``C`` on complex arrays
+    (:func:`_c_pair`) and every other ring on its own elements
+    (:func:`_ring_pair`).
     """
-    def leaf(comp: Ring, fs: List[Factor]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
-        kind = leaf_kind(comp)
-        pair = _q_pair if kind is Fraction else _c_pair if kind is complex else _ring_pair
-        return pair(comp, fs, window)
-
-    a, b = per_component(ring, leaf, _split_factors, list(factors))
+    kind = leaf_kind(ring)
+    pair = _q_pair if kind is Fraction else _c_pair if kind is complex else _ring_pair
+    a, b = per_component(ring, lambda comp, fs: pair(comp, fs, window), _split_factors,
+                         list(factors))
+    if kind is Fraction:
+        return LaurentSeries._from_ints(ring, a), LaurentSeries._from_ints(ring, b, window)
     return LaurentSeries._trusted(ring, a), LaurentSeries._trusted(ring, b, window)
 
 
@@ -424,8 +474,8 @@ def _ring_pair(ring: Ring, factors: Sequence[Factor],
 
 
 def _q_pair(ring: Ring, factors: Sequence[Factor],
-            window: Tuple[int, int]) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
-    """The coefficients of :func:`_factors_pair` over ``Q``, on integers.
+            window: Tuple[int, int]) -> Tuple[List[Ints], List[Ints]]:
+    """The integer forms of :func:`_factors_pair` over ``Q``, each in a list.
 
     ``A`` and ``B`` are integer polynomials over their denominators ``da``
     and ``db``, which are also their constant terms.  The Bezout identity is
@@ -433,7 +483,10 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
     by fraction-free elimination (:func:`exact.bareiss_solve`), so that
     ``V = db Vz / det`` and ``U = da Uz / det``.  The two long divisions
     run on integers with one running power of ``da`` or ``db``
-    (:func:`exact.int_div`).  Only the outputs become ``Fraction`` objects.
+    (:func:`exact.int_div`): the ``t``-th term of ``V/A`` is
+    ``db c_t / (det da^t)`` and that of ``U/B`` is ``da c_t / (det db^t)``.
+    ``b`` is one numerator array over ``det da^T1 db^T2`` (``T1``, ``T2``
+    the last terms), reduced once.
     """
     p, un, ud = 0, 1, 1
     anti, da, holo, db = [1], 1, [1], 1
@@ -445,28 +498,31 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
         elif isinstance(f, Holo) and f.beta:
             holo, db = _times_linear(holo, f.beta), db * f.beta.denominator
     r, s = len(anti) - 1, len(holo) - 1
-    a = to_fractions(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
-    w0 = (window[0] + p, window[1] + p)
-    terms = [(0, 1, 1)]  # (exponent, numerator, denominator) of 1/(AB)
+    a = reduced(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
+    lo, hi = window[0] + p, window[1] + p
+    # 1/(AB) as numerators over den, from exponent r - len(down) on
+    nums, den, down = [1], 1, []
     if r + s:
         z, det = bareiss_solve(_sylvester(anti, holo, 0, 1))
         if not det:
             raise RingError(_NO_INVERSE)
-        terms = []
-        # V/A = (da db / det) Vz/A descends from r - 1; Vz/A = Q_t / da^(t+1)
-        den = det
-        for t, c in enumerate(int_div(z[:r][::-1], anti, r - w0[0])):
-            terms.append((r - 1 - t, db * c, den))
-            den *= da
-        # U/B = (da db / det) Uz/B ascends from r
-        den = det
-        for t, c in enumerate(int_div(z[r:], holo, w0[1] - r + 1)):
-            terms.append((r + t, da * c, den))
-            den *= db
+        down = int_div(z[:r][::-1], anti, r - lo)  # V/A from r - 1 down to lo
+        up = int_div(z[r:], holo, hi - r + 1)  # U/B from r up to hi
+        pa, pb = da ** max(len(down) - 1, 0), db ** max(len(up) - 1, 0)
+        nums = _scaled(down[::-1], da, db * pb) + _scaled(up[::-1], db, da * pa)[::-1]
+        den = det * pa * pb
     inv = ring.inverse(Fraction(un, ud))
-    b = {n - p: Fraction(c * inv.numerator, d * inv.denominator)
-         for n, c, d in terms if c and w0[0] <= n <= w0[1]}
-    return a, b
+    return [a], [reduced(r - len(down) - p, [x * inv.numerator for x in nums],
+                         den * inv.denominator, window)]
+
+
+def _scaled(terms: List[int], base: int, scale: int) -> List[int]:
+    """``scale * terms[i] * base^i``, by one running power of ``base``."""
+    out = []
+    for x in terms:
+        out.append(x * scale)
+        scale *= base
+    return out
 
 
 def _times_linear(poly: List[int], c: Fraction) -> List[int]:
@@ -612,10 +668,12 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
         raise RingError("divisor is neither a power series in w nor in w^-1")
     keep = _win_meet(x.window, window)
     kind = leaf_kind(ring)
-    if kind is not None:
-        leaf = _q_div if kind is Fraction else _c_div
+    if kind is Fraction:
+        return LaurentSeries._from_ints(ring, [_q_div(xf, uf, window, ascending, keep)
+                                              for xf, uf in zip(x.ints, u.ints)], keep)
+    if kind is complex:
         return LaurentSeries._trusted(ring, per_component(
-            ring, lambda comp, xc, uc: leaf(comp, xc, uc, window, ascending, keep), split_map,
+            ring, lambda comp, xc, uc: _c_div(comp, xc, uc, window, ascending, keep), split_map,
             x.coeffs, u.coeffs), keep)
     q: Dict[int, Any] = {}
     for n in (range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)):
@@ -631,37 +689,33 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     return LaurentSeries(ring, q, keep)
 
 
-def _q_div(_q: Ring, x: Dict[int, Fraction], u: Dict[int, Fraction], window: Tuple[int, int],
-           ascending: bool, keep: Tuple[int, int]) -> Dict[int, Fraction]:
-    """:func:`div_unit` over ``Q`` on integers, kept on ``keep``.  With
-    ``x = X / dx`` and ``u = U / du`` (so ``U_0 = du``), the ``t``-th
-    quotient term is ``Q_t / (dx du^t)`` (:func:`exact.int_div`)."""
+def _q_div(x: Ints, u: Ints, window: Tuple[int, int], ascending: bool,
+           keep: Tuple[int, int]) -> Ints:
+    """:func:`div_unit` over ``Q`` on integer forms, kept on ``keep``.  With
+    ``x = X / dx`` on the window and ``u = U / du`` (so ``U_0 = du``), the
+    ``t``-th quotient term is ``Q_t / (dx du^t)`` (:func:`exact.int_div`);
+    the kept terms go over the denominator of the last one."""
     lo, hi = window
-    xs, dx = to_ints(x, lo, hi)
-    us, du = to_ints(u, 0, max(u)) if ascending else to_ints(u, min(u), 0)
+    xs, dx = slice_ints(x, lo, hi)
+    us, du = u[1], u[2]
     if not ascending:
         xs.reverse()
-        us.reverse()
-    out: Dict[int, Fraction] = {}
-    den = dx
-    for t, c in enumerate(int_div(xs, us, hi - lo + 1)):
-        n = lo + t if ascending else hi - t
-        if c and keep[0] <= n <= keep[1]:
-            out[n] = Fraction(c, den)
-        den *= du
-    return out
-
-
-def _q_mul(_q: Ring, x: Dict[int, Fraction], y: Dict[int, Fraction],
-           window: Window) -> Dict[int, Fraction]:
-    """:meth:`LaurentSeries.mul` over ``Q``: one integer product of the
-    numerators over the product of the two common denominators."""
-    if not x or not y:
-        return {}
-    xl, yl = min(x), min(y)
-    xs, dx = to_ints(x, xl, max(x))
-    ys, dy = to_ints(y, yl, max(y))
-    return to_fractions(xl + yl, int_mul(xs, ys), dx * dy, window)
+        us = us[::-1]
+    q = int_div(xs, us, hi - lo + 1)
+    # term t sits at exponent lo + t (ascending) or hi - t; keep the
+    # nonzero ones on ``keep``
+    k0, k1 = max(lo, keep[0]), min(hi, keep[1])
+    first, last = (k0 - lo, k1 - lo) if ascending else (hi - k1, hi - k0)
+    while first <= last and not q[first]:
+        first += 1
+    while last >= first and not q[last]:
+        last -= 1
+    if first > last:
+        return (0, [], 1)
+    nums = _scaled([q[t] for t in range(last, first - 1, -1)], du, 1)
+    if ascending:
+        return reduced(lo + first, nums[::-1], dx * du ** last)
+    return reduced(hi - last, nums, dx * du ** last)
 
 
 # -- C kernels on complex arrays ---------------------------------------

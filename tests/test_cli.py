@@ -1,12 +1,17 @@
 """Command-line front end: job execution, JSON output, exit codes."""
 
+import hashlib
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from whlaurent.cli import main
+import whlaurent as wl
+from whlaurent.cli import main, run_job
+from whlaurent.corpus import (random_orthogonal_pair, random_rational_factors,
+                             random_rational_parameter)
 
 GOLDEN_JOB = {
     "ring": {"kind": "rational"},
@@ -255,6 +260,28 @@ def test_bad_compare_tolerance_exit_2(tmp_path, capsys, value):
     assert code == 2 and "'compare_tolerance'" in err
 
 
+Q2_RING = {"kind": "product", "arity": 2}
+ZERO_DENOMINATOR_JOBS = {  # field: a job with a zero denominator in it
+    "factors": {"factors": [{"type": "antiholo", "alpha": "1/0"}]},
+    "coefficients": {"ring": Q2_RING, "window": 4,
+                     "coefficients": [{"n": 0, "c": "(1|1/0)"}],
+                     "inverse": [{"n": 0, "c": "(1|1)"}]},
+    "inverse": {"window": 4, "coefficients": [{"n": 0, "c": "2"}],
+                "inverse": [{"n": 0, "c": "1/2"}, {"n": 3, "c": "-7/0"}]},
+    "factorization": dict(GOLDEN_JOB, mode="verify", factorization={
+        "pi_minus": [{"n": 0, "c": "1"}], "pi_tilde": [{"n": 1, "c": "0/0"}],
+        "pi_plus": [{"n": 0, "c": "1"}]}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ZERO_DENOMINATOR_JOBS))
+def test_zero_denominator_exit_2(tmp_path, capsys, field):
+    # a zero denominator is a validation error that names its field, not a
+    # ZeroDivisionError traceback
+    code, err = run_err(tmp_path, capsys, ZERO_DENOMINATOR_JOBS[field])
+    assert code == 2 and "'%s'" % field in err and "zero denominator" in err
+
+
 MONO_JOB = {"ring": {"kind": "rational"}, "factors": [{"type": "mono", "p": 1, "u": "2"}]}
 COEFF_JOB = {"ring": {"kind": "complex"}, "coefficients": [{"n": 0, "c": "1,0"}]}
 ORACLE_JOB = {"ring": {"kind": "complex"}, "mode": "oracle-compare", "count": 1}
@@ -291,3 +318,74 @@ def test_integer_fields_are_not_truncated(tmp_path, capsys, field):
     for value in (good + 0.7, float(good), True, [good], None):
         code, _ = run(tmp_path, capsys, with_value(value))
         assert code == 2, value
+
+
+# -- a fixed seeded set of exact jobs, pinned by one digest -----------
+
+Q2 = wl.product_ring(wl.rational_ring(), 2)
+GOLDEN_HALF = 40
+
+
+def _fmt_q2(x):
+    return "(%s|%s)" % x
+
+
+def _factor_json(f, fmt):
+    if isinstance(f, wl.Antiholo):
+        return {"type": "antiholo", "alpha": fmt(f.alpha)}
+    if isinstance(f, wl.Holo):
+        return {"type": "holo", "beta": fmt(f.beta)}
+    return {"type": "mono", "p": f.p, "u": fmt(f.u)}
+
+
+def _paired(rng, facs):
+    """Each Q factor with an independent second component."""
+    out = []
+    for f in facs:
+        if isinstance(f, wl.Antiholo):
+            out.append(wl.Antiholo((f.alpha, random_rational_parameter(rng))))
+        elif isinstance(f, wl.Holo):
+            out.append(wl.Holo((f.beta, random_rational_parameter(rng))))
+        else:
+            out.append(wl.Mono(f.p, (f.u, Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3)))))
+    return out
+
+
+def golden_jobs():
+    """Q factor jobs, Q^2 factor jobs and Q^2 jobs times an orthogonal
+    multiplier sent as coefficients and inverse, in turn."""
+    rng = random.Random(20261018)
+    jobs = []
+    for i in range(36):
+        facs = random_rational_factors(rng, max_factors=4)
+        if i % 3 == 0:
+            jobs.append({"window": GOLDEN_HALF,
+                         "factors": [_factor_json(f, str) for f in facs]})
+            continue
+        facs = _paired(rng, facs)
+        job = {"ring": Q2_RING, "window": GOLDEN_HALF}
+        if i % 3 == 1:
+            job["factors"] = [_factor_json(f, _fmt_q2) for f in facs]
+        else:
+            o = random_orthogonal_pair(2, rng)
+            a = wl.factors_to_series(Q2, facs).mul(o.a)
+            wide = (-GOLDEN_HALF - 3, GOLDEN_HALF + 3)
+            b = wl.invert_from_factors(Q2, facs, wide).b.mul(o.b)
+            job["coefficients"] = [{"n": n, "c": _fmt_q2(c)} for n, c in sorted(a.coeffs.items())]
+            job["inverse"] = [{"n": n, "c": _fmt_q2(c)} for n, c in sorted(b.coeffs.items())
+                              if -GOLDEN_HALF <= n <= GOLDEN_HALF]
+        jobs.append(job)
+    return jobs
+
+
+# the SHA-256 of the payloads below: an exact output that changes changes it
+GOLDEN_DIGEST = "1df3c8827edd0179bff3d675c3258631d6c45d8f931f20ed2315dd5dd2f38d11"
+
+
+def test_exact_jobs_golden_digest():
+    digest = hashlib.sha256()
+    for job in golden_jobs():
+        code, payload = run_job(job)
+        assert code == 0
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -88,7 +88,9 @@ def _int_charpoly(ring, a):
         return [tuple(c) for c in zip(*parts)]
     n = len(a)
     m, d = clear([x for row in a for x in row])
-    return int_charpoly([m[i * n:(i + 1) * n] for i in range(n)], d)
+    # det(x I - M / d) has the coefficients m_i / d^i
+    return [Fraction(c, d ** i)
+            for i, c in enumerate(int_charpoly([m[i * n:(i + 1) * n] for i in range(n)]))]
 
 
 @pytest.mark.parametrize("ring", [Q, Q2, wl.product_ring(Q2, 2)], ids=["Q", "Q^2", "(Q^2)^2"])

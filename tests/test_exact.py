@@ -1,5 +1,5 @@
 """Integer kernels over Q: long division, fraction-free elimination and
-the common-denominator conversions (products are checked through
+the integer series form and its conversions (products are checked through
 LaurentSeries.mul in test_series)."""
 
 import random
@@ -47,8 +47,13 @@ def test_bareiss_determinant_and_solve():
 
 def test_common_denominator_round_trip():
     coeffs = {-3: Fraction(1, 6), 0: Fraction(-5, 4), 2: Fraction(7), 9: Fraction(1, 10)}
-    nums, d = exact.to_ints(coeffs, -3, 2)
-    assert d == 12 and nums == [2, 0, 0, -15, 0, 84]
-    assert exact.to_fractions(-3, nums, d) == {n: c for n, c in coeffs.items() if n <= 2}
-    assert exact.to_fractions(-3, nums, d, (-1, 5)) == {0: Fraction(-5, 4), 2: Fraction(7)}
-    assert exact.to_ints({}, 0, 1) == ([0, 0], 1)
+    form = exact.from_terms([(n, c.numerator, c.denominator) for n, c in coeffs.items()])
+    assert form == (-3, [10, 0, 0, -75, 0, 420] + [0] * 6 + [6], 60)
+    assert exact.to_fractions(form) == coeffs
+    # a slice has the numerators and the lcm that clearing its Fractions gives
+    assert exact.slice_ints(form, -3, 2) == ([2, 0, 0, -15, 0, 84], 12)
+    assert exact.slice_ints(form, -1, 5) == ([0, -5, 0, 28, 0, 0, 0], 4)
+    assert exact.slice_ints(form, 10, 11) == ([0, 0], 1)
+    assert exact.reduced(-3, [2, 0, 0, -15, 0, 84], 12, (-1, 5)) == (0, [-5, 0, 28], 4)
+    assert exact.reduced(1, [0, 2, -4], -6) == (2, [-1, 2], 3)
+    assert exact.from_terms([]) == exact.reduced(0, [0, 0], 5) == (0, [], 1)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import whlaurent as wl
-from whlaurent.rings import RingError, leaf_kind, sup
+from whlaurent.rings import RingError, leaf_kind, parse_rational, sup
+from whlaurent.serialize import series_from_json
 
 from conftest import dual_ring
 
@@ -125,3 +126,64 @@ def test_sup_keeps_nan():
     for x in (a, a.shift(-2)):
         assert math.isnan(x.sup_seminorm())
         assert math.isnan(x.sup_diff(wl.LaurentSeries.one(x.ring)))
+
+
+# the numerator parser against Fraction(str): the same values, the same
+# error classes
+Q_ACCEPTED = ["-3/4", " 7 ", "+2", "0.5", "1e-3", "1_000/3", "6/4", "-0", ".5", "1.",
+              "2.5E+2", "\t-12_3.4_5e-1_0\n", "0/7"]
+Q_MALFORMED = ["1/", "/2", "1//2", "nan", "inf", "True", "", "1/-2", "--1", "1e", "0x10",
+               "1_/2", "(1|2)"]
+Q2_MALFORMED = {"(1|2": RingError, "1|2)": RingError, "(1|2|3)": RingError, "(1)": RingError,
+                "3/4": RingError, "(1|nan)": ValueError, "(1|/2)": ValueError}
+
+
+@pytest.mark.parametrize("s", Q_ACCEPTED)
+def test_rational_parser_matches_fraction(s):
+    Q = wl.rational_ring()
+    num, den = parse_rational(s)
+    want = Fraction(s)
+    assert den > 0 and Fraction(num, den) == want
+    assert Q.parse(s) == want and type(Q.parse(s)) is Fraction
+    assert series_from_json(Q, [{"n": 3, "c": s}]).coeffs == ({3: want} if want else {})
+    R2 = wl.product_ring(Q, 2)
+    pair = (Fraction(1), want)
+    literal = "(1|%s)" % s
+    assert R2.parse(literal) == pair
+    assert series_from_json(R2, [{"n": -1, "c": literal}]).coeffs == {-1: pair}
+    nested = wl.product_ring(R2, 2)
+    literal = " ((%s|0)|(1|-2/3)) " % s
+    want_nested = ((want, Fraction(0)), (Fraction(1), Fraction(-2, 3)))
+    assert nested.parse(literal) == want_nested
+    assert series_from_json(nested, [{"n": 0, "c": literal}]).coeffs == {0: want_nested}
+
+
+@pytest.mark.parametrize("s", Q_MALFORMED)
+def test_rational_parser_rejects_what_fraction_rejects(s):
+    Q = wl.rational_ring()
+    with pytest.raises(ValueError) as ref:
+        Fraction(s.strip())
+    for parse in (parse_rational, Q.parse,
+                  lambda x: series_from_json(Q, [{"n": 0, "c": x}])):
+        with pytest.raises(ValueError) as info:
+            parse(s)
+        assert type(info.value) is type(ref.value)
+
+
+@pytest.mark.parametrize("s", sorted(Q2_MALFORMED))
+def test_product_parser_error_classes(s):
+    R2 = wl.product_ring(wl.rational_ring(), 2)
+    for parse in (R2.parse, lambda x: series_from_json(R2, [{"n": 0, "c": x}])):
+        with pytest.raises(ValueError) as info:
+            parse(s)
+        assert type(info.value) is Q2_MALFORMED[s]
+
+
+@pytest.mark.parametrize("s", ["1/0", "-3/0", "0/0", "(1|1/0)"])
+def test_zero_denominator_is_a_value_error(s):
+    # Fraction(str) raises ZeroDivisionError here, which is no ValueError, so
+    # a job would not name the field
+    R = wl.rational_ring() if s[0] != "(" else wl.product_ring(wl.rational_ring(), 2)
+    for parse in (R.parse, lambda x: series_from_json(R, [{"n": 0, "c": x}])):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse(s)

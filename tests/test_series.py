@@ -1,6 +1,7 @@
 """Laurent series arithmetic, truncation windows, and inverses."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import whlaurent as wl
-from whlaurent import serialize
+from whlaurent import cli, serialize
 from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
                              random_rational_factors, random_rational_parameter)
 from whlaurent.factorization import residual_bound
@@ -579,3 +580,103 @@ def test_complex_series_kernels_make_no_ring_multiplication(arity):
     # the same inverse on the ring-element path does count
     slow = wl.invert_from_factors(counting(0), facs, (-30, 30))
     assert calls and slow.b.sup_diff(pair.b) <= 1e-12
+
+
+# -- the integer form over Q, Q^2 and (Q^2)^2 -------------------------
+
+Q22 = wl.product_ring(Q2, 2)
+
+
+def _element_path(ring):
+    """The same ring on the ring-element path (its leaf's zero is no
+    Fraction): dict loops on Fractions, the reference for the integer form."""
+    if ring.components is None:
+        return Q_ELEMENTS
+    return wl.product_ring(_element_path(ring.components[0]), len(ring.components))
+
+
+def _nested_elem(ring, rng):
+    if ring.components is None:
+        return _rand_elem(ring, rng)
+    return tuple(_nested_elem(comp, rng) for comp in ring.components)
+
+
+def _assert_canonical(s, want):
+    """``s`` holds trimmed integer forms in lowest terms, one per leaf, and
+    its map of Fractions is ``want``."""
+    assert s._coeffs is None  # the kernels return the integer form alone
+    for lo, nums, den in s.ints:
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert (lo, den) == (0, 1) if not nums else nums[0] and nums[-1]
+    assert s.coeffs == want
+
+
+def _literal(x):
+    return str(x) if not isinstance(x, tuple) else "(%s)" % "|".join(map(_literal, x))
+
+
+@pytest.mark.parametrize("ring", [Q, Q2, Q22], ids=["Q", "Q^2", "(Q^2)^2"])
+def test_integer_form_is_trimmed_and_reduced(ring):
+    rng = random.Random("form" + ring.name)
+    slow = _element_path(ring)
+    for i in range(12):
+        lo = rng.randint(-20, 5)
+        cs = {lo + k: _nested_elem(ring, rng) for k in range(rng.randint(0, 30))}
+        window = (lo + rng.randint(-2, 8), lo + rng.randint(8, 30)) if i % 2 else None
+        x, xs = LaurentSeries(ring, cs, window), LaurentSeries(slow, cs, window)
+        y = {rng.randint(-6, 6): _nested_elem(ring, rng) for _ in range(rng.randint(1, 5))}
+        _assert_canonical(x.mul(LaurentSeries(ring, y)), xs.mul(LaurentSeries(slow, y)).coeffs)
+        sgn = 1 if i % 3 else -1
+        u = {0: ring.one, **{sgn * k: _nested_elem(ring, rng) for k in range(1, 4)}}
+        div_window = (lo - 3, lo + 25)
+        _assert_canonical(wl.div_unit(x, LaurentSeries(ring, u), div_window),
+                          wl.div_unit(xs, LaurentSeries(slow, u), div_window).coeffs)
+        data = [{"n": n, "c": _literal(c)} for n, c in cs.items()]
+        _assert_canonical(serialize.series_from_json(ring, data, window), x.coeffs)
+    for facs in ([wl.Antiholo(Fraction(1, 2)), wl.Mono(2, Fraction(-3, 4)),
+                  wl.Holo(Fraction(2, 7)), wl.Holo(Fraction(-1, 3))],
+                 [wl.Mono(-1, Fraction(5))], [wl.Antiholo(Fraction(2, 3))] * 3):
+        facs = [wl.Antiholo(_lift(f.alpha, ring)) if isinstance(f, wl.Antiholo) else
+                wl.Holo(_lift(f.beta, ring)) if isinstance(f, wl.Holo) else
+                wl.Mono(f.p, _lift(f.u, ring)) for f in facs]
+        got = wl.invert_from_factors(ring, facs, (-20, 12))
+        want = wl.invert_from_factors(slow, facs, (-20, 12))
+        _assert_canonical(got.a, want.a.coeffs)
+        _assert_canonical(got.b, want.b.coeffs)
+
+
+def _lift(x, ring, ks=None):
+    """``x`` in every leaf of ``ring``, times 1, 2, 3, ... in leaf order."""
+    ks = itertools.count(1) if ks is None else ks
+    if ring.components is None:
+        return x * next(ks)
+    return tuple(_lift(x, comp, ks) for comp in ring.components)
+
+
+def test_factorize_job_never_builds_the_inverse_map(monkeypatch):
+    # over Q^2 the inverse b goes from the integer inverse to the residual,
+    # the outer projections and the long divisions without a Fraction map
+    pairs, built = [], []
+    invert, coeffs = cli.invert_from_factors, LaurentSeries.coeffs
+
+    def spy_invert(*args):
+        pairs.append(invert(*args))
+        return pairs[-1]
+
+    def spy_coeffs(self):
+        if self._coeffs is None:
+            built.append(self)
+        return coeffs.fget(self)
+
+    monkeypatch.setattr(cli, "invert_from_factors", spy_invert)
+    monkeypatch.setattr(LaurentSeries, "coeffs", property(spy_coeffs))
+    job = {"ring": {"kind": "product", "arity": 2}, "window": 24,
+           "factors": [{"type": "antiholo", "alpha": "(1/2|-2/5)"},
+                       {"type": "holo", "beta": "(1/3|3/4)"},
+                       {"type": "holo", "beta": "(-2/7|1/6)"},
+                       {"type": "mono", "p": 1, "u": "(3|-1/2)"}]}
+    code, payload = cli.run_job(job)
+    assert code == 0 and payload["winding"] == 1 and payload["residual"] == 0.0
+    (pair,) = pairs
+    assert built and all(s is not pair.b for s in built)
+    assert pair.b._coeffs is None and len(pair.b.support()) > 40
