@@ -128,14 +128,27 @@ def int_div(x: Sequence[int], u: Sequence[int], count: int) -> List[int]:
 
     From ``q_t = (x_t - sum_m u_m q_(t-m)) / c`` and ``q_t = Q_t / c^(t+1)``:
     ``Q_t = c^t x_t - sum_m (u_m c^(m-1)) Q_(t-m)``, with one running power
-    of ``c`` and no division."""
+    of ``c`` and no division.
+
+    The recurrence stops early once ``x`` is used up and the last
+    ``len(u) - 1`` terms (all terms, while there are fewer) are 0: every
+    later term reads only zero inputs, so it is exactly 0, and the rest of
+    the ``count`` terms are filled with 0.  This is no truncation.  It
+    fires when the quotient is a polynomial (an exact division, such as
+    ``a / pi_+``); a division that is not exact never meets the condition
+    and runs all ``count`` terms."""
     c = u[0]
     tail = [um * c ** m for m, um in enumerate(u[1:])]
     out: List[int] = []
     cp = 1
+    n, k = len(x), len(tail)
+    zeros = 0  # trailing zero terms of out
     for t in range(count):
+        if t >= n and (zeros >= k or zeros == t):
+            return out + [0] * (count - t)
         # map() stops at the shorter input: tail[m-1] meets out[t-m]
-        out.append((cp * x[t] if t < len(x) else 0) - sum(map(mul, tail, reversed(out))))
+        out.append((cp * x[t] if t < n else 0) - sum(map(mul, tail, reversed(out))))
+        zeros = 0 if out[-1] else zeros + 1
         cp *= c
     return out
 

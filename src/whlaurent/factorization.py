@@ -288,22 +288,33 @@ def _c_k_matrix(jp: List[int], cols: Columns, sign: str, a: Dict[int, complex],
 def pi_plus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly holomorphic projection, as a series in w: det(I - w K_+)
     for a constant matrix K_+ over the base ring, from one
-    characteristic polynomial."""
-    out = _outer_projection(pair, "-")
-    _check_projection(out, "plus", pair.a.ring)
-    return out
+    characteristic polynomial.  Computed once per pair and kept on it."""
+    return _projection(pair, "plus")
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly antiholomorphic projection, as a series in w^-1:
-    det(I - w^-1 K_-), from one characteristic polynomial."""
-    out = _outer_projection(pair, "+")
-    _check_projection(out, "minus", pair.a.ring)
+    det(I - w^-1 K_-), from one characteristic polynomial.  Computed once
+    per pair and kept on it."""
+    return _projection(pair, "minus")
+
+
+def _projection(pair: InvertiblePair, kind: str) -> LaurentSeries:
+    """The checked outer projection ``kind`` of ``pair``, from
+    ``pair.projections`` or computed and stored there."""
+    out = pair.projections.get(kind)
+    if out is None:
+        out = _outer_projection(pair, "-" if kind == "plus" else "+")
+        _check_projection(out, kind)
+        pair.projections[kind] = out
     return out
 
 
-def _check_projection(p: LaurentSeries, kind: str, ring: Ring) -> None:
-    if not ring.equals(p.coeff(0), ring.one):
+def _check_projection(p: LaurentSeries, kind: str) -> None:
+    """A projection has constant term 1 and no exponent of the wrong sign;
+    over ``Q`` both are read on the integer forms
+    (:meth:`LaurentSeries.has_unit_constant`, :meth:`LaurentSeries.support`)."""
+    if not p.has_unit_constant():
         raise FactorizationError(
             "projection %s has non-unit constant term (inconsistent pair?)" % kind)
     bad = [n for n in p.support() if (n < 0 if kind == "plus" else n > 0)]
@@ -361,6 +372,9 @@ def winding_index(pi_tilde: LaurentSeries) -> Optional[int]:
     supp = pi_tilde.support()
     if len(supp) != 1:
         return None
+    if leaf_kind(pi_tilde.ring) is Fraction:
+        # one exponent: the coefficient is a unit iff no leaf is zero
+        return supp[0] if all(nums for _lo, nums, _d in pi_tilde.ints) else None
     try:
         pi_tilde.ring.inverse(pi_tilde.coeffs[supp[0]])
     except RingError:

@@ -55,7 +55,12 @@ def recur(xs: Sequence[complex], us: Sequence[complex], tol: float) -> List[comp
     ``xs``: the power series ``x / u`` for ``u_0 = 1``, on Python complex
     numbers, with each ``q_t`` within ``tol`` of zero set to 0 before the
     next term reads it, as the ring-element loop of
-    :func:`series.div_unit` drops it."""
+    :func:`series.div_unit` drops it.
+
+    Unlike :func:`exact.int_div` it does not stop early when the quotient
+    seems to have ended: with a non-finite coefficient in ``us``, a run of
+    zero terms does not make the later ones 0, since ``0j * inf`` is NaN,
+    so every term of ``xs`` is computed."""
     tail = us[1:]
     out: List[complex] = []
     for x in xs:

@@ -31,7 +31,7 @@ elements.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -145,6 +145,15 @@ class LaurentSeries:
 
     def is_zero(self) -> bool:
         return not self.support()
+
+    def has_unit_constant(self) -> bool:
+        """Whether the coefficient of ``z^0`` is the ring's one; over ``Q``
+        (and per leaf of a product of ``Q``) read on the integer form, where
+        it is a numerator equal to the denominator."""
+        if leaf_kind(self.ring) is Fraction:
+            return all(lo <= 0 < lo + len(nums) and nums[-lo] == den
+                       for lo, nums, den in self.ints)
+        return self.ring.equals(self.coeff(0), self.ring.one)
 
     def _supp_bounds(self) -> Tuple[int, int]:
         s = self.support()
@@ -302,17 +311,26 @@ def _scaled_zero(ring: Ring, x: Any, sa: float, sb: float) -> bool:
 def classify(a) -> set:
     """Subgroup memberships of a series (all that apply, possibly none).
 
-    Accepts a series or an :class:`InvertiblePair`.
+    Accepts a series or an :class:`InvertiblePair`.  Over ``Q`` (and per
+    leaf of a product of ``Q``) it reads the integer forms, with no
+    ``Fraction``: a product of two nonzero rationals is nonzero, so a
+    series is orthogonal iff no leaf holds more than one nonzero numerator.
     """
     if isinstance(a, InvertiblePair):
         a = a.a
     ring = a.ring
     out = set()
     supp = a.support()
-    if ring.equals(a.coeff(0), ring.one) and all(n >= 0 for n in supp):
-        out.add(SeriesClass.STRICTLY_HOLOMORPHIC)
-    if ring.equals(a.coeff(0), ring.one) and all(n <= 0 for n in supp):
-        out.add(SeriesClass.STRICTLY_ANTIHOLOMORPHIC)
+    if a.has_unit_constant():
+        if all(n >= 0 for n in supp):
+            out.add(SeriesClass.STRICTLY_HOLOMORPHIC)
+        if all(n <= 0 for n in supp):
+            out.add(SeriesClass.STRICTLY_ANTIHOLOMORPHIC)
+    if leaf_kind(ring) is Fraction:
+        # the forms are trimmed: one nonzero numerator is a list of one
+        if supp and all(len(nums) <= 1 for _lo, nums, _d in a.ints):
+            out.add(SeriesClass.ORTHOGONAL)
+        return out
     orth = True
     norms = {n: ring.seminorm(a.coeffs[n]) for n in supp}
     for i, n in enumerate(supp):
@@ -331,11 +349,19 @@ def classify(a) -> set:
 
 @dataclass
 class InvertiblePair:
-    """A series together with its (possibly truncated) inverse."""
+    """A series together with its (possibly truncated) inverse.
+
+    ``projections`` keeps the outer projections of the pair by kind
+    (``"plus"``, ``"minus"``) once :func:`factorization.pi_plus` or
+    :func:`factorization.pi_minus` has computed them, so that every later
+    call reads them.
+    """
 
     a: LaurentSeries
     b: LaurentSeries
     residual: float
+    projections: Dict[str, LaurentSeries] = field(default_factory=dict, init=False,
+                                                  repr=False, compare=False)
 
     @staticmethod
     def make(a: LaurentSeries, b: LaurentSeries) -> "InvertiblePair":
@@ -656,12 +682,18 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     inverse variable (nonpositive exponents, w^0 term 1: descending
     division).  Over ``Q`` or ``C`` (and per component of a product of
     them) the recurrence runs on integers (:func:`_q_div`) or on complex
-    numbers (:func:`_c_div`).
+    numbers (:func:`_c_div`).  Over ``Q`` the unit test reads the integer
+    form, and the recurrence runs only from the dividend's first exponent
+    in the window until the quotient has ended: once the dividend is used
+    up and the last ``len(u) - 1`` terms are 0, every later term is
+    exactly 0 (:func:`exact.int_div`).  An exact division (a Laurent
+    polynomial quotient) so costs its support, and one that is not exact
+    runs over the whole window, as before.
     """
     ring = x.ring
-    supp = u.support()
-    if not supp or not ring.equals(u.coeff(0), ring.one):
+    if not u.has_unit_constant():
         raise RingError("divisor has no unit pivot coefficient")
+    supp = u.support()
     lo, hi = window
     ascending = all(n >= 0 for n in supp)
     if not ascending and not all(n <= 0 for n in supp):
@@ -691,21 +723,33 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
 
 def _q_div(x: Ints, u: Ints, window: Tuple[int, int], ascending: bool,
            keep: Tuple[int, int]) -> Ints:
-    """:func:`div_unit` over ``Q`` on integer forms, kept on ``keep``.  With
-    ``x = X / dx`` on the window and ``u = U / du`` (so ``U_0 = du``), the
-    ``t``-th quotient term is ``Q_t / (dx du^t)`` (:func:`exact.int_div`);
-    the kept terms go over the denominator of the last one."""
+    """:func:`div_unit` over ``Q`` on integer forms, kept on ``keep``.
+
+    The recurrence reads ``x`` on the window's meet with its support
+    ``[s0, s1]`` and starts at its first exponent there (``s0`` ascending,
+    ``s1`` descending): every term before it reads only zeros, so it is 0.
+    It stops at the last kept exponent, or earlier once the quotient is a
+    polynomial that has ended (:func:`exact.int_div`), so an exact division
+    such as ``a / pi_+`` costs its support, not the window.  With
+    ``x = X / dx`` there and ``u = U / du`` (so ``U_0 = du``), the ``t``-th
+    quotient term is ``Q_t / (dx du^t)``; the kept terms go over the
+    denominator of the last one."""
     lo, hi = window
-    xs, dx = slice_ints(x, lo, hi)
+    s0, s1 = max(lo, x[0]), min(hi, x[0] + len(x[1]) - 1)
+    if s0 > s1:
+        return (0, [], 1)
+    xs, dx = slice_ints(x, s0, s1)
     us, du = u[1], u[2]
-    if not ascending:
+    # term t sits at exponent s0 + t (ascending) or s1 - t; keep the
+    # nonzero ones on ``keep``
+    if ascending:
+        first, last = keep[0] - s0, keep[1] - s0
+    else:
         xs.reverse()
         us = us[::-1]
-    q = int_div(xs, us, hi - lo + 1)
-    # term t sits at exponent lo + t (ascending) or hi - t; keep the
-    # nonzero ones on ``keep``
-    k0, k1 = max(lo, keep[0]), min(hi, keep[1])
-    first, last = (k0 - lo, k1 - lo) if ascending else (hi - k1, hi - k0)
+        first, last = s1 - keep[1], s1 - keep[0]
+    q = int_div(xs, us, last + 1)
+    first = max(first, 0)
     while first <= last and not q[first]:
         first += 1
     while last >= first and not q[last]:
@@ -714,8 +758,8 @@ def _q_div(x: Ints, u: Ints, window: Tuple[int, int], ascending: bool,
         return (0, [], 1)
     nums = _scaled([q[t] for t in range(last, first - 1, -1)], du, 1)
     if ascending:
-        return reduced(lo + first, nums[::-1], dx * du ** last)
-    return reduced(hi - last, nums, dx * du ** last)
+        return reduced(s0 + first, nums[::-1], dx * du ** last)
+    return reduced(s1 - last, nums, dx * du ** last)
 
 
 # -- C kernels on complex arrays ---------------------------------------

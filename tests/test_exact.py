@@ -2,6 +2,7 @@
 the integer series form and its conversions (products are checked through
 LaurentSeries.mul in test_series)."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,16 @@ from whlaurent.determinants import det_berkowitz
 Q = wl.rational_ring()
 
 
+def _fraction_div(x, u, count):
+    """The power series ``x / u`` term by term on Fractions."""
+    q = []
+    for t in range(count):
+        acc = Fraction(x[t] if t < len(x) else 0)
+        acc -= sum(u[m] * q[t - m] for m in range(1, min(t, len(u) - 1) + 1))
+        q.append(acc / u[0])
+    return q
+
+
 def test_int_div_matches_fraction_recurrence():
     rng = random.Random(4)
     for _ in range(60):
@@ -19,12 +30,8 @@ def test_int_div_matches_fraction_recurrence():
         x = [rng.randint(-20, 20) for _ in range(rng.randint(0, 8))]
         count = rng.randint(0, 40)
         got = exact.int_div(x, u, count)
-        q = []
-        for t in range(count):
-            acc = Fraction(x[t] if t < len(x) else 0)
-            acc -= sum(u[m] * q[t - m] for m in range(1, min(t, len(u) - 1) + 1))
-            q.append(acc / u[0])
-        assert [Fraction(g, u[0] ** (t + 1)) for t, g in enumerate(got)] == q
+        assert [Fraction(g, u[0] ** (t + 1)) for t, g in enumerate(got)] == \
+            _fraction_div(x, u, count)
 
 
 def test_bareiss_determinant_and_solve():
@@ -57,3 +64,36 @@ def test_common_denominator_round_trip():
     assert exact.reduced(-3, [2, 0, 0, -15, 0, 84], 12, (-1, 5)) == (0, [-5, 0, 28], 4)
     assert exact.reduced(1, [0, 2, -4], -6) == (2, [-1, 2], 3)
     assert exact.from_terms([]) == exact.reduced(0, [0, 0], 5) == (0, [], 1)
+
+
+def test_int_div_early_exit_is_exact(monkeypatch):
+    # x = q * u is an exact division: the recurrence stops once x is used up
+    # and len(u) - 1 terms are 0.  x = q * u + r with r != 0 of lower degree
+    # than u is not, so it never stops.  Both agree with the Fraction
+    # recurrence on every term, well past the support.
+    products = []
+    monkeypatch.setattr(exact, "mul", lambda p, q: products.append(1) or p * q)
+    rng = random.Random(18)
+    nonzero = [v for v in range(-9, 10) if v]
+    for trial in range(120):
+        deg = rng.randint(0, 6) if trial % 2 == 0 else rng.randint(1, 6)
+        u = [rng.choice([1, 2, -3, 6, 35])] + [rng.randint(-9, 9) for _ in range(deg - 1)]
+        u += [rng.choice(nonzero)] if deg else []
+        q = [rng.randint(-20, 20) for _ in range(rng.randint(0, 8))]
+        x = exact.int_mul(q, u) or [0]
+        if trial % 2:
+            r = [rng.randint(-5, 5) for _ in range(deg - 1)] + [rng.choice(nonzero)]
+            x = [a + b for a, b in itertools.zip_longest(x, r, fillvalue=0)]
+        count = len(x) + len(u) + 40
+        del products[:]
+        got = exact.int_div(x, u, count)
+        assert len(got) == count
+        assert [Fraction(g, u[0] ** (t + 1)) for t, g in enumerate(got)] == \
+            _fraction_div(x, u, count), (x, u)
+        if trial % 2 == 0:
+            assert got[len(q):] == [0] * (count - len(q))
+            # no term past len(x) + len(u) - 1 is computed
+            assert len(products) <= (len(x) + len(u)) * len(u)
+        else:
+            # len(u) - 1 zero terms in a row past x would end the series
+            assert any(got[-deg:]) and len(products) >= (count - deg) * deg

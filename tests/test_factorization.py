@@ -1,6 +1,7 @@
 """End-to-end factorization: projections, group laws, orthogonal series
 machinery, and the two routes to the middle factor."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import whlaurent as wl
+from whlaurent import factorization
 from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
@@ -555,3 +557,50 @@ def test_non_finite_coefficient_fails_factorize(bad):
     mono = wl.invert_from_factors(C, [wl.Mono(0, bad)], (-8, 8))
     with pytest.raises(FactorizationError):
         wl.factorize(mono)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_bumped_pi_plus_division_runs_to_the_window(arity):
+    # pi_+ with one coefficient off by 1/7 (in one component over Q^2) no
+    # longer divides a, so the long division cannot stop at a support: pi~
+    # fills the window, and pm * pt * pp differs from a on factorize's
+    # default window, where the true factors give a exactly
+    R = Q if arity == 1 else wl.product_ring(Q, 2)
+    one = Fraction(1)
+    elem = (lambda x: x) if arity == 1 else (lambda x: (x, one - x))
+    facs = [wl.Antiholo(elem(Fraction(1, 2))), wl.Holo(elem(Fraction(-1, 3))),
+            wl.Holo(elem(Fraction(2, 5))), wl.Mono(1, elem(Fraction(2, 3)))]
+    pair = wl.invert_from_factors(R, facs, (-24, 24))
+    res = wl.factorize(pair)
+    s = pair.a._supp_bounds()
+    r = max(abs(s[0]), abs(s[1]), 1) + 4
+    window, a = (-r, r), pair.a.truncate((-r, r)).coeffs
+
+    def full_product(pm, pt, pp):
+        return pm.mul(LaurentSeries(R, pt.coeffs)).mul(pp).truncate(window).coeffs
+
+    assert full_product(res.pi_minus, res.pi_tilde, res.pi_plus) == a
+    bump = Fraction(1, 7) if arity == 1 else (Fraction(0), Fraction(1, 7))
+    pp = res.pi_plus.add(LaurentSeries.monomial(R, 1, bump))
+    pt = wl.pi_tilde_derived(pair, res.pi_minus, pp, window)
+    assert pt.support()[0] == window[0] and pt.support()[-1] == window[1]
+    assert full_product(res.pi_minus, pt, pp) != a
+
+
+@pytest.mark.parametrize("exact_ring", [True, False], ids=["Q", "C"])
+def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
+    # pi_plus and pi_minus keep their result on the pair, so the middle
+    # factor routes and factorize read it instead of computing it again
+    calls = []
+    outer = factorization._outer_projection
+    monkeypatch.setattr(factorization, "_outer_projection",
+                        lambda pair, sign: calls.append(sign) or outer(pair, sign))
+    _, pair = worked_pair(Q if exact_ring else wl.complex_ring())
+    pp, pm = wl.pi_plus(pair), wl.pi_minus(pair)
+    wl.pi_tilde_direct(pair, windows=(10, 14))
+    res = wl.factorize(pair)
+    assert sorted(calls) == ["+", "-"]
+    assert res.pi_plus is pp and res.pi_minus is pm
+    # the kept projections are no part of the pair's value
+    fresh = dataclasses.replace(pair)
+    assert fresh == pair and fresh.projections == {} and "projections" not in repr(pair)

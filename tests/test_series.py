@@ -13,7 +13,7 @@ import whlaurent as wl
 from whlaurent import cli, serialize
 from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
                              random_rational_factors, random_rational_parameter)
-from whlaurent.factorization import residual_bound
+from whlaurent.factorization import FactorizationError, _check_projection, residual_bound
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
 
@@ -680,3 +680,58 @@ def test_factorize_job_never_builds_the_inverse_map(monkeypatch):
     (pair,) = pairs
     assert built and all(s is not pair.b for s in built)
     assert pair.b._coeffs is None and len(pair.b.support()) > 40
+
+
+# -- the checks at the end of factorize read the integer forms ----------
+
+def _check_outcome(check, *args):
+    """The message of the error ``check`` raises, or None."""
+    try:
+        check(*args)
+    except (FactorizationError, RingError) as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("ring", [Q, Q2], ids=["Q", "Q^2"])
+def test_factorize_checks_read_integer_forms(ring):
+    slow = _element_path(ring)
+    rng = random.Random("checks" + ring.name)
+    # factorize returns pi_-, pi~ and pi_+ as integer forms: none of its
+    # checks builds their Fraction maps, and they equal the element path's
+    for _ in range(8):
+        facs = random_rational_factors(rng, max_factors=4)
+        facs = _q2_factors(rng, facs) if ring is Q2 else facs
+        res = wl.factorize(wl.invert_from_factors(ring, facs, (-40, 40)))
+        want = wl.factorize(wl.invert_from_factors(slow, facs, (-40, 40)))
+        parts = (res.pi_minus, res.pi_tilde, res.pi_plus)
+        assert all(s._coeffs is None for s in parts), facs
+        assert [s.coeffs for s in parts] == \
+            [want.pi_minus.coeffs, want.pi_tilde.coeffs, want.pi_plus.coeffs]
+        assert res.winding == want.winding
+    # on random series the integer-form classify, unit test and projection
+    # checks agree with the Fraction-map checks of the element path
+    one, two, zero = ring.one, _lift(Fraction(2), ring), ring.zero
+    cases = [{0: one, 2: two}, {-3: two, 0: one}, {0: two, 1: two}, {0: one}, {},
+             {0: two}, {4: two}, {-1: one, 0: one, 1: two}, {3: zero}]
+    if ring is Q2:
+        e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(3))
+        cases += [{0: e1, 5: e2},  # orthogonal, not a unit
+                  {0: e1, 1: (Fraction(1), Fraction(3))},  # not orthogonal
+                  {0: (Fraction(1), Fraction(1)), -2: e2}]  # stray in one leaf
+    for _ in range(60):
+        lo = rng.randint(-4, 2)
+        cs = {lo + k: _rand_elem(ring, rng, 0.5) for k in range(rng.randint(0, 5))}
+        cs[0] = rng.choice([one, two, zero, _rand_elem(ring, rng, 0.5)])
+        cases.append(cs)
+    for cs in cases:
+        fast = LaurentSeries._from_ints(ring, LaurentSeries(ring, cs).ints)
+        ref = LaurentSeries(slow, cs)
+        assert wl.classify(fast) == wl.classify(ref), cs
+        assert fast.has_unit_constant() == ref.has_unit_constant(), cs
+        for kind in ("plus", "minus"):
+            assert _check_outcome(_check_projection, fast, kind) == \
+                _check_outcome(_check_projection, ref, kind), (cs, kind)
+        assert _check_outcome(wl.div_unit, fast, fast, (-3, 3)) == \
+            _check_outcome(wl.div_unit, ref, ref, (-3, 3)), cs
+        assert fast._coeffs is None, cs
