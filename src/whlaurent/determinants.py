@@ -13,12 +13,10 @@ on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block`` builds
 that array from Laurent polynomial entries, and runs Berkowitz over any
 other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
 has no path for other rings (:func:`ring_array` raises ``RingError``).
-``charpoly`` gives the characteristic polynomial of a constant block,
-the outer projections' whole determinant over ``C``: per component of a
-product of ``C`` it samples ``I - w K`` on the unit circle, and over any
-other ring it runs Berkowitz on the ring's elements.  Over ``Q`` the
-outer projections do not call it: ``factorization._outer_projection``
-hands its integer block to :func:`exact.int_charpoly` itself.
+The outer projections call their kernel here directly
+(``factorization._outer_projection``): :func:`_poly_det` of the pencil
+``I - w K`` over ``C``, :func:`_berkowitz_charpoly` over a ring that is
+neither ``Q`` nor ``C``.
 """
 
 from __future__ import annotations
@@ -76,32 +74,6 @@ def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
     return coeffs
 
 
-def _charpoly_leaf(ring: Ring, k: Any) -> Dict[int, Any]:
-    """:func:`charpoly` of an ``(n, n)`` array over ``C``."""
-    coef = np.empty((2,) + k.shape, k.dtype)
-    coef[0] = np.eye(len(k))
-    coef[1] = -k
-    return dict(enumerate(_poly_det(ring, coef, len(k))))
-
-
-def charpoly(ring: Ring, a: Any) -> List[Any]:
-    """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i), which
-    are also those of det(I - w*A) = sum c_i w^i, for ``A`` given as rows
-    of ring elements or, over ``C``, as an ``(n, n)`` array.
-
-    Over ``C`` Berkowitz's Krylov sums lose up to 1e-8 on strongly
-    non-normal blocks (entries near 10, eigenvalues below 1), so the pencil
-    ``I - w*A`` goes to :func:`_poly_det` at degree ``n``, per component of
-    a product of ``C`` (:func:`per_component`), which samples it with a
-    backward-stable LU determinant per sample.  Every other ring, ``Q``
-    included, runs division-free Berkowitz on its own elements.
-    """
-    if len(a) == 0 or leaf_kind(ring) is not complex:
-        return _berkowitz_charpoly(ring, a)
-    coeffs = per_component(ring, _charpoly_leaf, _component_slices(2), ring_array(ring, a))
-    return [coeffs[i] for i in range(len(a) + 1)]
-
-
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
     n = len(a)
     if n == 0:
@@ -126,12 +98,11 @@ def ring_array(ring: Ring, values: Any) -> Any:
     return np.asarray(values, dtype=object if kind is Fraction else complex)
 
 
-def _component_slices(lead: int):
-    """Split for :func:`per_component`: component ``i`` of an array is its
-    index ``i`` on the first component axis, the one after ``lead``
-    leading axes."""
-    return lambda ring, arr: [arr[(slice(None),) * lead + (i,)]
-                              for i in range(len(ring.components))]
+def _split_pencil(ring: Ring, coef: Any) -> List[Any]:
+    """Split for :func:`rings.per_component`: component ``i`` of a
+    ``(width, n, n, ...)`` array over a product ring is its index ``i`` on
+    the first component axis."""
+    return [coef[:, :, :, i] for i in range(len(ring.components))]
 
 
 def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
@@ -198,7 +169,7 @@ def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
     is shifted down by its ``lo_i`` and the rest goes to :func:`_poly_det`
     at the summed degree.
     """
-    return LaurentSeries(ring, per_component(ring, _row_det, _component_slices(3), coef))
+    return LaurentSeries(ring, per_component(ring, _row_det, _split_pencil, coef))
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:

@@ -159,43 +159,28 @@ def bareiss(rows: List[List[int]]) -> int:
     leading square block of integer ``rows``, in place, with any extra
     columns carried along.  Returns the block's determinant, 0 if it is
     singular.  After a nonsingular run the block is upper triangular from
-    the diagonal on; every division is exact.
+    the diagonal on.
 
-    Step ``k`` maps a row whose column-``k`` entry is 0 to itself times
-    ``p_k / p_(k-1)`` (``p_k`` the ``k``-th pivot), so such rows are left
-    alone and scaled by ``p_(k-1) / p_(l-1)`` only when a later step reads
-    them, ``l`` the number of steps applied so far: a nearly triangular
-    matrix costs about ``n^2`` operations, not ``n^3``."""
+    Step ``k`` maps every row ``i > k`` to ``(p_k row_i - row_i[k] row_k)
+    / p_(k-1)`` past column ``k``, ``p_k`` the ``k``-th pivot and
+    ``p_(-1) = 1``; by Sylvester's identity every entry is then a minor of
+    the input, so every division is exact."""
     n = len(rows)
-    sign = 1
-    pivots = [1]  # pivots[k] = p_(k-1), with p_(-1) = 1
-    level = [0] * n  # steps applied to each row
-
-    def catch_up(i: int, k: int) -> None:
-        if level[i] < k:
-            row, s, t = rows[i], pivots[k], pivots[level[i]]
-            row[k:] = [x * s // t for x in row[k:]]
-            level[i] = k
-
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((i for i in range(k, n) if rows[i][k]), None)
         if piv is None:
             return 0
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
-            level[k], level[piv] = level[piv], level[k]
             sign = -sign
-        catch_up(k, k)
         top = rows[k]
-        p, prev = top[k], pivots[k]
-        for i in range(k + 1, n):
-            if rows[i][k]:
-                catch_up(i, k)
-                row, f = rows[i], rows[i][k]
-                row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
-                level[i] = k + 1
-        pivots.append(p)
-    return sign * pivots[-1]
+        p = top[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = p
+    return sign * prev
 
 
 def bareiss_solve(rows: List[List[int]]) -> Tuple[List[int], int]:

@@ -50,6 +50,25 @@ def from_array(lo: int, arr: Any, tol: float,
     return dict(zip((idx + lo).tolist(), arr[idx].tolist()))
 
 
+def circle_values(coeffs: Dict[int, complex], samples: int) -> Any:
+    """The Laurent polynomial with the coefficient map ``coeffs`` at the
+    ``samples``-th roots of unity ``exp(2 pi i k / samples)``, ``k = 0 ..
+    samples - 1``, as one complex array."""
+    n = sorted(coeffs)
+    c = np.array([complex(coeffs[k]) for k in n])
+    k = np.arange(samples)
+    return (c[None, :] * np.exp(2j * np.pi * np.outer(k, n) / samples)).sum(axis=1)
+
+
+def from_fft(bins: Any) -> Tuple[Dict[int, complex], Tuple[int, int]]:
+    """``N`` FFT bins as a coefficient map and its window: bin ``m`` holds
+    exponent ``m`` below ``N/2`` and ``m - N`` from there on, so the
+    exponents are ``-N/2 .. N/2 - 1``."""
+    n = len(bins)
+    half = n // 2
+    return {m if m < half else m - n: complex(bins[m]) for m in range(n)}, (-half, half - 1)
+
+
 def recur(xs: Sequence[complex], us: Sequence[complex], tol: float) -> List[complex]:
     """``q_t = x_t - sum_m u_m q_(t-m)`` over ``m >= 1`` for each ``x_t`` of
     ``xs``: the power series ``x / u`` for ``u_0 = 1``, on Python complex

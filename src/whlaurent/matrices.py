@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from .rings import Ring, RingError
+from .rings import Ring, RingError, check_same
 from .series import LaurentSeries, WindowError
 
 
@@ -54,8 +54,7 @@ class WindowedMatrix:
     def check_compatible(self, other: "WindowedMatrix") -> None:
         if self.lattice is not other.lattice:
             raise RingError("lattice mismatch")
-        if self.ring.name != other.ring.name:
-            raise RingError("entry ring mismatch")
+        check_same(self.ring, other.ring)
 
     def dump(self) -> str:
         """Row-major text with separator lines around the 0th row/column

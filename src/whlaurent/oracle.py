@@ -9,11 +9,11 @@ by the location of its zeros relative to the circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
-from .rings import Ring, leaf_kind
+from .floating import circle_values, from_fft
+from .rings import leaf_kind
 from .series import LaurentSeries
 from .factorization import FactorizationResult
 
@@ -27,31 +27,13 @@ def _require_complex(a: LaurentSeries) -> None:
         raise OracleError("classical oracles require the complex ring")
 
 
-def _circle_values(a: LaurentSeries, samples: int) -> np.ndarray:
-    n = np.array(a.support())
-    c = np.array([complex(a.coeffs[k]) for k in a.support()])
-    k = np.arange(samples)
-    return (c[None, :] * np.exp(2j * np.pi * np.outer(k, n) / samples)).sum(axis=1)
-
-
-def _series_from_fft(ring: Ring, coeffs: np.ndarray, keep) -> LaurentSeries:
-    n = len(coeffs)
-    half = n // 2
-    out: Dict[int, complex] = {}
-    for m in range(n):
-        idx = m if m < half else m - n
-        if keep(idx):
-            out[idx] = complex(coeffs[m])
-    return LaurentSeries(ring, out, (-half, half - 1))
-
-
 def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationResult:
     """Factorization via log on the unit circle and cepstrum splitting."""
     _require_complex(a)
     if samples & (samples - 1) or samples < 8:
         raise OracleError("samples must be a power of two >= 8")
     ring = a.ring
-    vals = _circle_values(a, samples)
+    vals = circle_values(a.coeffs, samples)
     if np.min(np.abs(vals)) < 1e-10:
         raise OracleError("symbol (nearly) vanishes on the unit circle")
     # winding number from the unwrapped argument around the circle
@@ -67,17 +49,16 @@ def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationRe
     logv = np.log(np.abs(devals)) + 1j * np.unwrap(np.angle(devals))
     # cepstrum: c_m = (1/N) sum_k logv_k exp(-2 pi i m k / N)
     cep = np.fft.fft(logv) / samples
-    half = samples // 2
-    idxs = np.array([m if m < half else m - samples for m in range(samples)])
-    plus_spec = np.where(idxs > 0, cep, 0.0)
-    minus_spec = np.where(idxs < 0, cep, 0.0)
+    freq = np.fft.fftfreq(samples)  # the sign of each bin's exponent
+    plus_spec = np.where(freq > 0, cep, 0.0)
+    minus_spec = np.where(freq < 0, cep, 0.0)
     # evaluate exp(sum c_m w^m) on the circle, transform back
     plus_vals = np.exp(np.fft.ifft(plus_spec) * samples)
     minus_vals = np.exp(np.fft.ifft(minus_spec) * samples)
-    plus_coeffs = np.fft.fft(plus_vals) / samples
-    minus_coeffs = np.fft.fft(minus_vals) / samples
-    pi_p = _series_from_fft(ring, plus_coeffs, lambda i: i >= 0)
-    pi_m = _series_from_fft(ring, minus_coeffs, lambda i: i <= 0)
+    plus, window = from_fft(np.fft.fft(plus_vals) / samples)
+    minus = from_fft(np.fft.fft(minus_vals) / samples)[0]
+    pi_p = LaurentSeries(ring, {i: c for i, c in plus.items() if i >= 0}, window)
+    pi_m = LaurentSeries(ring, {i: c for i, c in minus.items() if i <= 0}, window)
     const = complex(np.exp(cep[0]))
     pi_t = LaurentSeries(ring, {p: const})
     recon = pi_m.mul(pi_t).mul(pi_p)

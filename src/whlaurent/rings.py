@@ -77,6 +77,16 @@ class Ring:
         return "Ring(%s)" % self.name
 
 
+def check_same(x: Ring, y: Ring) -> None:
+    """The one ring-compatibility test: :class:`RingError` unless ``x`` and
+    ``y`` have the same name and the same tolerance.  A name alone would
+    let ``complex_ring(1e-9)`` meet ``complex_ring(1e-2)``, and the result
+    take the tolerance of whichever operand came first."""
+    if x is not y and (x.name != y.name or x.tolerance != y.tolerance):
+        raise RingError("ring mismatch: %s with tolerance %g vs %s with tolerance %g"
+                        % (x, x.tolerance, y, y.tolerance))
+
+
 def sup(norms: Iterable[float]) -> float:
     """The largest of ``norms``, 0 for none, and NaN if any is NaN: ``max``
     would drop a NaN, and a tolerance test must fail on it."""
@@ -146,7 +156,6 @@ def rational_ring() -> Ring:
         seminorm=lambda x: float(abs(x)),
         equals=lambda x, y: x == y,
         invert=inv,
-        fmt=lambda x: str(Fraction(x)),
         parse=lambda s: Fraction(*parse_rational(s)),
     )
 

@@ -39,8 +39,9 @@ import numpy as np
 
 from .exact import (Ints, bareiss_solve, from_terms, int_div, int_mul, reduced, restrict,
                     slice_ints, to_fractions)
-from .floating import cut, from_array, recur, times_linear, to_array
-from .rings import Ring, RingError, leaf_kind, per_component, split_leaves, split_map, sup
+from .floating import circle_values, cut, from_array, from_fft, recur, times_linear, to_array
+from .rings import (Ring, RingError, check_same, leaf_kind, per_component, split_leaves,
+                    split_map, sup)
 
 Window = Optional[Tuple[int, int]]
 
@@ -164,12 +165,8 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check(self, other: "LaurentSeries") -> None:
-        if self.ring is not other.ring and self.ring.name != other.ring.name:
-            raise RingError("ring mismatch: %s vs %s" % (self.ring, other.ring))
-
     def add(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._check(other)
+        check_same(self.ring, other.ring)
         out = dict(self.coeffs)
         for n, c in other.coeffs.items():
             out[n] = self.ring.add(out.get(n, self.ring.zero), c)
@@ -195,7 +192,7 @@ class LaurentSeries:
         component of a product of them) one convolution of the dense
         coefficients: integer numerators over ``Q``, a complex array over
         ``C``."""
-        self._check(other)
+        check_same(self.ring, other.ring)
         ring = self.ring
         window = self._mul_window(other)
         kind = leaf_kind(ring)
@@ -251,7 +248,7 @@ class LaurentSeries:
 
     def equals(self, other: "LaurentSeries") -> bool:
         """Coefficientwise equality on the common reliable window."""
-        self._check(other)
+        check_same(self.ring, other.ring)
         w = _win_meet(self.window, other.window)
         for n in set(self.coeffs) | set(other.coeffs):
             if w is not None and not (w[0] <= n <= w[1]):
@@ -651,23 +648,11 @@ def invert_numeric(a: LaurentSeries, samples: int) -> InvertiblePair:
         raise RingError("invert_numeric requires the complex ring")
     if samples < 1 or samples & (samples - 1):
         raise ValueError("samples must be a power of two")
-    n = np.array(a.support())
-    c = np.array([complex(a.coeffs[k]) for k in a.support()])
-    k = np.arange(samples)
-    # values at exp(2*pi*i*k/N)
-    vals = (c[None, :] * np.exp(2j * np.pi * np.outer(k, n) / samples)).sum(axis=1)
+    vals = circle_values(a.coeffs, samples)
     if np.min(np.abs(vals)) < 1e-12:
         raise RingError("symbol (nearly) vanishes on the unit circle")
-    recip = 1.0 / vals
-    # b_m = (1/N) sum_k recip_k exp(-2*pi*i*m*k/N)
-    bm = np.fft.fft(recip) / samples
-    half = samples // 2
-    coeffs = {}
-    for m in range(samples):
-        idx = m if m < half else m - samples
-        v = complex(bm[m])
-        coeffs[idx] = v
-    b = LaurentSeries(ring, coeffs, (-half, half - 1))
+    # b_m = (1/N) sum_k exp(-2*pi*i*m*k/N) / a(exp(2*pi*i*k/N))
+    b = LaurentSeries(ring, *from_fft(np.fft.fft(1.0 / vals) / samples))
     return InvertiblePair.make(a, b)
 
 

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import whlaurent as wl
-from whlaurent import exact
+from whlaurent import exact, series
 from whlaurent.determinants import det_berkowitz
 
 Q = wl.rational_ring()
@@ -34,13 +34,47 @@ def test_int_div_matches_fraction_recurrence():
             _fraction_div(x, u, count)
 
 
+# pairwise coprime denominators, so that products of a few factors reach
+# 100 bits and more
+BIG = [2**61 - 1, 2**31 - 1, 3**20]
+
+
+def _sylvester_systems(rng):
+    """Sylvester systems of the Bezout identity as ``series._q_pair``
+    builds them, from products of ``series._times_linear`` factors with
+    parameters over large coprime denominators; each also with its rows
+    reversed, whose leading entries are 0, so the elimination swaps rows.
+    The last pair has a root of one polynomial at the reciprocal of a root
+    of the other, so it is singular."""
+    params = [([Fraction(rng.choice([-7, -2, 3, 5]), rng.choice(BIG)) for _ in range(r)],
+               [Fraction(rng.choice([-5, -1, 4, 9]), rng.choice(BIG)) for _ in range(s)])
+              for r, s in [(1, 1), (2, 3), (4, 1), (1, 5), (3, 4), (6, 6)]]
+    params.append(([Fraction(3, BIG[0]), Fraction(-1, BIG[1])], [Fraction(BIG[0], 3)]))
+    out = []
+    for alphas, betas in params:
+        anti, holo = [1], [1]
+        for c in alphas:
+            anti = series._times_linear(anti, c)
+        for c in betas:
+            holo = series._times_linear(holo, c)
+        m = [row[:-1] for row in series._sylvester(anti, holo, 0, 1)]
+        out += [m, m[::-1]]
+    return out
+
+
 def test_bareiss_determinant_and_solve():
     rng = random.Random(9)
+    mats = []
     for trial in range(150):
         n = rng.randint(0, 9)
         density = (0.15, 0.5, 1.0)[trial % 3]  # nearly diagonal, sparse, dense
-        m = [[rng.randint(-9, 9) if i == j or rng.random() < density else 0
-              for j in range(n)] for i in range(n)]
+        mats.append([[rng.randint(-9, 9) if i == j or rng.random() < density else 0
+                      for j in range(n)] for i in range(n)])
+    sylvester = _sylvester_systems(random.Random(19))
+    assert max(abs(v).bit_length() for m in sylvester for row in m for v in row) >= 100
+    assert any(not m[0][0] for m in sylvester)
+    for m in mats + sylvester:
+        n = len(m)
         want = det_berkowitz(Q, [[Fraction(v) for v in row] for row in m])
         assert exact.bareiss([list(row) for row in m]) == want, m
         b = [rng.randint(-5, 5) for _ in range(n)]
@@ -50,6 +84,7 @@ def test_bareiss_determinant_and_solve():
             assert all(sum(map(lambda p, q: p * q, row, z)) == det * bi for row, bi in zip(m, b))
         else:
             assert (z, det) == ([], 0)
+    assert not det_berkowitz(Q, [[Fraction(v) for v in row] for row in sylvester[-1]])
 
 
 def test_common_denominator_round_trip():

@@ -1,10 +1,12 @@
 """Source hygiene: no unused imports, no unreferenced private helpers,
 no ring test but ``rings.leaf_kind`` picking a kernel's path, no
-dataclass field that nothing reads, and no optional parameter that no
-call sets, in the library modules (stdlib ``ast`` only)."""
+dataclass field that nothing reads, no optional parameter that no call
+sets, and no cross reference in a docstring or comment that names
+nothing, in the library modules (stdlib ``ast`` only)."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -207,3 +209,67 @@ def test_parameter_search_finds_an_unset_parameter():
            "g(*args)\n")
     tree = ast.parse(src)
     assert _unset_params([tree], [tree]) == [("f", "b"), ("m", "v"), ("s", "q")]
+
+
+REFERENCE = re.compile(r":(func|meth|attr|data|class|mod):`([^`]*)`")
+
+
+def _definitions(tree):
+    """The names a module defines: its top-level functions, classes and
+    assigned names, and the members of each class, bare and as
+    ``Class.member``."""
+    def names(body):
+        out = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, ast.Assign):
+                out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.add(node.target.id)
+        return out
+
+    out = names(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members = names(node.body)
+            out |= members | {node.name + "." + m for m in members}
+    return out
+
+
+def _unresolved(sources):
+    """``(module, reference)`` for each ``:func:``, ``:meth:``, ``:attr:``,
+    ``:data:``, ``:class:`` or ``:mod:`` reference in ``sources`` (module
+    name to source text) that names nothing.  The package prefix
+    ``whlaurent.`` is dropped; ``:mod:`` must name a module, ``mod.name``
+    something that module defines, and any other name something that
+    some module defines."""
+    defs = {name: _definitions(ast.parse(src)) for name, src in sources.items()}
+    out = []
+    for module, src in sources.items():
+        for role, ref in REFERENCE.findall(src):
+            name = ref.removeprefix("whlaurent.")
+            head, _, rest = name.partition(".")
+            if role == "mod":
+                found = name in defs
+            elif head in defs and rest:
+                found = rest in defs[head]
+            else:
+                found = any(name in d for d in defs.values())
+            if not found:
+                out.append((module, ref))
+    return out
+
+
+def test_every_cross_reference_resolves():
+    assert _unresolved({p.stem: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def test_reference_search_finds_an_unresolved_reference():
+    a = ('"""See :func:`f`, :meth:`K.m`, :attr:`x`, :data:`a.N`, :class:`whlaurent.a.K`,\n'
+         ':mod:`whlaurent.a`, :func:`b.g` and :attr:`K.x`; not :func:`a.gone`,\n'
+         ':meth:`K.gone`, :func:`b.f`, :mod:`whlaurent.c`, :func:`nowhere` or :func:`f()`."""\n'
+         "N = 1\ndef f(): pass\nclass K:\n    x: int\n    def m(self): pass\n")
+    assert _unresolved({"a": a, "b": "def g(): pass\n"}) == [
+        ("a", "a.gone"), ("a", "K.gone"), ("a", "b.f"), ("a", "whlaurent.c"),
+        ("a", "nowhere"), ("a", "f()")]

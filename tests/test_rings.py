@@ -187,3 +187,25 @@ def test_zero_denominator_is_a_value_error(s):
     for parse in (R.parse, lambda x: series_from_json(R, [{"n": 0, "c": x}])):
         with pytest.raises(ValueError, match="zero denominator"):
             parse(s)
+
+
+def test_mixed_tolerances_are_a_ring_mismatch():
+    # two C rings share the name "C"; with different tolerances each of the
+    # three compatibility tests raises, rather than take the left one's
+    from whlaurent.factorization import OrthogonalDecomposition, product_of_orthogonals
+    from whlaurent.matrices import Lattice, identity, mat_add
+
+    fine, coarse = wl.complex_ring(1e-9), wl.complex_ring(1e-2)
+    for x, y in ((fine, coarse), (wl.product_ring(fine, 2), wl.product_ring(coarse, 2))):
+        s, t = wl.LaurentSeries(x, {0: x.one}), wl.LaurentSeries(y, {0: y.one})
+        for op in (s.add, s.sub, s.mul, s.equals):
+            with pytest.raises(RingError, match="tolerance"):
+                op(t)
+        with pytest.raises(RingError, match="tolerance"):
+            mat_add(identity(x, Lattice.INTEGER, (-2, 2)), identity(y, Lattice.INTEGER, (-2, 2)))
+        with pytest.raises(RingError, match="tolerance"):
+            product_of_orthogonals(OrthogonalDecomposition(x, {0: x.one}, x.one),
+                                   OrthogonalDecomposition(y, {0: y.one}, y.one))
+    # two copies of one ring are one ring
+    again = wl.complex_ring(1e-9)
+    assert wl.LaurentSeries(fine, {0: 1j}).mul(wl.LaurentSeries(again, {1: 2.0})).coeffs == {1: 2j}
