@@ -39,7 +39,7 @@ for _ in range(10):
     factors = random_complex_factors(rng)
     pair = wl.invert_from_factors(C, factors, (-24, 24))
     engine = wl.factorize(pair, (-24, 24))
-    for orc in (cepstral_factorize(pair.a, 1024), root_split_factorize(pair.a)):
+    for orc in (cepstral_factorize(pair.a), root_split_factorize(pair.a)):
         worst = max(worst, compare(engine, orc).max_diff)
 print("worst difference over 10 symbols x 2 oracles: %.2e" % worst)
 

@@ -95,10 +95,7 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
     if mode not in MODES:
         raise JobError("unknown mode: %r" % mode)
     with _field("ring"):
-        ring_spec = dict(job.get("ring", DEFAULT_RING))
-        if "tolerance" in job:
-            ring_spec.setdefault("tolerance", job["tolerance"])
-        ring = ring_from_json(ring_spec)
+        ring = ring_from_json(dict(job.get("ring", DEFAULT_RING)))
     with _field("window"):
         half = json_int(job.get("window", 16))
     if half < 1:

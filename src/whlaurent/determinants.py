@@ -15,14 +15,14 @@ other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
 has no path for other rings (:func:`ring_array` raises ``RingError``).
 The outer projections call their kernel here directly
 (``factorization._outer_projection``): :func:`_poly_det` of the pencil
-``I - w K`` over ``C``, :func:`_berkowitz_charpoly` over a ring that is
-neither ``Q`` nor ``C``.
+``I - w K`` over ``C``, and :func:`berkowitz` over ``Q`` (on the integer
+block) and over every other ring (on ring elements).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,53 +36,33 @@ MAX_BERKOWITZ = 64
 
 # -- Berkowitz --------------------------------------------------------
 
-def _berkowitz_charpoly(ring: Ring, a: List[List[Any]]) -> List[Any]:
-    """Coefficients [c_0..c_n] of det(x*I - A) = sum c_i x^(n-i),
-    computed without division."""
-    n = len(a)
-    coeffs = [ring.one]
-    for r in range(1, n + 1):
+def berkowitz(a: Sequence[Sequence[Any]], dot: Callable[[Sequence[Any], Sequence[Any]], Any],
+              neg: Callable[[Any], Any], one: Any) -> List[Any]:
+    """Coefficients ``c_0..c_n`` of ``det(x I - A) = sum c_i x^(n-i)`` by
+    division-free Berkowitz (Berkowitz, "On computing the determinant in
+    small parallel time using a small number of processors", 1984), with
+    ``dot`` the inner product of two sequences that stops at the shorter
+    one: :func:`exact.dot` on integers, :meth:`rings.Ring.dot` on ring
+    elements.  ``berkowitz([])`` is ``[one]``."""
+    coeffs = [one]
+    for r in range(1, len(a) + 1):
         # principal r x r block, partitioned around its last row/column
-        top = a[r - 1][r - 1]
-        row = [a[r - 1][j] for j in range(r - 1)]
+        row = a[r - 1][:r - 1]
         cur = [a[i][r - 1] for i in range(r - 1)]
         # Toeplitz column: [1, -top, -row*col, -row*A*col, ...]; the last
         # entry needs A^(r-2)*col, so A*cur is formed r-2 times
-        tvec = [ring.one, ring.neg(top)]
+        tvec = [one, neg(a[r - 1][r - 1])]
         for t in range(r - 1):
-            if t:
-                nxt = []
-                for i in range(r - 1):
-                    acc = ring.zero
-                    for j in range(r - 1):
-                        acc = ring.add(acc, ring.mul(a[i][j], cur[j]))
-                    nxt.append(acc)
-                cur = nxt
-            s = ring.zero
-            for x, y in zip(row, cur):
-                s = ring.add(s, ring.mul(x, y))
-            tvec.append(ring.neg(s))
-        new = []
-        for i in range(r + 1):
-            acc = ring.zero
-            for j in range(len(coeffs)):
-                k = i - j
-                if 0 <= k < len(tvec):
-                    acc = ring.add(acc, ring.mul(tvec[k], coeffs[j]))
-            new.append(acc)
-        coeffs = new
+            if t:  # dot stops at the shorter input, so a[i] is read on the leading block
+                cur = [dot(a[i], cur) for i in range(r - 1)]
+            tvec.append(neg(dot(row, cur)))
+        coeffs = [dot(tvec[i::-1], coeffs) for i in range(r + 1)]
     return coeffs
 
 
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
-    n = len(a)
-    if n == 0:
-        return ring.one
-    cp = _berkowitz_charpoly(ring, a)
-    d = cp[-1]  # det(x*I - A) at x=0 is (-1)^n det A
-    if n % 2 == 1:
-        d = ring.neg(d)
-    return d
+    d = berkowitz(a, ring.dot, ring.neg, ring.one)[-1]
+    return ring.neg(d) if len(a) % 2 else d  # det(x*I - A) at x=0 is (-1)^n det A
 
 
 # -- determinants in w: one coefficient array over the base ring ------

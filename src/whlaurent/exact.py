@@ -12,9 +12,11 @@ that clearing its ``Fraction`` values would give.  Products are integer
 convolutions, division by a unit is a fraction-free recurrence, linear
 systems (the Bezout system of an inverse, the Vandermonde system of an
 interpolation) and determinants use fraction-free Bareiss elimination,
-and characteristic polynomials division-free Berkowitz.  A caller takes
-these kernels when :func:`rings.leaf_kind` reads ``Fraction``; over a
-(nested) product of ``Q`` a series holds one form per leaf.
+and characteristic polynomials division-free Berkowitz
+(:func:`determinants.berkowitz`) with the integer inner product
+:func:`dot`.  A caller takes these kernels when :func:`rings.leaf_kind`
+reads ``Fraction``; over a (nested) product of ``Q`` a series holds one
+form per leaf.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def to_fractions(form: Ints) -> Dict[int, Fraction]:
     """The nonzero coefficients of ``form``, one ``Fraction`` each."""
     lo, nums, d = form
     return {lo + i: Fraction(x, d) for i, x in enumerate(nums) if x}
+
+
+def dot(x: Sequence[int], y: Sequence[int]) -> int:
+    """``sum x_i y_i`` over the shorter of ``x`` and ``y``: the inner
+    product that :func:`determinants.berkowitz` takes on integers."""
+    return sum(map(mul, x, y))
 
 
 def int_mul(x: Sequence[int], y: Sequence[int]) -> List[int]:
@@ -194,22 +202,5 @@ def bareiss_solve(rows: List[List[int]]) -> Tuple[List[int], int]:
     z = [0] * n
     for k in range(n - 1, -1, -1):
         row = rows[k]
-        z[k] = (det * row[n] - sum(map(mul, row[k + 1:n], z[k + 1:]))) // row[k]
+        z[k] = (det * row[n] - dot(row[k + 1:n], z[k + 1:])) // row[k]
     return z, det
-
-
-def int_charpoly(m: List[List[int]]) -> List[int]:
-    """Coefficients ``c_0..c_n`` of ``det(x I - M)`` for an integer matrix
-    ``M``, by division-free Berkowitz.  For ``M = d K`` the coefficients of
-    ``det(x I - K)`` are ``c_i / d^i``."""
-    coeffs = [1]
-    for r in range(1, len(m) + 1):
-        row = m[r - 1][:r - 1]
-        cur = [m[i][r - 1] for i in range(r - 1)]
-        tvec = [1, -m[r - 1][r - 1]]
-        for t in range(r - 1):
-            if t:  # map() stops at the shorter input, so m[i] is read on the leading block
-                cur = [sum(map(mul, m[i], cur)) for i in range(r - 1)]
-            tvec.append(-sum(map(mul, row, cur)))
-        coeffs = [sum(map(mul, coeffs, tvec[i::-1])) for i in range(r + 1)]
-    return coeffs

@@ -32,15 +32,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact import Ints, int_charpoly, reduced, slice_ints
+from .exact import Ints, dot, reduced, slice_ints
 from .floating import cut, to_array
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit)
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
-from .determinants import (_berkowitz_charpoly, _poly_det, det_truncated, reduced_columns,
-                           ring_array)
+from .determinants import _poly_det, berkowitz, det_truncated, reduced_columns, ring_array
 
 
 class FactorizationError(ValueError):
@@ -143,14 +142,13 @@ def _bracket_block(pair: InvertiblePair,
     a, b = pair.a, pair.b
     ring = a.ring
     jp, cols = _bracket_cols(a, sign)
-    vals = {k: [(j, a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d])) for j, d, s in col]
+    vals = {k: ([j for j, _d, _s in col],
+                [a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d]) for _j, d, s in col])
             for k, col in cols.items()}
     ents: Dict[Tuple[int, int], Any] = {}
     for r in jp:
-        for k, col in vals.items():
-            acc = ring.zero
-            for j, v in col:
-                acc = ring.add(acc, ring.mul(b.coeff(r - j), v))
+        for k, (js, vs) in vals.items():
+            acc = ring.dot([b.coeff(r - j) for j in js], vs)
             if not ring.is_zero(acc):
                 ents[(r, k)] = acc
     return jp, ents
@@ -196,24 +194,25 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
     the integer bracket block ``d B`` (:func:`_int_bracket`, on the
-    integer forms of ``a`` and ``b``) and ``d E`` go straight to integer
-    Berkowitz (:func:`exact.int_charpoly`), and the projection is one
-    integer form over ``d^n``, with no ``Fraction`` in between.  Over
+    integer forms of ``a`` and ``b``) and ``d E`` go straight to
+    Berkowitz on integers (:func:`determinants.berkowitz` with
+    :func:`exact.dot`), and the projection is one integer form over
+    ``d^n``, with no ``Fraction`` in between.  Over
     ``C`` (and per component of a product of ``C``) K is one complex array
     (:func:`_c_k_matrix`), and the pencil ``I - v K`` is sampled on the
     unit circle (:func:`determinants._poly_det` at degree ``n``), since
     Berkowitz's Krylov sums lose up to 1e-8 on these strongly non-normal
     blocks.  Every other ring builds ``B`` from ring elements
-    (:func:`_bracket_block`) and runs division-free Berkowitz on them
-    (:func:`determinants._berkowitz_charpoly`).
+    (:func:`_bracket_block`) and runs the same Berkowitz on them, with
+    the ring's inner product (:meth:`rings.Ring.dot`).
     """
     ring = pair.a.ring
     step = 1 if sign == "-" else -1
     kind = leaf_kind(ring)
     if kind is None:
         jp, ents = _bracket_block(pair, sign)
-        coeffs = _berkowitz_charpoly(ring, _k_matrix(jp, ents, sign, ring.zero, ring.one,
-                                                     ring.add))
+        coeffs = berkowitz(_k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add),
+                           ring.dot, ring.neg, ring.one)
         return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
     _check_b_window(pair)
     jp, cols = _bracket_cols(pair.a, sign)
@@ -235,7 +234,7 @@ def _int_projection(jp: List[int], cols: Columns, sign: str, a: Ints, b: Ints) -
     ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``v^i`` is
     ``m_i / d^i = m_i d^(n-i) / d^n``."""
     ents, d = _int_bracket(jp, cols, a, b)
-    ms = int_charpoly(_k_matrix(jp, ents, sign, 0, d, operator.add))
+    ms = berkowitz(_k_matrix(jp, ents, sign, 0, d, operator.add), dot, operator.neg, 1)
     n = len(ms) - 1
     nums = [m * d ** (n - i) for i, m in enumerate(ms)]
     return reduced(0, nums, d ** n) if sign == "-" else reduced(-n, nums[::-1], d ** n)

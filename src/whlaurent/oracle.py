@@ -27,13 +27,15 @@ def _require_complex(a: LaurentSeries) -> None:
         raise OracleError("classical oracles require the complex ring")
 
 
-def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationResult:
-    """Factorization via log on the unit circle and cepstrum splitting."""
+SAMPLES = 1024  # points on the unit circle; a power of two for the FFT
+
+
+def cepstral_factorize(a: LaurentSeries) -> FactorizationResult:
+    """Factorization via log on the unit circle and cepstrum splitting,
+    on :data:`SAMPLES` points."""
     _require_complex(a)
-    if samples & (samples - 1) or samples < 8:
-        raise OracleError("samples must be a power of two >= 8")
     ring = a.ring
-    vals = circle_values(a.coeffs, samples)
+    vals = circle_values(a.coeffs, SAMPLES)
     if np.min(np.abs(vals)) < 1e-10:
         raise OracleError("symbol (nearly) vanishes on the unit circle")
     # winding number from the unwrapped argument around the circle
@@ -44,19 +46,19 @@ def cepstral_factorize(a: LaurentSeries, samples: int = 1024) -> FactorizationRe
     if abs(p_est - p) > 1e-2:
         raise OracleError("non-integral winding estimate %.4f (sampling too coarse?)"
                           % p_est)
-    k = np.arange(samples)
-    devals = vals * np.exp(-2j * np.pi * p * k / samples)
+    k = np.arange(SAMPLES)
+    devals = vals * np.exp(-2j * np.pi * p * k / SAMPLES)
     logv = np.log(np.abs(devals)) + 1j * np.unwrap(np.angle(devals))
     # cepstrum: c_m = (1/N) sum_k logv_k exp(-2 pi i m k / N)
-    cep = np.fft.fft(logv) / samples
-    freq = np.fft.fftfreq(samples)  # the sign of each bin's exponent
+    cep = np.fft.fft(logv) / SAMPLES
+    freq = np.fft.fftfreq(SAMPLES)  # the sign of each bin's exponent
     plus_spec = np.where(freq > 0, cep, 0.0)
     minus_spec = np.where(freq < 0, cep, 0.0)
     # evaluate exp(sum c_m w^m) on the circle, transform back
-    plus_vals = np.exp(np.fft.ifft(plus_spec) * samples)
-    minus_vals = np.exp(np.fft.ifft(minus_spec) * samples)
-    plus, window = from_fft(np.fft.fft(plus_vals) / samples)
-    minus = from_fft(np.fft.fft(minus_vals) / samples)[0]
+    plus_vals = np.exp(np.fft.ifft(plus_spec) * SAMPLES)
+    minus_vals = np.exp(np.fft.ifft(minus_spec) * SAMPLES)
+    plus, window = from_fft(np.fft.fft(plus_vals) / SAMPLES)
+    minus = from_fft(np.fft.fft(minus_vals) / SAMPLES)[0]
     pi_p = LaurentSeries(ring, {i: c for i, c in plus.items() if i >= 0}, window)
     pi_m = LaurentSeries(ring, {i: c for i, c in minus.items() if i <= 0}, window)
     const = complex(np.exp(cep[0]))

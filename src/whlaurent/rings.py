@@ -14,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 DEFAULT_TOLERANCE = 1e-9
@@ -57,6 +58,11 @@ class Ring:
 
     def sub(self, x: Any, y: Any) -> Any:
         return self.add(x, self.neg(y))
+
+    def dot(self, x: Iterable[Any], y: Iterable[Any]) -> Any:
+        """``sum x_i y_i`` over the shorter of ``x`` and ``y``: ``mul``
+        folded into ``add``, left to right, from ``zero``."""
+        return reduce(self.add, map(self.mul, x, y), self.zero)
 
     def is_zero(self, x: Any) -> bool:
         return self.equals(x, self.zero)

@@ -305,16 +305,14 @@ def _scaled_zero(ring: Ring, x: Any, sa: float, sb: float) -> bool:
     return ring.seminorm(x) <= ring.tolerance * max(1.0, sa) * max(1.0, sb)
 
 
-def classify(a) -> set:
+def classify(a: LaurentSeries) -> set:
     """Subgroup memberships of a series (all that apply, possibly none).
 
-    Accepts a series or an :class:`InvertiblePair`.  Over ``Q`` (and per
-    leaf of a product of ``Q``) it reads the integer forms, with no
-    ``Fraction``: a product of two nonzero rationals is nonzero, so a
-    series is orthogonal iff no leaf holds more than one nonzero numerator.
+    Over ``Q`` (and per leaf of a product of ``Q``) it reads the integer
+    forms, with no ``Fraction``: a product of two nonzero rationals is
+    nonzero, so a series is orthogonal iff no leaf holds more than one
+    nonzero numerator.
     """
-    if isinstance(a, InvertiblePair):
-        a = a.a
     ring = a.ring
     out = set()
     supp = a.support()

@@ -117,6 +117,19 @@ def test_oracle_compare_seeded(tmp_path, capsys):
     assert payload["windings_agree"] is True
 
 
+def test_oracle_compare_on_given_factors(tmp_path, capsys):
+    # a job with its own symbol is one case, not a seeded corpus
+    job = {"ring": {"kind": "complex"}, "mode": "oracle-compare", "window": 24,
+           "factors": [{"type": "antiholo", "alpha": "0.5,0.25"},
+                       {"type": "mono", "p": -1, "u": "2,0"},
+                       {"type": "holo", "beta": "-0.3,0.4"}]}
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0
+    assert payload["cases"] == 1
+    assert payload["max_diff"] <= 1e-8
+    assert payload["windings_agree"] is True
+
+
 def test_mode_and_window_overrides(tmp_path, capsys):
     job = dict(GOLDEN_JOB)
     job["mode"] = "matrix-dump"

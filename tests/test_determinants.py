@@ -2,6 +2,7 @@
 identity-plus-perturbation operators, and nested-window truncations."""
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ import pytest
 import whlaurent as wl
 from whlaurent import determinants
 from whlaurent import matrices as mx
-from whlaurent.determinants import (det_berkowitz, det_block, det_identity_plus,
+from whlaurent.determinants import (berkowitz, det_berkowitz, det_block, det_identity_plus,
                                     det_tilde_column_reduced, det_truncated,
                                     ring_array, _det_rows)
-from whlaurent.exact import clear, int_charpoly
+from whlaurent.exact import clear, dot
 from whlaurent.factorization import (antiholomorphic_det_matrix,
                                      holomorphic_det_matrix, _bracket_block,
                                      _k_matrix)
@@ -80,8 +81,9 @@ def _element(ring, draw, rng):
 
 
 def _int_charpoly(ring, a):
-    """:func:`exact.int_charpoly` of ``a`` cleared to integers over one
-    common denominator, per component of a product ring."""
+    """:func:`determinants.berkowitz` on the integer inner product
+    :func:`exact.dot`, of ``a`` cleared to integers over one common
+    denominator, per component of a product ring."""
     if ring.components is not None:
         parts = [_int_charpoly(comp, [[x[i] for x in row] for row in a])
                  for i, comp in enumerate(ring.components)]
@@ -90,7 +92,8 @@ def _int_charpoly(ring, a):
     m, d = clear([x for row in a for x in row])
     # det(x I - M / d) has the coefficients m_i / d^i
     return [Fraction(c, d ** i)
-            for i, c in enumerate(int_charpoly([m[i * n:(i + 1) * n] for i in range(n)]))]
+            for i, c in enumerate(berkowitz([m[i * n:(i + 1) * n] for i in range(n)],
+                                            dot, operator.neg, 1))]
 
 
 @pytest.mark.parametrize("ring", [Q, Q2, wl.product_ring(Q2, 2)], ids=["Q", "Q^2", "(Q^2)^2"])
@@ -104,7 +107,7 @@ def test_charpoly_on_integers_matches_berkowitz(ring):
             a[n // 2] = [ring.zero] * n
         got = _int_charpoly(ring, a)
         # the same rationals, so the same reduced Fractions
-        assert repr(got) == repr(determinants._berkowitz_charpoly(ring, a)), n
+        assert repr(got) == repr(berkowitz(a, ring.dot, ring.neg, ring.one)), n
         assert (got[-1] == ring.zero) == (n % 3 == 1), n
 
 
@@ -131,8 +134,8 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     # the ring-element reference: the bracket block and Berkowitz on Fractions
     for sign, step in (("-", 1), ("+", -1)):
         jp, ents = _bracket_block(pair, sign)
-        ref = determinants._berkowitz_charpoly(ring, _k_matrix(jp, ents, sign, ring.zero,
-                                                               ring.one, ring.add))
+        ref = berkowitz(_k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add),
+                        ring.dot, ring.neg, ring.one)
         assert got[sign].equals(LaurentSeries(ring, {step * i: c for i, c in enumerate(ref)}))
     assert calls
 

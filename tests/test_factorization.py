@@ -604,3 +604,68 @@ def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     # the kept projections are no part of the pair's value
     fresh = dataclasses.replace(pair)
     assert fresh == pair and fresh.projections == {} and "projections" not in repr(pair)
+
+
+def _reflect_factor(f):
+    # a(z) -> a(1/z): (1 - alpha z^-1) <-> (1 - alpha z), u z^p -> u z^-p
+    if isinstance(f, wl.Antiholo):
+        return wl.Holo(f.alpha)
+    if isinstance(f, wl.Holo):
+        return wl.Antiholo(f.beta)
+    return wl.Mono(-f.p, f.u)
+
+
+def _reflect(s):
+    w = None if s.window is None else (-s.window[1], -s.window[0])
+    return LaurentSeries(s.ring, {-n: c for n, c in s.coeffs.items()}, w)
+
+
+def _reflection_symbols(ring_name):
+    from whlaurent.corpus import random_complex_factors, random_rational_factors
+
+    rng = random.Random("reflect:" + ring_name)
+    for i in range(40):
+        if ring_name == "C":
+            yield random_complex_factors(rng, n_factors=1 + i % 10, modulus=(0.1, 0.9))
+            continue
+        facs = random_rational_factors(rng, max_factors=1 + i % 8)
+        yield facs if ring_name == "Q" else _q2_factors(rng, facs)
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2", "C"])
+def test_reflection_swaps_the_outer_projections(ring_name):
+    # a(1/z) = pi_-(1/z) pi~(1/z) pi_+(1/z) is again a factorization, so by
+    # uniqueness the reflected symbol's pi_+ is the reflected pi_-, and the
+    # other way round; the two sign branches of the outer projections are
+    # checked against each other.  Over C they agree to 1e-10; pi~ only to
+    # the ring's tolerance, since a / pi_+ / pi_- passes an error of pi_+
+    # into pi~ when pi_- is the longer divisor, and not when pi_+ is
+    R = {"Q": Q, "Q^2": wl.product_ring(Q, 2), "C": wl.complex_ring()}[ring_name]
+    for facs in _reflection_symbols(ring_name):
+        res = wl.factorize(wl.invert_from_factors(R, facs, (-60, 60)))
+        ref = wl.factorize(wl.invert_from_factors(R, [_reflect_factor(f) for f in facs],
+                                                  (-60, 60)))
+        pairs = ((ref.pi_plus, res.pi_minus, 1e-10), (ref.pi_minus, res.pi_plus, 1e-10),
+                 (ref.pi_tilde, res.pi_tilde, R.tolerance))
+        for got, orig, bound in pairs:
+            if R.is_exact:
+                assert got.coeffs == _reflect(orig).coeffs, facs
+            else:
+                assert got.sup_diff(_reflect(orig)) <= bound, facs
+        assert ref.winding == (None if res.winding is None else -res.winding), facs
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2", "C"])
+def test_factorize_rejects_a_wrong_pi_plus(ring_name):
+    # the reconstruction residual is 0 for any unit pi_+, since each long
+    # division holds on its window; the orthogonality of the middle factor
+    # is the check that rejects a wrong outer projection
+    R = {"Q": Q, "Q^2": wl.product_ring(Q, 2), "C": wl.complex_ring()}[ring_name]
+    elem = {"Q": Fraction, "Q^2": lambda x: (x, x / 2), "C": complex}[ring_name]
+    facs = [wl.Antiholo(elem(Fraction(1, 2))), wl.Mono(1, elem(Fraction(2, 3))),
+            wl.Holo(elem(Fraction(-1, 3)))]
+    pair = wl.invert_from_factors(R, facs, (-32, 32))
+    bump = LaurentSeries.monomial(R, 1, elem(Fraction(1, 7)))
+    pair.projections["plus"] = wl.pi_plus(pair).add(bump)
+    with pytest.raises(FactorizationError, match="middle projection is not orthogonal"):
+        wl.factorize(pair)
