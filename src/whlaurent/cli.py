@@ -2,7 +2,8 @@
 
 Reads a JSON job description, runs the requested mode, prints a JSON
 report on standard output.  Exit codes: 0 success, 2 validation error,
-3 numerical failure (residual or tail estimate over tolerance).
+3 numerical failure (residual or tail estimate over tolerance, or a
+triple that is not the factorization).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, Series
                      laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
-from .factorization import FactorizationError, factorize, orthogonal_decompose, residual_bound
+from .factorization import FactorizationError, certify, factorize, orthogonal_decompose
 from .oracle import OracleError, cepstral_factorize, compare, root_split_factorize
 from .serialize import json_float, json_int, result_to_json, ring_from_json, series_from_json
 
@@ -125,13 +126,9 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         if not isinstance(fac, dict):
             raise JobError("verify mode needs a 'factorization' object")
         with _field("factorization"):
-            pm = series_from_json(ring, fac.get("pi_minus", []))
-            pt = series_from_json(ring, fac.get("pi_tilde", []))
-            pp = series_from_json(ring, fac.get("pi_plus", []))
-        recon = pm.mul(pt).mul(pp).truncate(window)
-        residual = recon.sup_diff(pair.a.truncate(window))
-        code = EXIT_OK if residual <= residual_bound(ring) else EXIT_NUMERICAL
-        return code, {"residual": residual}
+            pm, pt, pp = [series_from_json(ring, fac[key])
+                          for key in ("pi_minus", "pi_tilde", "pi_plus")]
+        return EXIT_OK, {"residual": certify(pair, pm, pt, pp, window)}
 
     # factorize
     res = factorize(pair, window)

@@ -320,11 +320,10 @@ def _check_projection(p: LaurentSeries, kind: str) -> None:
     over ``Q`` both are read on the integer forms
     (:meth:`LaurentSeries.has_unit_constant`, :meth:`LaurentSeries.support`)."""
     if not p.has_unit_constant():
-        raise FactorizationError(
-            "projection %s has non-unit constant term (inconsistent pair?)" % kind)
+        raise FactorizationError("pi_%s has a constant term other than 1" % kind)
     bad = [n for n in p.support() if (n < 0 if kind == "plus" else n > 0)]
     if bad:
-        raise FactorizationError("projection %s has stray exponents %r" % (kind, bad))
+        raise FactorizationError("pi_%s has stray exponents %r" % (kind, bad))
 
 
 def pi_tilde_derived(pair: InvertiblePair, pi_m: LaurentSeries, pi_p: LaurentSeries,
@@ -392,14 +391,35 @@ def residual_bound(ring: Ring) -> float:
     return ring.tolerance * 100
 
 
+def _check_pair(pair: InvertiblePair) -> None:
+    """``b`` inverts ``a`` within :func:`residual_bound`, so ``a`` is a unit."""
+    if not pair.residual <= residual_bound(pair.a.ring):  # NaN fails too
+        raise FactorizationError("pair residual %.3g: the supplied series does not invert "
+                                 "the symbol" % pair.residual)
+
+
+def certify(pair: InvertiblePair, pm: LaurentSeries, pt: LaurentSeries,
+            pp: LaurentSeries, window: Tuple[int, int]) -> float:
+    """Certify ``pair.a = pm * pt * pp`` as its unique factorization; return the residual.
+    The checks, the first failure raising: the pair residual, :func:`_check_projection` on
+    ``pm`` and ``pp``, the product equal to ``pair.a`` on ``window``, ``pt`` orthogonal."""
+    _check_pair(pair)
+    _check_projection(pm, "minus")
+    _check_projection(pp, "plus")
+    bound = residual_bound(pair.a.ring)
+    residual = pm.mul(pt).mul(pp).sup_diff(pair.a.truncate(window))
+    if not residual <= bound:
+        raise FactorizationError("reconstruction residual %.3g exceeds its bound %.3g"
+                                 % (residual, bound))
+    if SeriesClass.ORTHOGONAL not in classify(pt):
+        raise FactorizationError("middle projection is not orthogonal")
+    return residual
+
+
 def factorize(pair: InvertiblePair,
               window: Optional[Tuple[int, int]] = None) -> FactorizationResult:
     """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus."""
-    tol = residual_bound(pair.a.ring)
-    if not pair.residual <= tol:  # NaN fails too
-        raise FactorizationError(
-            "pair residual %.3g: the supplied series does not invert the symbol"
-            % pair.residual)
+    _check_pair(pair)
     pp = pi_plus(pair)
     pm = pi_minus(pair)
     if window is None:
@@ -407,15 +427,8 @@ def factorize(pair: InvertiblePair,
         r = max(abs(s[0]), abs(s[1]), 1) + 4
         window = (-r, r)
     pt = pi_tilde_derived(pair, pm, pp, window)
-    recon = pm.mul(pt).mul(pp)
-    residual = recon.sup_diff(pair.a.truncate(window))
-    if not residual <= tol:
-        raise FactorizationError(
-            "reconstruction residual %.3g exceeds tolerance (window insufficient?)"
-            % residual)
-    if SeriesClass.ORTHOGONAL not in classify(pt):
-        raise FactorizationError("middle projection is not orthogonal")
-    return FactorizationResult(pm, pt, pp, residual, winding_index(pt))
+    return FactorizationResult(pm, pt, pp, certify(pair, pm, pt, pp, window),
+                               winding_index(pt))
 
 
 # -- orthogonal machinery ---------------------------------------------

@@ -64,7 +64,7 @@ def test_verify_round_trip_and_corruption(tmp_path, capsys):
     corrupted = json.loads(json.dumps(verify_job))
     corrupted["factorization"]["pi_plus"][1]["c"] = "-1/4"
     code, report = run(tmp_path, capsys, corrupted)
-    assert code == 3 and float(report["residual"]) > 0
+    assert code == 3 and "reconstruction residual" in report["error"]
 
 
 def test_orthogonal_mode(tmp_path, capsys):
@@ -293,6 +293,76 @@ def test_zero_denominator_exit_2(tmp_path, capsys, field):
     # ZeroDivisionError traceback
     code, err = run_err(tmp_path, capsys, ZERO_DENOMINATOR_JOBS[field])
     assert code == 2 and "'%s'" % field in err and "zero denominator" in err
+
+
+def _series(*terms):
+    """A series as a JSON coefficient list, from ``(n, c)`` pairs."""
+    return [{"n": n, "c": c} for n, c in terms]
+
+
+# a = (1 - alpha/z)(1 - beta z) over Q, Q^2 and C, and triples that multiply
+# to a (but "wrong-product") and are not its factorization
+PARTS = ("pi_minus", "pi_tilde", "pi_plus")
+Q_A = {"window": 16, "factors": [{"type": "antiholo", "alpha": "1/2"},
+                                 {"type": "holo", "beta": "1/3"}]}
+Q2_A = {"ring": Q2_RING, "window": 16,
+        "factors": [{"type": "antiholo", "alpha": "(1/2|1/5)"},
+                    {"type": "holo", "beta": "(1/3|1/7)"}]}
+C_A = {"ring": {"kind": "complex"}, "window": 16,
+       "factors": [{"type": "antiholo", "alpha": "0.5,0"},
+                   {"type": "holo", "beta": "0.25,0"}]}
+NOT_FACTORIZATIONS = {  # case: (job, (pi_minus, pi_tilde, pi_plus), message)
+    "1-a-1-Q": (Q_A, ("1", _series((-1, "-1/2"), (0, "7/6"), (1, "-1/3")), "1"),
+                "middle projection is not orthogonal"),
+    "1-a-1-Q^2": (Q2_A, ("(1|1)", _series((-1, "(-1/2|-1/5)"), (0, "(7/6|36/35)"),
+                                          (1, "(-1/3|-1/7)")), "(1|1)"),
+                  "middle projection is not orthogonal"),
+    "1-a-1-C": (C_A, ("1,0", _series((-1, "-0.5,0"), (0, "1.125,0"), (1, "-0.25,0")), "1,0"),
+                "middle projection is not orthogonal"),
+    "holomorphic-middle": (Q_A, (_series((-1, "-1/2"), (0, "1")),
+                                 _series((0, "1"), (1, "-1/3")), "1"),
+                           "middle projection is not orthogonal"),
+    "pi_plus-stray": (Q_A, ("1", "7/6", _series((-1, "-3/7"), (0, "1"), (1, "-2/7"))),
+                      "pi_plus has stray exponents [-1]"),
+    "pi_minus-constant": (Q_A, (_series((-1, "-1"), (0, "2")), "1/2",
+                                _series((0, "1"), (1, "-1/3"))),
+                          "pi_minus has a constant term other than 1"),
+    "wrong-product": (Q_A, (_series((-1, "-1/2"), (0, "1")), "1",
+                            _series((0, "1"), (1, "-1/4"))),
+                      "reconstruction residual 0.0833 exceeds its bound 0"),
+    "not-a-unit": ({"ring": Q2_RING, "window": 16, "coefficients": _series((0, "(1|0)")),
+                    "inverse": _series((0, "(1|0)"))}, ("(1|1)", "(1|0)", "(1|1)"),
+                   "pair residual 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FACTORIZATIONS))
+def test_verify_rejects_what_is_not_the_factorization(tmp_path, capsys, case):
+    # each triple fails one condition of factorization.certify, the first
+    # in its order: the pair, pi_minus and pi_plus, the product, pi_tilde
+    job, parts, message = NOT_FACTORIZATIONS[case]
+    triple = [_series((0, p)) if isinstance(p, str) else p for p in parts]
+    job = dict(job, mode="verify",
+               factorization=dict(zip(PARTS, triple)))
+    code, report = run(tmp_path, capsys, job)
+    assert code == 3 and message in report["error"], report
+
+
+@pytest.mark.parametrize("job", [GOLDEN_JOB, Q2_A, C_A], ids=["Q", "Q^2", "C"])
+def test_verify_accepts_factorize_output(tmp_path, capsys, job):
+    code, payload = run(tmp_path, capsys, job)
+    assert code == 0
+    fac = {k: payload[k] for k in PARTS}
+    code, report = run(tmp_path, capsys, dict(job, mode="verify", factorization=fac))
+    assert code == 0 and report["residual"] == payload["residual"]
+
+
+@pytest.mark.parametrize("key", PARTS)
+def test_verify_needs_every_part(tmp_path, capsys, key):
+    # a missing part is a validation error that names it, not the zero series
+    fac = {k: _series((0, "1")) for k in PARTS if k != key}
+    code, err = run_err(tmp_path, capsys, dict(Q_A, mode="verify", factorization=fac))
+    assert code == 2 and "'factorization'" in err and "'%s'" % key in err
 
 
 MONO_JOB = {"ring": {"kind": "rational"}, "factors": [{"type": "mono", "p": 1, "u": "2"}]}

@@ -1,8 +1,9 @@
 """Source hygiene: no unused imports, no unreferenced private helpers,
 no ring test but ``rings.leaf_kind`` picking a kernel's path, no
 dataclass field that nothing reads, no optional parameter that no call
-sets, and no cross reference in a docstring or comment that names
-nothing, in the library modules (stdlib ``ast`` only)."""
+sets, no cross reference in a docstring or comment that names nothing,
+and no series product or comparison in the command line, in the library
+modules (stdlib ``ast`` only)."""
 
 import ast
 import math
@@ -273,3 +274,24 @@ def test_reference_search_finds_an_unresolved_reference():
     assert _unresolved({"a": a, "b": "def g(): pass\n"}) == [
         ("a", "a.gone"), ("a", "K.gone"), ("a", "b.f"), ("a", "whlaurent.c"),
         ("a", "nowhere"), ("a", "f()")]
+
+
+def _products_and_comparisons(tree):
+    """Line numbers of the ``.mul(`` and ``.sup_diff(`` calls in a module."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("mul", "sup_diff"))
+
+
+def test_cli_leaves_the_certificate_to_certify():
+    # verify mode checks a triple by factorization.certify alone, so the
+    # command line multiplies and compares no series of its own
+    assert _products_and_comparisons(_tree(SRC / "cli.py")) == []
+
+
+def test_product_search_finds_each_call():
+    src = ("recon = pm.mul(pt).mul(pp)\n"
+           "r = recon.truncate(w).sup_diff(a)\n"
+           "x = ring.add(mul(p, q), sup_diff)\n"
+           "y = ring.mul(\n    p, q)\n")
+    assert _products_and_comparisons(ast.parse(src)) == [1, 1, 2, 4]
