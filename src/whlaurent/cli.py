@@ -22,7 +22,7 @@ from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, Series
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import FactorizationError, certify, factorize, orthogonal_decompose
-from .oracle import OracleError, cepstral_factorize, compare, root_split_factorize
+from .oracle import SAMPLES, OracleError, cepstral_factorize, compare, root_split_factorize
 from .serialize import json_float, json_int, result_to_json, ring_from_json, series_from_json
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     if ring.is_exact:
         raise JobError("exact rings need an explicit 'inverse'")
     with _field("samples"):
-        samples = json_int(job.get("samples", 1024))
+        samples = json_int(job.get("samples", SAMPLES))
         if samples < 1 or samples & (samples - 1):
             raise ValueError("not a power of two")
     return invert_numeric(a, samples)
@@ -128,7 +128,7 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         with _field("factorization"):
             pm, pt, pp = [series_from_json(ring, fac[key])
                           for key in ("pi_minus", "pi_tilde", "pi_plus")]
-        return EXIT_OK, {"residual": certify(pair, pm, pt, pp, window)}
+        return EXIT_OK, {"residual": certify(pair, pm, pt, pp)}
 
     # factorize
     res = factorize(pair, window)

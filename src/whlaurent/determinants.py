@@ -203,16 +203,14 @@ def det_identity_plus(a: WindowedMatrix) -> Any:
 def reduced_columns(variant: str, cols: Sequence[int]) -> List[int]:
     """J': the columns of C = A F^-1 for a perturbation A with columns
     ``cols``.  Column k of A spreads over the wedge of F^{R+-}(1,w)^-1,
-    i.e. [k, 0] for '+' and [0, k] for '-'; the result is sorted."""
+    i.e. [k, 0] for '+' and [0, k] for '-'; the result is sorted.  The
+    '-' wedge is the mirror image of the '+' one under k -> -k."""
+    if variant != "+":
+        return [-c for c in reversed(reduced_columns("+", [-c for c in cols]))]
     jset = set(cols)
-    if variant == "+":
-        neg = [c for c in cols if c <= 0]
-        if neg:
-            jset |= set(range(min(neg), 1))
-    else:
-        pos = [c for c in cols if c >= 0]
-        if pos:
-            jset |= set(range(0, max(pos) + 1))
+    neg = [c for c in cols if c <= 0]
+    if neg:
+        jset |= set(range(min(neg), 1))
     return sorted(jset)
 
 

@@ -399,15 +399,16 @@ def _check_pair(pair: InvertiblePair) -> None:
 
 
 def certify(pair: InvertiblePair, pm: LaurentSeries, pt: LaurentSeries,
-            pp: LaurentSeries, window: Tuple[int, int]) -> float:
+            pp: LaurentSeries) -> float:
     """Certify ``pair.a = pm * pt * pp`` as its unique factorization; return the residual.
     The checks, the first failure raising: the pair residual, :func:`_check_projection` on
-    ``pm`` and ``pp``, the product equal to ``pair.a`` on ``window``, ``pt`` orthogonal."""
+    ``pm`` and ``pp``, the product equal to ``pair.a`` on the product's own window (all of
+    it for parts that carry none), ``pt`` orthogonal."""
     _check_pair(pair)
     _check_projection(pm, "minus")
     _check_projection(pp, "plus")
     bound = residual_bound(pair.a.ring)
-    residual = pm.mul(pt).mul(pp).sup_diff(pair.a.truncate(window))
+    residual = pm.mul(pt).mul(pp).sup_diff(pair.a)
     if not residual <= bound:
         raise FactorizationError("reconstruction residual %.3g exceeds its bound %.3g"
                                  % (residual, bound))
@@ -427,7 +428,7 @@ def factorize(pair: InvertiblePair,
         r = max(abs(s[0]), abs(s[1]), 1) + 4
         window = (-r, r)
     pt = pi_tilde_derived(pair, pm, pp, window)
-    return FactorizationResult(pm, pt, pp, certify(pair, pm, pt, pp, window),
+    return FactorizationResult(pm, pt, pp, certify(pair, pm, pt, pp),
                                winding_index(pt))
 
 

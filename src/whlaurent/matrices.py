@@ -185,20 +185,31 @@ def build_Utilde(a: LaurentSeries, ring_w: Ring, w: Any,
 
 # -- conjugated shift matrices (closed forms) -------------------------
 
+def _reflect(x: WindowedMatrix) -> WindowedMatrix:
+    """J x J for the flip J: k -> -k, on the mirrored window."""
+    (lo, hi), (r_lo, r_hi) = x.window, x.reliable
+    ents = {(-r, -c): v for (r, c), v in x.entries.items()}
+    return WindowedMatrix(x.ring, x.lattice, (-hi, -lo), ents, x.band, (-r_hi, -r_lo))
+
+
 def ur_monomial(variant: str, n: int, ring_w: Ring, t: Any, w: Any,
                 window: Tuple[int, int]) -> WindowedMatrix:
     """Closed form of the conjugation F^X(t,w) U(z^n) F^X(t,w)^-1.
 
     These are finite perturbations of the shift U(z^n); substituting t=1
-    is legal here even though F^X(1,w) is not invertible.
+    is legal here even though F^X(1,w) is not invertible.  The flip
+    J: k -> -k gives J F^{R+}(t,w) J = F^{R-}(t,w^-1) and J U(z^n) J =
+    U(z^-n), so '-' and 'R' with n < 0 are the mirror images of '+' and
+    'R' with -n at w^-1.
     """
     if variant not in ("R", "+", "-"):
         raise ValueError("variant must be 'R', '+' or '-'")
     lo, hi = window
     ring = ring_w
+    if variant == "-" or (variant == "R" and n < 0):
+        return _reflect(ur_monomial("+" if variant == "-" else "R", -n, ring, t,
+                                    ring.inverse(w), (-hi, -lo)))
     tw = ring.mul(t, w)
-    tw_inv = ring.mul(t, ring.inverse(w))
-    one_minus_t2 = ring.sub(ring.one, ring.mul(t, t))
     ents: Dict[Tuple[int, int], Any] = {}
 
     def put(r: int, c: int, v: Any) -> None:
@@ -217,42 +228,24 @@ def ur_monomial(variant: str, n: int, ring_w: Ring, t: Any, w: Any,
 
     m = abs(n)
     if variant == "+":
+        shift_rows(lambda i: False)
         if n > 0:
-            shift_rows(lambda i: False)
             for i in range(0, n + 1):
                 for j in range(i - n + 1, 1):
                     put(i, j, ring.pow(tw, j - i + n))
         else:
-            shift_rows(lambda i: False)
             for i in range(-m, 0):
                 put(i, i + m + 1, ring.neg(tw))
-    elif variant == "-":
-        if n > 0:
-            shift_rows(lambda i: False)
-            for i in range(1, n + 1):
-                put(i, i - n - 1, ring.neg(tw_inv))
-        else:
-            shift_rows(lambda i: False)
-            for i in range(-m + 1, 1):
-                for j in range(0, i + m):
-                    put(i, j, ring.pow(tw_inv, (i + m) - j))
-    else:  # 'R'
-        if n > 0:
-            shift_rows(lambda i: 1 <= i <= n)
-            for j in range(-n + 1, 1):
-                put(0, j, ring.pow(tw, j + n))
-            for i in range(1, n + 1):
-                put(i, i - n - 1, ring.neg(tw_inv))
-                for j in range(i - n, 1):
-                    put(i, j, ring.mul(ring.pow(tw, j - i + n), one_minus_t2))
-        else:
-            shift_rows(lambda i: -m <= i <= -1)
-            for j in range(0, m):
-                put(0, j, ring.pow(tw_inv, m - j))
-            for i in range(-m, 0):
-                put(i, i + m + 1, ring.neg(tw))
-                for j in range(0, i + m + 1):
-                    put(i, j, ring.mul(ring.pow(tw_inv, (i + m) - j), one_minus_t2))
+    else:  # 'R', n > 0
+        tw_inv = ring.mul(t, ring.inverse(w))
+        one_minus_t2 = ring.sub(ring.one, ring.mul(t, t))
+        shift_rows(lambda i: 1 <= i <= n)
+        for j in range(-n + 1, 1):
+            put(0, j, ring.pow(tw, j + n))
+        for i in range(1, n + 1):
+            put(i, i - n - 1, ring.neg(tw_inv))
+            for j in range(i - n, 1):
+                put(i, j, ring.mul(ring.pow(tw, j - i + n), one_minus_t2))
     return WindowedMatrix(ring, Lattice.INTEGER, window, ents, m + 1, window)._prune()
 
 

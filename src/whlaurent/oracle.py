@@ -27,6 +27,14 @@ def _require_complex(a: LaurentSeries) -> None:
         raise OracleError("classical oracles require the complex ring")
 
 
+def _result(a: LaurentSeries, pi_m: LaurentSeries, const: complex, p: int,
+            pi_p: LaurentSeries) -> FactorizationResult:
+    """The triple with middle factor ``const z^p``, and its reconstruction
+    residual against ``a`` on the product's window."""
+    pi_t = LaurentSeries(a.ring, {p: const})
+    return FactorizationResult(pi_m, pi_t, pi_p, pi_m.mul(pi_t).mul(pi_p).sup_diff(a), p)
+
+
 SAMPLES = 1024  # points on the unit circle; a power of two for the FFT
 
 
@@ -61,11 +69,7 @@ def cepstral_factorize(a: LaurentSeries) -> FactorizationResult:
     minus = from_fft(np.fft.fft(minus_vals) / SAMPLES)[0]
     pi_p = LaurentSeries(ring, {i: c for i, c in plus.items() if i >= 0}, window)
     pi_m = LaurentSeries(ring, {i: c for i, c in minus.items() if i <= 0}, window)
-    const = complex(np.exp(cep[0]))
-    pi_t = LaurentSeries(ring, {p: const})
-    recon = pi_m.mul(pi_t).mul(pi_p)
-    residual = recon.sup_diff(a.truncate(recon.window))
-    return FactorizationResult(pi_m, pi_t, pi_p, residual, p)
+    return _result(a, pi_m, complex(np.exp(cep[0])), p, pi_p)
 
 
 def root_split_factorize(a: LaurentSeries) -> FactorizationResult:
@@ -95,11 +99,7 @@ def root_split_factorize(a: LaurentSeries) -> FactorizationResult:
     const = complex(a.coeff(hi))
     for r in outside:
         const *= -complex(r)
-    p = lo + len(inside)
-    pi_t = LaurentSeries(ring, {p: const})
-    recon = pi_m.mul(pi_t).mul(pi_p)
-    residual = recon.sup_diff(a.truncate(recon.window))
-    return FactorizationResult(pi_m, pi_t, pi_p, residual, p)
+    return _result(a, pi_m, const, lo + len(inside), pi_p)
 
 
 @dataclass

@@ -514,10 +514,12 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
     for f in factors:
         if isinstance(f, Mono):
             p, un, ud = p + f.p, un * f.u.numerator, ud * f.u.denominator
-        elif isinstance(f, Antiholo) and f.alpha:
-            anti, da = _times_linear(anti, f.alpha), da * f.alpha.denominator
+        elif isinstance(f, Antiholo) and f.alpha:  # times q - m v, the numerator of 1 - (m/q) v
+            anti = int_mul(anti, [f.alpha.denominator, -f.alpha.numerator])
+            da *= f.alpha.denominator
         elif isinstance(f, Holo) and f.beta:
-            holo, db = _times_linear(holo, f.beta), db * f.beta.denominator
+            holo = int_mul(holo, [f.beta.denominator, -f.beta.numerator])
+            db *= f.beta.denominator
     r, s = len(anti) - 1, len(holo) - 1
     a = reduced(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
     lo, hi = window[0] + p, window[1] + p
@@ -544,13 +546,6 @@ def _scaled(terms: List[int], base: int, scale: int) -> List[int]:
         out.append(x * scale)
         scale *= base
     return out
-
-
-def _times_linear(poly: List[int], c: Fraction) -> List[int]:
-    """``poly * (q - m v)`` for ``c = m / q``: an integer polynomial (lowest
-    power first) times the numerator of ``1 - c v``."""
-    q, m = c.denominator, c.numerator
-    return [q * x - m * y for x, y in zip(poly + [0], [0] + poly)]
 
 
 # a non-finite unit gives NaN coefficients, as ring arithmetic on Python

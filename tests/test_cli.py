@@ -301,7 +301,8 @@ def _series(*terms):
 
 
 # a = (1 - alpha/z)(1 - beta z) over Q, Q^2 and C, and triples that multiply
-# to a (but "wrong-product") and are not its factorization
+# to a (but "wrong-product", and "stray-beyond-window", whose product is a
+# on the job window but not beyond it) and are not its factorization
 PARTS = ("pi_minus", "pi_tilde", "pi_plus")
 Q_A = {"window": 16, "factors": [{"type": "antiholo", "alpha": "1/2"},
                                  {"type": "holo", "beta": "1/3"}]}
@@ -330,6 +331,9 @@ NOT_FACTORIZATIONS = {  # case: (job, (pi_minus, pi_tilde, pi_plus), message)
     "wrong-product": (Q_A, (_series((-1, "-1/2"), (0, "1")), "1",
                             _series((0, "1"), (1, "-1/4"))),
                       "reconstruction residual 0.0833 exceeds its bound 0"),
+    "stray-beyond-window": (Q_A, (_series((-1, "-1/2"), (0, "1")), "1",
+                                  _series((0, "1"), (1, "-1/3"), (20, "5"))),
+                            "reconstruction residual 5 exceeds its bound 0"),
     "not-a-unit": ({"ring": Q2_RING, "window": 16, "coefficients": _series((0, "(1|0)")),
                     "inverse": _series((0, "(1|0)"))}, ("(1|1)", "(1|0)", "(1|1)"),
                    "pair residual 1"),

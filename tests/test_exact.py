@@ -41,9 +41,10 @@ BIG = [2**61 - 1, 2**31 - 1, 3**20]
 
 def _sylvester_systems(rng):
     """Sylvester systems of the Bezout identity as ``series._q_pair``
-    builds them, from products of ``series._times_linear`` factors with
-    parameters over large coprime denominators; each also with its rows
-    reversed, whose leading entries are 0, so the elimination swaps rows.
+    builds them, from products of linear factors ``q - m v`` (for a
+    parameter ``m / q``) with parameters over large coprime denominators;
+    each also with its rows reversed, whose leading entries are 0, so the
+    elimination swaps rows.
     The last pair has a root of one polynomial at the reciprocal of a root
     of the other, so it is singular."""
     params = [([Fraction(rng.choice([-7, -2, 3, 5]), rng.choice(BIG)) for _ in range(r)],
@@ -54,9 +55,9 @@ def _sylvester_systems(rng):
     for alphas, betas in params:
         anti, holo = [1], [1]
         for c in alphas:
-            anti = series._times_linear(anti, c)
+            anti = exact.int_mul(anti, [c.denominator, -c.numerator])
         for c in betas:
-            holo = series._times_linear(holo, c)
+            holo = exact.int_mul(holo, [c.denominator, -c.numerator])
         m = [row[:-1] for row in series._sylvester(anti, holo, 0, 1)]
         out += [m, m[::-1]]
     return out

@@ -10,6 +10,7 @@ import pytest
 
 import whlaurent as wl
 from whlaurent import factorization
+from whlaurent.corpus import random_rational_factors
 from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
@@ -531,6 +532,60 @@ def test_array_paths_reject_dual_numbers(base_name):
     for oracle in (cepstral_factorize, root_split_factorize):
         with pytest.raises(OracleError):
             oracle(pair.a)
+
+
+KINDS = {wl.Antiholo: "antiholo", wl.Holo: "holo", wl.Mono: "mono"}
+
+
+def _param(f):
+    return f.alpha if isinstance(f, wl.Antiholo) else f.beta if isinstance(f, wl.Holo) else f.u
+
+
+def _with_param(f, x):
+    """The factor of ``f``'s kind (and exponent) with parameter ``x``."""
+    return (wl.Antiholo(x) if isinstance(f, wl.Antiholo) else
+            wl.Holo(x) if isinstance(f, wl.Holo) else wl.Mono(f.p, x))
+
+
+def _paired_factors(rng):
+    """1-6 factors as ``corpus.random_rational_factors`` draws them, each
+    parameter paired with a second draw of the same kind."""
+    fs = random_rational_factors(rng, max_factors=6)
+    gs = [random_rational_factors(rng, 1, (KINDS[type(f)],))[0] for f in fs]
+    return [_with_param(f, (_param(f), _param(g))) for f, g in zip(fs, gs)]
+
+
+def _factorize_factors(ring, factors):
+    # the symbol's support lies within sum |p| + len(factors) of 0
+    half = 3 * sum(abs(getattr(f, "p", 0)) + 1 for f in factors) + 1
+    return wl.factorize(wl.invert_from_factors(ring, factors, (-half, half)))
+
+
+Q2 = wl.product_ring(Q, 2)
+RING_MAP_SYMBOLS = 100  # per map
+RING_MAPS = {  # name: (source ring, its factors, target ring, the maps)
+    "Q->Q^2": (Q, lambda rng: random_rational_factors(rng, max_factors=6), Q2,
+               [lambda x: (x, x)]),
+    "Q^2->Q": (Q2, _paired_factors, Q, [lambda x: x[0], lambda x: x[1]]),
+    "Q[e]->Q": (dual_ring(Q), _paired_factors, Q, [lambda x: x[0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_MAPS))
+def test_factorization_commutes_with_exact_ring_maps(name):
+    # a ring map phi takes the factorization of a to that of phi(a): the
+    # diagonal Q -> Q^2, each projection Q^2 -> Q, and e -> 0 on Q[e]
+    source, draw, target, maps = RING_MAPS[name]
+    rng = random.Random(name)
+    for _ in range(RING_MAP_SYMBOLS):
+        factors = draw(rng)
+        res = _factorize_factors(source, factors)
+        for phi in maps:
+            want = _factorize_factors(target, [_with_param(f, phi(_param(f))) for f in factors])
+            for got, ref in zip((res.pi_minus, res.pi_tilde, res.pi_plus),
+                                (want.pi_minus, want.pi_tilde, want.pi_plus)):
+                image = {n: phi(c) for n, c in got.coeffs.items()}
+                assert {n: c for n, c in image.items() if not target.is_zero(c)} == ref.coeffs
 
 
 def test_numeric_paths_reject_a_product_of_c():

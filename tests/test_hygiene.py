@@ -2,8 +2,9 @@
 no ring test but ``rings.leaf_kind`` picking a kernel's path, no
 dataclass field that nothing reads, no optional parameter that no call
 sets, no cross reference in a docstring or comment that names nothing,
-and no series product or comparison in the command line, in the library
-modules (stdlib ``ast`` only)."""
+no series product or comparison in the command line, and no run of
+statements written out twice, in the library modules (stdlib ``ast``
+only)."""
 
 import ast
 import math
@@ -295,3 +296,48 @@ def test_product_search_finds_each_call():
            "x = ring.add(mul(p, q), sup_diff)\n"
            "y = ring.mul(\n    p, q)\n")
     assert _products_and_comparisons(ast.parse(src)) == [1, 1, 2, 4]
+
+
+RUN = 3  # statements per run
+RUN_SIZE = 200  # characters of ast.dump below which a run is too small to flag
+
+
+def _repeated_runs(trees):
+    """``[(module, line), ...]`` for each run of :data:`RUN` consecutive
+    statements of one body (a module, function, class, loop, branch or
+    handler body; docstrings and imports left out) whose ``ast.dump``, at
+    least :data:`RUN_SIZE` characters long, some other such run repeats."""
+    seen = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                body = [s for s in (stmts if isinstance(stmts, list) else [])
+                        if not isinstance(s, (ast.Import, ast.ImportFrom))
+                        and not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant)
+                                 and isinstance(s.value.value, str))]
+                for i in range(len(body) - RUN + 1):
+                    key = "\n".join(ast.dump(s) for s in body[i:i + RUN])
+                    if len(key) >= RUN_SIZE:
+                        seen.setdefault(key, []).append((name, body[i].lineno))
+    return sorted(v for v in seen.values() if len(v) > 1)
+
+
+def test_no_statement_run_is_written_twice():
+    assert _repeated_runs({p.name: _tree(p) for p in SRC.glob("*.py")}) == []
+
+
+def test_run_search_finds_a_repeated_run():
+    # the tail of f repeats in g's branch; h repeats all of f's body but its
+    # last statement, and k repeats l, neither of them flagged
+    tail = ("    recon = pi_m.mul(pi_t).mul(pi_p)\n"
+            "    residual = recon.sup_diff(a.truncate(recon.window))\n"
+            "    return FactorizationResult(pi_m, pi_t, pi_p, residual, p)\n")
+    head = 'def %s(a):\n    """Doc."""\n    from .series import LaurentSeries\n'
+    a = (head % "f" + tail
+         + "def g(a):\n    if a:\n        x = 1\n" + tail.replace("    ", "        ")
+         + head % "h" + "".join(tail.splitlines(keepends=True)[:2]) + "    return None\n"
+         + "def k(a):\n    x\n    y\n    z\n")
+    b = "def l():\n    x\n    y\n    z\n"  # below RUN_SIZE
+    assert _repeated_runs({"a.py": ast.parse(a), "b.py": ast.parse(b)}) == [
+        [("a.py", 4), ("a.py", 10)]]
