@@ -154,6 +154,8 @@ def _run_oracle_compare(job: Dict[str, Any], ring: Ring,
             seed = json_int(job.get("seed", 0))
         with _field("count"):
             count = json_int(job.get("count", 20))
+            if count < 1:
+                raise ValueError("must be at least 1")
         rng = random.Random(seed)
         for _ in range(count):
             factors = random_complex_factors(rng)

@@ -29,7 +29,7 @@ import numpy as np
 from .exact import bareiss, bareiss_solve, clear
 from .rings import Ring, RingError, leaf_kind, per_component
 from .series import LaurentSeries, WindowError
-from .matrices import WindowedMatrix
+from .matrices import WindowedMatrix, _reflect
 
 MAX_BERKOWITZ = 64
 
@@ -225,32 +225,29 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> Any:
     is contiguous), in ascending order,
         C[r, m] = A[r, m] + w C[r, m-1],
     starting from C[r, min J'] = A[r, min J'], and C[r, m] = A[r, m] off
-    the wedge.  For '-' the wedge is k >= m >= 0 with entry w^-(k-m), and
-    C[r, m] = A[r, m] + w^-1 C[r, m+1] descends over [0, max J'].
+    the wedge.  '-' is the mirror image: the flip J: k -> -k gives
+    J F^{R+}(1,w^-1) J = F^{R-}(1,w), so it is '+' for J A J at w^-1.
     """
     if variant not in ("+", "-"):
         raise ValueError("variant must be '+' or '-'")
     ring = a.ring
+    if variant == "-":
+        return det_tilde_column_reduced("+", _reflect(a), ring.inverse(w))
     cols = sorted({c for (_r, c) in a.entries})
     if not cols:
         return ring.one
     lo, hi = a.reliable
     if cols[0] <= lo or cols[-1] >= hi:
         raise WindowError("perturbation columns touch the reliable boundary")
-    jp = reduced_columns(variant, cols)
+    jp = reduced_columns("+", cols)
     if jp[0] <= lo or jp[-1] >= hi:
         raise WindowError("reduced column set exits the reliable window")
-    if variant == "+":
-        wedge = [m for m in jp if m <= 0]
-        step = w
-    else:
-        wedge = [m for m in reversed(jp) if m >= 0]
-        step = ring.inverse(w)
+    wedge = [m for m in jp if m <= 0]
     block = []
     for r in jp:
         row = {m: a.get(r, m) for m in jp}
         for prev, m in zip(wedge, wedge[1:]):
-            row[m] = ring.add(row[m], ring.mul(step, row[prev]))
+            row[m] = ring.add(row[m], ring.mul(w, row[prev]))
         row[r] = ring.add(ring.one, row[r])
         block.append([row[m] for m in jp])
     return det_block(ring, block)

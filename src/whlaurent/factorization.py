@@ -1,26 +1,26 @@
 """Wiener-Hopf (Birkhoff) factorization over commutative coefficient rings.
 
 The three projections are computed from Toeplitz-determinant formulas.
-The holomorphic part is pi_+(w) = det(I - w K_+) and the antiholomorphic
-part pi_-(w) = det(I - w^-1 K_-), where K_+- = E_+- + B is a constant
-matrix over the base ring on a finite index interval: the shift part of
-the reflection factor plus the bracket block U(b)[1_S, U(a)]U(z^-+1).
-Each is read off one characteristic polynomial of K_+-, per component
-of a product ring.  Over Q the bracket block is an integer Toeplitz
-product of the numerators of a and b over the common denominator
-d = da db, and d K_+- goes straight to division-free Berkowitz on Python
-integers.  Over C, K_+- is one complex array, the bracket block one
-gather of b's Toeplitz slices times a matrix of signed coefficients of a,
-and its pencil is sampled on the unit circle, where Berkowitz loses
-accuracy on these non-normal blocks.  Other rings build the block from
-ring elements and run Berkowitz on them.  The orthogonal middle part
-comes either by exact division (default) or through the half-lattice
-truncated determinant (cross-check route); over Q and C the long
-division runs on integers or complex arrays too (``series.div_unit``).
-The w-series blocks of the widetilde-determinant closed form
-(``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``) stay for
-checking against it; they build the bracket block from ring elements
-over every ring, Q and C included.
+The holomorphic part is pi_+(w) = det(I - w K), where K = E + B is a
+constant matrix over the base ring on a finite index interval: the shift
+part of the reflection factor plus the bracket block
+U(b)[1_{Z^-}, U(a)]U(z^-1).  It is read off one characteristic
+polynomial of K, per component of a product ring.  The antiholomorphic
+part is the mirror image: pi_- of a is pi_+ of a(1/z), read at 1/w.
+Over Q the bracket block is an integer Toeplitz product of the numerators
+of a and b over the common denominator d = da db, and d K goes straight
+to division-free Berkowitz on Python integers.  Over C, K is one complex
+array, the bracket block one gather of b's Toeplitz slices times a matrix
+of signed coefficients of a, and its pencil is sampled on the unit
+circle, where Berkowitz loses accuracy on these non-normal blocks.  Other
+rings build the block from ring elements and run Berkowitz on them.  The
+orthogonal middle part comes either by exact division (default) or
+through the half-lattice truncated determinant (cross-check route); over
+Q and C the long division runs on integers or complex arrays too
+(``series.div_unit``).  The w-series blocks of the widetilde-determinant
+closed form (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``)
+stay for checking against it; they build the bracket block from ring
+elements over every ring, Q and C included.
 """
 
 from __future__ import annotations
@@ -84,21 +84,21 @@ def _check_b_window(pair: InvertiblePair) -> None:
 Columns = Dict[int, List[Tuple[int, int, int]]]
 
 
-def _bracket_cols(a: LaurentSeries, sign: str) -> Tuple[List[int], Columns]:
-    """J' and the commutator [1_S, U(a)] U(z^-s) by shifted column: each
+def _bracket_cols(a: LaurentSeries) -> Tuple[List[int], Columns]:
+    """J' and the commutator [1_{Z^-}, U(a)] U(z^-1) by shifted column: each
     column lists ``(row j, exponent d, sign)`` for its entry ``sign * a_d``.
 
-    The commutator has entries (chi_S(j) - chi_S(m)) a_{j-m}, nonzero only
-    where j = m + d and m straddle S: for S = Z^- (o = 0) and S = Z^+
-    (o = 1) that is o - d <= m < o for d > 0, with j in S only for Z^+,
-    and o <= m < o - d for d < 0, with j in S only for Z^-.
+    The commutator has entries (chi(j) - chi(m)) a_{j-m}, chi the indicator
+    of Z^- = {k < 0}, nonzero only where j = m + d and m straddle 0: for
+    d > 0 that is -d <= m < 0, with j not in Z^- (sign -1), and for d < 0
+    it is 0 <= m < -d, with j in Z^- (sign +1).  The antiholomorphic side
+    is this block for the reflected pair (:meth:`InvertiblePair.reflect`).
     """
-    shift, variant, o, s = (1, "+", 0, -1) if sign == "-" else (-1, "-", 1, 1)
     cols: Columns = {}
     for d in a.support():
-        for m in (range(o - d, o) if d > 0 else range(o, o - d)):
-            cols.setdefault(m + shift, []).append((m + d, d, s if d > 0 else -s))
-    return reduced_columns(variant, sorted(cols)), cols
+        for m in (range(-d, 0) if d > 0 else range(0, -d)):
+            cols.setdefault(m + 1, []).append((m + d, d, -1 if d > 0 else 1))
+    return reduced_columns("+", sorted(cols)), cols
 
 
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
@@ -125,23 +125,20 @@ def _int_bracket(jp: List[int], cols: Columns, a: Ints,
     return ents, da * db
 
 
-def _bracket_block(pair: InvertiblePair,
-                   sign: str) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
-    """U(b) [1_S, U(a)] U(z^-s) over the base ring, on the rows J' that
-    the column reduction reads: S = Z^- with s = 1 (sign '-', reduced as
-    variant '+') or S = Z^+ with s = -1 (sign '+', variant '-').
-    Returns (J', entries).
+def _bracket_block(pair: InvertiblePair) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
+    """U(b) [1_{Z^-}, U(a)] U(z^-1) over the base ring, on the rows J' that
+    the column reduction (variant '+') reads.  Returns (J', entries).
 
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
     so they are not built; the rows built read b only on [-2d, 2d], d the
     largest |exponent| of a.  The entries are sums of ring products over
-    every ring; over ``Q`` and ``C`` the outer projections build the block
-    on integers or complex arrays themselves (:func:`_outer_projection`).
+    every ring; over ``Q`` and ``C`` the outer projection builds the block
+    on integers or complex arrays itself (:func:`_outer_projection`).
     """
     _check_b_window(pair)
     a, b = pair.a, pair.b
     ring = a.ring
-    jp, cols = _bracket_cols(a, sign)
+    jp, cols = _bracket_cols(a)
     vals = {k: ([j for j, _d, _s in col],
                 [a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d]) for _j, d, s in col])
             for k, col in cols.items()}
@@ -154,10 +151,9 @@ def _bracket_block(pair: InvertiblePair,
     return jp, ents
 
 
-def _scaled_block(pair: InvertiblePair, sign: str, ring_w: Ring,
-                  coef: Any) -> WindowedMatrix:
+def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any) -> WindowedMatrix:
     """coef times the bracket block, as a w-series WindowedMatrix."""
-    jp, ents = _bracket_block(pair, sign)
+    jp, ents = _bracket_block(pair)
     lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
     window = (lo - 1, hi + 1)
     scaled = {rk: ring_w.mul(coef, ring_w.const(v)) for rk, v in ents.items()}
@@ -169,27 +165,28 @@ def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Window
     """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
     for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A; only the
     rows J' read by the column reduction are built."""
-    return _scaled_block(pair, "-", ring_w, ring_w.neg(w))
+    return _scaled_block(pair, ring_w, ring_w.neg(w))
 
 
 def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
     """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
-    rows J' only."""
-    return _scaled_block(pair, "+", ring_w, ring_w.neg(ring_w.inverse(w)))
+    rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
+    block A' of the reflected pair at w^-1."""
+    return mx._reflect(_scaled_block(pair.reflect(), ring_w, ring_w.neg(ring_w.inverse(w))))
 
 
 # -- the projections --------------------------------------------------
 
-def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
-    """det(I - v K) for the constant matrix K = E + B on P = [min J', max J'],
-    with v = w (sign '-') or w^-1 (sign '+'), from the characteristic
-    polynomial det(x I - K) = sum c_i x^(n-i): det(I - v K) = sum c_i v^i.
+def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
+    """pi_+ = det(I - w K) for the constant matrix K = E + B on
+    P = [min J', max J'], from the characteristic polynomial
+    det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i.  pi_- is
+    this projection of the reflected pair, read at 1/w (:func:`pi_minus`).
 
-    B is the bracket block without its -v factor, so that F + A = I - v K
-    with F = I - v E the reflection factor.  E has ones at (k, k+1) for
-    k + 1 <= 0 (sign '-') or at (m + 1, m) for m >= 0 (sign '+').  F is
-    unit triangular on the interval P and A vanishes off P's columns, so
-    widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
+    B is the bracket block without its -w factor, so that F + A = I - w K
+    with F = I - w E the reflection factor, E with ones at (k, k+1) for
+    k + 1 <= 0.  F is unit triangular on the interval P and A vanishes off
+    P's columns, so widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
 
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
@@ -199,7 +196,7 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     :func:`exact.dot`), and the projection is one integer form over
     ``d^n``, with no ``Fraction`` in between.  Over
     ``C`` (and per component of a product of ``C``) K is one complex array
-    (:func:`_c_k_matrix`), and the pencil ``I - v K`` is sampled on the
+    (:func:`_c_k_matrix`), and the pencil ``I - w K`` is sampled on the
     unit circle (:func:`determinants._poly_det` at degree ``n``), since
     Berkowitz's Krylov sums lose up to 1e-8 on these strongly non-normal
     blocks.  Every other ring builds ``B`` from ring elements
@@ -207,61 +204,57 @@ def _outer_projection(pair: InvertiblePair, sign: str) -> LaurentSeries:
     the ring's inner product (:meth:`rings.Ring.dot`).
     """
     ring = pair.a.ring
-    step = 1 if sign == "-" else -1
     kind = leaf_kind(ring)
     if kind is None:
-        jp, ents = _bracket_block(pair, sign)
-        coeffs = berkowitz(_k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add),
+        jp, ents = _bracket_block(pair)
+        coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                            ring.dot, ring.neg, ring.one)
-        return LaurentSeries(ring, {step * i: c for i, c in enumerate(coeffs)})
+        return LaurentSeries(ring, dict(enumerate(coeffs)))
     _check_b_window(pair)
-    jp, cols = _bracket_cols(pair.a, sign)
+    jp, cols = _bracket_cols(pair.a)
     if kind is Fraction:
-        return LaurentSeries._from_ints(ring, [_int_projection(jp, cols, sign, a, b)
+        return LaurentSeries._from_ints(ring, [_int_projection(jp, cols, a, b)
                                                for a, b in zip(pair.a.ints, pair.b.ints)])
 
     def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
-        k = _c_k_matrix(jp, cols, sign, ac, bc, comp.tolerance)
+        k = _c_k_matrix(jp, cols, ac, bc, comp.tolerance)
         coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
-        return {step * i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
+        return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
 
     return LaurentSeries._trusted(ring, per_component(
         ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
 
 
-def _int_projection(jp: List[int], cols: Columns, sign: str, a: Ints, b: Ints) -> Ints:
-    """det(I - v K) over ``Q`` as an integer form: for ``M = d K`` with
-    ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``v^i`` is
+def _int_projection(jp: List[int], cols: Columns, a: Ints, b: Ints) -> Ints:
+    """det(I - w K) over ``Q`` as an integer form: for ``M = d K`` with
+    ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``w^i`` is
     ``m_i / d^i = m_i d^(n-i) / d^n``."""
     ents, d = _int_bracket(jp, cols, a, b)
-    ms = berkowitz(_k_matrix(jp, ents, sign, 0, d, operator.add), dot, operator.neg, 1)
+    ms = berkowitz(_k_matrix(jp, ents, 0, d, operator.add), dot, operator.neg, 1)
     n = len(ms) - 1
-    nums = [m * d ** (n - i) for i, m in enumerate(ms)]
-    return reduced(0, nums, d ** n) if sign == "-" else reduced(-n, nums[::-1], d ** n)
+    return reduced(0, [m * d ** (n - i) for i, m in enumerate(ms)], d ** n)
 
 
-def _shift_entries(jp: List[int], sign: str) -> List[Tuple[int, int]]:
+def _shift_entries(jp: List[int]) -> List[Tuple[int, int]]:
     """The unit entries of E as (row, column) positions on P = [min J', max J']."""
     if not jp:
         return []
     lo, n = jp[0], jp[-1] - jp[0] + 1
-    if sign == "-":
-        return [(i, i + 1) for i in range(n - 1) if lo + i + 1 <= 0]
-    return [(i + 1, i) for i in range(n - 1) if lo + i >= 0]
+    return [(i, i + 1) for i in range(n - 1) if lo + i + 1 <= 0]
 
 
-def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], sign: str, zero: Any,
+def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], zero: Any,
               one: Any, add: Callable[[Any, Any], Any]) -> List[List[Any]]:
     """K = E + B as dense rows on P = [min J', max J'], with ``one`` the
     value of E's entries."""
     idx = list(range(jp[0], jp[-1] + 1)) if jp else []
     k_mat = [[ents.get((r, c), zero) for c in idx] for r in idx]
-    for i, j in _shift_entries(jp, sign):
+    for i, j in _shift_entries(jp):
         k_mat[i][j] = add(k_mat[i][j], one)
     return k_mat
 
 
-def _c_k_matrix(jp: List[int], cols: Columns, sign: str, a: Dict[int, complex],
+def _c_k_matrix(jp: List[int], cols: Columns, a: Dict[int, complex],
                 b: Dict[int, complex], tol: float) -> Any:
     """K = E + B over ``C`` as one complex array on P = [min J', max J'].
 
@@ -285,7 +278,7 @@ def _c_k_matrix(jp: List[int], cols: Columns, sign: str, a: Dict[int, complex],
         lo = jp[0] - js[-1]
         gather = to_array(b, lo, jp[-1] - js[0])[rows[:, None] - np.array(js) - lo]
         k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = cut(gather @ w, tol)
-    for i, j in _shift_entries(jp, sign):
+    for i, j in _shift_entries(jp):
         k_mat[i, j] += 1
     return k_mat
 
@@ -298,9 +291,10 @@ def pi_plus(pair: InvertiblePair) -> LaurentSeries:
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
-    """Strictly antiholomorphic projection, as a series in w^-1:
-    det(I - w^-1 K_-), from one characteristic polynomial.  Computed once
-    per pair and kept on it."""
+    """Strictly antiholomorphic projection, as a series in w^-1: by the
+    uniqueness of a(1/z) = pi_+(1/z) pi~(1/z) pi_-(1/z), :func:`pi_plus` of
+    the reflected pair (:meth:`InvertiblePair.reflect`), read at 1/w.
+    Computed once per pair and kept on it."""
     return _projection(pair, "minus")
 
 
@@ -309,7 +303,8 @@ def _projection(pair: InvertiblePair, kind: str) -> LaurentSeries:
     ``pair.projections`` or computed and stored there."""
     out = pair.projections.get(kind)
     if out is None:
-        out = _outer_projection(pair, "-" if kind == "plus" else "+")
+        out = _outer_projection(pair) if kind == "plus" else \
+            _outer_projection(pair.reflect()).reflect()
         _check_projection(out, kind)
         pair.projections[kind] = out
     return out
@@ -435,7 +430,9 @@ def factorize(pair: InvertiblePair,
 # -- orthogonal machinery ---------------------------------------------
 
 def orthogonal_decompose(pair: InvertiblePair) -> OrthogonalDecomposition:
-    """Idempotents Pi_n = a_n b_{-n} of an orthogonal invertible series."""
+    """Idempotents Pi_n = a_n b_{-n} of an orthogonal invertible series;
+    a pair whose ``b`` does not invert ``a`` fails first (:func:`_check_pair`)."""
+    _check_pair(pair)
     a, b = pair.a, pair.b
     ring = a.ring
     if SeriesClass.ORTHOGONAL not in classify(a):

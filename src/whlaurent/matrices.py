@@ -137,22 +137,22 @@ def build_F(variant: str, ring_w: Ring, t: Any, w: Any,
     """F-family matrices on the integer lattice.
 
     variant 'R+': 1 - t*w*1_{Z^-}U(z^-1); 'R-': 1 - t*w^-1*1_{Z^+}U(z);
-    'R': their (commuting) product, which carries both bands.
+    'R': their (commuting) product, which carries both bands.  The flip
+    J: k -> -k gives J F^{R+}(t,w) J = F^{R-}(t,w^-1), so 'R-' (and the
+    R- band of 'R') is the mirror image of 'R+' at w^-1.
     """
     if variant not in ("R", "R+", "R-"):
         raise ValueError("variant must be 'R', 'R+' or 'R-'")
     lo, hi = window
+    if variant == "R-":
+        return _reflect(build_F("R+", ring_w, t, ring_w.inverse(w), (-hi, -lo)))
     ents = {(k, k): ring_w.one for k in range(lo, hi + 1)}
-    if variant in ("R", "R+"):
-        coef = ring_w.neg(ring_w.mul(t, w))
-        for n in range(lo, min(hi, -1) + 1):
-            if n + 1 <= hi:
-                ents[(n, n + 1)] = coef
-    if variant in ("R", "R-"):
-        coef = ring_w.neg(ring_w.mul(t, ring_w.inverse(w)))
-        for n in range(max(lo, 1), hi + 1):
-            if n - 1 >= lo:
-                ents[(n, n - 1)] = coef
+    coef = ring_w.neg(ring_w.mul(t, w))
+    for n in range(lo, min(hi, -1) + 1):
+        if n + 1 <= hi:
+            ents[(n, n + 1)] = coef
+    if variant == "R":
+        ents.update(build_F("R-", ring_w, t, w, window).entries)
     return WindowedMatrix(ring_w, Lattice.INTEGER, window, ents, 1, window)._prune()
 
 

@@ -187,6 +187,17 @@ class LaurentSeries:
         w = None if self.window is None else (self.window[0] + k, self.window[1] + k)
         return LaurentSeries(self.ring, {n + k: c for n, c in self.coeffs.items()}, w)
 
+    def reflect(self) -> "LaurentSeries":
+        """``a(1/z)``: exponent ``n`` goes to ``-n``, on the mirrored window.
+        Over ``Q`` (and per leaf of a product of ``Q``) each integer form is
+        read backwards, with no ``Fraction``; other rings mirror the map."""
+        w = None if self.window is None else (-self.window[1], -self.window[0])
+        if leaf_kind(self.ring) is Fraction:
+            return LaurentSeries._from_ints(self.ring, [
+                (1 - lo - len(nums), nums[::-1], den) if nums else (0, [], 1)
+                for lo, nums, den in self.ints], w)
+        return LaurentSeries._trusted(self.ring, {-n: c for n, c in self.coeffs.items()}, w)
+
     def mul(self, other: "LaurentSeries") -> "LaurentSeries":
         """Product on its reliable window; over ``Q`` or ``C`` (and per
         component of a product of them) one convolution of the dense
@@ -363,6 +374,10 @@ class InvertiblePair:
         prod = a.mul(b)
         res = prod.sup_diff(LaurentSeries.one(a.ring, prod.window))
         return InvertiblePair(a, b, res)
+
+    def reflect(self) -> "InvertiblePair":
+        """The pair of ``a(1/z)`` and ``b(1/z)``, with the same residual."""
+        return InvertiblePair(self.a.reflect(), self.b.reflect(), self.residual)
 
 
 # -- elementary factors -----------------------------------------------
@@ -656,9 +671,10 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     """Quotient q with q*u = x on the window.
 
     ``u`` must be a unit power series in the variable (constant term 1,
-    nonnegative exponents: ascending division) or its mirror in the
-    inverse variable (nonpositive exponents, w^0 term 1: descending
-    division).  Over ``Q`` or ``C`` (and per component of a product of
+    nonnegative exponents) or its mirror in the inverse variable
+    (nonpositive exponents, w^0 term 1), whose quotient is the reflection
+    (:meth:`LaurentSeries.reflect`) of ``x(1/w) / u(1/w)``: the kernels run
+    ascending only.  Over ``Q`` or ``C`` (and per component of a product of
     them) the recurrence runs on integers (:func:`_q_div`) or on complex
     numbers (:func:`_c_div`).  Over ``Q`` the unit test reads the integer
     form, and the recurrence runs only from the dividend's first exponent
@@ -668,25 +684,25 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     polynomial quotient) so costs its support, and one that is not exact
     runs over the whole window, as before.
     """
-    ring = x.ring
+    supp = u.support()
+    if supp and supp[0] < 0:
+        if supp[-1] > 0:
+            raise RingError("divisor is neither a power series in w nor in w^-1")
+        return div_unit(x.reflect(), u.reflect(), (-window[1], -window[0])).reflect()
     if not u.has_unit_constant():
         raise RingError("divisor has no unit pivot coefficient")
-    supp = u.support()
-    lo, hi = window
-    ascending = all(n >= 0 for n in supp)
-    if not ascending and not all(n <= 0 for n in supp):
-        raise RingError("divisor is neither a power series in w nor in w^-1")
+    ring = x.ring
     keep = _win_meet(x.window, window)
     kind = leaf_kind(ring)
     if kind is Fraction:
-        return LaurentSeries._from_ints(ring, [_q_div(xf, uf, window, ascending, keep)
+        return LaurentSeries._from_ints(ring, [_q_div(xf, uf, window, keep)
                                               for xf, uf in zip(x.ints, u.ints)], keep)
     if kind is complex:
         return LaurentSeries._trusted(ring, per_component(
-            ring, lambda comp, xc, uc: _c_div(comp, xc, uc, window, ascending, keep), split_map,
+            ring, lambda comp, xc, uc: _c_div(comp, xc, uc, window, keep), split_map,
             x.coeffs, u.coeffs), keep)
     q: Dict[int, Any] = {}
-    for n in (range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)):
+    for n in range(window[0], window[1] + 1):
         acc = x.coeff(n)
         for m, um in u.coeffs.items():
             if m == 0:
@@ -699,13 +715,12 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
     return LaurentSeries(ring, q, keep)
 
 
-def _q_div(x: Ints, u: Ints, window: Tuple[int, int], ascending: bool,
-           keep: Tuple[int, int]) -> Ints:
+def _q_div(x: Ints, u: Ints, window: Tuple[int, int], keep: Tuple[int, int]) -> Ints:
     """:func:`div_unit` over ``Q`` on integer forms, kept on ``keep``.
 
     The recurrence reads ``x`` on the window's meet with its support
-    ``[s0, s1]`` and starts at its first exponent there (``s0`` ascending,
-    ``s1`` descending): every term before it reads only zeros, so it is 0.
+    ``[s0, s1]`` and starts at ``s0``, term ``t`` at exponent ``s0 + t``:
+    every term before it reads only zeros, so it is 0.
     It stops at the last kept exponent, or earlier once the quotient is a
     polynomial that has ended (:func:`exact.int_div`), so an exact division
     such as ``a / pi_+`` costs its support, not the window.  With
@@ -717,27 +732,16 @@ def _q_div(x: Ints, u: Ints, window: Tuple[int, int], ascending: bool,
     if s0 > s1:
         return (0, [], 1)
     xs, dx = slice_ints(x, s0, s1)
-    us, du = u[1], u[2]
-    # term t sits at exponent s0 + t (ascending) or s1 - t; keep the
-    # nonzero ones on ``keep``
-    if ascending:
-        first, last = keep[0] - s0, keep[1] - s0
-    else:
-        xs.reverse()
-        us = us[::-1]
-        first, last = s1 - keep[1], s1 - keep[0]
-    q = int_div(xs, us, last + 1)
-    first = max(first, 0)
+    first, last = max(keep[0] - s0, 0), keep[1] - s0
+    q = int_div(xs, u[1], last + 1)
     while first <= last and not q[first]:
         first += 1
     while last >= first and not q[last]:
         last -= 1
     if first > last:
         return (0, [], 1)
-    nums = _scaled([q[t] for t in range(last, first - 1, -1)], du, 1)
-    if ascending:
-        return reduced(s0 + first, nums[::-1], dx * du ** last)
-    return reduced(s1 - last, nums, dx * du ** last)
+    nums = _scaled([q[t] for t in range(last, first - 1, -1)], u[2], 1)
+    return reduced(s0 + first, nums[::-1], dx * u[2] ** last)
 
 
 # -- C kernels on complex arrays ---------------------------------------
@@ -754,13 +758,11 @@ def _c_mul(ring: Ring, x: Dict[int, complex], y: Dict[int, complex],
 
 
 def _c_div(ring: Ring, x: Dict[int, complex], u: Dict[int, complex], window: Tuple[int, int],
-           ascending: bool, keep: Tuple[int, int]) -> Dict[int, complex]:
+           keep: Tuple[int, int]) -> Dict[int, complex]:
     """:func:`div_unit` over ``C`` by :func:`floating.recur`, kept on ``keep``."""
-    lo, hi = window
-    exps = range(lo, hi + 1) if ascending else range(hi, lo - 1, -1)
-    sign = 1 if ascending else -1
-    us = [u.get(sign * m, 0j) for m in range(max(sign * n for n in u) + 1)]
-    q = recur([x.get(n, 0j) for n in exps], us, ring.tolerance)
+    exps = range(window[0], window[1] + 1)
+    q = recur([x.get(n, 0j) for n in exps], [u.get(m, 0j) for m in range(max(u) + 1)],
+              ring.tolerance)
     return {n: c for n, c in zip(exps, q) if c and keep[0] <= n <= keep[1]}
 
 

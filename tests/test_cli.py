@@ -91,6 +91,14 @@ def test_orthogonal_mode_rejects_non_orthogonal_symbol(tmp_path, capsys):
     assert out == "" and "orthogonal symbol" in err
 
 
+def test_orthogonal_mode_checks_the_pair_first(tmp_path, capsys):
+    # 2z times z^-1/3 is 2/3: the pair residual, not the idempotents, fails
+    job = {"mode": "orthogonal", "coefficients": [{"n": 1, "c": "2"}],
+           "inverse": [{"n": -1, "c": "1/3"}], "window": 4}
+    code, report = run(tmp_path, capsys, job)
+    assert code == 3 and report["error"].startswith("pair residual 0.333: "), report
+
+
 def test_matrix_dump_mode(tmp_path, capsys):
     job = dict(GOLDEN_JOB)
     job["mode"] = "matrix-dump"
@@ -271,6 +279,13 @@ def test_bad_compare_tolerance_exit_2(tmp_path, capsys, value):
     job = dict(ORACLE_JOB, compare_tolerance=value)
     code, err = run_err(tmp_path, capsys, job)
     assert code == 2 and "'compare_tolerance'" in err
+
+
+@pytest.mark.parametrize("count", [-2, 0])
+def test_oracle_compare_needs_a_case(tmp_path, capsys, count):
+    # no case compared is no agreement: a count below 1 must not exit 0
+    code, err = run_err(tmp_path, capsys, dict(ORACLE_JOB, count=count))
+    assert code == 2 and "'count'" in err
 
 
 Q2_RING = {"kind": "product", "arity": 2}

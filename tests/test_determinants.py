@@ -129,14 +129,16 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
             for f in (wl.Antiholo, wl.Holo, wl.Antiholo, wl.Holo)]
     pair = wl.invert_from_factors(ring, facs + [wl.Mono(1, ring.one)], (-40, 40))
     calls.clear()
-    got = {"-": wl.pi_plus(pair), "+": wl.pi_minus(pair)}
+    got = {"plus": wl.pi_plus(pair), "minus": wl.pi_minus(pair)}
     assert not calls
-    # the ring-element reference: the bracket block and Berkowitz on Fractions
-    for sign, step in (("-", 1), ("+", -1)):
-        jp, ents = _bracket_block(pair, sign)
-        ref = berkowitz(_k_matrix(jp, ents, sign, ring.zero, ring.one, ring.add),
+    # the ring-element reference: the bracket block and Berkowitz on
+    # Fractions, for pi_- on the reflected pair and reflected back
+    for kind, p in (("plus", pair), ("minus", pair.reflect())):
+        jp, ents = _bracket_block(p)
+        ref = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                         ring.dot, ring.neg, ring.one)
-        assert got[sign].equals(LaurentSeries(ring, {step * i: c for i, c in enumerate(ref)}))
+        ref = LaurentSeries(ring, dict(enumerate(ref)))
+        assert got[kind].equals(ref if kind == "plus" else ref.reflect())
     assert calls
 
 

@@ -2,9 +2,10 @@
 no ring test but ``rings.leaf_kind`` picking a kernel's path, no
 dataclass field that nothing reads, no optional parameter that no call
 sets, no cross reference in a docstring or comment that names nothing,
-no series product or comparison in the command line, and no run of
-statements written out twice, in the library modules (stdlib ``ast``
-only)."""
+no series product or comparison in the command line, no run of
+statements written out twice, and no private function that takes its
+orientation as a ``sign`` or ``ascending`` flag, in the library modules
+(stdlib ``ast`` only)."""
 
 import ast
 import math
@@ -341,3 +342,39 @@ def test_run_search_finds_a_repeated_run():
     b = "def l():\n    x\n    y\n    z\n"  # below RUN_SIZE
     assert _repeated_runs({"a.py": ast.parse(a), "b.py": ast.parse(b)}) == [
         [("a.py", 4), ("a.py", 10)]]
+
+
+ORIENTATION_FLAGS = {"sign", "ascending"}
+
+
+def _orientation_flags(tree):
+    """``(function, parameter)`` for each private function (its name starts
+    with one underscore) that takes a parameter named ``sign`` or
+    ``ascending``."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__")):
+            args = node.args
+            out += [(node.name, p.arg) for p in args.posonlyargs + args.args + args.kwonlyargs
+                    if p.arg in ORIENTATION_FLAGS]
+    return out
+
+
+def test_no_private_function_takes_an_orientation_flag():
+    # the antiholomorphic side is the holomorphic one of a(1/z)
+    # (LaurentSeries.reflect, InvertiblePair.reflect), so each kernel is
+    # written for one orientation
+    assert [f for p in MODULES for f in _orientation_flags(_tree(p))] == []
+
+
+def test_flag_search_finds_each_form():
+    src = ("def _k(jp, sign, zero): pass\n"
+           "def _div(x, u, *, ascending=True): pass\n"
+           "class A:\n    def _m(self, sign): pass\n"
+           "def outer(sign):\n    def _inner(ascending): pass\n"
+           "def public(sign): pass\n"
+           "def __dunder__(sign): pass\n"
+           "def _fine(signs, step): pass\n")
+    assert _orientation_flags(ast.parse(src)) == [
+        ("_k", "sign"), ("_div", "ascending"), ("_m", "sign"), ("_inner", "ascending")]

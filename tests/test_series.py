@@ -50,6 +50,20 @@ def test_evaluate_is_multiplicative(a, b, point):
     assert p.evaluate(point) == Q.mul(a.evaluate(point), b.evaluate(point))
 
 
+windowed = st.tuples(st.dictionaries(st.integers(min_value=-5, max_value=5), coeff, max_size=5),
+                     st.none() | st.tuples(st.integers(-6, 0), st.integers(0, 6))).map(
+    lambda dw: LaurentSeries(Q, *dw))
+
+
+@given(windowed, windowed)
+@settings(max_examples=40)
+def test_reflection_is_an_involution_and_multiplicative(a, b):
+    twice = a.reflect().reflect()
+    assert (twice.coeffs, twice.window) == (a.coeffs, a.window)
+    p, q = a.mul(b).reflect(), a.reflect().mul(b.reflect())
+    assert (p.coeffs, p.window) == (q.coeffs, q.window)
+
+
 def test_window_meet_on_addition():
     a = LaurentSeries(Q, {0: Fraction(1)}, (-4, 9))
     b = LaurentSeries(Q, {1: Fraction(2)}, (-7, 5))
@@ -643,6 +657,28 @@ def test_integer_form_is_trimmed_and_reduced(ring):
         want = wl.invert_from_factors(slow, facs, (-20, 12))
         _assert_canonical(got.a, want.a.coeffs)
         _assert_canonical(got.b, want.b.coeffs)
+
+
+REFLECT_RINGS = {"Q^2": (Q2, lambda k: (Fraction(k, 3), Fraction(-k))),
+                 "C": (C, lambda k: complex(k, -k / 3)),
+                 "Q[e]": (dual_ring(Q), lambda k: (Fraction(k, 3), Fraction(-k)))}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECT_RINGS))
+def test_reflect_mirrors_exponents_and_window(name):
+    # Q^2 reads its integer forms backwards and builds no Fraction; C and the
+    # dual numbers mirror their maps
+    ring, elem = REFLECT_RINGS[name]
+    cases = [(LaurentSeries.zero(ring), {}, None),
+             (LaurentSeries(ring, {}, (-2, 5)), {}, (-5, 2)),
+             (LaurentSeries(ring, {-3: elem(1), 0: elem(2), 4: elem(-5)}, (-3, 6)),
+              {3: elem(1), 0: elem(2), -4: elem(-5)}, (-6, 3))]
+    for x, coeffs, window in cases:
+        if ring is Q2:
+            x = LaurentSeries._from_ints(ring, x.ints, x.window)
+            _assert_canonical(x.reflect(), coeffs)
+        got = x.reflect()
+        assert (got.coeffs, got.window) == (coeffs, window)
 
 
 def _lift(x, ring, ks=None):
