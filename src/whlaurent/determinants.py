@@ -200,13 +200,11 @@ def det_identity_plus(a: WindowedMatrix) -> Any:
 
 # -- the widetilde-determinant via column reduction -------------------
 
-def reduced_columns(variant: str, cols: Sequence[int]) -> List[int]:
+def reduced_columns(cols: Sequence[int]) -> List[int]:
     """J': the columns of C = A F^-1 for a perturbation A with columns
-    ``cols``.  Column k of A spreads over the wedge of F^{R+-}(1,w)^-1,
-    i.e. [k, 0] for '+' and [0, k] for '-'; the result is sorted.  The
-    '-' wedge is the mirror image of the '+' one under k -> -k."""
-    if variant != "+":
-        return [-c for c in reversed(reduced_columns("+", [-c for c in cols]))]
+    ``cols``.  Column k of A spreads over the wedge [k, 0] of
+    F^{R+}(1,w)^-1; the result is sorted.  The '-' wedge [0, k] of
+    F^{R-}(1,w)^-1 is its mirror image under k -> -k."""
     jset = set(cols)
     neg = [c for c in cols if c <= 0]
     if neg:
@@ -239,7 +237,7 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> Any:
     lo, hi = a.reliable
     if cols[0] <= lo or cols[-1] >= hi:
         raise WindowError("perturbation columns touch the reliable boundary")
-    jp = reduced_columns("+", cols)
+    jp = reduced_columns(cols)
     if jp[0] <= lo or jp[-1] >= hi:
         raise WindowError("reduced column set exits the reliable window")
     wedge = [m for m in jp if m <= 0]

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import Ints, dot, reduced, slice_ints
-from .floating import cut, to_array
+from .floating import to_array
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
 from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
                      classify, div_unit)
@@ -98,7 +98,7 @@ def _bracket_cols(a: LaurentSeries) -> Tuple[List[int], Columns]:
     for d in a.support():
         for m in (range(-d, 0) if d > 0 else range(0, -d)):
             cols.setdefault(m + 1, []).append((m + d, d, -1 if d > 0 else 1))
-    return reduced_columns("+", sorted(cols)), cols
+    return reduced_columns(sorted(cols)), cols
 
 
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
@@ -127,13 +127,15 @@ def _int_bracket(jp: List[int], cols: Columns, a: Ints,
 
 def _bracket_block(pair: InvertiblePair) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
     """U(b) [1_{Z^-}, U(a)] U(z^-1) over the base ring, on the rows J' that
-    the column reduction (variant '+') reads.  Returns (J', entries).
+    the column reduction reads.  Returns (J', entries).
 
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
     so they are not built; the rows built read b only on [-2d, 2d], d the
     largest |exponent| of a.  The entries are sums of ring products over
-    every ring; over ``Q`` and ``C`` the outer projection builds the block
-    on integers or complex arrays itself (:func:`_outer_projection`).
+    every ring, each kept as computed: the block is a matrix, not a
+    series, so nothing is cut to the ring's tolerance here.  Over ``Q`` and
+    ``C`` the outer projection builds the block on integers or complex
+    arrays itself (:func:`_outer_projection`).
     """
     _check_b_window(pair)
     a, b = pair.a, pair.b
@@ -142,13 +144,8 @@ def _bracket_block(pair: InvertiblePair) -> Tuple[List[int], Dict[Tuple[int, int
     vals = {k: ([j for j, _d, _s in col],
                 [a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d]) for _j, d, s in col])
             for k, col in cols.items()}
-    ents: Dict[Tuple[int, int], Any] = {}
-    for r in jp:
-        for k, (js, vs) in vals.items():
-            acc = ring.dot([b.coeff(r - j) for j in js], vs)
-            if not ring.is_zero(acc):
-                ents[(r, k)] = acc
-    return jp, ents
+    return jp, {(r, k): ring.dot([b.coeff(r - j) for j in js], vs)
+                for r in jp for k, (js, vs) in vals.items()}
 
 
 def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any) -> WindowedMatrix:
@@ -217,7 +214,7 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
                                                for a, b in zip(pair.a.ints, pair.b.ints)])
 
     def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
-        k = _c_k_matrix(jp, cols, ac, bc, comp.tolerance)
+        k = _c_k_matrix(jp, cols, ac, bc)
         coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
         return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
 
@@ -255,14 +252,14 @@ def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], zero: Any,
 
 
 def _c_k_matrix(jp: List[int], cols: Columns, a: Dict[int, complex],
-                b: Dict[int, complex], tol: float) -> Any:
+                b: Dict[int, complex]) -> Any:
     """K = E + B over ``C`` as one complex array on P = [min J', max J'].
 
     B on the rows J' is one gather of b's Toeplitz slices, G[r, j] =
     b_(r-j), times the weights W[j, k] = sign * a_d of the column entries
     (j, d, sign) of :func:`_bracket_cols`, so B = G W; each column holds
-    each j at most once.  Entries of B within ``tol`` of zero are cut, as
-    :func:`_bracket_block` drops them, before E is added.
+    each j at most once.  Like :func:`_bracket_block`, it keeps every entry
+    as computed: K is a matrix, not a series.
     """
     n = jp[-1] - jp[0] + 1 if jp else 0
     k_mat = np.zeros((n, n), complex)
@@ -277,7 +274,7 @@ def _c_k_matrix(jp: List[int], cols: Columns, a: Dict[int, complex],
         rows = np.array(jp)
         lo = jp[0] - js[-1]
         gather = to_array(b, lo, jp[-1] - js[0])[rows[:, None] - np.array(js) - lo]
-        k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = cut(gather @ w, tol)
+        k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = gather @ w
     for i, j in _shift_entries(jp):
         k_mat[i, j] += 1
     return k_mat

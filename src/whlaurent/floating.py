@@ -4,11 +4,13 @@ A ``C`` coefficient map is held as one dense complex array from its
 lowest exponent, the way :mod:`whlaurent.exact` holds a ``Q`` map as
 integer numerators over one denominator.  Products are ``np.convolve``;
 the long division by a unit is a recurrence on Python complex numbers,
-and a product of linear factors a short Python list.  The ring-element
-path of a ``C`` ring drops every coefficient within the ring's absolute
-tolerance of zero (``Ring.is_zero``) wherever it builds a series; these
-kernels cut the same coefficients (:func:`cut`) at the same steps, so
-both paths keep the same exponents.  A caller takes them when
+and a product of linear factors a short Python list.  Over ``C`` the
+ring's absolute tolerance belongs to its equality: a coefficient within
+it of zero (``Ring.is_zero``) is dropped where a series is stored, and
+nowhere else.  The ring-element path drops it in the ``LaurentSeries``
+constructor; these kernels cut it (:func:`cut`, :func:`from_array`)
+where they build the series that path stores, so both paths keep the
+same exponents, and never inside a recurrence.  A caller takes them when
 :func:`rings.leaf_kind` reads ``complex``; over a product of ``C`` it
 runs them per component (:func:`rings.per_component`), so each
 component is cut on its own.
@@ -69,12 +71,10 @@ def from_fft(bins: Any) -> Tuple[Dict[int, complex], Tuple[int, int]]:
     return {m if m < half else m - n: complex(bins[m]) for m in range(n)}, (-half, half - 1)
 
 
-def recur(xs: Sequence[complex], us: Sequence[complex], tol: float) -> List[complex]:
+def recur(xs: Sequence[complex], us: Sequence[complex]) -> List[complex]:
     """``q_t = x_t - sum_m u_m q_(t-m)`` over ``m >= 1`` for each ``x_t`` of
     ``xs``: the power series ``x / u`` for ``u_0 = 1``, on Python complex
-    numbers, with each ``q_t`` within ``tol`` of zero set to 0 before the
-    next term reads it, as the ring-element loop of
-    :func:`series.div_unit` drops it.
+    numbers, every term kept as computed (the caller cuts what it stores).
 
     Unlike :func:`exact.int_div` it does not stop early when the quotient
     seems to have ended: with a non-finite coefficient in ``us``, a run of
@@ -84,8 +84,7 @@ def recur(xs: Sequence[complex], us: Sequence[complex], tol: float) -> List[comp
     out: List[complex] = []
     for x in xs:
         # map() stops at the shorter input: tail[m-1] meets out[t-m]
-        acc = x - sum(map(operator.mul, tail, reversed(out)))
-        out.append(0j if abs(acc) <= tol else acc)
+        out.append(x - sum(map(operator.mul, tail, reversed(out))))
     return out
 
 

@@ -22,8 +22,9 @@ elimination, and a residual a comparison of reduced forms.  Over ``C``
 they run on one dense complex array (:mod:`whlaurent.floating`):
 a product is one ``np.convolve``, the Bezout system one
 ``np.linalg.solve``, a long division a recurrence on Python complex
-numbers, and coefficients within the ring's tolerance of zero are cut at
-the steps where the ring-element path drops them.  Every other ring
+numbers, and a coefficient within the ring's tolerance of zero is cut
+only where a series is stored, as the ring-element path drops it in the
+:class:`LaurentSeries` constructor.  Every other ring
 (rings with nilpotents, series rings) runs the same algorithms on its own
 elements.
 """
@@ -575,8 +576,9 @@ def _c_pair(ring: Ring, factors: Sequence[Factor],
     ``np.linalg.solve``, and the two long divisions are the recurrence of
     :func:`div_unit` (:func:`floating.recur`).  Every coefficient within the
     ring's tolerance of zero is cut where the ring-element path
-    (:func:`_ring_pair`) drops it: in each factor and product, in ``V`` and
-    ``U``, inside the recurrence and after each scaling.
+    (:func:`_ring_pair`) stores a series: in each factor and product, in
+    ``V`` and ``U``, in ``V/A`` and ``U/B`` before the scaling by the unit,
+    and after it.
     """
     tol = ring.tolerance
     p, unit = 0, ring.one
@@ -600,9 +602,9 @@ def _c_pair(ring: Ring, factors: Sequence[Factor],
     except np.linalg.LinAlgError:
         raise RingError(_NO_INVERSE) from None
     # V/A descends from r - 1 to lo, U/B ascends from r to hi
-    down = recur([z[r - 1 - t] if t < r else 0j for t in range(r - lo)], anti, tol)
-    up = recur([z[r + t] if t < s else 0j for t in range(hi - r + 1)], holo, tol)
-    b0 = np.array(down[::-1] + up, complex)
+    down = recur([z[r - 1 - t] if t < r else 0j for t in range(r - lo)], anti)
+    up = recur([z[r + t] if t < s else 0j for t in range(hi - r + 1)], holo)
+    b0 = cut(np.array(down[::-1] + up, complex), tol)
     return a, from_array(r - len(down) - p, b0 * inv, tol, window)
 
 
@@ -710,8 +712,7 @@ def div_unit(x: LaurentSeries, u: LaurentSeries,
             prev = q.get(n - m)
             if prev is not None:
                 acc = ring.sub(acc, ring.mul(prev, um))
-        if not ring.is_zero(acc):
-            q[n] = acc
+        q[n] = acc
     return LaurentSeries(ring, q, keep)
 
 
@@ -759,11 +760,12 @@ def _c_mul(ring: Ring, x: Dict[int, complex], y: Dict[int, complex],
 
 def _c_div(ring: Ring, x: Dict[int, complex], u: Dict[int, complex], window: Tuple[int, int],
            keep: Tuple[int, int]) -> Dict[int, complex]:
-    """:func:`div_unit` over ``C`` by :func:`floating.recur`, kept on ``keep``."""
+    """:func:`div_unit` over ``C`` by :func:`floating.recur`, kept on ``keep``
+    and cut to the ring's tolerance there."""
     exps = range(window[0], window[1] + 1)
-    q = recur([x.get(n, 0j) for n in exps], [u.get(m, 0j) for m in range(max(u) + 1)],
-              ring.tolerance)
-    return {n: c for n, c in zip(exps, q) if c and keep[0] <= n <= keep[1]}
+    q = recur([x.get(n, 0j) for n in exps], [u.get(m, 0j) for m in range(max(u) + 1)])
+    tol = ring.tolerance
+    return {n: c for n, c in zip(exps, q) if not abs(c) <= tol and keep[0] <= n <= keep[1]}
 
 
 # -- the series ring constructor --------------------------------------

@@ -173,3 +173,18 @@ def worked_pair(ring=None, window=(-32, 32)):
     one = Fraction(1) if ring.is_exact else complex(1.0)
     factors = [wl.Antiholo(half), wl.Mono(1, one), wl.Holo(third)]
     return factors, wl.invert_from_factors(ring, factors, window)
+
+
+def sixteen_factor_symbol():
+    """The ``C`` factor list that ``corpus.random_complex_factors`` draws
+    with 16 factors from ``Random(16)`` after 16 pairs of ``randint(0, 1)``:
+    9 ``Antiholo`` (|alpha| 0.25-0.58), 2 ``Holo`` (|beta| 0.12 and 0.19)
+    and 5 ``Mono`` whose exponents sum to 1.  Both of its bracket blocks
+    hold entries under the ring's tolerance 1e-9 that are not zero."""
+    from whlaurent.corpus import random_complex_factors
+
+    rng = random.Random(16)
+    for _ in range(16):
+        rng.randint(0, 1)
+        rng.randint(0, 1)
+    return random_complex_factors(rng, 16)

@@ -17,7 +17,7 @@ from whlaurent.factorization import FactorizationError, _check_projection, resid
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
 
-from conftest import dual_ring
+from conftest import dual_ring, sixteen_factor_symbol
 
 Q = wl.rational_ring()
 
@@ -530,34 +530,41 @@ def test_complex_kernels_match_ring_element_path(arity):
     # product of C_ELEMENTS would keep it while another component is larger
     rng = random.Random(41 + arity)
     fast = C if arity == 1 else wl.product_ring(C, 2)
-    for k in range(-3, 4):
-        for _ in range(4):
-            facs = random_complex_factors(rng, rng.randint(1, 12), (0.1, 0.9))
-            facs.append(wl.Mono(0, complex(10.0 ** k)))
-            parts = [facs]
-            if arity == 2:
-                facs = _c2_factors(rng, facs)
-                parts = [[_part(f, i) for f in facs] for i in range(2)]
-            half = _c_half_window(facs)
-            got = wl.invert_from_factors(fast, facs, (-half, half))
-            wants = [wl.invert_from_factors(C_ELEMENTS, p, (-half, half)) for p in parts]
-            _close(got.a, [w.a for w in wants])
-            _close(got.b, [w.b for w in wants])
-            prod = got.a.mul(got.b)
-            _close(prod, [w.a.mul(w.b) for w in wants])
-            one = LaurentSeries.one(C, prod.window)
-            residual = max(w.a.mul(w.b).truncate(prod.window).sup_diff(one) for w in wants)
-            assert abs(got.residual - residual) <= 1e-12, facs
-            _close(got.b.mul(got.b), [w.b.mul(w.b) for w in wants])
-            for kind in (wl.Holo, wl.Antiholo):
-                u = wl.factors_to_series(fast, [f for f in facs if isinstance(f, kind)])
-                us = [wl.factors_to_series(C_ELEMENTS, [f for f in p if isinstance(f, kind)])
-                      for p in parts]
-                for x, xs in ((got.a, [w.a for w in wants]), (got.b, [w.b for w in wants])):
-                    _close(wl.div_unit(x, u, (-half, half)),
-                           [wl.div_unit(xw, uw, (-half, half)) for xw, uw in zip(xs, us)])
-            _close(wl.pi_plus(got), [wl.pi_plus(w) for w in wants])
-            _close(wl.pi_minus(got), [wl.pi_minus(w) for w in wants])
+
+    def symbols():
+        for k in range(-3, 4):
+            for _ in range(4):
+                facs = random_complex_factors(rng, rng.randint(1, 12), (0.1, 0.9))
+                yield facs + [wl.Mono(0, complex(10.0 ** k))]
+        # its bracket blocks hold entries under the tolerance: both paths
+        # must keep them
+        yield sixteen_factor_symbol()
+
+    for facs in symbols():
+        parts = [facs]
+        if arity == 2:
+            facs = _c2_factors(rng, facs)
+            parts = [[_part(f, i) for f in facs] for i in range(2)]
+        half = _c_half_window(facs)
+        got = wl.invert_from_factors(fast, facs, (-half, half))
+        wants = [wl.invert_from_factors(C_ELEMENTS, p, (-half, half)) for p in parts]
+        _close(got.a, [w.a for w in wants])
+        _close(got.b, [w.b for w in wants])
+        prod = got.a.mul(got.b)
+        _close(prod, [w.a.mul(w.b) for w in wants])
+        one = LaurentSeries.one(C, prod.window)
+        residual = max(w.a.mul(w.b).truncate(prod.window).sup_diff(one) for w in wants)
+        assert abs(got.residual - residual) <= 1e-12, facs
+        _close(got.b.mul(got.b), [w.b.mul(w.b) for w in wants])
+        for kind in (wl.Holo, wl.Antiholo):
+            u = wl.factors_to_series(fast, [f for f in facs if isinstance(f, kind)])
+            us = [wl.factors_to_series(C_ELEMENTS, [f for f in p if isinstance(f, kind)])
+                  for p in parts]
+            for x, xs in ((got.a, [w.a for w in wants]), (got.b, [w.b for w in wants])):
+                _close(wl.div_unit(x, u, (-half, half)),
+                       [wl.div_unit(xw, uw, (-half, half)) for xw, uw in zip(xs, us)])
+        _close(wl.pi_plus(got), [wl.pi_plus(w) for w in wants])
+        _close(wl.pi_minus(got), [wl.pi_minus(w) for w in wants])
 
 
 @pytest.mark.parametrize("arity", [1, 2])
