@@ -5,7 +5,9 @@ The holomorphic part is pi_+(w) = det(I - w K), where K = E + B is a
 constant matrix over the base ring on a finite index interval: the shift
 part of the reflection factor plus the bracket block
 U(b)[1_{Z^-}, U(a)]U(z^-1).  It is read off one characteristic
-polynomial of K, per component of a product ring.  The antiholomorphic
+polynomial of K, per component of a product ring, each on its own
+support re-centred on 0 by a unit monomial: z^-e a has the same pi_+, and
+the block has as many rows as the component's support spans.  The antiholomorphic
 part is the mirror image: pi_- of a is pi_+ of a(1/z), read at 1/w.
 Over Q the bracket block is an integer Toeplitz product of the numerators
 of a and b over the common denominator d = da db, and d K goes straight
@@ -84,9 +86,10 @@ def _check_b_window(pair: InvertiblePair) -> None:
 Columns = Dict[int, List[Tuple[int, int, int]]]
 
 
-def _bracket_cols(a: LaurentSeries) -> Tuple[List[int], Columns]:
-    """J' and the commutator [1_{Z^-}, U(a)] U(z^-1) by shifted column: each
-    column lists ``(row j, exponent d, sign)`` for its entry ``sign * a_d``.
+def _bracket_cols(support: Sequence[int]) -> Tuple[List[int], Columns]:
+    """J' and the commutator [1_{Z^-}, U(a)] U(z^-1) by shifted column, for
+    ``a`` with exponents ``support``: each column lists ``(row j, exponent
+    d, sign)`` for its entry ``sign * a_d``.
 
     The commutator has entries (chi(j) - chi(m)) a_{j-m}, chi the indicator
     of Z^- = {k < 0}, nonzero only where j = m + d and m straddle 0: for
@@ -95,10 +98,25 @@ def _bracket_cols(a: LaurentSeries) -> Tuple[List[int], Columns]:
     is this block for the reflected pair (:meth:`InvertiblePair.reflect`).
     """
     cols: Columns = {}
-    for d in a.support():
+    for d in support:
         for m in (range(-d, 0) if d > 0 else range(0, -d)):
             cols.setdefault(m + 1, []).append((m + d, d, -1 if d > 0 else 1))
     return reduced_columns(sorted(cols)), cols
+
+
+def _centred_cols(support: Sequence[int]) -> Tuple[int, List[int], Columns]:
+    """``(e, J', columns)`` of the block of a leaf with exponents
+    ``support``, re-centred on 0: ``e`` is ``lo`` if ``lo > 0``, ``hi`` if
+    ``hi < 0`` and 0 otherwise, for ``[lo, hi]`` the support's hull, and
+    J' and the columns are :func:`_bracket_cols` of ``support - e``, whose
+    block spans ``hi - lo`` rows.
+
+    The outer projection builds its block for the pair ``(z^-e a, z^e b)``:
+    ``z^-e a = pi_- (z^-e pi~) pi_+`` with ``z^-e pi~`` still orthogonal,
+    so by uniqueness pi_+ does not move, over every commutative ring."""
+    lo, hi = (min(support), max(support)) if support else (0, 0)
+    e = lo if lo > 0 else hi if hi < 0 else 0
+    return (e, *_bracket_cols([d - e for d in support]))
 
 
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
@@ -125,9 +143,10 @@ def _int_bracket(jp: List[int], cols: Columns, a: Ints,
     return ents, da * db
 
 
-def _bracket_block(pair: InvertiblePair) -> Tuple[List[int], Dict[Tuple[int, int], Any]]:
+def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
+                   b: LaurentSeries) -> Dict[Tuple[int, int], Any]:
     """U(b) [1_{Z^-}, U(a)] U(z^-1) over the base ring, on the rows J' that
-    the column reduction reads.  Returns (J', entries).
+    the column reduction reads.
 
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
     so they are not built; the rows built read b only on [-2d, 2d], d the
@@ -137,20 +156,20 @@ def _bracket_block(pair: InvertiblePair) -> Tuple[List[int], Dict[Tuple[int, int
     ``C`` the outer projection builds the block on integers or complex
     arrays itself (:func:`_outer_projection`).
     """
-    _check_b_window(pair)
-    a, b = pair.a, pair.b
     ring = a.ring
-    jp, cols = _bracket_cols(a)
     vals = {k: ([j for j, _d, _s in col],
                 [a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d]) for _j, d, s in col])
             for k, col in cols.items()}
-    return jp, {(r, k): ring.dot([b.coeff(r - j) for j in js], vs)
-                for r in jp for k, (js, vs) in vals.items()}
+    return {(r, k): ring.dot([b.coeff(r - j) for j in js], vs)
+            for r in jp for k, (js, vs) in vals.items()}
 
 
 def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any) -> WindowedMatrix:
-    """coef times the bracket block, as a w-series WindowedMatrix."""
-    jp, ents = _bracket_block(pair)
+    """coef times the bracket block of ``pair`` on its own support, not
+    re-centred, as a w-series WindowedMatrix."""
+    _check_b_window(pair)
+    jp, cols = _bracket_cols(pair.a.support())
+    ents = _bracket_block(jp, cols, pair.a, pair.b)
     lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
     window = (lo - 1, hi + 1)
     scaled = {rk: ring_w.mul(coef, ring_w.const(v)) for rk, v in ents.items()}
@@ -185,6 +204,15 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     k + 1 <= 0.  F is unit triangular on the interval P and A vanishes off
     P's columns, so widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
 
+    Each leaf (each component of a product of ``Q`` or ``C``, the whole
+    series over any other ring) builds its own block from its own support,
+    re-centred on 0 (:func:`_centred_cols`): the pair ``(z^-e a, z^e b)``
+    has the same pi_+, and its block has as many rows as the leaf's
+    support ``[lo, hi]`` spans (on a support that does not straddle 0 it
+    would have ``max(hi, -lo)``).  The inverse window is checked once, on
+    the union of the leaves' supports (:func:`_check_b_window`); every
+    leaf's block reads ``b`` inside it.
+
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
     the integer bracket block ``d B`` (:func:`_int_bracket`, on the
@@ -200,33 +228,39 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     (:func:`_bracket_block`) and runs the same Berkowitz on them, with
     the ring's inner product (:meth:`rings.Ring.dot`).
     """
-    ring = pair.a.ring
+    _check_b_window(pair)
+    a, b = pair.a, pair.b
+    ring = a.ring
     kind = leaf_kind(ring)
     if kind is None:
-        jp, ents = _bracket_block(pair)
+        e, jp, cols = _centred_cols(a.support())
+        ents = _bracket_block(jp, cols, a.shift(-e), b.shift(e))
         coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                            ring.dot, ring.neg, ring.one)
         return LaurentSeries(ring, dict(enumerate(coeffs)))
-    _check_b_window(pair)
-    jp, cols = _bracket_cols(pair.a)
     if kind is Fraction:
-        return LaurentSeries._from_ints(ring, [_int_projection(jp, cols, a, b)
-                                               for a, b in zip(pair.a.ints, pair.b.ints)])
+        return LaurentSeries._from_ints(ring, [_int_projection(x, y)
+                                               for x, y in zip(a.ints, b.ints)])
 
     def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
+        e, jp, cols = _centred_cols(sorted(n for n, c in ac.items() if c))
+        if e:
+            ac, bc = {n - e: c for n, c in ac.items()}, {n + e: c for n, c in bc.items()}
         k = _c_k_matrix(jp, cols, ac, bc)
         coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
         return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
 
-    return LaurentSeries._trusted(ring, per_component(
-        ring, leaf, split_map, pair.a.coeffs, pair.b.coeffs))
+    return LaurentSeries._trusted(ring, per_component(ring, leaf, split_map, a.coeffs, b.coeffs))
 
 
-def _int_projection(jp: List[int], cols: Columns, a: Ints, b: Ints) -> Ints:
-    """det(I - w K) over ``Q`` as an integer form: for ``M = d K`` with
-    ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``w^i`` is
+def _int_projection(a: Ints, b: Ints) -> Ints:
+    """det(I - w K) over ``Q`` as an integer form, for the leaf forms ``a``
+    and ``b`` re-centred by ``e`` (:func:`_centred_cols`): for ``M = d K``
+    with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``w^i`` is
     ``m_i / d^i = m_i d^(n-i) / d^n``."""
-    ents, d = _int_bracket(jp, cols, a, b)
+    (a_lo, a_nums, a_den), (b_lo, b_nums, b_den) = a, b
+    e, jp, cols = _centred_cols([a_lo + i for i, x in enumerate(a_nums) if x])
+    ents, d = _int_bracket(jp, cols, (a_lo - e, a_nums, a_den), (b_lo + e, b_nums, b_den))
     ms = berkowitz(_k_matrix(jp, ents, 0, d, operator.add), dot, operator.neg, 1)
     n = len(ms) - 1
     return reduced(0, [m * d ** (n - i) for i, m in enumerate(ms)], d ** n)

@@ -120,7 +120,24 @@ _RATIONAL = re.compile(r"""
 def parse_rational(s: str) -> Tuple[int, int]:
     """``(numerator, denominator)`` of a rational literal, not reduced, with
     a positive denominator: the literals and values of ``Fraction(s)``.
-    Any other string, and a zero denominator, is a ``ValueError``."""
+    Any other string, and a zero denominator, is a ``ValueError``.
+
+    A plain ASCII ``[-+]digits[/digits]``, the form the serializer writes,
+    is split at its bar and read by ``int``; every other literal (spaces,
+    underscores, decimals, exponents, non-ASCII digits) takes
+    :func:`_parse_literal`, with the same values and errors."""
+    num, bar, den = s.partition("/")
+    digits = num[1:] if num[:1] in "-+" else num
+    if s.isascii() and digits.isdigit() and (den.isdigit() or not bar):
+        d = int(den) if bar else 1
+        if not d:
+            raise ValueError("zero denominator in %r" % s)
+        return int(num), d
+    return _parse_literal(s)
+
+
+def _parse_literal(s: str) -> Tuple[int, int]:
+    """:func:`parse_rational` by the grammar of ``Fraction(str)``."""
     m = _RATIONAL.match(s)
     if m is None:
         raise ValueError("Invalid literal for Fraction: %r" % s.strip())
@@ -219,7 +236,7 @@ def product_ring(base: Ring, arity: int) -> Ring:
         return tuple(base.inverse(c) for c in x)
 
     def fmt(x) -> str:
-        return "(" + "|".join(base.fmt(c) for c in x) + ")"
+        return product_literal(base.fmt(c) for c in x)
 
     def parse(s: str):
         return tuple(base.parse(p) for p in _product_parts(s, arity))
@@ -301,20 +318,30 @@ def _merge(ring: Ring, parts: Sequence[Any]) -> Any:
             for key in sorted(set().union(*parts))}
 
 
+def product_literal(parts: Iterable[str]) -> str:
+    """``(c1|c2|...)``: the literal of a product-ring element from the
+    literals of its components, which :func:`_product_parts` splits."""
+    return "(" + "|".join(parts) + ")"
+
+
 def _product_parts(s: str, arity: int) -> List[str]:
     """The ``arity`` component literals of ``(c1|c2|...)``, split at the
-    bars outside nested parentheses."""
+    bars outside nested parentheses (at every bar when there are none)."""
     s = s.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise RingError("malformed product element: %r" % s)
-    parts: List[str] = []
-    depth = 0  # of the parentheses before the next bar
-    for piece in s[1:-1].split("|"):
-        if depth:
-            parts[-1] += "|" + piece
-        else:
-            parts.append(piece)
-        depth += piece.count("(") - piece.count(")")
+    inner = s[1:-1]
+    if "(" not in inner and ")" not in inner:
+        parts = inner.split("|")
+    else:
+        parts = []
+        depth = 0  # of the parentheses before the next bar
+        for piece in inner.split("|"):
+            if depth:
+                parts[-1] += "|" + piece
+            else:
+                parts.append(piece)
+            depth += piece.count("(") - piece.count(")")
     if len(parts) != arity:
         raise RingError("expected %d components, got %d" % (arity, len(parts)))
     return parts

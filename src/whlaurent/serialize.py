@@ -3,18 +3,19 @@
 Ring elements travel as strings: ``p/q`` for rationals, ``re,im`` for
 complex, ``(c1|c2|...)`` for product rings.  Exact rings round-trip
 bit-exactly.  A series over ``Q`` or a product of ``Q`` is parsed straight
-into integer numerators, one form per leaf, with no ``Fraction`` built.
+into integer numerators, one form per leaf, and written back from them,
+with no ``Fraction`` built either way.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Iterator, List, Sequence
 
 from .exact import Ints, from_terms
 from .rings import (Ring, RingError, complex_ring, leaf_kind, parse_rational, per_component,
-                    product_ring, rational_ring, split_literals)
+                    product_literal, product_ring, rational_ring, split_literals)
 from .series import LaurentSeries, Window
 from .factorization import FactorizationResult
 
@@ -52,7 +53,28 @@ def ring_from_json(spec: Dict[str, Any]) -> Ring:
 
 
 def series_to_json(a: LaurentSeries) -> List[Dict[str, Any]]:
-    return [{"n": n, "c": a.ring.fmt(a.coeffs[n])} for n in a.support()]
+    """``[{"n": exponent, "c": literal}, ...]`` in ascending exponent, each
+    literal the ring's ``fmt`` of the coefficient.  Over ``Q`` or a product
+    of ``Q`` the literals are written from the integer forms
+    (:func:`_int_literal`), with no ``Fraction`` built."""
+    if leaf_kind(a.ring) is not Fraction:
+        return [{"n": n, "c": a.ring.fmt(a.coeffs[n])} for n in a.support()]
+    forms = a.ints
+    return [{"n": n, "c": _int_literal(a.ring, n, iter(forms))} for n in a.support()]
+
+
+def _int_literal(ring: Ring, n: int, forms: Iterator[Ints]) -> str:
+    """The literal of the coefficient at ``n`` of a series over ``Q`` or a
+    (nested) product of ``Q``, from the integer forms of its leaves in leaf
+    order: per leaf ``p`` or ``p/q`` in lowest terms, as ``str`` of a
+    ``Fraction`` writes it, and per product ``(c1|c2|...)``
+    (:func:`rings.product_literal`)."""
+    if ring.components is not None:
+        return product_literal(_int_literal(comp, n, forms) for comp in ring.components)
+    lo, nums, den = next(forms)
+    x = nums[n - lo] if 0 <= n - lo < len(nums) else 0
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else "%d/%d" % (x // g, den // g)
 
 
 def series_from_json(ring: Ring, data: List[Dict[str, Any]],

@@ -12,6 +12,7 @@ import whlaurent as wl
 from whlaurent.cli import main, run_job
 from whlaurent.corpus import (random_orthogonal_pair, random_rational_factors,
                              random_rational_parameter)
+from whlaurent.serialize import series_to_json
 
 GOLDEN_JOB = {
     "ring": {"kind": "rational"},
@@ -491,3 +492,33 @@ def test_exact_jobs_golden_digest():
         assert code == 0
         digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+def test_q2_leaves_far_apart_at_the_inverse_window_bound(tmp_path, capsys):
+    # (1 - z^-1/2)(1 - z/3)(1 - 2z/5), other parameters in the second
+    # component, times z^8 in the first component and z^-8 in the second:
+    # the leaves span [7, 10] and [-9, -6], so the inverse window must reach
+    # 3 * 10 + 1 = 31.  There each leaf's re-centred block reads b inside
+    # the window and the job gives the closed-form factors; one less is
+    # refused
+    anti = [wl.Antiholo((Fraction(1, 2), Fraction(-2, 3)))]
+    holo = [wl.Holo((Fraction(1, 3), Fraction(1, 4))), wl.Holo((Fraction(2, 5), Fraction(-1, 5)))]
+    one, zero = Fraction(1), Fraction(0)
+    tilde = wl.LaurentSeries(Q2, {8: (one, zero), -8: (zero, one)})
+    a = wl.factors_to_series(Q2, anti + holo).mul(tilde)
+    b = wl.invert_from_factors(Q2, anti + holo, (-60, 60)).b.mul(tilde.reflect())
+
+    def job(half):
+        return {"ring": Q2_RING, "window": half,
+                "coefficients": [{"n": n, "c": _fmt_q2(c)} for n, c in sorted(a.coeffs.items())],
+                "inverse": [{"n": n, "c": _fmt_q2(c)} for n, c in sorted(b.coeffs.items())
+                            if -half <= n <= half]}
+
+    code, payload = run(tmp_path, capsys, job(30))
+    assert code == 3 and "inverse window" in payload["error"]
+    code, payload = run(tmp_path, capsys, job(31))
+    assert code == 0
+    assert payload["pi_minus"] == series_to_json(wl.factors_to_series(Q2, anti))
+    assert payload["pi_tilde"] == series_to_json(tilde)
+    assert payload["pi_plus"] == series_to_json(wl.factors_to_series(Q2, holo))
+    assert payload["winding"] is None and float(payload["residual"]) == 0.0

@@ -18,7 +18,7 @@ from whlaurent.determinants import (berkowitz, det_berkowitz, det_block, det_ide
 from whlaurent.exact import clear, dot
 from whlaurent.factorization import (antiholomorphic_det_matrix,
                                      holomorphic_det_matrix, _bracket_block,
-                                     _k_matrix)
+                                     _bracket_cols, _k_matrix)
 from whlaurent.matrices import Lattice
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
@@ -134,7 +134,8 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     # the ring-element reference: the bracket block and Berkowitz on
     # Fractions, for pi_- on the reflected pair and reflected back
     for kind, p in (("plus", pair), ("minus", pair.reflect())):
-        jp, ents = _bracket_block(p)
+        jp, cols = _bracket_cols(p.a.support())
+        ents = _bracket_block(jp, cols, p.a, p.b)
         ref = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                         ring.dot, ring.neg, ring.one)
         ref = LaurentSeries(ring, dict(enumerate(ref)))

@@ -10,7 +10,7 @@ import pytest
 
 import whlaurent as wl
 from whlaurent import factorization
-from whlaurent.corpus import random_rational_factors
+from whlaurent.corpus import random_complex_factors, random_rational_factors
 from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
@@ -645,6 +645,118 @@ def test_bumped_pi_plus_division_runs_to_the_window(arity):
     assert full_product(res.pi_minus, pt, pp) != a
 
 
+def _split_monomial(R, exps):
+    """The pair of the orthogonal series ``z^e0`` in the first component and
+    ``z^e1`` in the second, over a product of two rings, and its inverse."""
+    zero, one = R.components[0].zero, R.components[0].one
+
+    def series(sign):
+        return LaurentSeries.monomial(R, sign * exps[0], (one, zero)).add(
+            LaurentSeries.monomial(R, sign * exps[1], (zero, one)))
+
+    return series(1), series(-1)
+
+
+def _c2_paired(facs):
+    """Each C factor with a second component: the conjugate parameter, and
+    twice the unit of a monomial."""
+    return [_with_param(f, (_param(f), 2 * f.u if isinstance(f, wl.Mono) else
+                            _param(f).conjugate())) for f in facs]
+
+
+SHIFT_SYMBOLS = {  # ring name: (ring, one draw of factors)
+    "Q": (Q, lambda rng: random_rational_factors(rng, max_factors=5)),
+    "Q^2": (Q2, _paired_factors),
+    "Q[e]": (dual_ring(Q), _paired_factors),
+    "C": (wl.complex_ring(), lambda rng: random_complex_factors(rng, rng.randint(1, 6),
+                                                                (0.1, 0.9))),
+    "C^2": (wl.product_ring(wl.complex_ring(), 2),
+            lambda rng: _c2_paired(random_complex_factors(rng, rng.randint(1, 6), (0.1, 0.9)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_SYMBOLS))
+def test_outer_projections_ignore_a_unit_monomial(name):
+    # z^k a = pi_- (z^k pi~) pi_+, so neither outer projection moves; each
+    # leaf's block is re-centred on 0 whatever its support.  Over a product
+    # the two components also move apart, z^k in one and z^-k in the other.
+    # Exact rings compare by ==, C and C^2 within 1e-12 of the norm
+    R, draw = SHIFT_SYMBOLS[name]
+    rng = random.Random("shift:" + name)
+    for _ in range(4):
+        facs = draw(rng)
+        base = wl.invert_from_factors(R, facs, (-70, 70))
+        want = (wl.pi_plus(base), wl.pi_minus(base))
+        for k in range(-6, 7):
+            pairs = [wl.invert_from_factors(R, facs + [wl.Mono(k, R.one)], (-70, 70))]
+            if R.components is not None:
+                o_a, o_b = _split_monomial(R, (k, -k))
+                pairs.append(wl.InvertiblePair.make(base.a.mul(o_a), base.b.mul(o_b)))
+            for pair in pairs:
+                for got, ref in zip((wl.pi_plus(pair), wl.pi_minus(pair)), want):
+                    if R.is_exact:
+                        assert got.coeffs == ref.coeffs, (facs, k)
+                    else:
+                        assert got.sup_diff(ref) <= 1e-12 * ref.sup_seminorm(), (facs, k)
+
+
+# component exponents of the orthogonal multipliers of exact_low's Q^2 jobs
+ORTHOGONAL_EXPS = [(0, 3), (1, -1), (3, 1), (-3, -2), (-1, 2),
+                   (0, -2), (2, -3), (3, 0), (-2, 1), (-1, -3)]
+
+
+def _block_symbols(R, param):
+    """``(pair, span)`` for exact_low's Q^2 x orthogonal shapes, 1-5 factors
+    rotating antiholo, holo and mono times ``z^e0`` (+) ``z^e1``, and for the
+    3-factor symbol times ``z^8`` (+) ``z^-8``.  ``param()`` draws a nonzero
+    parameter, so each component spans one exponent per antiholo or holo
+    factor."""
+    one = R.components[0].one
+    shapes = [([("A", "H", "M")[(rot + j) % 3] for j in range(count)],
+                ORTHOGONAL_EXPS[2 * count - 2 + rot])
+              for count in range(1, 6) for rot in (0, 1)] + [(["A", "H", "H"], (8, -8))]
+    for shape, exps in shapes:
+        facs = [wl.Antiholo((param(), param())) if kind == "A" else
+                wl.Holo((param(), param())) if kind == "H" else wl.Mono(j % 5 - 2, (one, one))
+                for j, kind in enumerate(shape)]
+        base = wl.invert_from_factors(R, facs, (-60, 60))
+        o_a, o_b = _split_monomial(R, exps)
+        yield (wl.InvertiblePair.make(base.a.mul(o_a), base.b.mul(o_b)),
+               sum(kind != "M" for kind in shape))
+
+
+@pytest.mark.parametrize("ring_name", ["Q^2", "C^2", "Q[e]"])
+def test_outer_projection_blocks_span_their_leaves(monkeypatch, ring_name):
+    # each leaf's block has as many rows as its own support spans, however
+    # far the leaves' supports lie from 0 and from each other: Berkowitz
+    # over Q and on ring elements, the sampled pencil over C
+    from whlaurent.corpus import random_complex_parameter, random_rational_parameter
+    from whlaurent.determinants import _poly_det, berkowitz
+
+    sizes = []
+    monkeypatch.setattr(factorization, "berkowitz",
+                        lambda a, *rest: sizes.append(len(a)) or berkowitz(a, *rest))
+    monkeypatch.setattr(factorization, "_poly_det",
+                        lambda ring, coef, deg: sizes.append(len(coef[0])) or
+                        _poly_det(ring, coef, deg))
+    rng = random.Random("blocks:" + ring_name)
+    if ring_name == "Q[e]":
+        D = dual_ring(Q)
+        draws = [_paired_factors(rng) + [wl.Mono(k, D.one)] for k in range(-8, 9)]
+        symbols = [(wl.invert_from_factors(D, facs, (-80, 80)),
+                    sum(not isinstance(f, wl.Mono) for f in facs)) for facs in draws]
+    elif ring_name == "Q^2":
+        symbols = _block_symbols(Q2, lambda: random_rational_parameter(rng))
+    else:
+        symbols = _block_symbols(wl.product_ring(wl.complex_ring(), 2),
+                                 lambda: random_complex_parameter(rng, (0.1, 0.9)))
+    leaves = 1 if ring_name == "Q[e]" else 2
+    for pair, span in symbols:
+        sizes.clear()
+        wl.factorize(pair)
+        assert sizes == [span] * (2 * leaves), (pair.a, sizes)
+
+
 @pytest.mark.parametrize("exact_ring", [True, False], ids=["Q", "C"])
 def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     # pi_plus and pi_minus keep their result on the pair, so the middle
@@ -679,7 +791,7 @@ def _reflect(s):
 
 
 def _reflection_symbols(ring_name):
-    from whlaurent.corpus import random_complex_factors, random_rational_factors
+    from whlaurent.corpus import random_rational_factors
 
     rng = random.Random("reflect:" + ring_name)
     for i in range(40):

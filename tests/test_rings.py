@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import whlaurent as wl
-from whlaurent.rings import RingError, leaf_kind, parse_rational, sup
+from whlaurent.rings import RingError, _parse_literal, leaf_kind, parse_rational, sup
 from whlaurent.serialize import series_from_json
 
 from conftest import dual_ring
@@ -168,6 +168,30 @@ def test_rational_parser_rejects_what_fraction_rejects(s):
         with pytest.raises(ValueError) as info:
             parse(s)
         assert type(info.value) is type(ref.value)
+
+
+def _outcome(parse, s):
+    """The value of ``parse(s)``, or the class and message of its error."""
+    try:
+        return parse(s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# plain literals, which parse_rational reads with int(), and strings of
+# pieces that send a literal to the grammar or make it malformed
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+PLAIN_LITERALS = st.builds(lambda sign, num, den: sign + num + den, st.sampled_from(["", "-", "+"]),
+                           DIGITS, st.one_of(st.just(""), DIGITS.map("/".__add__)))
+LITERAL_PIECES = st.lists(st.sampled_from(["0", "7", "12", "-", "+", "/", " ", "_", ".", "e",
+                                           "\u0663", "\u00b2", "x"]), max_size=6).map("".join)
+
+
+@given(st.one_of(PLAIN_LITERALS, LITERAL_PIECES))
+def test_rational_fast_path_matches_the_grammar(s):
+    # the int() reading of plain literals gives the values and the errors,
+    # zero denominator included, of the Fraction(str) grammar
+    assert _outcome(parse_rational, s) == _outcome(_parse_literal, s)
 
 
 @pytest.mark.parametrize("s", sorted(Q2_MALFORMED))

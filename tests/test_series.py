@@ -13,6 +13,7 @@ import whlaurent as wl
 from whlaurent import cli, serialize
 from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
                              random_rational_factors, random_rational_parameter)
+from whlaurent.exact import from_terms
 from whlaurent.factorization import FactorizationError, _check_projection, residual_bound
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
@@ -258,6 +259,27 @@ def test_json_round_trip():
         data = serialize.series_to_json(a)
         back = serialize.series_from_json(ring, data)
         assert back.equals(a) and back.coeffs == a.coeffs
+
+
+LEAF_TERMS = st.dictionaries(st.integers(-4, 4), st.tuples(st.integers(-60, 60),
+                                                          st.integers(1, 40)), max_size=5)
+EXACT_RINGS = [(Q, 1), (wl.product_ring(Q, 2), 2), (wl.product_ring(Q, 3), 3),
+               (wl.product_ring(wl.product_ring(Q, 2), 2), 4)]
+
+
+@given(st.sampled_from(EXACT_RINGS), st.lists(LEAF_TERMS, min_size=4, max_size=4))
+def test_exact_series_json_is_the_rings_fmt(ring_leaves, leaves):
+    # each coefficient written from the integer forms is byte-identical to
+    # the ring's own fmt of its Fraction value, zero components included,
+    # and writing builds no Fraction map
+    ring, count = ring_leaves
+    forms = [from_terms([(n, num, den) for n, (num, den) in terms.items()])
+             for terms in leaves[:count]]
+    a = LaurentSeries._from_ints(ring, forms)
+    got = serialize.series_to_json(a)
+    assert a._coeffs is None
+    ref = LaurentSeries._from_ints(ring, forms).coeffs
+    assert got == [{"n": n, "c": ring.fmt(ref[n])} for n in sorted(ref)]
 
 
 def test_ring_from_json():
@@ -698,7 +720,9 @@ def _lift(x, ring, ks=None):
 
 def test_factorize_job_never_builds_the_inverse_map(monkeypatch):
     # over Q^2 the inverse b goes from the integer inverse to the residual,
-    # the outer projections and the long divisions without a Fraction map
+    # the outer projections and the long divisions without a Fraction map,
+    # and the output is written from the integer forms too, so the job
+    # builds no Fraction map at all
     pairs, built = [], []
     invert, coeffs = cli.invert_from_factors, LaurentSeries.coeffs
 
@@ -721,8 +745,9 @@ def test_factorize_job_never_builds_the_inverse_map(monkeypatch):
     code, payload = cli.run_job(job)
     assert code == 0 and payload["winding"] == 1 and payload["residual"] == 0.0
     (pair,) = pairs
-    assert built and all(s is not pair.b for s in built)
-    assert pair.b._coeffs is None and len(pair.b.support()) > 40
+    assert built == [] and pair.b._coeffs is None and len(pair.b.support()) > 40
+    pair.b.coeffs  # the spy sees a map being built
+    assert built == [pair.b]
 
 
 # -- the checks at the end of factorize read the integer forms ----------
