@@ -13,7 +13,7 @@ from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
                      laurent_ring)
 from .matrices import (Lattice, WindowedMatrix, build_F, build_U, build_Utilde,
                        conjugate_UR, identity, mat_add, mat_mul, mat_sub,
-                       perturbation_columns, project, ur_monomial)
+                       project, ur_monomial)
 from .determinants import (det_block, det_identity_plus, det_tilde_column_reduced,
                            det_truncated)
 from .factorization import (FactorizationError, FactorizationResult,
@@ -34,7 +34,7 @@ __all__ = [
     "factors_to_series", "invert_from_factors", "invert_numeric", "laurent_ring",
     "Lattice", "WindowedMatrix", "build_F", "build_U", "build_Utilde",
     "conjugate_UR", "identity", "mat_add", "mat_mul", "mat_sub",
-    "perturbation_columns", "project", "ur_monomial",
+    "project", "ur_monomial",
     "det_block", "det_identity_plus",
     "det_tilde_column_reduced", "det_truncated",
     "FactorizationError", "FactorizationResult", "OrthogonalDecomposition",

@@ -71,19 +71,8 @@ class OrthogonalDecomposition:
 
 # -- bracket perturbation blocks -------------------------------------
 
-def _check_b_window(pair: InvertiblePair) -> None:
-    b = pair.b
-    if b.window is None:
-        return
-    d = max(map(abs, pair.a._supp_bounds()))
-    need = (-3 * d - 1, 3 * d + 1)
-    if b.window[0] > need[0] or b.window[1] < need[1]:
-        raise WindowError(
-            "inverse window [%d,%d] too small; need at least [%d,%d]"
-            % (b.window[0], b.window[1], need[0], need[1]))
-
-
 Columns = Dict[int, List[Tuple[int, int, int]]]
+Block = Tuple[int, List[int], Columns]
 
 
 def _bracket_cols(support: Sequence[int]) -> Tuple[List[int], Columns]:
@@ -119,6 +108,31 @@ def _centred_cols(support: Sequence[int]) -> Tuple[int, List[int], Columns]:
     return (e, *_bracket_cols([d - e for d in support]))
 
 
+def _b_range(jp: List[int], cols: Columns) -> Optional[Tuple[int, int]]:
+    """The exponents ``[lo, hi]`` of ``b`` that the bracket block on the rows
+    ``jp`` reads, ``b_(r-j)`` for each row ``r`` and each row ``j`` of a
+    column entry, and None for a block with no columns."""
+    js = [j for col in cols.values() for j, _d, _s in col]
+    return (jp[0] - max(js), jp[-1] - min(js)) if js else None
+
+
+def _check_b_range(b: LaurentSeries, blocks: Sequence[Block]) -> None:
+    """``b``'s window holds every exponent that the blocks and their mirror
+    images read, each block ``(e, J', columns)`` built for ``z^e b``
+    (:func:`_centred_cols`).  The mirror image, the block of the reflected
+    pair, has rows ``1 - J'`` and column rows ``-1 - j`` on ``b(1/z)``, so
+    it reads ``b`` two lower: pi_+ and pi_- ask for one window,
+    ``[e - 2 hi, e - 2 lo]`` on a leaf with support ``[lo, hi]``, and the
+    least window is the hull of the leaves'."""
+    reads = [(r[0] - 2 - e, r[1] - e) for e, jp, cols in blocks if (r := _b_range(jp, cols))]
+    if b.window is None or not reads:
+        return
+    need = (min(lo for lo, _hi in reads), max(hi for _lo, hi in reads))
+    if b.window[0] > need[0] or b.window[1] < need[1]:
+        raise WindowError("inverse window [%d,%d] too small; need at least [%d,%d]"
+                          % (*b.window, *need))
+
+
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
                  b: Ints) -> Tuple[Dict[Tuple[int, int], int], int]:
     """The nonzero bracket entries over ``Q`` as an integer Toeplitz
@@ -126,10 +140,9 @@ def _int_bracket(jp: List[int], cols: Columns, a: Ints,
     and of the slice of ``b`` that the rows ``jp`` read."""
     if not cols:
         return {}, 1
-    js = [j for col in cols.values() for j, _d, _s in col]
     ds = [d for col in cols.values() for _j, d, _s in col]
-    lo = jp[0] - max(js)
-    bs, db = slice_ints(b, lo, jp[-1] - min(js))
+    lo, hi = _b_range(jp, cols)
+    bs, db = slice_ints(b, lo, hi)
     # all of a, so that da is its denominator, and every exponent read
     a_lo = min(a[0], *ds)
     an, da = slice_ints(a, a_lo, max(a[0] + len(a[1]) - 1, *ds))
@@ -149,10 +162,11 @@ def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
     the column reduction reads.
 
     Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
-    so they are not built; the rows built read b only on [-2d, 2d], d the
-    largest |exponent| of a.  The entries are sums of ring products over
-    every ring, each kept as computed: the block is a matrix, not a
-    series, so nothing is cut to the ring's tolerance here.  Over ``Q`` and
+    so they are not built; the rows built read b only on :func:`_b_range`,
+    inside [-2d, 2d] for d the largest |exponent| of a.  The entries are
+    sums of ring products over every ring, each kept as computed: the
+    block is a matrix, not a series, so nothing is cut to the ring's
+    tolerance here.  Over ``Q`` and
     ``C`` the outer projection builds the block on integers or complex
     arrays itself (:func:`_outer_projection`).
     """
@@ -167,8 +181,8 @@ def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
 def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any) -> WindowedMatrix:
     """coef times the bracket block of ``pair`` on its own support, not
     re-centred, as a w-series WindowedMatrix."""
-    _check_b_window(pair)
     jp, cols = _bracket_cols(pair.a.support())
+    _check_b_range(pair.b, [(0, jp, cols)])
     ents = _bracket_block(jp, cols, pair.a, pair.b)
     lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
     window = (lo - 1, hi + 1)
@@ -209,9 +223,9 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     re-centred on 0 (:func:`_centred_cols`): the pair ``(z^-e a, z^e b)``
     has the same pi_+, and its block has as many rows as the leaf's
     support ``[lo, hi]`` spans (on a support that does not straddle 0 it
-    would have ``max(hi, -lo)``).  The inverse window is checked once, on
-    the union of the leaves' supports (:func:`_check_b_window`); every
-    leaf's block reads ``b`` inside it.
+    would have ``max(hi, -lo)``).  ``b``'s window must hold what each
+    leaf's block and its mirror image read, ``[e - 2 hi, e - 2 lo]``
+    (:func:`_check_b_range`).
 
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
@@ -228,38 +242,45 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     (:func:`_bracket_block`) and runs the same Berkowitz on them, with
     the ring's inner product (:meth:`rings.Ring.dot`).
     """
-    _check_b_window(pair)
     a, b = pair.a, pair.b
     ring = a.ring
     kind = leaf_kind(ring)
     if kind is None:
-        e, jp, cols = _centred_cols(a.support())
+        e, jp, cols = block = _centred_cols(a.support())
+        _check_b_range(b, [block])
         ents = _bracket_block(jp, cols, a.shift(-e), b.shift(e))
         coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                            ring.dot, ring.neg, ring.one)
         return LaurentSeries(ring, dict(enumerate(coeffs)))
     if kind is Fraction:
-        return LaurentSeries._from_ints(ring, [_int_projection(x, y)
-                                               for x, y in zip(a.ints, b.ints)])
+        blocks = [_centred_cols([lo + i for i, x in enumerate(nums) if x])
+                  for lo, nums, _den in a.ints]
+        _check_b_range(b, blocks)
+        return LaurentSeries._from_ints(ring, [_int_projection(block, x, y)
+                                               for block, x, y in zip(blocks, a.ints, b.ints)])
 
-    def leaf(comp: Ring, ac: Dict[int, Any], bc: Dict[int, Any]) -> Dict[int, Any]:
-        e, jp, cols = _centred_cols(sorted(n for n, c in ac.items() if c))
+    def leaf(comp: Ring, ac: Dict[int, Any],
+             bc: Dict[int, Any]) -> Tuple[Dict[int, Any], List[Block]]:
+        e, jp, cols = block = _centred_cols(sorted(n for n, c in ac.items() if c))
         if e:
             ac, bc = {n - e: c for n, c in ac.items()}, {n + e: c for n, c in bc.items()}
         k = _c_k_matrix(jp, cols, ac, bc)
         coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
-        return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}
+        return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}, [block]
 
-    return LaurentSeries._trusted(ring, per_component(ring, leaf, split_map, a.coeffs, b.coeffs))
+    # b reads as 0 beyond its window, so the check may follow the blocks
+    coeffs, blocks = per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
+    _check_b_range(b, blocks)
+    return LaurentSeries._trusted(ring, coeffs)
 
 
-def _int_projection(a: Ints, b: Ints) -> Ints:
+def _int_projection(block: Block, a: Ints, b: Ints) -> Ints:
     """det(I - w K) over ``Q`` as an integer form, for the leaf forms ``a``
-    and ``b`` re-centred by ``e`` (:func:`_centred_cols`): for ``M = d K``
-    with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of ``w^i`` is
-    ``m_i / d^i = m_i d^(n-i) / d^n``."""
+    and ``b`` re-centred by the ``e`` of ``block`` (:func:`_centred_cols`):
+    for ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the
+    coefficient of ``w^i`` is ``m_i / d^i = m_i d^(n-i) / d^n``."""
     (a_lo, a_nums, a_den), (b_lo, b_nums, b_den) = a, b
-    e, jp, cols = _centred_cols([a_lo + i for i, x in enumerate(a_nums) if x])
+    e, jp, cols = block
     ents, d = _int_bracket(jp, cols, (a_lo - e, a_nums, a_den), (b_lo + e, b_nums, b_den))
     ms = berkowitz(_k_matrix(jp, ents, 0, d, operator.add), dot, operator.neg, 1)
     n = len(ms) - 1
@@ -306,8 +327,8 @@ def _c_k_matrix(jp: List[int], cols: Columns, a: Dict[int, complex],
             for j, d, s in cols[k]:
                 w[at[j], c] = a.get(d, 0j) if s > 0 else -a.get(d, 0j)
         rows = np.array(jp)
-        lo = jp[0] - js[-1]
-        gather = to_array(b, lo, jp[-1] - js[0])[rows[:, None] - np.array(js) - lo]
+        lo, hi = _b_range(jp, cols)
+        gather = to_array(b, lo, hi)[rows[:, None] - np.array(js) - lo]
         k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = gather @ w
     for i, j in _shift_entries(jp):
         k_mat[i, j] += 1

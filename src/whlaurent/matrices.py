@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .rings import Ring, RingError, check_same
 from .series import LaurentSeries, WindowError
@@ -325,22 +325,3 @@ def column_shift(x: WindowedMatrix, s: int) -> WindowedMatrix:
             ents[(r, c + s)] = v
     return WindowedMatrix(x.ring, x.lattice, x.window, ents, x.band + abs(s),
                           _shrink(x.reliable, abs(s)))
-
-
-# -- perturbation support ---------------------------------------------
-
-def perturbation_columns(m: WindowedMatrix, reference: WindowedMatrix) -> Set[int]:
-    """Columns on which the matrix differs from the reference.
-
-    Errors out when a differing column touches the common reliable
-    boundary, since the true support may then extend past the window.
-    """
-    diff = mat_sub(m, reference)
-    rel = diff.reliable
-    cols = set()
-    for (r, c), v in diff.entries.items():
-        if rel[0] <= c <= rel[1] and rel[0] <= r <= rel[1]:
-            cols.add(c)
-    if cols and (min(cols) == rel[0] or max(cols) == rel[1]):
-        raise WindowError("perturbation columns touch the reliable boundary")
-    return cols

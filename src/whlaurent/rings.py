@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -100,32 +99,16 @@ def sup(norms: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
 
 
-# the literals Fraction(str) accepts (Python 3.11): a sign, digits with
-# underscores, then a denominator, or a decimal part and an exponent
-_RATIONAL = re.compile(r"""
-    \A\s*                                 # optional whitespace at the start,
-    (?P<sign>[-+]?)                       # an optional sign, then
-    (?=\d|\.\d)                           # lookahead for digit or .digit
-    (?P<num>\d*|\d+(_\d+)*)               # numerator (possibly empty)
-    (?:                                   # followed by
-       (?:/(?P<denom>\d+(_\d+)*))?        # an optional denominator
-    |                                     # or
-       (?:\.(?P<decimal>d*|\d+(_\d+)*))?  # an optional fractional part
-       (?:E(?P<exp>[-+]?\d+(_\d+)*))?     # and optional exponent
-    )
-    \s*\Z                                 # and optional whitespace to finish
-""", re.VERBOSE | re.IGNORECASE)
-
-
 def parse_rational(s: str) -> Tuple[int, int]:
-    """``(numerator, denominator)`` of a rational literal, not reduced, with
-    a positive denominator: the literals and values of ``Fraction(s)``.
-    Any other string, and a zero denominator, is a ``ValueError``.
+    """``(numerator, denominator)`` of a rational literal, with a positive
+    denominator, not always in lowest terms: the literals and values of
+    ``Fraction(s)``.  Any other string, and a zero denominator, is a
+    ``ValueError``.
 
     A plain ASCII ``[-+]digits[/digits]``, the form the serializer writes,
     is split at its bar and read by ``int``; every other literal (spaces,
-    underscores, decimals, exponents, non-ASCII digits) takes
-    :func:`_parse_literal`, with the same values and errors."""
+    underscores, decimals, exponents, non-ASCII digits) is read by
+    ``Fraction(s)`` itself."""
     num, bar, den = s.partition("/")
     digits = num[1:] if num[:1] in "-+" else num
     if s.isascii() and digits.isdigit() and (den.isdigit() or not bar):
@@ -133,32 +116,11 @@ def parse_rational(s: str) -> Tuple[int, int]:
         if not d:
             raise ValueError("zero denominator in %r" % s)
         return int(num), d
-    return _parse_literal(s)
-
-
-def _parse_literal(s: str) -> Tuple[int, int]:
-    """:func:`parse_rational` by the grammar of ``Fraction(str)``."""
-    m = _RATIONAL.match(s)
-    if m is None:
-        raise ValueError("Invalid literal for Fraction: %r" % s.strip())
-    sign, num, denom, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
-    num, den = int(num or "0"), 1
-    if denom:
-        den = int(denom)
-        if not den:
-            raise ValueError("zero denominator in %r" % s)
-    else:
-        if decimal:
-            decimal = decimal.replace("_", "")
-            den = 10 ** len(decimal)
-            num = num * den + int(decimal)
-        if exp:
-            e = int(exp)
-            if e >= 0:
-                num *= 10 ** e
-            else:
-                den *= 10 ** -e
-    return (-num if sign == "-" else num), den
+    try:
+        x = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % s) from None
+    return x.numerator, x.denominator
 
 
 def rational_ring() -> Ring:

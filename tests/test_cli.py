@@ -497,9 +497,10 @@ def test_exact_jobs_golden_digest():
 def test_q2_leaves_far_apart_at_the_inverse_window_bound(tmp_path, capsys):
     # (1 - z^-1/2)(1 - z/3)(1 - 2z/5), other parameters in the second
     # component, times z^8 in the first component and z^-8 in the second:
-    # the leaves span [7, 10] and [-9, -6], so the inverse window must reach
-    # 3 * 10 + 1 = 31.  There each leaf's re-centred block reads b inside
-    # the window and the job gives the closed-form factors; one less is
+    # the leaves span [7, 10] and [-9, -6].  Re-centred by e = 7 and -6,
+    # their blocks read b on [e - 2 hi, e - 2 lo] = [-13, -7] and [6, 12],
+    # so the job needs the hull [-13, 12] (not the union bound [-31, 31]):
+    # at half-window 13 it gives the closed-form factors, at 12 it is
     # refused
     anti = [wl.Antiholo((Fraction(1, 2), Fraction(-2, 3)))]
     holo = [wl.Holo((Fraction(1, 3), Fraction(1, 4))), wl.Holo((Fraction(2, 5), Fraction(-1, 5)))]
@@ -514,9 +515,10 @@ def test_q2_leaves_far_apart_at_the_inverse_window_bound(tmp_path, capsys):
                 "inverse": [{"n": n, "c": _fmt_q2(c)} for n, c in sorted(b.coeffs.items())
                             if -half <= n <= half]}
 
-    code, payload = run(tmp_path, capsys, job(30))
-    assert code == 3 and "inverse window" in payload["error"]
-    code, payload = run(tmp_path, capsys, job(31))
+    code, payload = run(tmp_path, capsys, job(12))
+    assert code == 3
+    assert "inverse window [-12,12] too small; need at least [-13,12]" in payload["error"]
+    code, payload = run(tmp_path, capsys, job(13))
     assert code == 0
     assert payload["pi_minus"] == series_to_json(wl.factors_to_series(Q2, anti))
     assert payload["pi_tilde"] == series_to_json(tilde)

@@ -12,7 +12,7 @@ import whlaurent as wl
 from whlaurent import factorization
 from whlaurent.corpus import random_complex_factors, random_rational_factors
 from whlaurent.factorization import FactorizationError
-from whlaurent.rings import RingError
+from whlaurent.rings import RingError, leaf_kind
 from whlaurent.series import LaurentSeries, SeriesClass, WindowError
 
 from conftest import dual_ring, sixteen_factor_symbol, worked_pair
@@ -755,6 +755,82 @@ def test_outer_projection_blocks_span_their_leaves(monkeypatch, ring_name):
         sizes.clear()
         wl.factorize(pair)
         assert sizes == [span] * (2 * leaves), (pair.a, sizes)
+
+
+def _leaf_spans(a):
+    """The hull ``(lo, hi)`` of each leaf's support: per component of a
+    product of ``Q`` or ``C``, of the whole series over any other ring."""
+    R = a.ring
+    if R.components is None or leaf_kind(R) is None:
+        supp = a.support()
+        return [(supp[0], supp[-1])]
+    exps = [[n for n, c in a.coeffs.items() if c[i]] for i in range(len(R.components))]
+    return [(min(ns), max(ns)) for ns in exps]
+
+
+def _least_inverse_window(a):
+    """The hull over the leaves of ``[e - 2 hi, e - 2 lo]``, ``e`` the
+    exponent that re-centres a leaf on 0: what pi_+ and pi_- read of ``b``
+    together.  None when every leaf is a monomial and nothing is read."""
+    reads = [(e - 2 * hi, e - 2 * lo) for lo, hi in _leaf_spans(a) if lo < hi
+             for e in [lo if lo > 0 else hi if hi < 0 else 0]]
+    return (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else None
+
+
+def _windowed(pair, lo, hi):
+    """``pair`` with its inverse cut to ``[lo, hi]``."""
+    return dataclasses.replace(pair, b=LaurentSeries(pair.b.ring, pair.b.coeffs, (lo, hi)))
+
+
+@pytest.mark.parametrize("name", ["Q", "Q^2", "C", "Q[e]"])
+def test_inverse_window_is_what_the_blocks_read(name):
+    # b cut to exactly what the blocks of pi_+ and pi_- read gives the
+    # output of a wide window, and one coefficient fewer at either end is a
+    # WindowError: for factorize the hull of [e - 2 hi, e - 2 lo] over the
+    # leaves, for the closed forms' blocks (built on the support [lo, hi] of
+    # a, not re-centred) [-2 max(hi, 0), -2 min(lo, 0)].  A monomial moves
+    # the support off 0, over Q^2 by z^k in one component and z^-k in the
+    # other
+    from whlaurent.factorization import holomorphic_det_matrix
+    from whlaurent.series import laurent_ring
+
+    R, draw = SHIFT_SYMBOLS[name]
+    Rw, w = laurent_ring(R, "w"), LaurentSeries.monomial(R, 1)
+    rng = random.Random("window:" + name)
+    checked = 0
+    for _ in range(8):
+        facs, k = draw(rng), rng.randint(-8, 8)
+        if R.components is None:
+            wide = wl.invert_from_factors(R, facs + [wl.Mono(k, R.one)], (-80, 80))
+        else:
+            base = wl.invert_from_factors(R, facs, (-80, 80))
+            o_a, o_b = _split_monomial(R, (k, -k))
+            wide = wl.InvertiblePair.make(base.a.mul(o_a), base.b.mul(o_b))
+        need = _least_inverse_window(wide.a)
+        if need is None:
+            continue
+        checked += 1
+        want = wl.factorize(wide)
+        got = wl.factorize(_windowed(wide, *need))
+        for g, r in zip((got.pi_minus, got.pi_tilde, got.pi_plus),
+                        (want.pi_minus, want.pi_tilde, want.pi_plus)):
+            if R.is_exact:
+                assert g.coeffs == r.coeffs, (facs, k)
+            else:
+                assert g.sup_diff(r) <= 1e-12 * r.sup_seminorm(), (facs, k)
+        assert got.winding == want.winding
+        lo, hi = wide.a._supp_bounds()
+        block_need = (-2 * max(hi, 0), -2 * min(lo, 0))
+        want_block = holomorphic_det_matrix(wide, Rw, w)
+        got_block = holomorphic_det_matrix(_windowed(wide, *block_need), Rw, w)
+        assert got_block.entries.keys() == want_block.entries.keys()
+        assert all(Rw.equals(v, want_block.entries[rc]) for rc, v in got_block.entries.items())
+        for (x, y), build in ((need, wl.factorize),
+                              (block_need, lambda p: holomorphic_det_matrix(p, Rw, w))):
+            for narrow in ((x + 1, y), (x, y - 1)):
+                with pytest.raises(WindowError, match="need at least"):
+                    build(_windowed(wide, *narrow))
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("exact_ring", [True, False], ids=["Q", "C"])

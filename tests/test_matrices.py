@@ -148,18 +148,6 @@ def test_dump_separators():
     assert sum(1 for l in half.splitlines() if set(l) == {"-"}) == 1
 
 
-def test_perturbation_columns_and_boundary_error():
-    ident = mx.identity(Q, Lattice.INTEGER, WIN)
-    m = mx.identity(Q, Lattice.INTEGER, WIN)
-    m.entries[(0, 1)] = Fraction(5)
-    m.entries[(2, -1)] = Fraction(7)
-    assert mx.perturbation_columns(m, ident) == {1, -1}
-    bad = mx.identity(Q, Lattice.INTEGER, WIN)
-    bad.entries[(0, WIN[1])] = Fraction(1)
-    with pytest.raises(WindowError):
-        mx.perturbation_columns(bad, ident)
-
-
 def test_matrix_window_mismatch_raises():
     a = mx.identity(Q, Lattice.INTEGER, WIN)
     b = mx.identity(Q, Lattice.INTEGER, (-5, 5))
