@@ -19,7 +19,7 @@ print("symbol      a =", pair.a)
 print("inverse     b =", pair.b.truncate((-3, 3)), "(shown on [-3, 3])")
 print("pair residual =", pair.residual)
 
-res = wl.factorize(pair, (-16, 16))
+res = wl.factorize(pair)
 print()
 print("pi_minus =", res.pi_minus)
 print("pi_tilde =", res.pi_tilde)
@@ -33,7 +33,7 @@ print("reconstruction:", res.reconstruct())
 # monomial unit
 factors = [wl.Antiholo(Fraction(2, 5)), wl.Mono(-2, Fraction(3))]
 pair = wl.invert_from_factors(Q, factors, (-32, 32))
-res = wl.factorize(pair, (-16, 16))
+res = wl.factorize(pair)
 print()
 print("second symbol:", pair.a)
 print("  ->", res.pi_minus, "*", res.pi_tilde, "*", res.pi_plus,

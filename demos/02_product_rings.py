@@ -19,7 +19,7 @@ b = LaurentSeries(R, {-1: (one, zero), 1: (zero, one)})
 pair = wl.InvertiblePair.make(a, b)
 print("symbol a =", a)
 
-res = wl.factorize(pair, (-10, 10))
+res = wl.factorize(pair)
 print("pi_tilde =", res.pi_tilde)
 print("winding  =", res.winding, "(undefined: the ring decomposes)")
 
@@ -42,7 +42,7 @@ print("matches the orthonormal part: ", recovered.equals(a))
 # per component, factored exactly
 al = (Fraction(1, 2), Fraction(1, 3))
 pair = wl.invert_from_factors(R, [wl.Antiholo(al), wl.Mono(1, R.one)], (-24, 24))
-res = wl.factorize(pair, (-12, 12))
+res = wl.factorize(pair)
 print()
 print("mixed symbol:", pair.a)
 print("  pi_minus =", res.pi_minus)

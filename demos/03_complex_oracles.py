@@ -19,7 +19,7 @@ C = wl.complex_ring()
 # (3 +- sqrt 5)/2, one inside and one outside the circle
 a = LaurentSeries(C, {-1: -1.0 + 0j, 0: 3.0 + 0j, 1: -1.0 + 0j})
 pair = wl.invert_numeric(a, 1024)
-engine = wl.factorize(pair, (-16, 16))
+engine = wl.factorize(pair)
 print("symbol:", a)
 print("engine pi_plus coefficient at w:", engine.pi_plus.coeff(1))
 print("expected -(3 - sqrt 5)/2       :", -(3 - 5 ** 0.5) / 2)
@@ -38,7 +38,7 @@ worst = 0.0
 for _ in range(10):
     factors = random_complex_factors(rng)
     pair = wl.invert_from_factors(C, factors, (-24, 24))
-    engine = wl.factorize(pair, (-24, 24))
+    engine = wl.factorize(pair)
     for orc in (cepstral_factorize(pair.a), root_split_factorize(pair.a)):
         worst = max(worst, compare(engine, orc).max_diff)
 print("worst difference over 10 symbols x 2 oracles: %.2e" % worst)

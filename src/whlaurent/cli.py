@@ -131,7 +131,7 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         return EXIT_OK, {"residual": certify(pair, pm, pt, pp)}
 
     # factorize
-    res = factorize(pair, window)
+    res = factorize(pair)
     payload = result_to_json(res)
     if dump_matrices:
         payload["matrices"] = _matrix_dumps(pair, ring, window)
@@ -163,7 +163,7 @@ def _run_oracle_compare(job: Dict[str, Any], ring: Ring,
     worst = 0.0
     windings_agree = True
     for pair in cases:
-        engine = factorize(pair, window)
+        engine = factorize(pair)
         for orc in (cepstral_factorize(pair.a), root_split_factorize(pair.a)):
             rep = compare(engine, orc)
             worst = max(worst, rep.max_diff)

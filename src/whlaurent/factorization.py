@@ -116,21 +116,23 @@ def _b_range(jp: List[int], cols: Columns) -> Optional[Tuple[int, int]]:
     return (jp[0] - max(js), jp[-1] - min(js)) if js else None
 
 
-def _check_b_range(b: LaurentSeries, blocks: Sequence[Block]) -> None:
+def _check_b_range(b: LaurentSeries, blocks: Sequence[Block], mirror: bool = False) -> None:
     """``b``'s window holds every exponent that the blocks and their mirror
     images read, each block ``(e, J', columns)`` built for ``z^e b``
     (:func:`_centred_cols`).  The mirror image, the block of the reflected
     pair, has rows ``1 - J'`` and column rows ``-1 - j`` on ``b(1/z)``, so
     it reads ``b`` two lower: pi_+ and pi_- ask for one window,
     ``[e - 2 hi, e - 2 lo]`` on a leaf with support ``[lo, hi]``, and the
-    least window is the hull of the leaves'."""
+    least window is the hull of the leaves'.  ``mirror`` marks the blocks
+    of a reflected pair, whose error names both on the ``b`` it reflects."""
     reads = [(r[0] - 2 - e, r[1] - e) for e, jp, cols in blocks if (r := _b_range(jp, cols))]
     if b.window is None or not reads:
         return
     need = (min(lo for lo, _hi in reads), max(hi for _lo, hi in reads))
     if b.window[0] > need[0] or b.window[1] < need[1]:
+        s = -1 if mirror else 1
         raise WindowError("inverse window [%d,%d] too small; need at least [%d,%d]"
-                          % (*b.window, *need))
+                          % (*sorted(s * n for n in b.window), *sorted(s * n for n in need)))
 
 
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
@@ -178,11 +180,12 @@ def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
             for r in jp for k, (js, vs) in vals.items()}
 
 
-def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any) -> WindowedMatrix:
+def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any,
+                  mirror: bool = False) -> WindowedMatrix:
     """coef times the bracket block of ``pair`` on its own support, not
-    re-centred, as a w-series WindowedMatrix."""
+    re-centred, as a w-series WindowedMatrix (``mirror``: :func:`_check_b_range`)."""
     jp, cols = _bracket_cols(pair.a.support())
-    _check_b_range(pair.b, [(0, jp, cols)])
+    _check_b_range(pair.b, [(0, jp, cols)], mirror)
     ents = _bracket_block(jp, cols, pair.a, pair.b)
     lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
     window = (lo - 1, hi + 1)
@@ -202,12 +205,13 @@ def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Wi
     """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
     rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
     block A' of the reflected pair at w^-1."""
-    return mx._reflect(_scaled_block(pair.reflect(), ring_w, ring_w.neg(ring_w.inverse(w))))
+    return mx._reflect(_scaled_block(pair.reflect(), ring_w, ring_w.neg(ring_w.inverse(w)),
+                                     mirror=True))
 
 
 # -- the projections --------------------------------------------------
 
-def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
+def _outer_projection(pair: InvertiblePair, mirror: bool = False) -> LaurentSeries:
     """pi_+ = det(I - w K) for the constant matrix K = E + B on
     P = [min J', max J'], from the characteristic polynomial
     det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i.  pi_- is
@@ -225,7 +229,7 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     support ``[lo, hi]`` spans (on a support that does not straddle 0 it
     would have ``max(hi, -lo)``).  ``b``'s window must hold what each
     leaf's block and its mirror image read, ``[e - 2 hi, e - 2 lo]``
-    (:func:`_check_b_range`).
+    (:func:`_check_b_range`, ``mirror`` for the reflected pair of pi_-).
 
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
@@ -247,7 +251,7 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     kind = leaf_kind(ring)
     if kind is None:
         e, jp, cols = block = _centred_cols(a.support())
-        _check_b_range(b, [block])
+        _check_b_range(b, [block], mirror)
         ents = _bracket_block(jp, cols, a.shift(-e), b.shift(e))
         coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                            ring.dot, ring.neg, ring.one)
@@ -255,7 +259,7 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
     if kind is Fraction:
         blocks = [_centred_cols([lo + i for i, x in enumerate(nums) if x])
                   for lo, nums, _den in a.ints]
-        _check_b_range(b, blocks)
+        _check_b_range(b, blocks, mirror)
         return LaurentSeries._from_ints(ring, [_int_projection(block, x, y)
                                                for block, x, y in zip(blocks, a.ints, b.ints)])
 
@@ -270,7 +274,7 @@ def _outer_projection(pair: InvertiblePair) -> LaurentSeries:
 
     # b reads as 0 beyond its window, so the check may follow the blocks
     coeffs, blocks = per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
-    _check_b_range(b, blocks)
+    _check_b_range(b, blocks, mirror)
     return LaurentSeries._trusted(ring, coeffs)
 
 
@@ -351,15 +355,12 @@ def pi_minus(pair: InvertiblePair) -> LaurentSeries:
 
 
 def _projection(pair: InvertiblePair, kind: str) -> LaurentSeries:
-    """The checked outer projection ``kind`` of ``pair``, from
-    ``pair.projections`` or computed and stored there."""
-    out = pair.projections.get(kind)
-    if out is None:
-        out = _outer_projection(pair) if kind == "plus" else \
-            _outer_projection(pair.reflect()).reflect()
-        _check_projection(out, kind)
-        pair.projections[kind] = out
-    return out
+    """The outer projection ``kind`` of ``pair``, from ``pair.projections``
+    or computed and stored there; :func:`certify` checks it."""
+    if kind not in pair.projections:
+        pair.projections[kind] = _outer_projection(pair) if kind == "plus" else \
+            _outer_projection(pair.reflect(), mirror=True).reflect()
+    return pair.projections[kind]
 
 
 def _check_projection(p: LaurentSeries, kind: str) -> None:
@@ -376,11 +377,8 @@ def _check_projection(p: LaurentSeries, kind: str) -> None:
 def pi_tilde_derived(pair: InvertiblePair, pi_m: LaurentSeries, pi_p: LaurentSeries,
                      window: Tuple[int, int]) -> LaurentSeries:
     """Orthogonal projection via a(w) * pi_minus(w)^-1 * pi_plus(w)^-1,
-    computed by exact long division."""
-    a_w = pair.a  # same coefficients read as a series in w
-    q = div_unit(a_w, pi_p, window)
-    q = div_unit(q, pi_m, window)
-    return q
+    computed by exact long division of a's coefficients read as a series in w."""
+    return div_unit(div_unit(pair.a, pi_p, window), pi_m, window)
 
 
 def pi_tilde_direct(pair: InvertiblePair,
@@ -464,17 +462,15 @@ def certify(pair: InvertiblePair, pm: LaurentSeries, pt: LaurentSeries,
     return residual
 
 
-def factorize(pair: InvertiblePair,
-              window: Optional[Tuple[int, int]] = None) -> FactorizationResult:
-    """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus."""
+def factorize(pair: InvertiblePair) -> FactorizationResult:
+    """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus, with
+    pi~ on ``[s0 - deg pi_+, s1 + deg pi_-]`` for ``a``'s support ``[s0, s1]``:
+    the least window on which the product that :func:`certify` compares spans ``a``."""
     _check_pair(pair)
     pp = pi_plus(pair)
     pm = pi_minus(pair)
-    if window is None:
-        s = pair.a._supp_bounds()
-        r = max(abs(s[0]), abs(s[1]), 1) + 4
-        window = (-r, r)
-    pt = pi_tilde_derived(pair, pm, pp, window)
+    s0, s1 = pair.a._supp_bounds()
+    pt = pi_tilde_derived(pair, pm, pp, (s0 - pp._supp_bounds()[1], s1 - pm._supp_bounds()[0]))
     return FactorizationResult(pm, pt, pp, certify(pair, pm, pt, pp),
                                winding_index(pt))
 

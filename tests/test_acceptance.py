@@ -40,7 +40,7 @@ def test_criterion_1_exact_reconstruction():
     for _ in range(200):
         factors = random_rational_factors(rng, max_factors=3)
         pair = wl.invert_from_factors(Q, factors, (-48, 48))
-        res = wl.factorize(pair, (-16, 16))
+        res = wl.factorize(pair)
         ok = ok and res.residual == 0.0
     elapsed = time.time() - t0
     report(1, "exact reconstruction of 200 rational symbols in %.1fs" % elapsed,
@@ -53,18 +53,18 @@ def test_criterion_2_projection_homomorphism():
     for _ in range(100):
         f1 = random_rational_factors(rng, max_factors=2)
         f2 = random_rational_factors(rng, max_factors=2)
-        r1 = wl.factorize(wl.invert_from_factors(Q, f1, (-48, 48)), (-20, 20))
-        r2 = wl.factorize(wl.invert_from_factors(Q, f2, (-48, 48)), (-20, 20))
-        r12 = wl.factorize(wl.invert_from_factors(Q, f1 + f2, (-48, 48)), (-20, 20))
+        r1 = wl.factorize(wl.invert_from_factors(Q, f1, (-48, 48)))
+        r2 = wl.factorize(wl.invert_from_factors(Q, f2, (-48, 48)))
+        r12 = wl.factorize(wl.invert_from_factors(Q, f1 + f2, (-48, 48)))
         ok = ok and r12.pi_plus.equals(r1.pi_plus.mul(r2.pi_plus))
         ok = ok and r12.pi_minus.equals(r1.pi_minus.mul(r2.pi_minus))
         ok = ok and r12.pi_tilde.equals(r1.pi_tilde.mul(r2.pi_tilde))
     for _ in range(100):
         f1 = random_complex_factors(rng, n_factors=2)
         f2 = random_complex_factors(rng, n_factors=2)
-        r1 = wl.factorize(wl.invert_from_factors(C, f1, (-48, 48)), (-20, 20))
-        r2 = wl.factorize(wl.invert_from_factors(C, f2, (-48, 48)), (-20, 20))
-        r12 = wl.factorize(wl.invert_from_factors(C, f1 + f2, (-48, 48)), (-20, 20))
+        r1 = wl.factorize(wl.invert_from_factors(C, f1, (-48, 48)))
+        r2 = wl.factorize(wl.invert_from_factors(C, f2, (-48, 48)))
+        r12 = wl.factorize(wl.invert_from_factors(C, f1 + f2, (-48, 48)))
         ok = ok and r12.pi_plus.sup_diff(r1.pi_plus.mul(r2.pi_plus)) <= 1e-9
         ok = ok and r12.pi_minus.sup_diff(r1.pi_minus.mul(r2.pi_minus)) <= 1e-9
         ok = ok and r12.pi_tilde.sup_diff(r1.pi_tilde.mul(r2.pi_tilde)) <= 1e-9
@@ -77,16 +77,16 @@ def test_criterion_3_triviality():
     ok = True
     for _ in range(50):
         factors = random_rational_factors(rng, max_factors=3, kinds=("holo",))
-        res = wl.factorize(wl.invert_from_factors(Q, factors, (-48, 48)), (-16, 16))
+        res = wl.factorize(wl.invert_from_factors(Q, factors, (-48, 48)))
         ok = ok and res.pi_minus.equals(one) and res.pi_tilde.equals(one)
     for _ in range(50):
         factors = random_rational_factors(rng, max_factors=3, kinds=("antiholo",))
-        res = wl.factorize(wl.invert_from_factors(Q, factors, (-48, 48)), (-16, 16))
+        res = wl.factorize(wl.invert_from_factors(Q, factors, (-48, 48)))
         ok = ok and res.pi_plus.equals(one) and res.pi_tilde.equals(one)
     for arity in (2, 3):
         for _ in range(25):
             pair = random_orthogonal_pair(arity, rng)
-            res = wl.factorize(pair, (-12, 12))
+            res = wl.factorize(pair)
             r_one = LaurentSeries.one(pair.a.ring)
             ok = ok and res.pi_plus.equals(r_one) and res.pi_minus.equals(r_one)
             ok = ok and res.pi_tilde.equals(pair.a)
@@ -126,7 +126,7 @@ def test_criterion_5_oracle_agreement():
     for _ in range(100):
         factors = random_complex_factors(rng, n_factors=3)
         pair = wl.invert_from_factors(C, factors, (-24, 24))
-        engine = wl.factorize(pair, (-24, 24))
+        engine = wl.factorize(pair)
         for orc in (cepstral_factorize(pair.a), root_split_factorize(pair.a)):
             rep = compare(engine, orc)
             worst = max(worst, rep.max_diff)

@@ -172,6 +172,12 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_job_must_be_a_json_object(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps([GOLDEN_JOB])))
+    assert main(["--input", "-"]) == 2
+    assert "job must be a JSON object" in capsys.readouterr().err
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GOLDEN_JOB)))
     code = main(["--input", "-"])

@@ -337,6 +337,19 @@ def test_identity_plus_boundary_guard():
         det_identity_plus(a)
 
 
+@pytest.mark.parametrize("variant, reliable, col, err, msg", [
+    ("x", WIN, 0, ValueError, "variant"),
+    ("+", WIN, WIN[0], WindowError, "columns touch the reliable boundary"),
+    ("+", (-10, -3), -5, WindowError, "reduced column set exits"),
+], ids=["variant", "boundary", "wedge"])
+def test_column_reduced_determinant_guards(variant, reliable, col, err, msg):
+    # a column on the boundary, or a wedge [col, 0] that reaches past the
+    # reliable window, is refused before any block is built
+    a = mx.WindowedMatrix(Q, Lattice.INTEGER, WIN, {(col, col): Fraction(1)}, 1, reliable)
+    with pytest.raises(err, match=msg):
+        det_tilde_column_reduced(variant, a, Fraction(1, 2))
+
+
 def _dense_reflection_det(variant, A, Qw, w, size=9):
     """Independent check value: determinant of (reflection factor + A)
     restricted to the finite block [-size, size]."""
@@ -481,6 +494,15 @@ def test_truncated_determinant_rejects_growing_tail():
 def test_truncated_determinant_needs_two_windows():
     with pytest.raises(ValueError, match="two nested windows"):
         det_truncated(Q, *_decay_pencil(4), [4])
+
+
+@pytest.mark.parametrize("cut", ["p0", "p1", "shifts"])
+def test_truncated_determinant_rejects_a_non_square_pencil(cut):
+    p0, p1, shifts = _decay_pencil(4)
+    p0, p1, shifts = {"p0": (p0[:, :-1], p1, shifts), "p1": (p0, p1[:-1], shifts),
+                      "shifts": (p0, p1, shifts[:-1])}[cut]
+    with pytest.raises(ValueError, match="pencil must be square"):
+        det_truncated(Q, p0, p1, shifts, [2, 4])
 
 
 def _decaying_pencil(top):

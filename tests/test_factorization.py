@@ -22,7 +22,7 @@ Q = wl.rational_ring()
 
 def test_worked_example_exact():
     factors, pair = worked_pair()
-    res = wl.factorize(pair, (-16, 16))
+    res = wl.factorize(pair)
     assert res.pi_minus.coeffs == {0: Fraction(1), -1: Fraction(-1, 2)}
     assert res.pi_tilde.coeffs == {1: Fraction(1)}
     assert res.pi_plus.coeffs == {0: Fraction(1), 1: Fraction(-1, 3)}
@@ -35,7 +35,7 @@ def test_shifted_worked_example_all_windings(p):
     factors = [wl.Antiholo(Fraction(1, 2)), wl.Mono(p, Fraction(2)),
                wl.Holo(Fraction(1, 3))]
     pair = wl.invert_from_factors(Q, factors, (-40, 40))
-    res = wl.factorize(pair, (-16, 16))
+    res = wl.factorize(pair)
     assert res.residual == 0.0
     assert res.winding == p
     assert res.pi_minus.coeffs == {0: Fraction(1), -1: Fraction(-1, 2)}
@@ -45,7 +45,7 @@ def test_shifted_worked_example_all_windings(p):
 
 def test_projection_memberships():
     _, pair = worked_pair()
-    res = wl.factorize(pair, (-16, 16))
+    res = wl.factorize(pair)
     assert SeriesClass.STRICTLY_HOLOMORPHIC in wl.classify(res.pi_plus)
     assert SeriesClass.STRICTLY_ANTIHOLOMORPHIC in wl.classify(res.pi_minus)
     assert SeriesClass.ORTHOGONAL in wl.classify(res.pi_tilde)
@@ -56,7 +56,7 @@ def test_symmetric_complex_symbol():
     C = wl.complex_ring()
     a = LaurentSeries(C, {-1: -1.0 + 0j, 0: 3.0 + 0j, 1: -1.0 + 0j})
     pair = wl.invert_numeric(a, 1024)
-    res = wl.factorize(pair, (-16, 16))
+    res = wl.factorize(pair)
     root = (3.0 - math.sqrt(5.0)) / 2.0
     assert res.winding == 0
     assert abs(res.pi_plus.coeff(1) + root) < 1e-9
@@ -68,11 +68,11 @@ def test_triviality_on_one_sided_inputs():
     one = LaurentSeries.one(Q)
     hol = wl.invert_from_factors(
         Q, [wl.Holo(Fraction(1, 2)), wl.Holo(Fraction(-1, 3))], (-24, 24))
-    res = wl.factorize(hol, (-12, 12))
+    res = wl.factorize(hol)
     assert res.pi_minus.equals(one) and res.pi_tilde.equals(one)
     anti = wl.invert_from_factors(
         Q, [wl.Antiholo(Fraction(2, 5))], (-24, 24))
-    res = wl.factorize(anti, (-12, 12))
+    res = wl.factorize(anti)
     assert res.pi_plus.equals(one) and res.pi_tilde.equals(one)
 
 
@@ -81,7 +81,7 @@ def test_triviality_on_orthogonal_input():
 
     rng = random.Random(10)
     pair = random_orthogonal_pair(2, rng)
-    res = wl.factorize(pair, (-12, 12))
+    res = wl.factorize(pair)
     one = LaurentSeries.one(pair.a.ring)
     assert res.pi_plus.equals(one) and res.pi_minus.equals(one)
     assert res.pi_tilde.equals(pair.a)
@@ -97,9 +97,9 @@ def test_projection_homomorphism_exact():
         p1 = wl.invert_from_factors(Q, f1, (-48, 48))
         p2 = wl.invert_from_factors(Q, f2, (-48, 48))
         p12 = wl.invert_from_factors(Q, f1 + f2, (-48, 48))
-        r1 = wl.factorize(p1, (-20, 20))
-        r2 = wl.factorize(p2, (-20, 20))
-        r12 = wl.factorize(p12, (-20, 20))
+        r1 = wl.factorize(p1)
+        r2 = wl.factorize(p2)
+        r12 = wl.factorize(p12)
         assert r12.pi_plus.equals(r1.pi_plus.mul(r2.pi_plus))
         assert r12.pi_minus.equals(r1.pi_minus.mul(r2.pi_minus))
         assert r12.pi_tilde.equals(r1.pi_tilde.mul(r2.pi_tilde))
@@ -112,7 +112,7 @@ def test_winding_undefined_for_decomposable_middle():
     b = LaurentSeries(R, {-1: (one, zero), 1: (zero, one)})
     pair = wl.InvertiblePair.make(a, b)
     assert pair.residual == 0.0
-    res = wl.factorize(pair, (-10, 10))
+    res = wl.factorize(pair)
     assert res.winding is None
     assert res.pi_tilde.equals(a)
     assert wl.winding_index(res.pi_tilde) is None
@@ -124,7 +124,7 @@ def test_product_ring_mixed_factorization():
     al = (Fraction(1, 2), Fraction(1, 3))
     pair = wl.invert_from_factors(
         R, [wl.Antiholo(al), wl.Mono(1, R.one)], (-24, 24))
-    res = wl.factorize(pair, (-12, 12))
+    res = wl.factorize(pair)
     assert res.residual == 0.0
     assert res.pi_minus.coeff(-1) == (Fraction(-1, 2), Fraction(-1, 3))
     assert res.winding == 1
@@ -260,7 +260,7 @@ def test_inconsistent_pair_detected():
     a = LaurentSeries(Q, {0: Fraction(1), 1: Fraction(-1, 3)})
     wrong_b = LaurentSeries(Q, {n: Fraction(1, 2) ** n for n in range(40)}, (-40, 40))
     with pytest.raises((FactorizationError, WindowError)):
-        wl.factorize(wl.InvertiblePair.make(a, wrong_b), (-10, 10))
+        wl.factorize(wl.InvertiblePair.make(a, wrong_b))
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -469,18 +469,17 @@ def test_nested_product_ring_matches_its_leaves(base_name):
     def factors(al, u, be):
         return [wl.Antiholo(al), wl.Mono(1, u), wl.Holo(be)]
 
-    window = (-12, 12)
     pair = wl.invert_from_factors(R, factors(_nest(alphas), _nest(units), _nest(betas)),
                                   (-60, 60))
     ortho_a = LaurentSeries(R, {0: R.sub(R.one, e), 1: e})
     ortho_b = LaurentSeries(R, {0: R.sub(R.one, e), -1: e})
     pair = wl.InvertiblePair.make(pair.a.mul(ortho_a), pair.b.mul(ortho_b))
-    res = wl.factorize(pair, window)
+    res = wl.factorize(pair)
     direct, tail = wl.pi_tilde_direct(pair, windows=(10, 14, 18))
     for k, (al, u, be) in enumerate(zip(alphas, units, betas)):
         i, j = divmod(k, 2)
         leaf = factors(al, u, be) + [wl.Mono(extra[k], base.one)]
-        want = wl.factorize(wl.invert_from_factors(base, leaf, (-60, 60)), window)
+        want = wl.factorize(wl.invert_from_factors(base, leaf, (-60, 60)))
         for got, ref in ((res.pi_minus, want.pi_minus), (res.pi_tilde, want.pi_tilde),
                          (res.pi_plus, want.pi_plus), (direct, want.pi_tilde)):
             got = LaurentSeries(base, {n: c[i][j] for n, c in got.coeffs.items()})
@@ -621,8 +620,8 @@ def test_non_finite_coefficient_fails_factorize(bad):
 def test_bumped_pi_plus_division_runs_to_the_window(arity):
     # pi_+ with one coefficient off by 1/7 (in one component over Q^2) no
     # longer divides a, so the long division cannot stop at a support: pi~
-    # fills the window, and pm * pt * pp differs from a on factorize's
-    # default window, where the true factors give a exactly
+    # fills the window, and pm * pt * pp differs from a on a window 4 wider
+    # than a's support, where the true factors give a exactly
     R = Q if arity == 1 else wl.product_ring(Q, 2)
     one = Fraction(1)
     elem = (lambda x: x) if arity == 1 else (lambda x: (x, one - x))
@@ -840,7 +839,7 @@ def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     calls = []
     outer = factorization._outer_projection
     monkeypatch.setattr(factorization, "_outer_projection",
-                        lambda pair: calls.append(pair) or outer(pair))
+                        lambda pair, **kw: calls.append(pair) or outer(pair, **kw))
     _, pair = worked_pair(Q if exact_ring else wl.complex_ring())
     pp, pm = wl.pi_plus(pair), wl.pi_minus(pair)
     wl.pi_tilde_direct(pair, windows=(10, 14))
@@ -952,3 +951,42 @@ def test_factorize_rejects_a_wrong_pi_plus(ring_name):
     pair.projections["plus"] = wl.pi_plus(pair).add(bump)
     with pytest.raises(FactorizationError, match="middle projection is not orthogonal"):
         wl.factorize(pair)
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "C"])
+def test_factorize_compares_the_product_on_all_of_a(ring_name):
+    # pi~ is computed on [s0 - deg pi_+, s1 + deg pi_-], so the product
+    # pm * pt * pp that certify compares with a spans a's support [-5, 5],
+    # and its residual is the one certify gives on the parts without
+    # windows, as verify reads them; a pi_+ off by 1e-6 in its top
+    # coefficient still leaves a middle factor that is not orthogonal
+    R, elem = (Q, Fraction) if ring_name == "Q" else (wl.complex_ring(), complex)
+    facs = [wl.Antiholo(elem(Fraction(k, 7))) for k in range(1, 6)] + \
+           [wl.Holo(elem(Fraction(-k, 8))) for k in range(1, 6)]
+    pair = wl.invert_from_factors(R, facs, (-32, 32))
+    assert pair.a._supp_bounds() == (-5, 5)
+    res = wl.factorize(pair)
+    lo, hi = res.reconstruct().window
+    assert lo <= -5 and hi >= 5
+    bare = [LaurentSeries(R, p.coeffs) for p in (res.pi_minus, res.pi_tilde, res.pi_plus)]
+    assert res.residual == factorization.certify(pair, *bare)
+    top = res.pi_plus._supp_bounds()[1]
+    pair.projections["plus"] = res.pi_plus.add(
+        LaurentSeries.monomial(R, top, elem(Fraction(1, 10 ** 6))))
+    with pytest.raises(FactorizationError, match="middle projection is not orthogonal"):
+        wl.factorize(pair)
+
+
+def test_window_errors_name_the_inverse_as_given():
+    # pi_- and the antiholomorphic closed-form block run on the reflected
+    # pair, yet a too-small window is named on b itself, as pi_+ names it
+    from whlaurent.factorization import antiholomorphic_det_matrix
+    from whlaurent.series import laurent_ring
+
+    pair = _windowed(wl.invert_from_factors(Q, [wl.Mono(-1, Fraction(-2)),
+                                                wl.Holo(Fraction(1, 2))], (-16, 16)), 1, 10)
+    Rw, w = laurent_ring(Q, "w"), LaurentSeries.monomial(Q, 1)
+    for build in (wl.pi_plus, wl.pi_minus, lambda p: antiholomorphic_det_matrix(p, Rw, w)):
+        with pytest.raises(WindowError) as info:
+            build(pair)
+        assert str(info.value) == "inverse window [1,10] too small; need at least [0,2]"

@@ -118,6 +118,21 @@ def test_conjugate_ur_is_linear_in_the_symbol():
     assert_equal_on(whole, parts, whole.reliable)
 
 
+def test_conjugate_ur_needs_the_band_inside_the_window():
+    Qtw, t, w, embed = symbolic_tw()
+    a = LaurentSeries(Q, {3: Fraction(1)})
+    with pytest.raises(WindowError, match="band"):
+        mx.conjugate_UR(a, "+", Qtw, t, w, embed, (-1, 1))
+
+
+@pytest.mark.parametrize("build, variant", [(mx.build_F, "+"), (mx.ur_monomial, "R+")])
+def test_unknown_variant_rejected(build, variant):
+    Qtw, t, w, _embed = symbolic_tw()
+    args = (Qtw, t, w, WIN) if build is mx.build_F else (1, Qtw, t, w, WIN)
+    with pytest.raises(ValueError, match="variant must be"):
+        build(variant, *args)
+
+
 def test_column_shift_moves_entries_right():
     m = mx.identity(Q, Lattice.INTEGER, WIN)
     s = mx.column_shift(m, 2)

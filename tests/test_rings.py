@@ -203,7 +203,7 @@ def test_product_parser_error_classes(s):
         assert type(info.value) is Q2_MALFORMED[s]
 
 
-@pytest.mark.parametrize("s", ["1/0", "-3/0", "0/0", "(1|1/0)"])
+@pytest.mark.parametrize("s", ["1/0", "-3/0", "0/0", "(1|1/0)", " 1/0", "1_0/0"])
 def test_zero_denominator_is_a_value_error(s):
     # Fraction(str) raises ZeroDivisionError here, which is no ValueError, so
     # a job would not name the field

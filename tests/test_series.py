@@ -561,6 +561,8 @@ def test_complex_kernels_match_ring_element_path(arity):
         # its bracket blocks hold entries under the tolerance: both paths
         # must keep them
         yield sixteen_factor_symbol()
+        # the z^2 coefficient of its factor product, 9e-10, is cut
+        yield [wl.Holo(3e-5 + 0j), wl.Holo(3e-5 + 0j), wl.Antiholo(0.5 + 0j)]
 
     for facs in symbols():
         parts = [facs]
