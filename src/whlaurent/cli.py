@@ -17,8 +17,8 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError, leaf_kind
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, SeriesClass,
-                     WindowError, classify, invert_from_factors, invert_numeric,
-                     laurent_ring)
+                     WindowError, check_factors, classify, invert_from_factors,
+                     invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import FactorizationError, certify, factorize, orthogonal_decompose
@@ -74,6 +74,7 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     if has_factors:
         with _field("factors"):
             factors = [_parse_factor(ring, f) for f in job["factors"]]
+            check_factors(ring, factors)
         return invert_from_factors(ring, factors, window)
     with _field("coefficients"):
         a = series_from_json(ring, job["coefficients"])

@@ -116,23 +116,23 @@ def _b_range(jp: List[int], cols: Columns) -> Optional[Tuple[int, int]]:
     return (jp[0] - max(js), jp[-1] - min(js)) if js else None
 
 
-def _check_b_range(b: LaurentSeries, blocks: Sequence[Block], mirror: bool = False) -> None:
-    """``b``'s window holds every exponent that the blocks and their mirror
+def _b_need(blocks: Sequence[Block]) -> Optional[Tuple[int, int]]:
+    """The least window of ``b`` that holds what the blocks and their mirror
     images read, each block ``(e, J', columns)`` built for ``z^e b``
-    (:func:`_centred_cols`).  The mirror image, the block of the reflected
-    pair, has rows ``1 - J'`` and column rows ``-1 - j`` on ``b(1/z)``, so
-    it reads ``b`` two lower: pi_+ and pi_- ask for one window,
-    ``[e - 2 hi, e - 2 lo]`` on a leaf with support ``[lo, hi]``, and the
-    least window is the hull of the leaves'.  ``mirror`` marks the blocks
-    of a reflected pair, whose error names both on the ``b`` it reflects."""
+    (:func:`_centred_cols`), and None if no block has a column.  The mirror
+    image, the block of the reflected pair, has rows ``1 - J'`` and column
+    rows ``-1 - j`` on ``b(1/z)``, so it reads ``b`` two lower: pi_+ and
+    pi_- ask for one window, the hull of ``[e - 2 hi, e - 2 lo]`` over the
+    leaves with support ``[lo, hi]``, and the reflected pair's is its mirror."""
     reads = [(r[0] - 2 - e, r[1] - e) for e, jp, cols in blocks if (r := _b_range(jp, cols))]
-    if b.window is None or not reads:
-        return
-    need = (min(lo for lo, _hi in reads), max(hi for _lo, hi in reads))
-    if b.window[0] > need[0] or b.window[1] < need[1]:
-        s = -1 if mirror else 1
+    return (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else None
+
+
+def _check_b_window(b: LaurentSeries, need: Optional[Tuple[int, int]]) -> None:
+    """``b``'s window holds ``need``; ``b`` reads as 0 beyond it, so this may follow the blocks."""
+    if b.window and need and (b.window[0] > need[0] or b.window[1] < need[1]):
         raise WindowError("inverse window [%d,%d] too small; need at least [%d,%d]"
-                          % (*sorted(s * n for n in b.window), *sorted(s * n for n in need)))
+                          % (*b.window, *need))
 
 
 def _int_bracket(jp: List[int], cols: Columns, a: Ints,
@@ -180,42 +180,38 @@ def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
             for r in jp for k, (js, vs) in vals.items()}
 
 
-def _scaled_block(pair: InvertiblePair, ring_w: Ring, coef: Any,
-                  mirror: bool = False) -> WindowedMatrix:
-    """coef times the bracket block of ``pair`` on its own support, not
-    re-centred, as a w-series WindowedMatrix (``mirror``: :func:`_check_b_range`)."""
-    jp, cols = _bracket_cols(pair.a.support())
-    _check_b_range(pair.b, [(0, jp, cols)], mirror)
-    ents = _bracket_block(jp, cols, pair.a, pair.b)
-    lo, hi = (jp[0], jp[-1]) if jp else (0, 0)
-    window = (lo - 1, hi + 1)
-    scaled = {rk: ring_w.mul(coef, ring_w.const(v)) for rk, v in ents.items()}
-    return WindowedMatrix(ring_w, Lattice.INTEGER, window, scaled,
-                          window[1] - window[0], window)._prune()
-
-
 def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
     """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
-    for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A; only the
-    rows J' read by the column reduction are built."""
-    return _scaled_block(pair, ring_w, ring_w.neg(w))
+    for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A, as a
+    w-series WindowedMatrix: the bracket block of ``pair`` on ``a``'s own
+    support, not re-centred, on the rows J' read by the column reduction."""
+    jp, cols = _bracket_cols(pair.a.support())
+    _check_b_window(pair.b, _b_need([(0, jp, cols)]))
+    coef = ring_w.neg(w)
+    scaled = {rk: ring_w.mul(coef, ring_w.const(v))
+              for rk, v in _bracket_block(jp, cols, pair.a, pair.b).items()}
+    window = (jp[0] - 1, jp[-1] + 1) if jp else (-1, 1)
+    return WindowedMatrix(ring_w, Lattice.INTEGER, window, scaled,
+                          window[1] - window[0], window)._prune()
 
 
 def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
     """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
     rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
-    block A' of the reflected pair at w^-1."""
-    return mx._reflect(_scaled_block(pair.reflect(), ring_w, ring_w.neg(ring_w.inverse(w)),
-                                     mirror=True))
+    block A' of the reflected pair at w^-1.  ``b``'s window is checked as
+    given; the reflected pair's need is the mirror image of this one."""
+    _check_b_window(pair.b, _b_need([(0, *_bracket_cols(pair.a.support()))]))
+    return mx._reflect(holomorphic_det_matrix(pair.reflect(), ring_w, ring_w.inverse(w)))
 
 
 # -- the projections --------------------------------------------------
 
-def _outer_projection(pair: InvertiblePair, mirror: bool = False) -> LaurentSeries:
-    """pi_+ = det(I - w K) for the constant matrix K = E + B on
-    P = [min J', max J'], from the characteristic polynomial
-    det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i.  pi_- is
-    this projection of the reflected pair, read at 1/w (:func:`pi_minus`).
+def _outer_projection(pair: InvertiblePair) -> Tuple[LaurentSeries, Optional[Tuple[int, int]]]:
+    """``(pi_+, need)``: pi_+ = det(I - w K) for the constant matrix K = E + B
+    on P = [min J', max J'], from the characteristic polynomial
+    det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i, and ``need``
+    the window of ``b`` its blocks read (:func:`_b_need`), for the caller to
+    check.  pi_- is this projection of the reflected pair, read at 1/w.
 
     B is the bracket block without its -w factor, so that F + A = I - w K
     with F = I - w E the reflection factor, E with ones at (k, k+1) for
@@ -227,9 +223,8 @@ def _outer_projection(pair: InvertiblePair, mirror: bool = False) -> LaurentSeri
     re-centred on 0 (:func:`_centred_cols`): the pair ``(z^-e a, z^e b)``
     has the same pi_+, and its block has as many rows as the leaf's
     support ``[lo, hi]`` spans (on a support that does not straddle 0 it
-    would have ``max(hi, -lo)``).  ``b``'s window must hold what each
-    leaf's block and its mirror image read, ``[e - 2 hi, e - 2 lo]``
-    (:func:`_check_b_range`, ``mirror`` for the reflected pair of pi_-).
+    would have ``max(hi, -lo)``).  ``need`` is the hull of what each
+    leaf's block and its mirror image read, ``[e - 2 hi, e - 2 lo]``.
 
     This is the one place that picks the block's form and its
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
@@ -251,17 +246,15 @@ def _outer_projection(pair: InvertiblePair, mirror: bool = False) -> LaurentSeri
     kind = leaf_kind(ring)
     if kind is None:
         e, jp, cols = block = _centred_cols(a.support())
-        _check_b_range(b, [block], mirror)
         ents = _bracket_block(jp, cols, a.shift(-e), b.shift(e))
         coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
                            ring.dot, ring.neg, ring.one)
-        return LaurentSeries(ring, dict(enumerate(coeffs)))
+        return LaurentSeries(ring, dict(enumerate(coeffs))), _b_need([block])
     if kind is Fraction:
         blocks = [_centred_cols([lo + i for i, x in enumerate(nums) if x])
                   for lo, nums, _den in a.ints]
-        _check_b_range(b, blocks, mirror)
-        return LaurentSeries._from_ints(ring, [_int_projection(block, x, y)
-                                               for block, x, y in zip(blocks, a.ints, b.ints)])
+        ints = [_int_projection(block, x, y) for block, x, y in zip(blocks, a.ints, b.ints)]
+        return LaurentSeries._from_ints(ring, ints), _b_need(blocks)
 
     def leaf(comp: Ring, ac: Dict[int, Any],
              bc: Dict[int, Any]) -> Tuple[Dict[int, Any], List[Block]]:
@@ -272,10 +265,8 @@ def _outer_projection(pair: InvertiblePair, mirror: bool = False) -> LaurentSeri
         coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
         return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}, [block]
 
-    # b reads as 0 beyond its window, so the check may follow the blocks
     coeffs, blocks = per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
-    _check_b_range(b, blocks, mirror)
-    return LaurentSeries._trusted(ring, coeffs)
+    return LaurentSeries._trusted(ring, coeffs), _b_need(blocks)
 
 
 def _int_projection(block: Block, a: Ints, b: Ints) -> Ints:
@@ -343,24 +334,23 @@ def pi_plus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly holomorphic projection, as a series in w: det(I - w K_+)
     for a constant matrix K_+ over the base ring, from one
     characteristic polynomial.  Computed once per pair and kept on it."""
-    return _projection(pair, "plus")
+    if "plus" not in pair.projections:
+        pp, need = _outer_projection(pair)
+        _check_b_window(pair.b, need)
+        pair.projections["plus"] = pp
+    return pair.projections["plus"]
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly antiholomorphic projection, as a series in w^-1: by the
     uniqueness of a(1/z) = pi_+(1/z) pi~(1/z) pi_-(1/z), :func:`pi_plus` of
-    the reflected pair (:meth:`InvertiblePair.reflect`), read at 1/w.
-    Computed once per pair and kept on it."""
-    return _projection(pair, "minus")
-
-
-def _projection(pair: InvertiblePair, kind: str) -> LaurentSeries:
-    """The outer projection ``kind`` of ``pair``, from ``pair.projections``
-    or computed and stored there; :func:`certify` checks it."""
-    if kind not in pair.projections:
-        pair.projections[kind] = _outer_projection(pair) if kind == "plus" else \
-            _outer_projection(pair.reflect(), mirror=True).reflect()
-    return pair.projections[kind]
+    the reflected pair (:meth:`InvertiblePair.reflect`), read at 1/w, with
+    ``b`` checked as given.  Computed once per pair and kept on it."""
+    if "minus" not in pair.projections:
+        pm, need = _outer_projection(pair.reflect())
+        _check_b_window(pair.b, need and (-need[1], -need[0]))
+        pair.projections["minus"] = pm.reflect()
+    return pair.projections["minus"]
 
 
 def _check_projection(p: LaurentSeries, kind: str) -> None:

@@ -422,6 +422,18 @@ def factors_to_series(ring: Ring, factors: Sequence[Factor]) -> LaurentSeries:
     return out
 
 
+def check_factors(ring: Ring, factors: Sequence[Factor]) -> None:
+    """Refuse, by :class:`RingError`, a factor that :func:`invert_from_factors`
+    cannot invert: a :class:`Mono` whose ``u`` is no unit (``ring.inverse``
+    raises), and over a floating ring a geometric parameter of seminorm 1 or more."""
+    for f in factors:
+        if isinstance(f, Mono):
+            ring.inverse(f.u)
+        elif not ring.is_exact and not ring.seminorm(
+                f.alpha if isinstance(f, Antiholo) else f.beta) < 1.0:  # NaN fails too
+            raise RingError("geometric parameter with seminorm not below 1")
+
+
 def invert_from_factors(ring: Ring, factors: Sequence[Factor],
                         window: Tuple[int, int]) -> InvertiblePair:
     """Build (a, a^-1) from elementary factors.
@@ -433,16 +445,10 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
     ``1/(AB) = V/A + U/B``: ``V/A`` fills the exponents ``< r`` and
     ``U/B`` those ``>= r`` (before the monomial shift), each by exact long
     division.  Over exact rings the coefficients are exact, so the pair
-    residual is zero.  For floating rings the geometric parameters must
-    have seminorm < 1.  An empty window (``lo > hi``) is a
-    :class:`WindowError`.
+    residual is zero.  The factors must pass :func:`check_factors`.  An
+    empty window (``lo > hi``) is a :class:`WindowError`.
     """
-    if not ring.is_exact:
-        for f in factors:
-            par = f.alpha if isinstance(f, Antiholo) else (
-                f.beta if isinstance(f, Holo) else None)
-            if par is not None and not ring.seminorm(par) < 1.0:  # NaN fails too
-                raise RingError("geometric parameter with seminorm not below 1")
+    check_factors(ring, factors)
     if window[0] > window[1]:
         raise WindowError("empty window [%d,%d]" % window)
     a, b = _factors_pair(ring, list(factors), window)

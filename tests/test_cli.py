@@ -214,6 +214,18 @@ def test_malformed_fields_exit_2(tmp_path, capsys):
     for job in bad_jobs:
         code, _ = run(tmp_path, capsys, job)
         assert code == 2, job
+    # a factor that invert_from_factors cannot invert names the field: a
+    # mono factor whose u is no unit, over Q, Q^2 and C, and over C a
+    # geometric parameter on the unit circle
+    for job in [
+        {"factors": [{"type": "mono", "p": 1, "u": "0"}]},
+        {"ring": Q2_RING, "factors": [{"type": "holo", "beta": "(1/2|1/3)"},
+                                      {"type": "mono", "u": "(1|0)"}]},
+        {"ring": {"kind": "complex"}, "factors": [{"type": "mono", "u": "0,0"}]},
+        {"ring": {"kind": "complex"}, "factors": [{"type": "antiholo", "alpha": "0,1"}]},
+    ]:
+        code, err = run_err(tmp_path, capsys, job)
+        assert code == 2 and "'factors'" in err, (job, err)
 
 
 def test_internal_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch):

@@ -309,6 +309,10 @@ def test_oversized_block_rejected():
         det_block(Q, rows)
 
 
+def test_empty_block_has_determinant_one():
+    assert det_block(Q, []) == Q.one
+
+
 def test_non_square_block_rejected():
     with pytest.raises(ValueError, match="not square"):
         det_block(Q, [[Q.one, Q.zero], [Q.one]])

@@ -117,6 +117,9 @@ def test_winding_undefined_for_decomposable_middle():
     assert res.pi_tilde.equals(a)
     assert wl.winding_index(res.pi_tilde) is None
     assert wl.winding_index(LaurentSeries.monomial(R, 3)) == 3
+    # a one-term middle part whose coefficient is no unit has no winding
+    C2 = wl.product_ring(wl.complex_ring(), 2)
+    assert wl.winding_index(LaurentSeries(C2, {1: (1 + 0j, 0j)})) is None
 
 
 def test_product_ring_mixed_factorization():
@@ -184,6 +187,25 @@ def test_orthonormal_split_and_product():
     assert ring.equals(d12.unit, d_direct.unit)
 
 
+Q2_ONE, Q2_E1 = (Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))
+
+
+@pytest.mark.parametrize("family, msg", [
+    ({0: (Fraction(2), Fraction(1))}, "Pi_0 is not idempotent"),
+    ({0: Q2_E1, 1: Q2_ONE}, r"Pi_0 Pi_1 != 0"),
+    ({0: Q2_E1}, "do not sum to 1"),
+], ids=["not-idempotent", "not-orthogonal", "not-one"])
+def test_product_of_orthogonals_checks_the_family(family, msg):
+    # the product of a family with the trivial one {0: 1} is the family
+    # itself, and each defect of an idempotent family is named
+    from whlaurent.factorization import OrthogonalDecomposition, product_of_orthogonals
+
+    R = wl.product_ring(Q, 2)
+    one = OrthogonalDecomposition(R, {0: Q2_ONE}, Q2_ONE)
+    with pytest.raises(FactorizationError, match=msg):
+        product_of_orthogonals(OrthogonalDecomposition(R, family, Q2_ONE), one)
+
+
 def test_projection_round_trip_monomial():
     pair = wl.InvertiblePair.make(LaurentSeries.monomial(Q, 1),
                                   LaurentSeries.monomial(Q, -1))
@@ -212,6 +234,13 @@ def test_n_p_series_rejects_non_idempotent():
     p = WindowedMatrix(Q, Lattice.HALF, (-8, 8), ents, 0, (-8, 8))
     with pytest.raises(FactorizationError):
         wl.n_p_series(p)
+
+
+def test_n_p_series_needs_the_half_lattice():
+    from whlaurent.matrices import Lattice, identity
+
+    with pytest.raises(RingError, match="half-integer lattice"):
+        wl.n_p_series(identity(Q, Lattice.INTEGER, (-8, 8)))
 
 
 def test_middle_routes_agree_exact():
@@ -830,6 +859,31 @@ def test_inverse_window_is_what_the_blocks_read(name):
                 with pytest.raises(WindowError, match="need at least"):
                     build(_windowed(wide, *narrow))
     assert checked >= 4
+
+
+def test_b_need_is_the_window_rule():
+    # the window rule, on every support with both ends in [-6, 6]: the block
+    # re-centred on 0 and its mirror image read b on [e - 2 hi, e - 2 lo],
+    # the block on the symbol's own support (the closed forms') on
+    # [-2 max(hi, 0), -2 min(lo, 0)], a block with no columns reads
+    # nothing, and the reflected support reads the mirrored window
+    from whlaurent.factorization import _b_need, _bracket_cols, _centred_cols
+
+    def needs(support):
+        centred, own = _centred_cols(support), (0, *_bracket_cols(support))
+        return [(_b_need([block]), bool(block[2])) for block in (centred, own)]
+
+    exps = range(-6, 7)
+    for mask in range(1, 1 << len(exps)):
+        support = [n for i, n in enumerate(exps) if mask >> i & 1]
+        lo, hi = support[0], support[-1]
+        e = lo if lo > 0 else hi if hi < 0 else 0
+        (centred, c_cols), (own, o_cols) = needs(support)
+        assert c_cols == (lo < hi) and o_cols == (support != [0]), support
+        assert centred == ((e - 2 * hi, e - 2 * lo) if c_cols else None), support
+        assert own == ((-2 * max(hi, 0), -2 * min(lo, 0)) if o_cols else None), support
+        mirrored = [need for need, _cols in needs(sorted(-n for n in support))]
+        assert mirrored == [n and (-n[1], -n[0]) for n in (centred, own)], support
 
 
 @pytest.mark.parametrize("exact_ring", [True, False], ids=["Q", "C"])

@@ -344,27 +344,40 @@ def test_run_search_finds_a_repeated_run():
         [("a.py", 4), ("a.py", 10)]]
 
 
-ORIENTATION_FLAGS = {"sign", "ascending"}
+ORIENTATION_FLAGS = {"sign", "ascending", "mirror"}
+
+
+def _is_flag(param, default):
+    """A parameter is a flag if it is named in :data:`ORIENTATION_FLAGS`,
+    annotated ``bool`` or defaults to ``True`` or ``False``."""
+    ann = param.annotation
+    return (param.arg in ORIENTATION_FLAGS
+            or (isinstance(ann, ast.Name) and ann.id == "bool")
+            or (isinstance(ann, ast.Constant) and ann.value == "bool")
+            or (isinstance(default, ast.Constant) and isinstance(default.value, bool)))
 
 
 def _orientation_flags(tree):
     """``(function, parameter)`` for each private function (its name starts
-    with one underscore) that takes a parameter named ``sign`` or
-    ``ascending``."""
+    with one underscore) that takes a flag (:func:`_is_flag`)."""
     out = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                 and not node.name.startswith("__")):
             args = node.args
-            out += [(node.name, p.arg) for p in args.posonlyargs + args.args + args.kwonlyargs
-                    if p.arg in ORIENTATION_FLAGS]
+            pos = args.posonlyargs + args.args
+            defaults = [None] * (len(pos) - len(args.defaults)) + args.defaults
+            out += [(node.name, p.arg)
+                    for p, d in zip(pos + args.kwonlyargs, defaults + args.kw_defaults)
+                    if _is_flag(p, d)]
     return out
 
 
 def test_no_private_function_takes_an_orientation_flag():
     # the antiholomorphic side is the holomorphic one of a(1/z)
     # (LaurentSeries.reflect, InvertiblePair.reflect), so each kernel is
-    # written for one orientation
+    # written for one orientation, and no private function switches on a
+    # boolean
     assert [f for p in MODULES for f in _orientation_flags(_tree(p))] == []
 
 
@@ -375,6 +388,10 @@ def test_flag_search_finds_each_form():
            "def outer(sign):\n    def _inner(ascending): pass\n"
            "def public(sign): pass\n"
            "def __dunder__(sign): pass\n"
-           "def _fine(signs, step): pass\n")
+           "def _fine(signs, step, n: int = 0, *, tol=None): pass\n"
+           "def _block(pair, mirror): pass\n"
+           "def _check(b, strict: bool): pass\n"
+           "def _scan(x, y=1, /, z=False, *, w: 'bool', v=True): pass\n")
     assert _orientation_flags(ast.parse(src)) == [
-        ("_k", "sign"), ("_div", "ascending"), ("_m", "sign"), ("_inner", "ascending")]
+        ("_k", "sign"), ("_div", "ascending"), ("_block", "mirror"), ("_check", "strict"),
+        ("_scan", "z"), ("_scan", "w"), ("_scan", "v"), ("_m", "sign"), ("_inner", "ascending")]

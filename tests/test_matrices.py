@@ -9,6 +9,7 @@ import pytest
 import whlaurent as wl
 from whlaurent import matrices as mx
 from whlaurent.matrices import Lattice
+from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
 
 from conftest import reference_shift_entries, symbolic_tw
@@ -116,6 +117,7 @@ def test_conjugate_ur_is_linear_in_the_symbol():
         piece = mx.scale(mx.ur_monomial("R", d, Qtw, t, w, WIN), embed(c))
         parts = piece if parts is None else mx.mat_add(parts, piece)
     assert_equal_on(whole, parts, whole.reliable)
+    assert mx.conjugate_UR(LaurentSeries(Q, {}), "R", Qtw, t, w, embed, WIN).entries == {}
 
 
 def test_conjugate_ur_needs_the_band_inside_the_window():
@@ -170,6 +172,8 @@ def test_matrix_window_mismatch_raises():
         mx.mat_mul(a, b)
     with pytest.raises(WindowError):
         mx.mat_add(a, b)
+    with pytest.raises(RingError, match="lattice mismatch"):
+        mx.mat_add(a, mx.identity(Q, Lattice.HALF, WIN))
 
 
 def test_product_reliable_window_uses_smaller_band():

@@ -75,6 +75,11 @@ def test_circle_zero_rejected():
         root_split_factorize(a)
 
 
+def test_zero_symbol_rejected():
+    with pytest.raises(OracleError, match="zero symbol"):
+        root_split_factorize(LaurentSeries(C, {}))
+
+
 def test_exact_ring_rejected():
     from fractions import Fraction
 

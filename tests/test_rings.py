@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import whlaurent as wl
 from whlaurent.rings import RingError, leaf_kind, parse_rational, sup
 from whlaurent.serialize import series_from_json
+from whlaurent.series import LaurentSeries, laurent_ring
 
 from conftest import dual_ring
 
@@ -211,6 +212,23 @@ def test_zero_denominator_is_a_value_error(s):
     for parse in (R.parse, lambda x: series_from_json(R, [{"n": 0, "c": x}])):
         with pytest.raises(ValueError, match="zero denominator"):
             parse(s)
+
+
+QW = laurent_ring(wl.rational_ring(), "w")
+
+
+@pytest.mark.parametrize("call, err, match", [
+    (lambda: wl.rational_ring().pow(Fraction(2), -1), ValueError, "nonnegative exponent"),
+    (lambda: wl.product_ring(wl.rational_ring(), 0), RingError, "arity"),
+    (lambda: series_from_json(QW, [{"n": 0, "c": "1"}]), RingError, "cannot parse"),
+    (lambda: QW.inverse(LaurentSeries(QW.base, {0: Fraction(1), 1: Fraction(1)})),
+     RingError, "only monomials"),
+], ids=["pow", "arity", "parse", "inverse"])
+def test_ring_guards(call, err, match):
+    # a negative power, a product of no rings, a ring with no parser (the
+    # series ring Q[w, w^-1]) and 1 + w, which is no unit of Q[w, w^-1]
+    with pytest.raises(err, match=match):
+        call()
 
 
 def test_mixed_tolerances_are_a_ring_mismatch():

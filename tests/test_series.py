@@ -16,7 +16,7 @@ from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
 from whlaurent.exact import from_terms
 from whlaurent.factorization import FactorizationError, _check_projection, residual_bound
 from whlaurent.rings import RingError
-from whlaurent.series import LaurentSeries, SeriesClass, WindowError
+from whlaurent.series import LaurentSeries, SeriesClass, WindowError, factor_series
 
 from conftest import dual_ring, sixteen_factor_symbol
 
@@ -161,6 +161,13 @@ def test_reciprocal_root_collision_rejected():
     with pytest.raises(RingError, match="no two-sided inverse"):
         wl.invert_from_factors(D, [wl.Antiholo((Fraction(1, 2), Fraction(0))),
                                    wl.Holo((Fraction(2), Fraction(0)))], (-8, 8))
+
+
+def test_zero_series_repr_and_non_factor():
+    assert repr(LaurentSeries(Q, {})) == "<0>"
+    assert repr(LaurentSeries(Q, {}, (-2, 2))) == "<0 on [-2,2]>"
+    with pytest.raises(TypeError, match="not an elementary factor"):
+        factor_series(Q, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("ring, beta", [(Q, Fraction(1, 2)), (wl.complex_ring(), 0.5 + 0j)],
