@@ -8,9 +8,8 @@ ring permits, with classical complex-analysis oracles for validation.
 
 from .rings import Ring, RingError, complex_ring, product_ring, rational_ring
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
-                     SeriesClass, WindowError, classify, div_unit,
-                     factors_to_series, invert_from_factors, invert_numeric,
-                     laurent_ring)
+                     WindowError, div_unit, factors_to_series, invert_from_factors,
+                     invert_numeric, is_orthogonal, laurent_ring)
 from .matrices import (Lattice, WindowedMatrix, build_F, build_U, build_Utilde,
                        conjugate_UR, identity, mat_add, mat_mul, mat_sub,
                        project, ur_monomial)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Ring", "RingError", "complex_ring", "product_ring", "rational_ring",
     "Antiholo", "Holo", "InvertiblePair", "LaurentSeries", "Mono",
-    "SeriesClass", "WindowError", "classify", "div_unit",
-    "factors_to_series", "invert_from_factors", "invert_numeric", "laurent_ring",
+    "WindowError", "div_unit", "factors_to_series", "invert_from_factors",
+    "invert_numeric", "is_orthogonal", "laurent_ring",
     "Lattice", "WindowedMatrix", "build_F", "build_U", "build_Utilde",
     "conjugate_UR", "identity", "mat_add", "mat_mul", "mat_sub",
     "project", "ur_monomial",

@@ -16,9 +16,9 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError, leaf_kind
-from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, SeriesClass,
-                     WindowError, check_factors, classify, invert_from_factors,
-                     invert_numeric, laurent_ring)
+from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, WindowError,
+                     check_factors, invert_from_factors, invert_numeric, is_orthogonal,
+                     laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import FactorizationError, certify, factorize, orthogonal_decompose
@@ -46,8 +46,6 @@ def _field(name: str) -> Iterator[None]:
     """
     try:
         yield
-    except JobError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise JobError("bad %r field: %s" % (name, exc)) from exc
 
@@ -75,7 +73,11 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
         with _field("factors"):
             factors = [_parse_factor(ring, f) for f in job["factors"]]
             check_factors(ring, factors)
-        return invert_from_factors(ring, factors, window)
+        try:
+            return invert_from_factors(ring, factors, window)
+        except RingError as exc:
+            # a product of units that each pass check_factors may still not invert
+            raise JobError("bad 'factors' field: %s" % exc) from exc
     with _field("coefficients"):
         a = series_from_json(ring, job["coefficients"])
     if "inverse" in job:
@@ -113,7 +115,7 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         return EXIT_OK, {"matrices": _matrix_dumps(pair, ring, window)}
 
     if mode == "orthogonal":
-        if SeriesClass.ORTHOGONAL not in classify(pair.a):
+        if not is_orthogonal(pair.a):
             raise JobError("orthogonal mode needs an orthogonal symbol")
         dec = orthogonal_decompose(pair)
         return EXIT_OK, {

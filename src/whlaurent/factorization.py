@@ -37,8 +37,7 @@ import numpy as np
 from .exact import Ints, dot, reduced, slice_ints
 from .floating import to_array
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
-from .series import (InvertiblePair, LaurentSeries, SeriesClass, WindowError,
-                     classify, div_unit)
+from .series import InvertiblePair, LaurentSeries, WindowError, div_unit, is_orthogonal
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
 from .determinants import _poly_det, berkowitz, det_truncated, reduced_columns, ring_array
@@ -447,7 +446,7 @@ def certify(pair: InvertiblePair, pm: LaurentSeries, pt: LaurentSeries,
     if not residual <= bound:
         raise FactorizationError("reconstruction residual %.3g exceeds its bound %.3g"
                                  % (residual, bound))
-    if SeriesClass.ORTHOGONAL not in classify(pt):
+    if not is_orthogonal(pt):
         raise FactorizationError("middle projection is not orthogonal")
     return residual
 
@@ -473,7 +472,7 @@ def orthogonal_decompose(pair: InvertiblePair) -> OrthogonalDecomposition:
     _check_pair(pair)
     a, b = pair.a, pair.b
     ring = a.ring
-    if SeriesClass.ORTHOGONAL not in classify(a):
+    if not is_orthogonal(a):
         raise FactorizationError("series is not orthogonal")
     idem: Dict[int, Any] = {}
     for n in a.support():
@@ -574,7 +573,6 @@ def n_p_series(p: WindowedMatrix) -> LaurentSeries:
     diag = np.arange(2 * top)
     p0[diag, diag] += ring_array(ring, ring.one)
     out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], windows)
-    if SeriesClass.ORTHOGONAL not in classify(out) or \
-            not ring.equals(out.evaluate(ring.one), ring.one):
+    if not is_orthogonal(out) or not ring.equals(out.evaluate(ring.one), ring.one):
         raise FactorizationError("determinant did not yield an orthonormal series")
     return out

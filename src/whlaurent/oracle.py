@@ -8,6 +8,7 @@ by the location of its zeros relative to the circle.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +20,14 @@ from .factorization import FactorizationResult
 
 
 class OracleError(ValueError):
-    """Symbol outside the oracle's domain (circle zero, bad sampling)."""
+    """Symbol outside the oracle's domain (circle zero, non-finite coefficient)."""
 
 
 def _require_complex(a: LaurentSeries) -> None:
     if leaf_kind(a.ring) is not complex or a.ring.components:
         raise OracleError("classical oracles require the complex ring")
+    if not all(cmath.isfinite(c) for c in a.coeffs.values()):
+        raise OracleError("symbol has a non-finite coefficient")
 
 
 def _result(a: LaurentSeries, pi_m: LaurentSeries, const: complex, p: int,
@@ -49,11 +52,8 @@ def cepstral_factorize(a: LaurentSeries) -> FactorizationResult:
     # winding number from the unwrapped argument around the circle
     closed = np.concatenate([vals, vals[:1]])
     total = np.sum(np.angle(closed[1:] / closed[:-1]))
-    p_est = total / (2 * np.pi)
-    p = int(round(p_est))
-    if abs(p_est - p) > 1e-2:
-        raise OracleError("non-integral winding estimate %.4f (sampling too coarse?)"
-                          % p_est)
+    # the principal arguments around a closed loop sum to a multiple of 2 pi
+    p = int(round(total / (2 * np.pi)))
     k = np.arange(SAMPLES)
     devals = vals * np.exp(-2j * np.pi * p * k / SAMPLES)
     logv = np.log(np.abs(devals)) + 1j * np.unwrap(np.angle(devals))

@@ -31,7 +31,6 @@ elements.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -303,53 +302,32 @@ class LaurentSeries:
         return "<%s%s>" % (body, wtxt)
 
 
-# -- classification ---------------------------------------------------
+# -- orthogonality ----------------------------------------------------
 
-class SeriesClass(enum.Enum):
-    STRICTLY_HOLOMORPHIC = "strictly_holomorphic"
-    STRICTLY_ANTIHOLOMORPHIC = "strictly_antiholomorphic"
-    ORTHOGONAL = "orthogonal"
-
-
-def _scaled_zero(ring: Ring, x: Any, sa: float, sb: float) -> bool:
-    if ring.is_exact:
-        return ring.is_zero(x)
-    return ring.seminorm(x) <= ring.tolerance * max(1.0, sa) * max(1.0, sb)
-
-
-def classify(a: LaurentSeries) -> set:
-    """Subgroup memberships of a series (all that apply, possibly none).
+def is_orthogonal(a: LaurentSeries) -> bool:
+    """Whether ``a`` is orthogonal: nonzero, with every two distinct
+    coefficients multiplying to zero; over an inexact ring, to within its
+    tolerance scaled by the two seminorms (each taken as at least 1).
 
     Over ``Q`` (and per leaf of a product of ``Q``) it reads the integer
     forms, with no ``Fraction``: a product of two nonzero rationals is
     nonzero, so a series is orthogonal iff no leaf holds more than one
-    nonzero numerator.
+    nonzero numerator and some leaf holds one.
     """
     ring = a.ring
-    out = set()
-    supp = a.support()
-    if a.has_unit_constant():
-        if all(n >= 0 for n in supp):
-            out.add(SeriesClass.STRICTLY_HOLOMORPHIC)
-        if all(n <= 0 for n in supp):
-            out.add(SeriesClass.STRICTLY_ANTIHOLOMORPHIC)
     if leaf_kind(ring) is Fraction:
-        # the forms are trimmed: one nonzero numerator is a list of one
-        if supp and all(len(nums) <= 1 for _lo, nums, _d in a.ints):
-            out.add(SeriesClass.ORTHOGONAL)
-        return out
-    orth = True
-    norms = {n: ring.seminorm(a.coeffs[n]) for n in supp}
-    for i, n in enumerate(supp):
-        for m in supp[i + 1:]:
-            if not _scaled_zero(ring, ring.mul(a.coeffs[n], a.coeffs[m]), norms[n], norms[m]):
-                orth = False
-                break
-        if not orth:
-            break
-    if orth and supp:
-        out.add(SeriesClass.ORTHOGONAL)
-    return out
+        # the forms are trimmed: a zero leaf holds no numerator
+        return max(len(nums) for _lo, nums, _d in a.ints) == 1
+    cs = [a.coeffs[n] for n in a.support()]
+    norms = [max(1.0, ring.seminorm(x)) for x in cs]
+
+    def vanishes(i: int, j: int) -> bool:
+        x = ring.mul(cs[i], cs[j])
+        if ring.is_exact:
+            return ring.is_zero(x)
+        return ring.seminorm(x) <= ring.tolerance * norms[i] * norms[j]
+    return bool(cs) and all(vanishes(i, j) for i in range(len(cs))
+                            for j in range(i + 1, len(cs)))
 
 
 # -- invertible pairs -------------------------------------------------

@@ -203,7 +203,6 @@ def test_malformed_fields_exit_2(tmp_path, capsys):
     bad_jobs = [
         {"factors": [{"type": "antiholo"}]},          # no alpha
         {"window": "x", "factors": []},
-        {"factors": ["antiholo"]},
         {"ring": {"kind": "complex", "tolerance": "tight"}, "factors": []},
         {"ring": {"kind": "complex"}, "samples": 1000,
          "coefficients": [{"n": 0, "c": "1,0"}]},
@@ -214,7 +213,7 @@ def test_malformed_fields_exit_2(tmp_path, capsys):
     for job in bad_jobs:
         code, _ = run(tmp_path, capsys, job)
         assert code == 2, job
-    # a factor that invert_from_factors cannot invert names the field: a
+    # a factor list that cannot be read or inverted names the field: a
     # mono factor whose u is no unit, over Q, Q^2 and C, and over C a
     # geometric parameter on the unit circle
     for job in [
@@ -223,6 +222,15 @@ def test_malformed_fields_exit_2(tmp_path, capsys):
                                       {"type": "mono", "u": "(1|0)"}]},
         {"ring": {"kind": "complex"}, "factors": [{"type": "mono", "u": "0,0"}]},
         {"ring": {"kind": "complex"}, "factors": [{"type": "antiholo", "alpha": "0,1"}]},
+        # factors that each pass but whose product has no inverse
+        {"ring": {"kind": "complex"}, "factors": [{"type": "holo", "beta": "0.5,0"},
+                                                  {"type": "mono", "u": "1e-5,0"},
+                                                  {"type": "mono", "u": "1e-5,0"}]},
+        {"factors": [{"type": "antiholo", "alpha": "1/2"}, {"type": "holo", "beta": "2"}]},
+        {"factors": [{"type": "antiholo", "alpha": "-2/3"},
+                     {"type": "holo", "beta": "-3/2"}]},
+        {"factors": ["antiholo"]},
+        {"factors": [{"type": "spiral"}]},
     ]:
         code, err = run_err(tmp_path, capsys, job)
         assert code == 2 and "'factors'" in err, (job, err)
@@ -233,6 +241,10 @@ def test_internal_error_is_not_a_validation_error(tmp_path, capsys, monkeypatch)
         raise TypeError("internal bug")
 
     monkeypatch.setattr("whlaurent.cli.factorize", broken)
+    with pytest.raises(TypeError):
+        run(tmp_path, capsys, GOLDEN_JOB)
+    # building the inverse names the 'factors' field only for a RingError
+    monkeypatch.setattr("whlaurent.cli.invert_from_factors", broken)
     with pytest.raises(TypeError):
         run(tmp_path, capsys, GOLDEN_JOB)
 

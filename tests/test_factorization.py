@@ -13,7 +13,7 @@ from whlaurent import factorization
 from whlaurent.corpus import random_complex_factors, random_rational_factors
 from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError, leaf_kind
-from whlaurent.series import LaurentSeries, SeriesClass, WindowError
+from whlaurent.series import LaurentSeries, WindowError
 
 from conftest import dual_ring, sixteen_factor_symbol, worked_pair
 
@@ -46,9 +46,15 @@ def test_shifted_worked_example_all_windings(p):
 def test_projection_memberships():
     _, pair = worked_pair()
     res = wl.factorize(pair)
-    assert SeriesClass.STRICTLY_HOLOMORPHIC in wl.classify(res.pi_plus)
-    assert SeriesClass.STRICTLY_ANTIHOLOMORPHIC in wl.classify(res.pi_minus)
-    assert SeriesClass.ORTHOGONAL in wl.classify(res.pi_tilde)
+    factorization._check_projection(res.pi_plus, "plus")
+    factorization._check_projection(res.pi_minus, "minus")
+    assert wl.is_orthogonal(res.pi_tilde)
+    # each outer part fails the other's strictness test
+    with pytest.raises(FactorizationError, match="pi_minus has stray exponents"):
+        factorization._check_projection(res.pi_plus, "minus")
+    with pytest.raises(FactorizationError, match="pi_plus has stray exponents"):
+        factorization._check_projection(res.pi_minus, "plus")
+    assert not wl.is_orthogonal(res.pi_plus)
 
 
 def test_symmetric_complex_symbol():

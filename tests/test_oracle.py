@@ -80,6 +80,15 @@ def test_zero_symbol_rejected():
         root_split_factorize(LaurentSeries(C, {}))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("oracle", [cepstral_factorize, root_split_factorize],
+                         ids=["cepstral", "root_split"])
+def test_non_finite_symbol_rejected(oracle, value):
+    a = LaurentSeries(C, {0: 1.0 + 0j, 1: complex(value, 0.0)})
+    with pytest.raises(OracleError, match="non-finite"):
+        oracle(a)
+
+
 def test_exact_ring_rejected():
     from fractions import Fraction
 

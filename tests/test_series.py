@@ -16,7 +16,7 @@ from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
 from whlaurent.exact import from_terms
 from whlaurent.factorization import FactorizationError, _check_projection, residual_bound
 from whlaurent.rings import RingError
-from whlaurent.series import LaurentSeries, SeriesClass, WindowError, factor_series
+from whlaurent.series import LaurentSeries, WindowError, factor_series
 
 from conftest import dual_ring, sixteen_factor_symbol
 
@@ -238,22 +238,27 @@ def test_div_unit_round_trips():
 
 
 def test_classify_memberships():
-    hol = LaurentSeries(Q, {0: Fraction(1), 2: Fraction(1, 3)})
-    assert wl.classify(hol) == {SeriesClass.STRICTLY_HOLOMORPHIC}
-    anti = LaurentSeries(Q, {0: Fraction(1), -1: Fraction(-1, 2)})
-    assert wl.classify(anti) == {SeriesClass.STRICTLY_ANTIHOLOMORPHIC}
-    mono = LaurentSeries(Q, {3: Fraction(7)})
-    assert wl.classify(mono) == {SeriesClass.ORTHOGONAL}
-    one = LaurentSeries.one(Q)
-    assert wl.classify(one) == {SeriesClass.STRICTLY_HOLOMORPHIC,
-                                SeriesClass.STRICTLY_ANTIHOLOMORPHIC,
-                                SeriesClass.ORTHOGONAL}
+    # is_orthogonal: nonzero, every two distinct coefficients multiply to 0
+    for coeffs, want in [({0: Fraction(1), 2: Fraction(1, 3)}, False),   # holomorphic
+                         ({0: Fraction(1), -1: Fraction(-1, 2)}, False),  # antiholomorphic
+                         ({3: Fraction(7)}, True), ({0: Fraction(1)}, True),
+                         ({0: Fraction(2), 1: Fraction(3)}, False), ({}, False)]:
+        assert wl.is_orthogonal(LaurentSeries(Q, coeffs)) is want, coeffs
     R = wl.product_ring(Q, 2)
     orth = LaurentSeries(R, {0: (Fraction(2), Fraction(0)),
                              1: (Fraction(0), Fraction(1, 3))})
-    assert SeriesClass.ORTHOGONAL in wl.classify(orth)
-    generic = LaurentSeries(Q, {0: Fraction(2), 1: Fraction(3)})
-    assert wl.classify(generic) == set()
+    assert wl.is_orthogonal(orth)
+    # over an exact ring with nilpotents: e * e = 0
+    D = dual_ring(Q)
+    eps = (Fraction(0), Fraction(1))
+    assert wl.is_orthogonal(LaurentSeries(D, {0: eps, 1: eps}))
+    assert not wl.is_orthogonal(LaurentSeries(D, {0: D.one, 1: eps}))
+    # over C a product is 0 within the tolerance times both moduli, each at least 1
+    C = wl.complex_ring()
+    assert wl.is_orthogonal(LaurentSeries(C, {0: 2e-5 + 0j, 3: 2e-5j}))
+    assert not wl.is_orthogonal(LaurentSeries(C, {0: 1.0 + 0j, 3: 2e-9 + 0j}))
+    assert not wl.is_orthogonal(LaurentSeries(C, {0: 1e6 + 0j, 1: 1e-3 + 0j}))
+    assert not wl.is_orthogonal(LaurentSeries(C, {}))
 
 
 def test_json_round_trip():
@@ -402,6 +407,11 @@ def test_mul_matches_fraction_loop(ring):
         assert got.coeffs == _componentwise(ring, _ref_mul, x.coeffs, y.coeffs, got.window), size
         assert all(type(c) is Fraction for e in got.coeffs.values()
                    for c in (e if isinstance(e, tuple) else (e,)))
+    # an exact zero factor keeps the windowed factor's window
+    x = _rand_series(ring, rng, 5, -3, windowed=True)
+    zero = LaurentSeries.zero(ring)
+    for got in (zero.mul(x), x.mul(zero)):
+        assert got.window == x.window == _ref_mul_window(zero, x) and not got.coeffs
 
 
 @pytest.mark.parametrize("ring", [Q, Q2], ids=["Q", "Q^2"])
@@ -421,6 +431,14 @@ def test_div_unit_matches_fraction_recurrence(ring):
         want = _componentwise(ring, lambda xc, uc: _ref_div(xc, uc, window),
                               x.truncate(window).coeffs, u.coeffs, keep)
         assert got.coeffs == want, size
+    # (1 + z^5) / (1 + z/2) (over Q^2, 1 + z in the second leaf) read on [1, 4],
+    # where x is 0: the quotient is 0 there, on the ring-element path too
+    slow = Q_ELEMENTS if ring is Q else wl.product_ring(Q_ELEMENTS, 2)
+    for r in (ring, slow):
+        x = LaurentSeries(r, {0: r.one, 5: r.one})
+        u = LaurentSeries(r, {0: r.one, 1: _lift(Fraction(1, 2), ring)})
+        got = wl.div_unit(x, u, (1, 4))
+        assert got.window == (1, 4) and not got.coeffs, r.name
 
 
 # a copy of Q whose zero is not a Fraction takes the ring-element path
@@ -786,7 +804,7 @@ def test_factorize_checks_read_integer_forms(ring):
         assert [s.coeffs for s in parts] == \
             [want.pi_minus.coeffs, want.pi_tilde.coeffs, want.pi_plus.coeffs]
         assert res.winding == want.winding
-    # on random series the integer-form classify, unit test and projection
+    # on random series the integer-form orthogonality, unit test and projection
     # checks agree with the Fraction-map checks of the element path
     one, two, zero = ring.one, _lift(Fraction(2), ring), ring.zero
     cases = [{0: one, 2: two}, {-3: two, 0: one}, {0: two, 1: two}, {0: one}, {},
@@ -804,7 +822,7 @@ def test_factorize_checks_read_integer_forms(ring):
     for cs in cases:
         fast = LaurentSeries._from_ints(ring, LaurentSeries(ring, cs).ints)
         ref = LaurentSeries(slow, cs)
-        assert wl.classify(fast) == wl.classify(ref), cs
+        assert wl.is_orthogonal(fast) == wl.is_orthogonal(ref), cs
         assert fast.has_unit_constant() == ref.has_unit_constant(), cs
         for kind in ("plus", "minus"):
             assert _check_outcome(_check_projection, fast, kind) == \
