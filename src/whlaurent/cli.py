@@ -17,11 +17,11 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError, leaf_kind
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, WindowError,
-                     check_factors, invert_from_factors, invert_numeric, is_orthogonal,
-                     laurent_ring)
+                     check_factors, invert_from_factors, invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
-from .factorization import FactorizationError, certify, factorize, orthogonal_decompose
+from .factorization import (FactorizationError, NotOrthogonalError, certify, factorize,
+                            orthogonal_decompose)
 from .oracle import SAMPLES, OracleError, cepstral_factorize, compare, root_split_factorize
 from .serialize import json_float, json_int, result_to_json, ring_from_json, series_from_json
 
@@ -115,9 +115,10 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         return EXIT_OK, {"matrices": _matrix_dumps(pair, ring, window)}
 
     if mode == "orthogonal":
-        if not is_orthogonal(pair.a):
-            raise JobError("orthogonal mode needs an orthogonal symbol")
-        dec = orthogonal_decompose(pair)
+        try:
+            dec = orthogonal_decompose(pair)
+        except NotOrthogonalError as exc:
+            raise JobError("orthogonal mode needs an orthogonal symbol") from exc
         return EXIT_OK, {
             "idempotents": [{"n": n, "c": ring.fmt(c)}
                             for n, c in sorted(dec.idempotents.items())],

@@ -14,13 +14,16 @@ that array from Laurent polynomial entries, and runs Berkowitz over any
 other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
 has no path for other rings (:func:`ring_array` raises ``RingError``).
 The outer projections call their kernel here directly
-(``factorization._outer_projection``): :func:`_poly_det` of the pencil
-``I - w K`` over ``C``, and :func:`berkowitz` over ``Q`` (on the integer
-block) and over every other ring (on ring elements).
+(``factorization._outer_projections``): over ``C`` :func:`_poly_det` of
+the stack of a leaf's two pencils ``I - w K``, pi_+'s and its mirror
+image's, sampled at one cached set of points (:func:`_circle`) in one
+batched determinant and one FFT; and :func:`berkowitz` over ``Q`` (on the
+integer blocks) and over every other ring (on ring elements).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -88,18 +91,22 @@ def _split_pencil(ring: Ring, coef: Any) -> List[Any]:
 def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
     """Coefficients ``c_0..c_deg`` of ``det(sum_k coef[k] w^k)``, a polynomial
     of degree at most ``deg`` with ``coef`` a ``(width, n, n)`` array over
-    ``Q`` or ``C``.
+    ``Q`` or ``C``.  Over ``C`` ``coef`` may also be a stack of pencils,
+    ``(width, ..., n, n)``; each is sampled at the same points, and the
+    coefficients come as nested lists in the stack's shape, ``c_0..c_deg``
+    last.
 
     Over ``C`` it is sampled at the ``nsamp >= deg + 1`` roots of unity
-    (the next power of two), sixteen sample matrices to one batched
-    determinant (a bounded stack), and the FFT gives the coefficients
-    without aliasing.  Over ``Q`` the array is cleared to integers over one
-    common denominator ``d``; each of the ``deg + 1`` points 1, -1, 2, -2,
-    ... gives an integer matrix, whose determinant comes from fraction-free
-    elimination (:func:`exact.bareiss`).  The integer Vandermonde system
-    of the points and those determinants is solved by the same
-    elimination (:func:`exact.bareiss_solve`), and its solution is divided
-    by its determinant and by ``d^n``.
+    (the next power of two, their powers cached per sample count and
+    width, :func:`_circle`), sixteen sample points to one batched
+    determinant (a bounded stack), and one FFT along the sample axis gives
+    the coefficients without aliasing.  Over ``Q`` the array is cleared to
+    integers over one common denominator ``d``; each of the ``deg + 1``
+    points 1, -1, 2, -2, ... gives an integer matrix, whose determinant
+    comes from fraction-free elimination (:func:`exact.bareiss`).  The
+    integer Vandermonde system of the points and those determinants is
+    solved by the same elimination (:func:`exact.bareiss_solve`), and its
+    solution is divided by its determinant and by ``d^n``.
     """
     if leaf_kind(ring) is Fraction:
         nums, d = clear(coef.ravel().tolist())
@@ -115,12 +122,22 @@ def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
         scale = det * d ** coef.shape[1]  # det(d M) = d^n det(M)
         return [Fraction(c, scale) for c in z]
     nsamp = 1 << deg.bit_length()
-    ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
-    powers = ws[:, None] ** np.arange(len(coef))
+    powers = _circle(nsamp, len(coef))
     dets = np.concatenate([
         np.linalg.det(np.tensordot(powers[s:s + 16], coef, axes=1))
         for s in range(0, nsamp, 16)])
-    return [complex(c) for c in np.fft.fft(dets)[:deg + 1] / nsamp]
+    return np.moveaxis(np.fft.fft(dets, axis=0)[:deg + 1] / nsamp, 0, -1).tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _circle(nsamp: int, width: int) -> Any:
+    """The powers ``w^0 .. w^(width - 1)`` of the ``nsamp``-th roots of unity
+    ``w = exp(2 pi i s / nsamp)``, one row per ``s``: the sample points of
+    :func:`_poly_det`, read-only, since one table serves every call."""
+    ws = np.exp(2j * np.pi * np.arange(nsamp) / nsamp)
+    out = ws[:, None] ** np.arange(width)
+    out.flags.writeable = False
+    return out
 
 
 def _row_det(ring: Ring, coef: Any) -> Dict[int, Any]:

@@ -1,32 +1,44 @@
 """Wiener-Hopf (Birkhoff) factorization over commutative coefficient rings.
 
 The three projections are computed from Toeplitz-determinant formulas.
-The holomorphic part is pi_+(w) = det(I - w K), where K = E + B is a
+The holomorphic part is pi_+(w) = det(I - w K), where K = E + G W is a
 constant matrix over the base ring on a finite index interval: the shift
-part of the reflection factor plus the bracket block
-U(b)[1_{Z^-}, U(a)]U(z^-1).  It is read off one characteristic
-polynomial of K, per component of a product ring, each on its own
-support re-centred on 0 by a unit monomial: z^-e a has the same pi_+, and
-the block has as many rows as the component's support spans.  The antiholomorphic
+part E of the reflection factor plus the bracket block
+U(b)[1_{Z^-}, U(a)]U(z^-1), the product of G, a Toeplitz slice of b, and
+W, the signed coefficients of a on two quadrants.  The antiholomorphic
 part is the mirror image: pi_- of a is pi_+ of a(1/z), read at 1/w.
-Over Q the bracket block is an integer Toeplitz product of the numerators
-of a and b over the common denominator d = da db, and d K goes straight
-to division-free Berkowitz on Python integers.  Over C, K is one complex
-array, the bracket block one gather of b's Toeplitz slices times a matrix
-of signed coefficients of a, and its pencil is sampled on the unit
-circle, where Berkowitz loses accuracy on these non-normal blocks.  Other
-rings build the block from ring elements and run Berkowitz on them.  The
-orthogonal middle part comes either by exact division (default) or
+
+Each leaf (a component of a product of Q or C, the whole series over any
+other ring) re-centres its support [lo, hi] on 0 by a unit monomial,
+which moves neither projection, so its blocks have as many rows as the
+support spans.  One index map per re-centred hull (``_BlockMap``, cached
+and read-only) describes both of the leaf's blocks, pi_+'s and its mirror
+image, which is the same map read on the reversed coefficients: rows and
+columns P = [1 - hi, -lo], G on [2 - 2 hi, -2 lo], W by column, and E's
+ones.  Every path reads that map, and one call returns both projections
+of every leaf and the one window [e - 2 hi, e - 2 lo] of b that they
+read.  Over Q the blocks are integer, the numerators of a and b over the
+common denominator d = da db, built by slices and ``exact.dot``, and d K
+goes straight to division-free Berkowitz on Python integers.  Over C
+both blocks come from one gather and one batched matmul, and their two
+pencils I - w K go to the circle sampler as one stack, one batched
+determinant and one FFT, where Berkowitz loses accuracy on these
+non-normal blocks.  Other rings build the blocks from ring elements with
+``Ring.dot`` and run Berkowitz on them.
+
+The orthogonal middle part comes either by exact division (default) or
 through the half-lattice truncated determinant (cross-check route); over
 Q and C the long division runs on integers or complex arrays too
 (``series.div_unit``).  The w-series blocks of the widetilde-determinant
 closed form (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``)
-stay for checking against it; they build the bracket block from ring
-elements over every ring, Q and C included.
+stay for checking against it; they read the same map on the hull of a's
+support widened to hold 0, not re-centred, from ring elements over every
+ring, Q and C included.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,16 +47,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact import Ints, dot, reduced, slice_ints
-from .floating import to_array
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
 from .series import InvertiblePair, LaurentSeries, WindowError, div_unit, is_orthogonal
 from . import matrices as mx
 from .matrices import Lattice, WindowedMatrix
-from .determinants import _poly_det, berkowitz, det_truncated, reduced_columns, ring_array
+from .determinants import _poly_det, berkowitz, det_truncated, ring_array
 
 
 class FactorizationError(ValueError):
     """Raised when a factorization does not satisfy its contracts."""
+
+
+class NotOrthogonalError(FactorizationError):
+    """Raised by :func:`orthogonal_decompose` for a symbol that is not
+    orthogonal: a fault of the input, not of the computation."""
 
 
 @dataclass
@@ -70,60 +86,93 @@ class OrthogonalDecomposition:
 
 # -- bracket perturbation blocks -------------------------------------
 
-Columns = Dict[int, List[Tuple[int, int, int]]]
-Block = Tuple[int, List[int], Columns]
+Run = Tuple[int, int, int, int]
+Block = Tuple[Tuple[Run, ...], Tuple[Tuple[int, int], ...]]
 
 
-def _bracket_cols(support: Sequence[int]) -> Tuple[List[int], Columns]:
-    """J' and the commutator [1_{Z^-}, U(a)] U(z^-1) by shifted column, for
-    ``a`` with exponents ``support``: each column lists ``(row j, exponent
-    d, sign)`` for its entry ``sign * a_d``.
+def _runs(lo: int, hi: int) -> Tuple[Run, ...]:
+    """W of the block of a hull ``[lo, hi]`` with ``lo <= 0 <= hi``, by
+    column: ``(s, j0, j1, a0)`` for column ``k`` (index ``k - 1 + hi`` on
+    P = [1 - hi, -lo]) puts ``s * a_(j-k+1)`` at the rows ``j`` with
+    indices ``j0 <= i < j1`` on ``[lo, hi - 1]``, where ``a_(j-k+1)`` is
+    entry ``a0 + i - j0`` of ``a`` on ``[lo, hi]``.
 
-    The commutator has entries (chi(j) - chi(m)) a_{j-m}, chi the indicator
-    of Z^- = {k < 0}, nonzero only where j = m + d and m straddle 0: for
-    d > 0 that is -d <= m < 0, with j not in Z^- (sign -1), and for d < 0
-    it is 0 <= m < -d, with j in Z^- (sign +1).  The antiholomorphic side
-    is this block for the reflected pair (:meth:`InvertiblePair.reflect`).
-    """
-    cols: Columns = {}
-    for d in support:
-        for m in (range(-d, 0) if d > 0 else range(0, -d)):
-            cols.setdefault(m + 1, []).append((m + d, d, -1 if d > 0 else 1))
-    return reduced_columns(sorted(cols)), cols
+    These are the nonzero entries (chi(j) - chi(k - 1)) a_(j-k+1) of the
+    commutator [1_{Z^-}, U(a)] U(z^-1), chi the indicator of Z^- = {k < 0}:
+    -a_(j-k+1) where k <= 0 <= j, +a_(j-k+1) where j < 0 < k, each column
+    one run of rows on which j - k + 1 stays inside the hull."""
+    n = hi - lo
+    return tuple((-1, -lo, k - lo + 1, n - k) if k < hi else (1, k - hi, -lo, 0)
+                 for k in range(n))
 
 
-def _centred_cols(support: Sequence[int]) -> Tuple[int, List[int], Columns]:
-    """``(e, J', columns)`` of the block of a leaf with exponents
-    ``support``, re-centred on 0: ``e`` is ``lo`` if ``lo > 0``, ``hi`` if
-    ``hi < 0`` and 0 otherwise, for ``[lo, hi]`` the support's hull, and
-    J' and the columns are :func:`_bracket_cols` of ``support - e``, whose
-    block spans ``hi - lo`` rows.
+@dataclass(frozen=True)
+class _BlockMap:
+    """The index map of the bracket blocks of a leaf whose support,
+    re-centred on 0, spans ``[lo, hi]`` (``lo <= 0 <= hi``): the block of
+    the pair, and its mirror image, the block of the hull ``[-hi, -lo]``
+    read on the reversed coefficients.  Each reads ``a`` on ``[lo, hi]``
+    and ``b`` on ``[-2 hi, -2 lo]`` (the mirror both reversed), and has
+    ``n = hi - lo`` rows and columns, P = [1 - hi, -lo]; K = G W + E.
 
-    The outer projection builds its block for the pair ``(z^-e a, z^e b)``:
-    ``z^-e a = pi_- (z^-e pi~) pi_+`` with ``z^-e pi~`` still orthogonal,
-    so by uniqueness pi_+ does not move, over every commutative ring."""
-    lo, hi = (min(support), max(support)) if support else (0, 0)
+    ``g[r][j]`` is the index of b_(r-j) in ``b``, so G is the Toeplitz
+    slice of ``b`` on [2 - 2 hi, -2 lo], for rows r in P and j in
+    [lo, hi - 1].  ``blocks`` holds, per block, W by column
+    (:func:`_runs`) and the positions of E's ones, ``(i, i + 1)`` where
+    k + 1 <= 0.  ``take`` and ``shift`` are the same map as arrays, for
+    ``C``: ``take[m]`` indexes G and W of block ``m`` in the vector
+    ``[b, 0, a, -a]`` followed by the same four reversed, and ``shift[m]``
+    is E.  One map serves every leaf of its hull, so its arrays are
+    read-only and the cache is bounded."""
+
+    n: int
+    g: Tuple[Tuple[int, ...], ...]
+    blocks: Tuple[Block, Block]
+    take: Any
+    shift: Any
+
+
+@functools.lru_cache(maxsize=128)
+def _block_map(lo: int, hi: int) -> _BlockMap:
+    n = hi - lo
+    idx = np.arange(n)
+    g = idx[:, None] - idx + n + 1
+    blocks = tuple((_runs(x, y), tuple((i, i + 1) for i in range(y - 1)))
+                   for x, y in ((lo, hi), (-hi, -lo)))
+    size = 4 * (n + 1)  # [b (2n + 1), 0, a (n + 1), -a (n + 1)]
+    take = np.empty((2, 2, n, n), np.intp)
+    shift = np.zeros((2, n, n))
+    for m, (runs, ones) in enumerate(blocks):
+        base = m * size
+        take[m, 0] = base + g
+        take[m, 1] = base + 2 * n + 1
+        for k, (s, j0, j1, a0) in enumerate(runs):
+            seg = 2 if s > 0 else 3  # a or -a
+            take[m, 1, j0:j1, k] = base + seg * (n + 1) + np.arange(a0, a0 + j1 - j0)
+        for r, c in ones:
+            shift[m, r, c] = 1
+    take.flags.writeable = shift.flags.writeable = False
+    return _BlockMap(n, tuple(map(tuple, g.tolist())), blocks, take, shift)
+
+
+def _leaf_map(lo: int, hi: int) -> Tuple[_BlockMap, Tuple[int, int]]:
+    """The map of a leaf whose support spans ``[lo, hi]``, re-centred on 0
+    by ``e`` (``lo`` if ``lo > 0``, ``hi`` if ``hi < 0``, else 0), and the
+    window ``[e - 2 hi, e - 2 lo]`` of ``b`` that both of its blocks read.
+
+    The blocks are built for the pair ``(z^-e a, z^e b)``: ``z^-e a = pi_-
+    (z^-e pi~) pi_+`` with ``z^-e pi~`` still orthogonal, so by uniqueness
+    pi_+ and pi_- do not move, over every commutative ring, and each block
+    has as many rows as the support spans (on a support that does not
+    straddle 0 it would have ``max(hi, -lo)``)."""
     e = lo if lo > 0 else hi if hi < 0 else 0
-    return (e, *_bracket_cols([d - e for d in support]))
+    return _block_map(lo - e, hi - e), (e - 2 * hi, e - 2 * lo)
 
 
-def _b_range(jp: List[int], cols: Columns) -> Optional[Tuple[int, int]]:
-    """The exponents ``[lo, hi]`` of ``b`` that the bracket block on the rows
-    ``jp`` reads, ``b_(r-j)`` for each row ``r`` and each row ``j`` of a
-    column entry, and None for a block with no columns."""
-    js = [j for col in cols.values() for j, _d, _s in col]
-    return (jp[0] - max(js), jp[-1] - min(js)) if js else None
-
-
-def _b_need(blocks: Sequence[Block]) -> Optional[Tuple[int, int]]:
-    """The least window of ``b`` that holds what the blocks and their mirror
-    images read, each block ``(e, J', columns)`` built for ``z^e b``
-    (:func:`_centred_cols`), and None if no block has a column.  The mirror
-    image, the block of the reflected pair, has rows ``1 - J'`` and column
-    rows ``-1 - j`` on ``b(1/z)``, so it reads ``b`` two lower: pi_+ and
-    pi_- ask for one window, the hull of ``[e - 2 hi, e - 2 lo]`` over the
-    leaves with support ``[lo, hi]``, and the reflected pair's is its mirror."""
-    reads = [(r[0] - 2 - e, r[1] - e) for e, jp, cols in blocks if (r := _b_range(jp, cols))]
+def _need(windows: Sequence[Optional[Tuple[int, int]]]) -> Optional[Tuple[int, int]]:
+    """The hull of the windows of ``b`` the leaves read, None where no leaf
+    reads any (every leaf a monomial, its blocks empty)."""
+    reads = [w for w in windows if w]
     return (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else None
 
 
@@ -134,62 +183,61 @@ def _check_b_window(b: LaurentSeries, need: Optional[Tuple[int, int]]) -> None:
                           % (*b.window, *need))
 
 
-def _int_bracket(jp: List[int], cols: Columns, a: Ints,
-                 b: Ints) -> Tuple[Dict[Tuple[int, int], int], int]:
-    """The nonzero bracket entries over ``Q`` as an integer Toeplitz
-    product: numerators over the common denominator ``d = da db`` of ``a``
-    and of the slice of ``b`` that the rows ``jp`` read."""
-    if not cols:
-        return {}, 1
-    ds = [d for col in cols.values() for _j, d, _s in col]
-    lo, hi = _b_range(jp, cols)
-    bs, db = slice_ints(b, lo, hi)
-    # all of a, so that da is its denominator, and every exponent read
-    a_lo = min(a[0], *ds)
-    an, da = slice_ints(a, a_lo, max(a[0] + len(a[1]) - 1, *ds))
-    weights = [(k, [(j + lo, s * an[d - a_lo]) for j, d, s in col]) for k, col in cols.items()]
-    ents: Dict[Tuple[int, int], int] = {}
-    for r in jp:
-        for k, col in weights:
-            acc = sum(w * bs[r - j] for j, w in col)
-            if acc:
-                ents[(r, k)] = acc
-    return ents, da * db
+def _bracket(g: Sequence[Sequence[int]], runs: Sequence[Run], a: Sequence[Any],
+             b: Sequence[Any], dot: Callable[[Sequence[Any], Sequence[Any]], Any],
+             neg: Callable[[Any], Any]) -> List[List[Any]]:
+    """B = G W of one block as dense rows, from ``a`` on the hull and ``b``
+    on the window of a :class:`_BlockMap` (reversed for the mirror image),
+    each entry one ``dot`` of a slice of a row of G with a run of W.
+
+    Over ``Q`` the entries are integers (the numerators of ``a`` and ``b``,
+    with :func:`exact.dot`), over any other ring ring elements
+    (:meth:`rings.Ring.dot`), each kept as computed: the block is a matrix,
+    not a series, so nothing is cut to the ring's tolerance here."""
+    signed = (a, [neg(x) for x in a])
+    cols = [(j0, j1, signed[s < 0][a0:a0 + j1 - j0]) for s, j0, j1, a0 in runs]
+    return [[dot(row[j0:j1], w) for j0, j1, w in cols] for row in ([b[i] for i in r] for r in g)]
 
 
-def _bracket_block(jp: List[int], cols: Columns, a: LaurentSeries,
-                   b: LaurentSeries) -> Dict[Tuple[int, int], Any]:
-    """U(b) [1_{Z^-}, U(a)] U(z^-1) over the base ring, on the rows J' that
-    the column reduction reads.
+def _k_rows(m: _BlockMap, block: Block, a: Sequence[Any], b: Sequence[Any],
+            dot: Callable[[Sequence[Any], Sequence[Any]], Any], neg: Callable[[Any], Any],
+            add: Callable[[Any, Any], Any], one: Any) -> List[List[Any]]:
+    """K = G W + E of one block of ``m`` as dense rows (:func:`_bracket`),
+    with ``one`` the value of E's entries."""
+    runs, ones = block
+    rows = _bracket(m.g, runs, a, b, dot, neg)
+    for r, c in ones:
+        rows[r][c] = add(rows[r][c], one)
+    return rows
 
-    Rows outside J' never change det(1 + A F^-1) since F^-1 is triangular,
-    so they are not built; the rows built read b only on :func:`_b_range`,
-    inside [-2d, 2d] for d the largest |exponent| of a.  The entries are
-    sums of ring products over every ring, each kept as computed: the
-    block is a matrix, not a series, so nothing is cut to the ring's
-    tolerance here.  Over ``Q`` and
-    ``C`` the outer projection builds the block on integers or complex
-    arrays itself (:func:`_outer_projection`).
-    """
-    ring = a.ring
-    vals = {k: ([j for j, _d, _s in col],
-                [a.coeffs[d] if s > 0 else ring.neg(a.coeffs[d]) for _j, d, s in col])
-            for k, col in cols.items()}
-    return {(r, k): ring.dot([b.coeff(r - j) for j in js], vs)
-            for r in jp for k, (js, vs) in vals.items()}
+
+def _own_map(pair: InvertiblePair) -> Tuple[int, int, _BlockMap, Tuple[int, int]]:
+    """``(lo, hi, map, window)`` of the closed forms' block: on the hull
+    ``[lo, hi]`` of ``a``'s support widened to hold 0, not re-centred, so it
+    reads ``b`` on ``[-2 max(hi, 0), -2 min(lo, 0)]``, checked here on
+    ``b`` as given."""
+    lo, hi = pair.a._supp_bounds()
+    lo, hi = min(lo, 0), max(hi, 0)
+    m, window = _leaf_map(lo, hi)
+    _check_b_window(pair.b, window if m.n else None)
+    return lo, hi, m, window
 
 
 def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
     """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
     for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A, as a
-    w-series WindowedMatrix: the bracket block of ``pair`` on ``a``'s own
-    support, not re-centred, on the rows J' read by the column reduction."""
-    jp, cols = _bracket_cols(pair.a.support())
-    _check_b_window(pair.b, _b_need([(0, jp, cols)]))
+    w-series WindowedMatrix: the bracket block of ``pair`` on the hull of
+    ``a``'s own support widened to hold 0 (:func:`_own_map`), not
+    re-centred, on the rows J' = P read by the column reduction, from ring
+    elements over every ring, ``Q`` and ``C`` included."""
+    a, b = pair.a, pair.b
+    lo, hi, m, (b_lo, b_hi) = _own_map(pair)
+    rows = _bracket(m.g, m.blocks[0][0], [a.coeff(d) for d in range(lo, hi + 1)],
+                    [b.coeff(k) for k in range(b_lo, b_hi + 1)], a.ring.dot, a.ring.neg)
     coef = ring_w.neg(w)
-    scaled = {rk: ring_w.mul(coef, ring_w.const(v))
-              for rk, v in _bracket_block(jp, cols, pair.a, pair.b).items()}
-    window = (jp[0] - 1, jp[-1] + 1) if jp else (-1, 1)
+    scaled = {(1 - hi + r, 1 - hi + k): ring_w.mul(coef, ring_w.const(v))
+              for r, row in enumerate(rows) for k, v in enumerate(row)}
+    window = (-hi, 1 - lo) if m.n else (-1, 1)
     return WindowedMatrix(ring_w, Lattice.INTEGER, window, scaled,
                           window[1] - window[0], window)._prune()
 
@@ -199,157 +247,140 @@ def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Wi
     rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
     block A' of the reflected pair at w^-1.  ``b``'s window is checked as
     given; the reflected pair's need is the mirror image of this one."""
-    _check_b_window(pair.b, _b_need([(0, *_bracket_cols(pair.a.support()))]))
+    _own_map(pair)
     return mx._reflect(holomorphic_det_matrix(pair.reflect(), ring_w, ring_w.inverse(w)))
 
 
 # -- the projections --------------------------------------------------
 
-def _outer_projection(pair: InvertiblePair) -> Tuple[LaurentSeries, Optional[Tuple[int, int]]]:
-    """``(pi_+, need)``: pi_+ = det(I - w K) for the constant matrix K = E + B
-    on P = [min J', max J'], from the characteristic polynomial
-    det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i, and ``need``
-    the window of ``b`` its blocks read (:func:`_b_need`), for the caller to
-    check.  pi_- is this projection of the reflected pair, read at 1/w.
+def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeries,
+                                                      Optional[Tuple[int, int]]]:
+    """``(pi_+, pi_-, need)``: pi_+ = det(I - w K) for the constant matrix
+    K = E + B on P = [1 - hi, -lo], from the characteristic polynomial
+    det(x I - K) = sum c_i x^(n-i): det(I - w K) = sum c_i w^i; pi_- the
+    same of the mirror block, read at 1/w; and ``need`` the window of
+    ``b`` the blocks read (:func:`_leaf_map`), for the caller to check.
 
     B is the bracket block without its -w factor, so that F + A = I - w K
     with F = I - w E the reflection factor, E with ones at (k, k+1) for
     k + 1 <= 0.  F is unit triangular on the interval P and A vanishes off
     P's columns, so widetilde-det(F + A) = det(1 + A F^-1)[J', J'] = det(F + A)[P, P].
+    By the uniqueness of a(1/z) = pi_+(1/z) pi~(1/z) pi_-(1/z), pi_- is
+    pi_+ of the reflected pair read at 1/w: the mirror block of the map,
+    the same map read on the reversed coefficients, so no reflected pair
+    is built.
 
     Each leaf (each component of a product of ``Q`` or ``C``, the whole
-    series over any other ring) builds its own block from its own support,
-    re-centred on 0 (:func:`_centred_cols`): the pair ``(z^-e a, z^e b)``
-    has the same pi_+, and its block has as many rows as the leaf's
-    support ``[lo, hi]`` spans (on a support that does not straddle 0 it
-    would have ``max(hi, -lo)``).  ``need`` is the hull of what each
-    leaf's block and its mirror image read, ``[e - 2 hi, e - 2 lo]``.
+    series over any other ring) builds both blocks from its own support,
+    re-centred on 0, by one :class:`_BlockMap`; ``need`` is the hull of
+    what the leaves read, ``[e - 2 hi, e - 2 lo]`` each.
 
-    This is the one place that picks the block's form and its
+    This is the one place that picks the blocks' form and their
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
-    the integer bracket block ``d B`` (:func:`_int_bracket`, on the
-    integer forms of ``a`` and ``b``) and ``d E`` go straight to
-    Berkowitz on integers (:func:`determinants.berkowitz` with
-    :func:`exact.dot`), and the projection is one integer form over
-    ``d^n``, with no ``Fraction`` in between.  Over
-    ``C`` (and per component of a product of ``C``) K is one complex array
-    (:func:`_c_k_matrix`), and the pencil ``I - w K`` is sampled on the
-    unit circle (:func:`determinants._poly_det` at degree ``n``), since
+    the integer blocks ``d K`` (:func:`_int_projections`, on the integer
+    forms of ``a`` and ``b``) go straight to Berkowitz on integers
+    (:func:`determinants.berkowitz` with :func:`exact.dot`), and each
+    projection is one integer form over ``d^n``, with no ``Fraction`` in
+    between.  Over ``C`` (and per component of a product of ``C``) both
+    blocks are one gather and one batched matmul on complex arrays, and
+    the two pencils ``I - w K`` are sampled on the unit circle as one
+    stack (:func:`determinants._poly_det` at degree ``n``), since
     Berkowitz's Krylov sums lose up to 1e-8 on these strongly non-normal
-    blocks.  Every other ring builds ``B`` from ring elements
-    (:func:`_bracket_block`) and runs the same Berkowitz on them, with
-    the ring's inner product (:meth:`rings.Ring.dot`).
+    blocks.  Every other ring builds both blocks from ring elements and
+    runs the same Berkowitz on them, with the ring's inner product
+    (:meth:`rings.Ring.dot`).
     """
     a, b = pair.a, pair.b
     ring = a.ring
     kind = leaf_kind(ring)
     if kind is None:
-        e, jp, cols = block = _centred_cols(a.support())
-        ents = _bracket_block(jp, cols, a.shift(-e), b.shift(e))
-        coeffs = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
-                           ring.dot, ring.neg, ring.one)
-        return LaurentSeries(ring, dict(enumerate(coeffs))), _b_need([block])
+        lo, hi = a._supp_bounds()
+        m, (b_lo, b_hi) = _leaf_map(lo, hi)
+        xs = [a.coeff(d) for d in range(lo, hi + 1)]
+        ys = [b.coeff(k) for k in range(b_lo, b_hi + 1)]
+        pp, pm = [berkowitz(_k_rows(m, block, x, y, ring.dot, ring.neg, ring.add, ring.one),
+                            ring.dot, ring.neg, ring.one)
+                  for block, x, y in zip(m.blocks, (xs, xs[::-1]), (ys, ys[::-1]))]
+        return (LaurentSeries(ring, dict(enumerate(pp))),
+                LaurentSeries(ring, {-i: c for i, c in enumerate(pm)}),
+                (b_lo, b_hi) if m.n else None)
     if kind is Fraction:
-        blocks = [_centred_cols([lo + i for i, x in enumerate(nums) if x])
-                  for lo, nums, _den in a.ints]
-        ints = [_int_projection(block, x, y) for block, x, y in zip(blocks, a.ints, b.ints)]
-        return LaurentSeries._from_ints(ring, ints), _b_need(blocks)
-
-    def leaf(comp: Ring, ac: Dict[int, Any],
-             bc: Dict[int, Any]) -> Tuple[Dict[int, Any], List[Block]]:
-        e, jp, cols = block = _centred_cols(sorted(n for n, c in ac.items() if c))
-        if e:
-            ac, bc = {n - e: c for n, c in ac.items()}, {n + e: c for n, c in bc.items()}
-        k = _c_k_matrix(jp, cols, ac, bc)
-        coeffs = _poly_det(comp, np.stack([np.eye(len(k)), -k]), len(k))
-        return {i: c for i, c in enumerate(coeffs) if not abs(c) <= comp.tolerance}, [block]
-
-    coeffs, blocks = per_component(ring, leaf, split_map, a.coeffs, b.coeffs)
-    return LaurentSeries._trusted(ring, coeffs), _b_need(blocks)
+        plus, minus, reads = zip(*(_int_projections(x, y) for x, y in zip(a.ints, b.ints)))
+        return (LaurentSeries._from_ints(ring, list(plus)),
+                LaurentSeries._from_ints(ring, list(minus)), _need(reads))
+    plus, minus, reads = per_component(ring, _c_projections, split_map, a.coeffs, b.coeffs)
+    return LaurentSeries._trusted(ring, plus), LaurentSeries._trusted(ring, minus), _need(reads)
 
 
-def _int_projection(block: Block, a: Ints, b: Ints) -> Ints:
-    """det(I - w K) over ``Q`` as an integer form, for the leaf forms ``a``
-    and ``b`` re-centred by the ``e`` of ``block`` (:func:`_centred_cols`):
-    for ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the
-    coefficient of ``w^i`` is ``m_i / d^i = m_i d^(n-i) / d^n``."""
-    (a_lo, a_nums, a_den), (b_lo, b_nums, b_den) = a, b
-    e, jp, cols = block
-    ents, d = _int_bracket(jp, cols, (a_lo - e, a_nums, a_den), (b_lo + e, b_nums, b_den))
-    ms = berkowitz(_k_matrix(jp, ents, 0, d, operator.add), dot, operator.neg, 1)
-    n = len(ms) - 1
-    return reduced(0, [m * d ** (n - i) for i, m in enumerate(ms)], d ** n)
+def _int_projections(a: Ints, b: Ints) -> Tuple[Ints, Ints, Optional[Tuple[int, int]]]:
+    """pi_+ and pi_- of one leaf over ``Q`` as integer forms, and the
+    window of ``b`` they read, from the leaf forms ``a`` and ``b``: for
+    ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of
+    ``w^i`` (``w^-i`` for pi_-) is ``m_i / d^i = m_i d^(n-i) / d^n``.
+
+    ``d = da db``, with ``db`` the denominator of the slice of ``b`` that
+    the block reads: pi_+'s block never reads the two lowest exponents of
+    the window and the mirror block never the two highest, so each takes
+    its own slice, the least denominator, with two zeros in their place."""
+    lo, nums, da = a
+    m, (b_lo, b_hi) = _leaf_map(lo, lo + len(nums) - 1)
+    (bp, dp), (bm, dm) = slice_ints(b, b_lo + 2, b_hi), slice_ints(b, b_lo, b_hi - 2)
+    forms = []
+    for block, x, y, db in zip(m.blocks, (nums, nums[::-1]), ([0, 0] + bp, [0, 0] + bm[::-1]),
+                               (dp, dm)):
+        d = da * db
+        ms = berkowitz(_k_rows(m, block, x, y, dot, operator.neg, operator.add, d),
+                       dot, operator.neg, 1)
+        forms.append(([c * d ** (m.n - i) for i, c in enumerate(ms)], d ** m.n))
+    (pp, p_den), (pm, m_den) = forms
+    return reduced(0, pp, p_den), reduced(-m.n, pm[::-1], m_den), (b_lo, b_hi) if m.n else None
 
 
-def _shift_entries(jp: List[int]) -> List[Tuple[int, int]]:
-    """The unit entries of E as (row, column) positions on P = [min J', max J']."""
-    if not jp:
-        return []
-    lo, n = jp[0], jp[-1] - jp[0] + 1
-    return [(i, i + 1) for i in range(n - 1) if lo + i + 1 <= 0]
+def _c_projections(comp: Ring, a: Dict[int, complex], b: Dict[int, complex]) -> Tuple[
+        Dict[int, complex], Dict[int, complex], List[Optional[Tuple[int, int]]]]:
+    """pi_+ and pi_- of one leaf over ``C`` and the window of ``b`` they
+    read: one gather of both blocks' G and W from ``[b, 0, a, -a]`` and
+    the same reversed (``_BlockMap.take``), one batched matmul, and the
+    two pencils ``I - w K`` sampled as one stack."""
+    exps = [n for n, c in a.items() if c] or [0]
+    lo, hi = min(exps), max(exps)
+    m, (b_lo, b_hi) = _leaf_map(lo, hi)
+    x = np.array([a.get(d, 0j) for d in range(lo, hi + 1)], complex)
+    y = np.array([b.get(k, 0j) for k in range(b_lo, b_hi + 1)], complex)
+    gw = np.concatenate([y, [0], x, -x, y[::-1], [0], x[::-1], -x[::-1]])[m.take]
+    k = gw[:, 0] @ gw[:, 1] + m.shift
+    pp, pm = _poly_det(comp, np.stack([np.broadcast_to(np.eye(m.n), k.shape), -k]), m.n)
+    tol = comp.tolerance
+    return ({i: c for i, c in enumerate(pp) if not abs(c) <= tol},
+            {-i: c for i, c in enumerate(pm) if not abs(c) <= tol},
+            [(b_lo, b_hi) if m.n else None])
 
 
-def _k_matrix(jp: List[int], ents: Dict[Tuple[int, int], Any], zero: Any,
-              one: Any, add: Callable[[Any, Any], Any]) -> List[List[Any]]:
-    """K = E + B as dense rows on P = [min J', max J'], with ``one`` the
-    value of E's entries."""
-    idx = list(range(jp[0], jp[-1] + 1)) if jp else []
-    k_mat = [[ents.get((r, c), zero) for c in idx] for r in idx]
-    for i, j in _shift_entries(jp):
-        k_mat[i][j] = add(k_mat[i][j], one)
-    return k_mat
-
-
-def _c_k_matrix(jp: List[int], cols: Columns, a: Dict[int, complex],
-                b: Dict[int, complex]) -> Any:
-    """K = E + B over ``C`` as one complex array on P = [min J', max J'].
-
-    B on the rows J' is one gather of b's Toeplitz slices, G[r, j] =
-    b_(r-j), times the weights W[j, k] = sign * a_d of the column entries
-    (j, d, sign) of :func:`_bracket_cols`, so B = G W; each column holds
-    each j at most once.  Like :func:`_bracket_block`, it keeps every entry
-    as computed: K is a matrix, not a series.
-    """
-    n = jp[-1] - jp[0] + 1 if jp else 0
-    k_mat = np.zeros((n, n), complex)
-    if cols:
-        ks = sorted(cols)
-        js = sorted({j for col in cols.values() for j, _d, _s in col})
-        at = {j: i for i, j in enumerate(js)}
-        w = np.zeros((len(js), len(ks)), complex)
-        for c, k in enumerate(ks):
-            for j, d, s in cols[k]:
-                w[at[j], c] = a.get(d, 0j) if s > 0 else -a.get(d, 0j)
-        rows = np.array(jp)
-        lo, hi = _b_range(jp, cols)
-        gather = to_array(b, lo, hi)[rows[:, None] - np.array(js) - lo]
-        k_mat[np.ix_(rows - jp[0], np.array(ks) - jp[0])] = gather @ w
-    for i, j in _shift_entries(jp):
-        k_mat[i, j] += 1
-    return k_mat
+def _projections(pair: InvertiblePair) -> Dict[str, LaurentSeries]:
+    """Both outer projections of ``pair`` by kind, kept on it: computed by
+    one :func:`_outer_projections` call, with ``b`` checked as given, unless
+    both are kept already; a projection already kept is not replaced."""
+    if not pair.projections.keys() >= {"plus", "minus"}:
+        pp, pm, need = _outer_projections(pair)
+        _check_b_window(pair.b, need)
+        pair.projections = {"plus": pp, "minus": pm, **pair.projections}
+    return pair.projections
 
 
 def pi_plus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly holomorphic projection, as a series in w: det(I - w K_+)
     for a constant matrix K_+ over the base ring, from one
-    characteristic polynomial.  Computed once per pair and kept on it."""
-    if "plus" not in pair.projections:
-        pp, need = _outer_projection(pair)
-        _check_b_window(pair.b, need)
-        pair.projections["plus"] = pp
-    return pair.projections["plus"]
+    characteristic polynomial.  Computed once per pair, together with
+    :func:`pi_minus`, and kept on it."""
+    return _projections(pair)["plus"]
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
     """Strictly antiholomorphic projection, as a series in w^-1: by the
     uniqueness of a(1/z) = pi_+(1/z) pi~(1/z) pi_-(1/z), :func:`pi_plus` of
-    the reflected pair (:meth:`InvertiblePair.reflect`), read at 1/w, with
-    ``b`` checked as given.  Computed once per pair and kept on it."""
-    if "minus" not in pair.projections:
-        pm, need = _outer_projection(pair.reflect())
-        _check_b_window(pair.b, need and (-need[1], -need[0]))
-        pair.projections["minus"] = pm.reflect()
-    return pair.projections["minus"]
+    the reflected pair, read at 1/w, from the mirror block of each leaf.
+    Computed once per pair, together with :func:`pi_plus`, and kept on it."""
+    return _projections(pair)["minus"]
 
 
 def _check_projection(p: LaurentSeries, kind: str) -> None:
@@ -468,12 +499,13 @@ def factorize(pair: InvertiblePair) -> FactorizationResult:
 
 def orthogonal_decompose(pair: InvertiblePair) -> OrthogonalDecomposition:
     """Idempotents Pi_n = a_n b_{-n} of an orthogonal invertible series;
-    a pair whose ``b`` does not invert ``a`` fails first (:func:`_check_pair`)."""
+    a pair whose ``b`` does not invert ``a`` fails first (:func:`_check_pair`),
+    and a series that is not orthogonal raises :class:`NotOrthogonalError`."""
     _check_pair(pair)
     a, b = pair.a, pair.b
     ring = a.ring
     if not is_orthogonal(a):
-        raise FactorizationError("series is not orthogonal")
+        raise NotOrthogonalError("series is not orthogonal")
     idem: Dict[int, Any] = {}
     for n in a.support():
         p = ring.mul(a.coeffs[n], b.coeff(-n))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -68,7 +69,19 @@ def test_verify_round_trip_and_corruption(tmp_path, capsys):
     assert code == 3 and "reconstruction residual" in report["error"]
 
 
-def test_orthogonal_mode(tmp_path, capsys):
+def _count_orthogonality_tests(monkeypatch):
+    # a spy on is_orthogonal in every library module that holds it, so
+    # that a second test of the same symbol anywhere would count
+    calls = []
+    test = wl.is_orthogonal
+    for name, module in list(sys.modules.items()):
+        if name.startswith("whlaurent") and getattr(module, "is_orthogonal", None) is test:
+            monkeypatch.setattr(module, "is_orthogonal", lambda a: calls.append(a) or test(a))
+    return calls
+
+
+def test_orthogonal_mode(tmp_path, capsys, monkeypatch):
+    calls = _count_orthogonality_tests(monkeypatch)
     job = {
         "ring": {"kind": "product", "arity": 2},
         "mode": "orthogonal",
@@ -81,15 +94,18 @@ def test_orthogonal_mode(tmp_path, capsys):
     assert payload["idempotents"] == [{"n": -1, "c": "(0|1)"},
                                       {"n": 1, "c": "(1|0)"}]
     assert payload["unit"] == "(1|1)"
+    assert len(calls) == 1
 
 
-def test_orthogonal_mode_rejects_non_orthogonal_symbol(tmp_path, capsys):
+def test_orthogonal_mode_rejects_non_orthogonal_symbol(tmp_path, capsys, monkeypatch):
     # a job error (exit 2) that names the problem, not a numerical failure
+    calls = _count_orthogonality_tests(monkeypatch)
     path = tmp_path / "job.json"
     path.write_text(json.dumps(dict(GOLDEN_JOB, mode="orthogonal")))
     assert main(["--input", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "orthogonal symbol" in err
+    assert out == "" and "orthogonal mode needs an orthogonal symbol" in err
+    assert len(calls) == 1
 
 
 def test_orthogonal_mode_checks_the_pair_first(tmp_path, capsys):

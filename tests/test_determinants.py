@@ -17,8 +17,7 @@ from whlaurent.determinants import (berkowitz, det_berkowitz, det_block, det_ide
                                     ring_array, _det_rows)
 from whlaurent.exact import clear, dot
 from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                     holomorphic_det_matrix, _bracket_block,
-                                     _bracket_cols, _k_matrix)
+                                     holomorphic_det_matrix, _k_rows, _own_map)
 from whlaurent.matrices import Lattice
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
@@ -131,13 +130,15 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     calls.clear()
     got = {"plus": wl.pi_plus(pair), "minus": wl.pi_minus(pair)}
     assert not calls
-    # the ring-element reference: the bracket block and Berkowitz on
-    # Fractions, for pi_- on the reflected pair and reflected back
+    # the ring-element reference: the block on a's own support (not
+    # re-centred) and Berkowitz on Fractions, for pi_- on the reflected
+    # pair and reflected back
     for kind, p in (("plus", pair), ("minus", pair.reflect())):
-        jp, cols = _bracket_cols(p.a.support())
-        ents = _bracket_block(jp, cols, p.a, p.b)
-        ref = berkowitz(_k_matrix(jp, ents, ring.zero, ring.one, ring.add),
-                        ring.dot, ring.neg, ring.one)
+        lo, hi, m, (b_lo, b_hi) = _own_map(p)
+        rows = _k_rows(m, m.blocks[0], [p.a.coeff(d) for d in range(lo, hi + 1)],
+                       [p.b.coeff(k) for k in range(b_lo, b_hi + 1)],
+                       ring.dot, ring.neg, ring.add, ring.one)
+        ref = berkowitz(rows, ring.dot, ring.neg, ring.one)
         ref = LaurentSeries(ring, dict(enumerate(ref)))
         assert got[kind].equals(ref if kind == "plus" else ref.reflect())
     assert calls

@@ -763,7 +763,8 @@ def _block_symbols(R, param):
 def test_outer_projection_blocks_span_their_leaves(monkeypatch, ring_name):
     # each leaf's block has as many rows as its own support spans, however
     # far the leaves' supports lie from 0 and from each other: Berkowitz
-    # over Q and on ring elements, the sampled pencil over C
+    # over Q and on ring elements, one block per call, and over C the
+    # stack of a leaf's two pencils, each counted from its last axis
     from whlaurent.corpus import random_complex_parameter, random_rational_parameter
     from whlaurent.determinants import _poly_det, berkowitz
 
@@ -771,8 +772,8 @@ def test_outer_projection_blocks_span_their_leaves(monkeypatch, ring_name):
     monkeypatch.setattr(factorization, "berkowitz",
                         lambda a, *rest: sizes.append(len(a)) or berkowitz(a, *rest))
     monkeypatch.setattr(factorization, "_poly_det",
-                        lambda ring, coef, deg: sizes.append(len(coef[0])) or
-                        _poly_det(ring, coef, deg))
+                        lambda ring, coef, deg: sizes.extend([coef.shape[-1]] * len(coef[0]))
+                        or _poly_det(ring, coef, deg))
     rng = random.Random("blocks:" + ring_name)
     if ring_name == "Q[e]":
         D = dual_ring(Q)
@@ -868,43 +869,75 @@ def test_inverse_window_is_what_the_blocks_read(name):
 
 
 def test_b_need_is_the_window_rule():
-    # the window rule, on every support with both ends in [-6, 6]: the block
-    # re-centred on 0 and its mirror image read b on [e - 2 hi, e - 2 lo],
-    # the block on the symbol's own support (the closed forms') on
+    # the window rule, on every support with both ends in [-6, 6]: the
+    # blocks re-centred on 0 read b on [e - 2 hi, e - 2 lo], the block on
+    # the symbol's own hull widened to hold 0 (the closed forms') on
     # [-2 max(hi, 0), -2 min(lo, 0)], a block with no columns reads
-    # nothing, and the reflected support reads the mirrored window
-    from whlaurent.factorization import _b_need, _bracket_cols, _centred_cols
+    # nothing, and the reflected support reads the mirrored window.  What
+    # the map reads is taken from the map itself: the entries of b that G
+    # meets against a nonzero entry of W, in both blocks, on the
+    # ring-element path (g and the runs) and over C (take)
+    from whlaurent.factorization import _leaf_map
 
-    def needs(support):
-        centred, own = _centred_cols(support), (0, *_bracket_cols(support))
-        return [(_b_need([block]), bool(block[2])) for block in (centred, own)]
+    def reads(m, window):
+        # the exponents of b that the map reads: both blocks, the mirror's
+        # on the reversed b; by g and the runs, and by take, alike
+        if not m.n:
+            return None
+        n, size = m.n, 4 * (m.n + 1)
+        got, taken = set(), set()
+        for t, (runs, _ones) in enumerate(m.blocks):
+            got |= {2 * n - i if t else i
+                    for row in m.g for _s, j0, j1, _a0 in runs for i in row[j0:j1]}
+            used = (m.take[t, 1] != t * size + 2 * n + 1).any(axis=1)  # rows of W
+            taken |= {2 * n - i if t else i for i in (m.take[t, 0][:, used] - t * size).ravel()}
+        assert got == taken, m
+        assert window[1] - window[0] == 2 * n
+        return window[0] + min(got), window[0] + max(got)
+
+    def needs(lo, hi):
+        return [reads(*_leaf_map(x, y)) for x, y in ((lo, hi), (min(lo, 0), max(hi, 0)))]
 
     exps = range(-6, 7)
     for mask in range(1, 1 << len(exps)):
         support = [n for i, n in enumerate(exps) if mask >> i & 1]
         lo, hi = support[0], support[-1]
         e = lo if lo > 0 else hi if hi < 0 else 0
-        (centred, c_cols), (own, o_cols) = needs(support)
-        assert c_cols == (lo < hi) and o_cols == (support != [0]), support
-        assert centred == ((e - 2 * hi, e - 2 * lo) if c_cols else None), support
-        assert own == ((-2 * max(hi, 0), -2 * min(lo, 0)) if o_cols else None), support
-        mirrored = [need for need, _cols in needs(sorted(-n for n in support))]
-        assert mirrored == [n and (-n[1], -n[0]) for n in (centred, own)], support
+        centred, own = needs(lo, hi)
+        assert centred == ((e - 2 * hi, e - 2 * lo) if lo < hi else None), support
+        assert own == ((-2 * max(hi, 0), -2 * min(lo, 0)) if support != [0] else None), support
+        assert needs(-hi, -lo) == [n and (-n[1], -n[0]) for n in (centred, own)], support
+
+
+def test_cached_maps_are_bounded_and_read_only():
+    # one block map and one table of sample points serve every later call
+    # with their key, so no caller may write into them, and each cache
+    # holds a bounded number of them
+    from whlaurent.determinants import _circle
+    from whlaurent.factorization import _block_map
+
+    m = _block_map(-2, 3)
+    for arr in (m.take, m.shift, _circle(8, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1
+    assert _block_map(-2, 3) is m
+    assert _block_map.cache_info().maxsize and _circle.cache_info().maxsize
 
 
 @pytest.mark.parametrize("exact_ring", [True, False], ids=["Q", "C"])
 def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     # pi_plus and pi_minus keep their result on the pair, so the middle
     # factor routes and factorize read it instead of computing it again
+    # together, from one call that returns both
     calls = []
-    outer = factorization._outer_projection
-    monkeypatch.setattr(factorization, "_outer_projection",
+    outer = factorization._outer_projections
+    monkeypatch.setattr(factorization, "_outer_projections",
                         lambda pair, **kw: calls.append(pair) or outer(pair, **kw))
     _, pair = worked_pair(Q if exact_ring else wl.complex_ring())
     pp, pm = wl.pi_plus(pair), wl.pi_minus(pair)
     wl.pi_tilde_direct(pair, windows=(10, 14))
     res = wl.factorize(pair)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert res.pi_plus is pp and res.pi_minus is pm
     # the kept projections are no part of the pair's value
     fresh = dataclasses.replace(pair)
