@@ -10,17 +10,13 @@ from .rings import Ring, RingError, complex_ring, product_ring, rational_ring
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono,
                      WindowError, div_unit, factors_to_series, invert_from_factors,
                      invert_numeric, is_orthogonal, laurent_ring)
-from .matrices import (Lattice, WindowedMatrix, build_F, build_U, build_Utilde,
-                       conjugate_UR, identity, mat_add, mat_mul, mat_sub,
-                       project, ur_monomial)
-from .determinants import (det_block, det_identity_plus, det_tilde_column_reduced,
-                           det_truncated)
+from .determinants import det_block, det_truncated
 from .factorization import (FactorizationError, FactorizationResult,
                             OrthogonalDecomposition, factorize,
-                            n_p_series, orthogonal_decompose, orthonormal_split,
+                            orthogonal_decompose, orthonormal_split,
                             pi_minus, pi_plus, pi_tilde_derived, pi_tilde_direct,
-                            product_of_orthogonals, projection_matrix,
-                            winding_index)
+                            product_of_orthogonals, winding_index)
+from .matrices import n_p_series, projection_matrix, ur_monomial
 from .oracle import (ComparisonReport, OracleError, cepstral_factorize, compare,
                      root_split_factorize)
 
@@ -31,15 +27,12 @@ __all__ = [
     "Antiholo", "Holo", "InvertiblePair", "LaurentSeries", "Mono",
     "WindowError", "div_unit", "factors_to_series", "invert_from_factors",
     "invert_numeric", "is_orthogonal", "laurent_ring",
-    "Lattice", "WindowedMatrix", "build_F", "build_U", "build_Utilde",
-    "conjugate_UR", "identity", "mat_add", "mat_mul", "mat_sub",
-    "project", "ur_monomial",
-    "det_block", "det_identity_plus",
-    "det_tilde_column_reduced", "det_truncated",
+    "det_block", "det_truncated",
     "FactorizationError", "FactorizationResult", "OrthogonalDecomposition",
-    "factorize", "n_p_series", "orthogonal_decompose", "orthonormal_split",
+    "factorize", "orthogonal_decompose", "orthonormal_split",
     "pi_minus", "pi_plus", "pi_tilde_derived", "pi_tilde_direct",
-    "product_of_orthogonals", "projection_matrix", "winding_index",
+    "product_of_orthogonals", "winding_index",
+    "n_p_series", "projection_matrix", "ur_monomial",
     "ComparisonReport", "OracleError", "cepstral_factorize", "compare",
     "root_split_factorize",
 ]

@@ -3,7 +3,8 @@
 Reads a JSON job description, runs the requested mode, prints a JSON
 report on standard output.  Exit codes: 0 success, 2 validation error,
 3 numerical failure (residual or tail estimate over tolerance, or a
-triple that is not the factorization).
+triple that is not the factorization).  A job's half-``window`` is at
+most :data:`MAX_WINDOW` (4096): the inverse is expanded over all of it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .serialize import json_float, json_int, result_to_json, ring_from_json, ser
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+MAX_WINDOW = 4096
 
 MODES = ("factorize", "verify", "orthogonal", "oracle-compare", "matrix-dump")
 DEFAULT_RING = {"kind": "rational"}
@@ -102,8 +104,8 @@ def run_job(job: Dict[str, Any], dump_matrices: bool = False) -> Tuple[int, Dict
         ring = ring_from_json(dict(job.get("ring", DEFAULT_RING)))
     with _field("window"):
         half = json_int(job.get("window", 16))
-    if half < 1:
-        raise JobError("window must be a positive size")
+    if not 1 <= half <= MAX_WINDOW:
+        raise JobError("'window' must be a positive size of at most %d" % MAX_WINDOW)
     window = (-half, half)
 
     if mode == "oracle-compare":

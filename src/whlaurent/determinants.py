@@ -1,4 +1,4 @@
-"""Determinants of identity-plus-perturbation windowed matrices.
+"""Determinants of finite blocks over commutative coefficient rings.
 
 The generic path is the Berkowitz division-free algorithm, valid over any
 commutative coefficient ring (product rings have zero divisors, so
@@ -32,7 +32,6 @@ import numpy as np
 from .exact import bareiss, bareiss_solve, clear
 from .rings import Ring, RingError, leaf_kind, per_component
 from .series import LaurentSeries, WindowError
-from .matrices import WindowedMatrix, _reflect
 
 MAX_BERKOWITZ = 64
 
@@ -192,80 +191,6 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
     if n > MAX_BERKOWITZ:
         raise RingError("matrix size %d exceeds the determinant bound" % n)
     return det_berkowitz(ring, rows)
-
-
-# -- identity + perturbation ------------------------------------------
-
-def det_identity_plus(a: WindowedMatrix) -> Any:
-    """det(1 + A) for a perturbation with finite row support.
-
-    If the nonzero entries occupy finitely many rows, the infinite
-    determinant equals the determinant of the principal block on those
-    rows; the rest of the matrix is identity there.
-    """
-    idx = sorted({r for (r, _c) in a.entries})
-    if not idx:
-        return a.ring.one
-    lo, hi = a.reliable
-    if idx[0] <= lo or idx[-1] >= hi:
-        raise WindowError("perturbation support touches the reliable boundary")
-    ring = a.ring
-    rows = [[ring.add(ring.one, a.get(r, c)) if r == c else a.get(r, c)
-             for c in idx] for r in idx]
-    return det_block(ring, rows)
-
-
-# -- the widetilde-determinant via column reduction -------------------
-
-def reduced_columns(cols: Sequence[int]) -> List[int]:
-    """J': the columns of C = A F^-1 for a perturbation A with columns
-    ``cols``.  Column k of A spreads over the wedge [k, 0] of
-    F^{R+}(1,w)^-1; the result is sorted.  The '-' wedge [0, k] of
-    F^{R-}(1,w)^-1 is its mirror image under k -> -k."""
-    jset = set(cols)
-    neg = [c for c in cols if c <= 0]
-    if neg:
-        jset |= set(range(min(neg), 1))
-    return sorted(jset)
-
-
-def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> Any:
-    """widetilde-det(F^{RX}(1,w) + A) with A of finite column support.
-
-    Forms C = A * F^-1 using the closed-form column action of the
-    (globally illegal) t=1 inverse; C keeps finite column support J' and
-    the determinant reduces to the finite block (1 + C)[J', J'].
-    For '+', F^{R+}(1,w)^-1 has entry w^(m-k) on the wedge k <= m <= 0 and
-    is the identity elsewhere, so along the nonpositive part of J' (which
-    is contiguous), in ascending order,
-        C[r, m] = A[r, m] + w C[r, m-1],
-    starting from C[r, min J'] = A[r, min J'], and C[r, m] = A[r, m] off
-    the wedge.  '-' is the mirror image: the flip J: k -> -k gives
-    J F^{R+}(1,w^-1) J = F^{R-}(1,w), so it is '+' for J A J at w^-1.
-    """
-    if variant not in ("+", "-"):
-        raise ValueError("variant must be '+' or '-'")
-    ring = a.ring
-    if variant == "-":
-        return det_tilde_column_reduced("+", _reflect(a), ring.inverse(w))
-    cols = sorted({c for (_r, c) in a.entries})
-    if not cols:
-        return ring.one
-    lo, hi = a.reliable
-    if cols[0] <= lo or cols[-1] >= hi:
-        raise WindowError("perturbation columns touch the reliable boundary")
-    jp = reduced_columns(cols)
-    if jp[0] <= lo or jp[-1] >= hi:
-        raise WindowError("reduced column set exits the reliable window")
-    wedge = [m for m in jp if m <= 0]
-    block = []
-    for r in jp:
-        row = {m: a.get(r, m) for m in jp}
-        for prev, m in zip(wedge, wedge[1:]):
-            row[m] = ring.add(row[m], ring.mul(w, row[prev]))
-        row[r] = ring.add(ring.one, row[r])
-        block.append([row[m] for m in jp])
-    return det_block(ring, block)
 
 
 # -- truncated determinants on nested windows -------------------------

@@ -29,11 +29,7 @@ non-normal blocks.  Other rings build the blocks from ring elements with
 The orthogonal middle part comes either by exact division (default) or
 through the half-lattice truncated determinant (cross-check route); over
 Q and C the long division runs on integers or complex arrays too
-(``series.div_unit``).  The w-series blocks of the widetilde-determinant
-closed form (``holomorphic_det_matrix``, ``antiholomorphic_det_matrix``)
-stay for checking against it; they read the same map on the hull of a's
-support widened to hold 0, not re-centred, from ring elements over every
-ring, Q and C included.
+(``series.div_unit``).
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ import numpy as np
 from .exact import Ints, dot, reduced, slice_ints
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
 from .series import InvertiblePair, LaurentSeries, WindowError, div_unit, is_orthogonal
-from . import matrices as mx
-from .matrices import Lattice, WindowedMatrix
 from .determinants import _poly_det, berkowitz, det_truncated, ring_array
 
 
@@ -209,46 +203,6 @@ def _k_rows(m: _BlockMap, block: Block, a: Sequence[Any], b: Sequence[Any],
     for r, c in ones:
         rows[r][c] = add(rows[r][c], one)
     return rows
-
-
-def _own_map(pair: InvertiblePair) -> Tuple[int, int, _BlockMap, Tuple[int, int]]:
-    """``(lo, hi, map, window)`` of the closed forms' block: on the hull
-    ``[lo, hi]`` of ``a``'s support widened to hold 0, not re-centred, so it
-    reads ``b`` on ``[-2 max(hi, 0), -2 min(lo, 0)]``, checked here on
-    ``b`` as given."""
-    lo, hi = pair.a._supp_bounds()
-    lo, hi = min(lo, 0), max(hi, 0)
-    m, window = _leaf_map(lo, hi)
-    _check_b_window(pair.b, window if m.n else None)
-    return lo, hi, m, window
-
-
-def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
-    """The finite-column perturbation A = -w (U(b) 1_{Z^-} U(a) - 1_{Z^-}) U(z^-1),
-    for which 1 - w U(b) 1_{Z^-} U(a) U(z^-1) = F^{R+}(1,w) + A, as a
-    w-series WindowedMatrix: the bracket block of ``pair`` on the hull of
-    ``a``'s own support widened to hold 0 (:func:`_own_map`), not
-    re-centred, on the rows J' = P read by the column reduction, from ring
-    elements over every ring, ``Q`` and ``C`` included."""
-    a, b = pair.a, pair.b
-    lo, hi, m, (b_lo, b_hi) = _own_map(pair)
-    rows = _bracket(m.g, m.blocks[0][0], [a.coeff(d) for d in range(lo, hi + 1)],
-                    [b.coeff(k) for k in range(b_lo, b_hi + 1)], a.ring.dot, a.ring.neg)
-    coef = ring_w.neg(w)
-    scaled = {(1 - hi + r, 1 - hi + k): ring_w.mul(coef, ring_w.const(v))
-              for r, row in enumerate(rows) for k, v in enumerate(row)}
-    window = (-hi, 1 - lo) if m.n else (-1, 1)
-    return WindowedMatrix(ring_w, Lattice.INTEGER, window, scaled,
-                          window[1] - window[0], window)._prune()
-
-
-def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> WindowedMatrix:
-    """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
-    rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
-    block A' of the reflected pair at w^-1.  ``b``'s window is checked as
-    given; the reflected pair's need is the mirror image of this one."""
-    _own_map(pair)
-    return mx._reflect(holomorphic_det_matrix(pair.reflect(), ring_w, ring_w.inverse(w)))
 
 
 # -- the projections --------------------------------------------------
@@ -556,55 +510,3 @@ def product_of_orthogonals(d1: OrthogonalDecomposition,
                 idem[n] = ring.add(idem.get(n, ring.zero), v)
     _validate_decomposition(ring, idem, None)
     return OrthogonalDecomposition(ring, idem, ring.mul(d1.unit, d2.unit))
-
-
-def projection_matrix(d: OrthogonalDecomposition,
-                      window: Tuple[int, int]) -> WindowedMatrix:
-    """The half-lattice idempotent P = sum_n Pi_n 1_{S^- + n}: diagonal
-    with entry sum_{n >= k+1} Pi_n at half-index k + 1/2."""
-    ring = d.ring
-    ents = {}
-    exps = sorted(d.idempotents)
-    for k in range(window[0], window[1] + 1):
-        acc = ring.zero
-        for n in exps:
-            if n >= k + 1:
-                acc = ring.add(acc, d.idempotents[n])
-        if not ring.is_zero(acc):
-            ents[(k, k)] = acc
-    return WindowedMatrix(ring, Lattice.HALF, window, ents, 0, window)
-
-
-def n_p_series(p: WindowedMatrix) -> LaurentSeries:
-    """Orthonormal series of a half-lattice idempotent close to 1_{S^-}:
-    det((1 - P + z P)(1_{S^+} + z 1_{S^-})^-1) on the nested windows
-    8, 12 and 16."""
-    windows = [8, 12, 16]
-    ring = p.ring
-    if p.lattice is not Lattice.HALF:
-        raise RingError("P must live on the half-integer lattice")
-    # idempotency check on the window
-    lo, hi = p.reliable
-    p2 = mx.mat_mul(p, p)
-    for (r, c), v in p.entries.items():
-        if p2.reliable[0] <= r <= p2.reliable[1] and p2.reliable[0] <= c <= p2.reliable[1]:
-            if not ring.equals(p2.get(r, c), v):
-                raise FactorizationError("P is not idempotent on the window")
-    top = windows[-1]
-    idx = range(-top, top)
-
-    def entry(n: int, m: int) -> Any:
-        if n == m and not (p.window[0] <= n <= p.window[1]):
-            # beyond its window P agrees with 1_{S^-}
-            return ring.one if n < p.window[0] else ring.zero
-        return p.get(n, m)
-
-    # the pencil (1 - P) + z P, column m shifted by -[m<0]
-    p1 = ring_array(ring, [[entry(n, m) for m in idx] for n in idx])
-    p0 = -p1
-    diag = np.arange(2 * top)
-    p0[diag, diag] += ring_array(ring, ring.one)
-    out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], windows)
-    if not is_orthogonal(out) or not ring.equals(out.evaluate(ring.one), ring.one):
-        raise FactorizationError("determinant did not yield an orthonormal series")
-    return out

@@ -12,11 +12,10 @@ import whlaurent as wl
 from whlaurent import matrices as mx
 from whlaurent.corpus import (random_complex_factors, random_orthogonal_pair,
                               random_rational_factors, random_rational_parameter)
-from whlaurent.determinants import det_identity_plus, det_tilde_column_reduced
-from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                     holomorphic_det_matrix,
-                                     product_of_orthogonals)
-from whlaurent.matrices import Lattice, WindowedMatrix
+from whlaurent.factorization import product_of_orthogonals
+from whlaurent.matrices import (Lattice, WindowedMatrix, antiholomorphic_det_matrix,
+                                det_identity_plus, det_tilde_column_reduced,
+                                holomorphic_det_matrix)
 from whlaurent.oracle import cepstral_factorize, compare, root_split_factorize
 from whlaurent.series import LaurentSeries, laurent_ring
 

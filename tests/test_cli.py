@@ -219,6 +219,8 @@ def test_malformed_fields_exit_2(tmp_path, capsys):
     bad_jobs = [
         {"factors": [{"type": "antiholo"}]},          # no alpha
         {"window": "x", "factors": []},
+        {"window": 4097, "factors": [{"type": "holo", "beta": "1/2"},
+                                     {"type": "antiholo", "alpha": "1/3"}]},
         {"ring": {"kind": "complex", "tolerance": "tight"}, "factors": []},
         {"ring": {"kind": "complex"}, "samples": 1000,
          "coefficients": [{"n": 0, "c": "1,0"}]},

@@ -12,13 +12,12 @@ import pytest
 import whlaurent as wl
 from whlaurent import determinants
 from whlaurent import matrices as mx
-from whlaurent.determinants import (berkowitz, det_berkowitz, det_block, det_identity_plus,
-                                    det_tilde_column_reduced, det_truncated,
+from whlaurent.determinants import (berkowitz, det_berkowitz, det_block, det_truncated,
                                     ring_array, _det_rows)
 from whlaurent.exact import clear, dot
-from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                     holomorphic_det_matrix, _k_rows, _own_map)
-from whlaurent.matrices import Lattice
+from whlaurent.factorization import _k_rows
+from whlaurent.matrices import (Lattice, antiholomorphic_det_matrix, det_identity_plus,
+                                det_tilde_column_reduced, holomorphic_det_matrix, _own_map)
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
 

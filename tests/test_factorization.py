@@ -326,10 +326,8 @@ def test_bracket_block_matches_full_window_reference(sign):
     # with the windowed-matrix arithmetic on a window far wider than J'
     from whlaurent import matrices as mx
     from whlaurent.corpus import random_rational_factors
-    from whlaurent.determinants import reduced_columns
-    from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                         holomorphic_det_matrix)
-    from whlaurent.matrices import Lattice
+    from whlaurent.matrices import (Lattice, antiholomorphic_det_matrix,
+                                    holomorphic_det_matrix, reduced_columns)
     from whlaurent.series import laurent_ring
 
     Qw = laurent_ring(Q, "w")
@@ -378,9 +376,8 @@ def _q2_factors(rng, facs):
 
 
 def _column_reduced_projections(pair):
-    from whlaurent.determinants import det_tilde_column_reduced
-    from whlaurent.factorization import (antiholomorphic_det_matrix,
-                                         holomorphic_det_matrix)
+    from whlaurent.matrices import (antiholomorphic_det_matrix, det_tilde_column_reduced,
+                                    holomorphic_det_matrix)
     from whlaurent.series import laurent_ring
 
     ring = pair.a.ring
@@ -826,7 +823,7 @@ def test_inverse_window_is_what_the_blocks_read(name):
     # a, not re-centred) [-2 max(hi, 0), -2 min(lo, 0)].  A monomial moves
     # the support off 0, over Q^2 by z^k in one component and z^-k in the
     # other
-    from whlaurent.factorization import holomorphic_det_matrix
+    from whlaurent.matrices import holomorphic_det_matrix
     from whlaurent.series import laurent_ring
 
     R, draw = SHIFT_SYMBOLS[name]
@@ -1073,7 +1070,7 @@ def test_factorize_compares_the_product_on_all_of_a(ring_name):
 def test_window_errors_name_the_inverse_as_given():
     # pi_- and the antiholomorphic closed-form block run on the reflected
     # pair, yet a too-small window is named on b itself, as pi_+ names it
-    from whlaurent.factorization import antiholomorphic_det_matrix
+    from whlaurent.matrices import antiholomorphic_det_matrix
     from whlaurent.series import laurent_ring
 
     pair = _windowed(wl.invert_from_factors(Q, [wl.Mono(-1, Fraction(-2)),

@@ -3,8 +3,9 @@ no ring test but ``rings.leaf_kind`` picking a kernel's path, no
 dataclass field that nothing reads, no optional parameter that no call
 sets, no cross reference in a docstring or comment that names nothing,
 no series product or comparison in the command line, no run of
-statements written out twice, and no private function that takes its
-orientation as a ``sign`` or ``ascending`` flag, in the library modules
+statements written out twice, no private function that takes its
+orientation as a ``sign`` or ``ascending`` flag, and no engine module
+that imports the windowed-matrix apparatus, in the library modules
 (stdlib ``ast`` only)."""
 
 import ast
@@ -395,3 +396,47 @@ def test_flag_search_finds_each_form():
     assert _orientation_flags(ast.parse(src)) == [
         ("_k", "sign"), ("_div", "ascending"), ("_block", "mirror"), ("_check", "strict"),
         ("_scan", "z"), ("_scan", "w"), ("_scan", "v"), ("_m", "sign"), ("_inner", "ascending")]
+
+
+# the modules that may read the windowed-matrix apparatus: itself, the
+# command line (``matrix-dump``) and the package's exports
+APPARATUS_READERS = {"matrices.py", "cli.py", "__init__.py"}
+
+
+def _apparatus_imports(tree):
+    """Line numbers of the imports of ``matrices`` in a module, anywhere in
+    it: ``from .matrices import ...``, ``from . import matrices`` and their
+    absolute forms through ``whlaurent``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = (node.level == 1 and node.module is None) or node.module == "whlaurent"
+            if ((node.level == 1 and node.module == "matrices")
+                    or node.module == "whlaurent.matrices"
+                    or (package and any(a.name == "matrices" for a in node.names))):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "whlaurent.matrices"
+                                                  for a in node.names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_engine_imports_nothing_of_the_apparatus():
+    # the engine computes the projections from finite blocks alone; the
+    # infinite-matrix closed forms read the engine, never the reverse
+    assert [(p.name, line) for p in sorted(SRC.glob("*.py")) if p.name not in APPARATUS_READERS
+            for line in _apparatus_imports(_tree(p))] == []
+
+
+def test_apparatus_import_search_finds_each_form():
+    src = ("from .matrices import WindowedMatrix\n"
+           "from . import matrices as mx\n"
+           "from whlaurent.matrices import Lattice\n"
+           "import whlaurent.matrices\n"
+           "from whlaurent import series, matrices\n"
+           "def f():\n    from .matrices import _reflect\n"
+           "from .series import matrices\n"
+           "from . import series\n"
+           "from ..matrices import x\n"
+           "import matrices_util\n")
+    assert _apparatus_imports(ast.parse(src)) == [1, 2, 3, 4, 5, 7]
