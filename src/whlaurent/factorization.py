@@ -170,11 +170,13 @@ def _need(windows: Sequence[Optional[Tuple[int, int]]]) -> Optional[Tuple[int, i
     return (min(r[0] for r in reads), max(r[1] for r in reads)) if reads else None
 
 
-def _check_b_window(b: LaurentSeries, need: Optional[Tuple[int, int]]) -> None:
-    """``b``'s window holds ``need``; ``b`` reads as 0 beyond it, so this may follow the blocks."""
-    if b.window and need and (b.window[0] > need[0] or b.window[1] < need[1]):
+def _check_b_window(window: Optional[Tuple[int, int]],
+                    need: Optional[Tuple[int, int]]) -> None:
+    """``b``'s declared ``window`` holds ``need``; ``b`` reads as 0 beyond
+    it, so this may follow the blocks."""
+    if window and need and (window[0] > need[0] or window[1] < need[1]):
         raise WindowError("inverse window [%d,%d] too small; need at least [%d,%d]"
-                          % (*b.window, *need))
+                          % (*window, *need))
 
 
 def _bracket(g: Sequence[Sequence[int]], runs: Sequence[Run], a: Sequence[Any],
@@ -227,7 +229,10 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
     Each leaf (each component of a product of ``Q`` or ``C``, the whole
     series over any other ring) builds both blocks from its own support,
     re-centred on 0, by one :class:`_BlockMap`; ``need`` is the hull of
-    what the leaves read, ``[e - 2 hi, e - 2 lo]`` each.
+    what the leaves read, ``[e - 2 hi, e - 2 lo]`` each.  Over ``Q`` and
+    every other exact ring ``need`` follows from ``a`` alone, and ``b`` is
+    read there (:meth:`series.InvertiblePair.read`), so a pair that defers
+    ``b`` builds it on that window only; over ``C`` ``b`` is read as given.
 
     This is the one place that picks the blocks' form and their
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
@@ -244,31 +249,37 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
     runs the same Berkowitz on them, with the ring's inner product
     (:meth:`rings.Ring.dot`).
     """
-    a, b = pair.a, pair.b
+    a = pair.a
     ring = a.ring
     kind = leaf_kind(ring)
     if kind is None:
         lo, hi = a._supp_bounds()
         m, (b_lo, b_hi) = _leaf_map(lo, hi)
+        need = (b_lo, b_hi) if m.n else None
+        b = pair.read(need)
         xs = [a.coeff(d) for d in range(lo, hi + 1)]
         ys = [b.coeff(k) for k in range(b_lo, b_hi + 1)]
         pp, pm = [berkowitz(_k_rows(m, block, x, y, ring.dot, ring.neg, ring.add, ring.one),
                             ring.dot, ring.neg, ring.one)
                   for block, x, y in zip(m.blocks, (xs, xs[::-1]), (ys, ys[::-1]))]
         return (LaurentSeries(ring, dict(enumerate(pp))),
-                LaurentSeries(ring, {-i: c for i, c in enumerate(pm)}),
-                (b_lo, b_hi) if m.n else None)
+                LaurentSeries(ring, {-i: c for i, c in enumerate(pm)}), need)
     if kind is Fraction:
-        plus, minus, reads = zip(*(_int_projections(x, y) for x, y in zip(a.ints, b.ints)))
+        maps = [_leaf_map(lo, lo + len(nums) - 1) for lo, nums, _d in a.ints]
+        need = _need([read if m.n else None for m, read in maps])
+        plus, minus = zip(*(_int_projections(x, *mr, y)
+                            for x, mr, y in zip(a.ints, maps, pair.read(need).ints)))
         return (LaurentSeries._from_ints(ring, list(plus)),
-                LaurentSeries._from_ints(ring, list(minus)), _need(reads))
-    plus, minus, reads = per_component(ring, _c_projections, split_map, a.coeffs, b.coeffs)
+                LaurentSeries._from_ints(ring, list(minus)), need)
+    plus, minus, reads = per_component(ring, _c_projections, split_map, a.coeffs, pair.b.coeffs)
     return LaurentSeries._trusted(ring, plus), LaurentSeries._trusted(ring, minus), _need(reads)
 
 
-def _int_projections(a: Ints, b: Ints) -> Tuple[Ints, Ints, Optional[Tuple[int, int]]]:
-    """pi_+ and pi_- of one leaf over ``Q`` as integer forms, and the
-    window of ``b`` they read, from the leaf forms ``a`` and ``b``: for
+def _int_projections(a: Ints, m: _BlockMap, read: Tuple[int, int],
+                     b: Ints) -> Tuple[Ints, Ints]:
+    """pi_+ and pi_- of one leaf over ``Q`` as integer forms, from the leaf
+    forms ``a`` and ``b`` and the leaf's map ``m`` and ``read``, the window
+    of ``b`` it reads (:func:`_leaf_map`): for
     ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of
     ``w^i`` (``w^-i`` for pi_-) is ``m_i / d^i = m_i d^(n-i) / d^n``.
 
@@ -276,8 +287,8 @@ def _int_projections(a: Ints, b: Ints) -> Tuple[Ints, Ints, Optional[Tuple[int, 
     the block reads: pi_+'s block never reads the two lowest exponents of
     the window and the mirror block never the two highest, so each takes
     its own slice, the least denominator, with two zeros in their place."""
-    lo, nums, da = a
-    m, (b_lo, b_hi) = _leaf_map(lo, lo + len(nums) - 1)
+    _lo, nums, da = a
+    b_lo, b_hi = read
     (bp, dp), (bm, dm) = slice_ints(b, b_lo + 2, b_hi), slice_ints(b, b_lo, b_hi - 2)
     forms = []
     for block, x, y, db in zip(m.blocks, (nums, nums[::-1]), ([0, 0] + bp, [0, 0] + bm[::-1]),
@@ -287,7 +298,7 @@ def _int_projections(a: Ints, b: Ints) -> Tuple[Ints, Ints, Optional[Tuple[int, 
                        dot, operator.neg, 1)
         forms.append(([c * d ** (m.n - i) for i, c in enumerate(ms)], d ** m.n))
     (pp, p_den), (pm, m_den) = forms
-    return reduced(0, pp, p_den), reduced(-m.n, pm[::-1], m_den), (b_lo, b_hi) if m.n else None
+    return reduced(0, pp, p_den), reduced(-m.n, pm[::-1], m_den)
 
 
 def _c_projections(comp: Ring, a: Dict[int, complex], b: Dict[int, complex]) -> Tuple[
@@ -312,11 +323,12 @@ def _c_projections(comp: Ring, a: Dict[int, complex], b: Dict[int, complex]) -> 
 
 def _projections(pair: InvertiblePair) -> Dict[str, LaurentSeries]:
     """Both outer projections of ``pair`` by kind, kept on it: computed by
-    one :func:`_outer_projections` call, with ``b`` checked as given, unless
-    both are kept already; a projection already kept is not replaced."""
+    one :func:`_outer_projections` call, with ``b``'s declared window
+    checked, unless both are kept already; a projection already kept is not
+    replaced."""
     if not pair.projections.keys() >= {"plus", "minus"}:
         pp, pm, need = _outer_projections(pair)
-        _check_b_window(pair.b, need)
+        _check_b_window(pair.window, need)
         pair.projections = {"plus": pp, "minus": pm, **pair.projections}
     return pair.projections
 
@@ -453,10 +465,11 @@ def factorize(pair: InvertiblePair) -> FactorizationResult:
 
 def orthogonal_decompose(pair: InvertiblePair) -> OrthogonalDecomposition:
     """Idempotents Pi_n = a_n b_{-n} of an orthogonal invertible series;
-    a pair whose ``b`` does not invert ``a`` fails first (:func:`_check_pair`),
-    and a series that is not orthogonal raises :class:`NotOrthogonalError`."""
-    _check_pair(pair)
+    a pair whose ``b`` does not invert ``a`` fails first (:func:`_check_pair`,
+    once ``b`` is built), and a series that is not orthogonal raises
+    :class:`NotOrthogonalError`."""
     a, b = pair.a, pair.b
+    _check_pair(pair)
     ring = a.ring
     if not is_orthogonal(a):
         raise NotOrthogonalError("series is not orthogonal")

@@ -410,7 +410,7 @@ def _own_map(pair: InvertiblePair) -> Tuple[int, int, _BlockMap, Tuple[int, int]
     lo, hi = pair.a._supp_bounds()
     lo, hi = min(lo, 0), max(hi, 0)
     m, window = _leaf_map(lo, hi)
-    _check_b_window(pair.b, window if m.n else None)
+    _check_b_window(pair.window, window if m.n else None)
     return lo, hi, m, window
 
 

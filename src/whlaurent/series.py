@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,6 +340,15 @@ class InvertiblePair:
     (``"plus"``, ``"minus"``) once :func:`factorization.pi_plus` or
     :func:`factorization.pi_minus` has computed them, so that every later
     call reads them.
+
+    A pair that :func:`invert_from_factors` builds over an exact ring
+    defers ``b``: it keeps a builder of ``b`` on a window and the declared
+    window (:attr:`window`), builds ``b`` on what a reader of a few of its
+    coefficients asks for (:meth:`read`), and on the declared window when
+    ``b`` itself is first read.  Each build checks ``a b - 1`` on the
+    product coefficients that the built window determines, and
+    ``residual`` is the largest residual over the builds, 0 before the
+    first.
     """
 
     a: LaurentSeries
@@ -350,13 +359,57 @@ class InvertiblePair:
 
     @staticmethod
     def make(a: LaurentSeries, b: LaurentSeries) -> "InvertiblePair":
-        prod = a.mul(b)
-        res = prod.sup_diff(LaurentSeries.one(a.ring, prod.window))
-        return InvertiblePair(a, b, res)
+        return InvertiblePair(a, b, _residual(a, b))
 
-    def reflect(self) -> "InvertiblePair":
-        """The pair of ``a(1/z)`` and ``b(1/z)``, with the same residual."""
-        return InvertiblePair(self.a.reflect(), self.b.reflect(), self.residual)
+    @staticmethod
+    def _deferred(a: LaurentSeries, window: Tuple[int, int],
+                  build: Callable[[Tuple[int, int]], LaurentSeries]) -> "InvertiblePair":
+        """The pair of ``a`` and ``build(w)``, ``b`` on a window ``w``, with ``b``
+        declared on ``window`` and not yet built."""
+        pair = InvertiblePair.__new__(InvertiblePair)
+        pair.a, pair.residual, pair.projections = a, 0.0, {}
+        pair._window, pair._build = window, build
+        return pair
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an attribute that is not set: ``b`` of a deferred
+        # pair before its first read
+        if name != "b" or "_build" not in vars(self):
+            return super().__getattribute__(name)  # raises the usual AttributeError
+        self.b = self._checked(self._window)
+        return self.b
+
+    @property
+    def window(self) -> Window:
+        """The declared window of ``b``, read without building ``b``."""
+        return self._window if "_build" in vars(self) else self.b.window
+
+    def read(self, need: Window) -> LaurentSeries:
+        """``b`` for a reader of its coefficients on ``need`` alone (of none
+        for None): ``b`` once built or given; else ``b`` built on ``need``
+        widened by the span of ``a`` on both sides and clipped to the
+        declared window, so that, inside the declared window, the build
+        checks every product coefficient that a coefficient on ``need``
+        enters."""
+        if "_build" not in vars(self) or "b" in vars(self):
+            return self.b
+        if need is not None:
+            s0, s1 = self.a._supp_bounds()
+            lo, hi = max(self._window[0], need[0] - s1 + s0), min(self._window[1], need[1] + s1 - s0)
+            if lo <= hi:
+                return self._checked((lo, hi))
+        return LaurentSeries.zero(self.a.ring)
+
+    def _checked(self, window: Tuple[int, int]) -> LaurentSeries:
+        b = self._build(window)
+        self.residual = max(self.residual, _residual(self.a, b))
+        return b
+
+
+def _residual(a: LaurentSeries, b: LaurentSeries) -> float:
+    """``a b - 1`` on the reliable window of the product."""
+    prod = a.mul(b)
+    return prod.sup_diff(LaurentSeries.one(a.ring, prod.window))
 
 
 # -- elementary factors -----------------------------------------------
@@ -417,44 +470,43 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
     """Build (a, a^-1) from elementary factors.
 
     ``a`` is exact (a Laurent polynomial); ``b`` carries the coefficients
-    of the true two-sided inverse on ``window``.  With ``A`` the product of
-    the antiholomorphic factors (degree ``r`` in ``z^-1``) and ``B`` that
-    of the holomorphic ones, one Bezout identity ``V*B + U*A = 1`` gives
-    ``1/(AB) = V/A + U/B``: ``V/A`` fills the exponents ``< r`` and
-    ``U/B`` those ``>= r`` (before the monomial shift), each by exact long
-    division.  Over exact rings the coefficients are exact, so the pair
-    residual is zero.  The factors must pass :func:`check_factors`.  An
-    empty window (``lo > hi``) is a :class:`WindowError`.
+    of the true two-sided inverse on ``window``.  For ``a = u z^p A(z^-1)
+    B(z)`` with ``A = prod(1 - alpha z^-1)`` of degree ``r`` and ``B =
+    prod(1 - beta z)``, ``a`` is built from the two products ``A`` and
+    ``B``, and one Bezout identity ``V*B + U*A = 1`` gives ``1/(AB) = V/A +
+    U/B``: ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and
+    ``U/B`` a series in ``z`` on the exponents ``>= r`` (before the monomial
+    shift), each by exact long division.  Product rings run per component
+    (:func:`per_component`), ``Q`` on integer forms (:func:`_q_pair`), ``C``
+    on complex arrays (:func:`_c_pair`) and every other ring on its own
+    elements (:func:`_ring_pair`); each solves the Bezout identity once and
+    returns a builder of ``b`` on a window, which runs the two long
+    divisions.
+
+    Over an exact ring the pair defers ``b`` (:class:`InvertiblePair`): a
+    factorization builds it on the window its blocks read
+    (:meth:`InvertiblePair.read`), and ``pair.b`` on ``window`` when first
+    read; the coefficients are exact, so every build's residual is zero.
+    Over an inexact ring ``b`` and its residual are built on ``window``
+    here, since there the residual depends on the window.  The factors must
+    pass :func:`check_factors`.  An empty window (``lo > hi``) is a
+    :class:`WindowError`.
     """
     check_factors(ring, factors)
     if window[0] > window[1]:
         raise WindowError("empty window [%d,%d]" % window)
-    a, b = _factors_pair(ring, list(factors), window)
-    return InvertiblePair.make(a, b)
-
-
-def _factors_pair(ring: Ring, factors: Sequence[Factor],
-                  window: Tuple[int, int]) -> Tuple[LaurentSeries, LaurentSeries]:
-    """A product of elementary factors and its true inverse on ``window``.
-
-    For ``a = u z^p A(z^-1) B(z)`` with ``A = prod(1 - alpha z^-1)`` of
-    degree ``r`` and ``B = prod(1 - beta z)``, ``a`` is built from the two
-    products ``A`` and ``B``, and the Bezout identity ``V*B + U*A = 1``
-    splits ``1/(AB) = V/A + U/B``:
-    ``V/A`` is a series in ``z^-1`` on the exponents ``< r`` and ``U/B`` a
-    series in ``z`` on the exponents ``>= r``, each a long division.
-    Product rings run per component (:func:`per_component`), ``Q`` on
-    integer forms (:func:`_q_pair`), ``C`` on complex arrays
-    (:func:`_c_pair`) and every other ring on its own elements
-    (:func:`_ring_pair`).
-    """
     kind = leaf_kind(ring)
     pair = _q_pair if kind is Fraction else _c_pair if kind is complex else _ring_pair
-    a, b = per_component(ring, lambda comp, fs: pair(comp, fs, window), _split_factors,
-                         list(factors))
-    if kind is Fraction:
-        return LaurentSeries._from_ints(ring, a), LaurentSeries._from_ints(ring, b, window)
-    return LaurentSeries._trusted(ring, a), LaurentSeries._trusted(ring, b, window)
+    a, builders = per_component(ring, pair, _split_factors, list(factors))
+    wrap = LaurentSeries._from_ints if kind is Fraction else LaurentSeries._trusted
+
+    def build(w: Tuple[int, int]) -> LaurentSeries:
+        return wrap(ring, per_component(ring, lambda _comp, leaf: leaf[0](w), split_leaves,
+                                        builders), w)
+
+    if ring.is_exact:
+        return InvertiblePair._deferred(wrap(ring, a), window, build)
+    return InvertiblePair.make(wrap(ring, a), build(window))
 
 
 def _split_factors(ring: Ring, factors: Sequence[Factor]) -> List[List[Factor]]:
@@ -470,10 +522,13 @@ def _split_factors(ring: Ring, factors: Sequence[Factor]) -> List[List[Factor]]:
 _NO_INVERSE = ("no two-sided inverse: an antiholomorphic root meets "
                "the reciprocal of a holomorphic one")
 
+Builder = Callable[[Tuple[int, int]], Any]
 
-def _ring_pair(ring: Ring, factors: Sequence[Factor],
-               window: Tuple[int, int]) -> Tuple[Dict[int, Any], Dict[int, Any]]:
-    """The coefficients of :func:`_factors_pair` on the ring's own elements."""
+
+def _ring_pair(ring: Ring, factors: Sequence[Factor]) -> Tuple[Dict[int, Any], List[Builder]]:
+    """The coefficients of ``a`` for :func:`invert_from_factors` on the
+    ring's own elements, and the builder of those of ``b`` on a window, in
+    a list."""
     p_tot, u_tot = 0, ring.one
     for f in factors:
         if isinstance(f, Mono):
@@ -482,21 +537,27 @@ def _ring_pair(ring: Ring, factors: Sequence[Factor],
     anti = factors_to_series(ring, [f for f in factors if isinstance(f, Antiholo)])
     holo = factors_to_series(ring, [f for f in factors if isinstance(f, Holo)])
     a = anti.mul(holo).shift(p_tot).scale(u_tot)
-    w0 = (window[0] + p_tot, window[1] + p_tot)
     r, s = -anti._supp_bounds()[0], holo._supp_bounds()[1]
-    if r + s == 0:
-        b0 = LaurentSeries.one(ring, w0)
-    else:
+    if r + s:
         v, u = _bezout(ring, anti, holo, r, s)
-        coeffs = div_unit(v, anti, (w0[0], r - 1)).coeffs
-        coeffs.update(div_unit(u, holo, (r, w0[1])).coeffs)
-        b0 = LaurentSeries(ring, coeffs, w0)
-    return a.coeffs, b0.shift(-p_tot).scale(ring.inverse(u_tot)).coeffs
+    inv = ring.inverse(u_tot)
+
+    def build(window: Tuple[int, int]) -> Dict[int, Any]:
+        w0 = (window[0] + p_tot, window[1] + p_tot)
+        if r + s == 0:
+            b0 = LaurentSeries.one(ring, w0)
+        else:
+            coeffs = div_unit(v, anti, (w0[0], r - 1)).coeffs
+            coeffs.update(div_unit(u, holo, (r, w0[1])).coeffs)
+            b0 = LaurentSeries(ring, coeffs, w0)
+        return b0.shift(-p_tot).scale(inv).coeffs
+
+    return a.coeffs, [build]
 
 
-def _q_pair(ring: Ring, factors: Sequence[Factor],
-            window: Tuple[int, int]) -> Tuple[List[Ints], List[Ints]]:
-    """The integer forms of :func:`_factors_pair` over ``Q``, each in a list.
+def _q_pair(ring: Ring, factors: Sequence[Factor]) -> Tuple[List[Ints], List[Builder]]:
+    """The integer form of ``a`` for :func:`invert_from_factors` over ``Q``
+    and the builder of that of ``b`` on a window, each in a list.
 
     ``A`` and ``B`` are integer polynomials over their denominators ``da``
     and ``db``, which are also their constant terms.  The Bezout identity is
@@ -504,10 +565,10 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
     by fraction-free elimination (:func:`exact.bareiss_solve`), so that
     ``V = db Vz / det`` and ``U = da Uz / det``.  The two long divisions
     run on integers with one running power of ``da`` or ``db``
-    (:func:`exact.int_div`): the ``t``-th term of ``V/A`` is
-    ``db c_t / (det da^t)`` and that of ``U/B`` is ``da c_t / (det db^t)``.
-    ``b`` is one numerator array over ``det da^T1 db^T2`` (``T1``, ``T2``
-    the last terms), reduced once.
+    (:func:`exact.int_div`), from the split exponent ``r`` to the window's
+    ends: the ``t``-th term of ``V/A`` is ``db c_t / (det da^t)`` and that
+    of ``U/B`` is ``da c_t / (det db^t)``.  ``b`` is one numerator array
+    over ``det da^T1 db^T2`` (``T1``, ``T2`` the last terms), reduced once.
     """
     p, un, ud = 0, 1, 1
     anti, da, holo, db = [1], 1, [1], 1
@@ -522,21 +583,26 @@ def _q_pair(ring: Ring, factors: Sequence[Factor],
             db *= f.beta.denominator
     r, s = len(anti) - 1, len(holo) - 1
     a = reduced(p - r, [un * c for c in int_mul(anti[::-1], holo)], da * db * ud)
-    lo, hi = window[0] + p, window[1] + p
-    # 1/(AB) as numerators over den, from exponent r - len(down) on
-    nums, den, down = [1], 1, []
     if r + s:
         z, det = bareiss_solve(_sylvester(anti, holo, 0, 1))
         if not det:
             raise RingError(_NO_INVERSE)
-        down = int_div(z[:r][::-1], anti, r - lo)  # V/A from r - 1 down to lo
-        up = int_div(z[r:], holo, hi - r + 1)  # U/B from r up to hi
-        pa, pb = da ** max(len(down) - 1, 0), db ** max(len(up) - 1, 0)
-        nums = _scaled(down[::-1], da, db * pb) + _scaled(up[::-1], db, da * pa)[::-1]
-        den = det * pa * pb
     inv = ring.inverse(Fraction(un, ud))
-    return [a], [reduced(r - len(down) - p, [x * inv.numerator for x in nums],
-                         den * inv.denominator, window)]
+
+    def build(window: Tuple[int, int]) -> List[Ints]:
+        lo, hi = window[0] + p, window[1] + p
+        # 1/(AB) as numerators over den, from exponent r - len(down) on
+        nums, den, down = [1], 1, []
+        if r + s:
+            down = int_div(z[:r][::-1], anti, r - lo)  # V/A from r - 1 down to lo
+            up = int_div(z[r:], holo, hi - r + 1)  # U/B from r up to hi
+            pa, pb = da ** max(len(down) - 1, 0), db ** max(len(up) - 1, 0)
+            nums = _scaled(down[::-1], da, db * pb) + _scaled(up[::-1], db, da * pa)[::-1]
+            den = det * pa * pb
+        return [reduced(r - len(down) - p, [x * inv.numerator for x in nums],
+                        den * inv.denominator, window)]
+
+    return [a], [build]
 
 
 def _scaled(terms: List[int], base: int, scale: int) -> List[int]:
@@ -551,9 +617,10 @@ def _scaled(terms: List[int], base: int, scale: int) -> List[int]:
 # a non-finite unit gives NaN coefficients, as ring arithmetic on Python
 # complex numbers does, with no numpy warning
 @np.errstate(invalid="ignore", over="ignore")
-def _c_pair(ring: Ring, factors: Sequence[Factor],
-            window: Tuple[int, int]) -> Tuple[Dict[int, complex], Dict[int, complex]]:
-    """The coefficients of :func:`_factors_pair` over ``C``, on complex arrays.
+def _c_pair(ring: Ring, factors: Sequence[Factor]) -> Tuple[Dict[int, complex], List[Builder]]:
+    """The coefficients of ``a`` for :func:`invert_from_factors` over ``C``,
+    on complex arrays, and the builder of those of ``b`` on a window, in a
+    list.
 
     ``A`` and ``B`` are products of linear factors (one ``np.convolve``
     each), the Sylvester system of the Bezout identity is one
@@ -576,20 +643,26 @@ def _c_pair(ring: Ring, factors: Sequence[Factor],
             holo = times_linear(holo, f.beta, tol)
     r, s = len(anti) - 1, len(holo) - 1
     a = from_array(p - r, cut(np.convolve(anti[::-1], holo), tol) * unit, tol, None)
-    lo, hi = window[0] + p, window[1] + p
     inv = ring.inverse(unit)
-    if r + s == 0:
-        return a, from_array(-p, np.array([inv]), tol, window)
-    rows = np.array(_sylvester(anti, holo, 0j, 1 + 0j))
-    try:
-        z = cut(np.linalg.solve(rows[:, :-1], rows[:, -1]), tol).tolist()
-    except np.linalg.LinAlgError:
-        raise RingError(_NO_INVERSE) from None
-    # V/A descends from r - 1 to lo, U/B ascends from r to hi
-    down = recur([z[r - 1 - t] if t < r else 0j for t in range(r - lo)], anti)
-    up = recur([z[r + t] if t < s else 0j for t in range(hi - r + 1)], holo)
-    b0 = cut(np.array(down[::-1] + up, complex), tol)
-    return a, from_array(r - len(down) - p, b0 * inv, tol, window)
+    if r + s:
+        rows = np.array(_sylvester(anti, holo, 0j, 1 + 0j))
+        try:
+            z = cut(np.linalg.solve(rows[:, :-1], rows[:, -1]), tol).tolist()
+        except np.linalg.LinAlgError:
+            raise RingError(_NO_INVERSE) from None
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def build(window: Tuple[int, int]) -> Dict[int, complex]:
+        if r + s == 0:
+            return from_array(-p, np.array([inv]), tol, window)
+        lo, hi = window[0] + p, window[1] + p
+        # V/A descends from r - 1 to lo, U/B ascends from r to hi
+        down = recur([z[r - 1 - t] if t < r else 0j for t in range(r - lo)], anti)
+        up = recur([z[r + t] if t < s else 0j for t in range(hi - r + 1)], holo)
+        b0 = cut(np.array(down[::-1] + up, complex), tol)
+        return from_array(r - len(down) - p, b0 * inv, tol, window)
+
+    return a, [build]
 
 
 def _sylvester(anti: Sequence[Any], holo: Sequence[Any], zero: Any, one: Any) -> List[List[Any]]:

@@ -12,7 +12,6 @@ import whlaurent as wl
 from whlaurent import matrices as mx
 from whlaurent.corpus import (random_complex_factors, random_orthogonal_pair,
                               random_rational_factors, random_rational_parameter)
-from whlaurent.factorization import product_of_orthogonals
 from whlaurent.matrices import (Lattice, WindowedMatrix, antiholomorphic_det_matrix,
                                 det_identity_plus, det_tilde_column_reduced,
                                 holomorphic_det_matrix)

@@ -21,7 +21,7 @@ from whlaurent.matrices import (Lattice, antiholomorphic_det_matrix, det_identit
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, laurent_ring
 
-from conftest import det_cofactor, dual_ring, worked_pair
+from conftest import det_cofactor, dual_ring
 
 Q = wl.rational_ring()
 Q2 = wl.product_ring(Q, 2)
@@ -132,7 +132,8 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     # the ring-element reference: the block on a's own support (not
     # re-centred) and Berkowitz on Fractions, for pi_- on the reflected
     # pair and reflected back
-    for kind, p in (("plus", pair), ("minus", pair.reflect())):
+    mirror = wl.InvertiblePair(pair.a.reflect(), pair.b.reflect(), pair.residual)
+    for kind, p in (("plus", pair), ("minus", mirror)):
         lo, hi, m, (b_lo, b_hi) = _own_map(p)
         rows = _k_rows(m, m.blocks[0], [p.a.coeff(d) for d in range(lo, hi + 1)],
                        [p.b.coeff(k) for k in range(b_lo, b_hi + 1)],

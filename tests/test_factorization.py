@@ -1068,8 +1068,9 @@ def test_factorize_compares_the_product_on_all_of_a(ring_name):
 
 
 def test_window_errors_name_the_inverse_as_given():
-    # pi_- and the antiholomorphic closed-form block run on the reflected
-    # pair, yet a too-small window is named on b itself, as pi_+ names it
+    # pi_- and the antiholomorphic closed-form block read the mirror block,
+    # b's coefficients reversed, yet a too-small window is named on b as
+    # given, as pi_+ names it
     from whlaurent.matrices import antiholomorphic_det_matrix
     from whlaurent.series import laurent_ring
 

@@ -1,12 +1,12 @@
-"""Source hygiene: no unused imports, no unreferenced private helpers,
-no ring test but ``rings.leaf_kind`` picking a kernel's path, no
-dataclass field that nothing reads, no optional parameter that no call
-sets, no cross reference in a docstring or comment that names nothing,
-no series product or comparison in the command line, no run of
-statements written out twice, no private function that takes its
-orientation as a ``sign`` or ``ascending`` flag, and no engine module
-that imports the windowed-matrix apparatus, in the library modules
-(stdlib ``ast`` only)."""
+"""Source hygiene: no unused imports (in the tests and demos too), no
+unreferenced private helpers, no ring test but ``rings.leaf_kind``
+picking a kernel's path, no dataclass field that nothing reads, no
+optional parameter that no call sets, no cross reference in a docstring
+or comment that names nothing, no series product or comparison in the
+command line, no run of statements written out twice, no private
+function that takes its orientation as a ``sign`` or ``ascending`` flag,
+and no engine module that imports the windowed-matrix apparatus, in the
+library modules (stdlib ``ast`` only)."""
 
 import ast
 import math
@@ -18,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "whlaurent"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+IMPORTERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _tree(path):
@@ -38,7 +39,7 @@ def _references(tree):
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = _tree(path)
     used = _used_names(tree)
@@ -376,7 +377,7 @@ def _orientation_flags(tree):
 
 def test_no_private_function_takes_an_orientation_flag():
     # the antiholomorphic side is the holomorphic one of a(1/z)
-    # (LaurentSeries.reflect, InvertiblePair.reflect), so each kernel is
+    # (LaurentSeries.reflect, the mirror block), so each kernel is
     # written for one orientation, and no private function switches on a
     # boolean
     assert [f for p in MODULES for f in _orientation_flags(_tree(p))] == []

@@ -13,7 +13,7 @@ import whlaurent as wl
 from whlaurent import cli, serialize
 from whlaurent.corpus import (random_complex_factors, random_complex_parameter,
                              random_rational_factors, random_rational_parameter)
-from whlaurent.exact import from_terms
+from whlaurent.exact import from_terms, int_div
 from whlaurent.factorization import FactorizationError, _check_projection, residual_bound
 from whlaurent.rings import RingError
 from whlaurent.series import LaurentSeries, WindowError, factor_series
@@ -775,6 +775,82 @@ def test_factorize_job_never_builds_the_inverse_map(monkeypatch):
     assert built == [] and pair.b._coeffs is None and len(pair.b.support()) > 40
     pair.b.coeffs  # the spy sees a map being built
     assert built == [pair.b]
+
+
+# -- a factor pair builds its inverse where it is read -------------------
+
+def _geometric_inverse(al, be, p, u, window):
+    """The nonzero coefficients on ``window`` of 1/(u z^p (1 - al/z)(1 - be z)):
+    at exponent n - p, be^n for n >= 0 and al^-n for n < 0, over u (1 - al be)."""
+    scale = 1 / (u * (1 - al * be))
+    out = {}
+    for m in range(window[0], window[1] + 1):
+        c = be ** (m + p) if m + p >= 0 else al ** -(m + p)
+        if c:
+            out[m] = scale * c
+    return out
+
+
+@pytest.mark.parametrize("ring", [Q, Q2], ids=["Q", "Q^2"])
+def test_exact_factor_pair_builds_b_on_the_read_window(monkeypatch, ring):
+    # a = u z^2 (1 - al/z)(1 - be z) has support [1, 3]: re-centred by e = 1
+    # its blocks read b on [1 - 2*3, 1 - 2*1] = [-5, -1] (over Q^2 the leaf
+    # with al = 0 spans [2, 3] and reads [-4, -2]).  Declared on
+    # [-4096, 4096], factorize builds b once, on that window widened by a's
+    # span 2 on both sides, [-7, 1], and no long division runs longer than
+    # it; the result is that of the least window factorize accepts, and a
+    # smaller one is refused as before.  Reading pair.b then builds b on the
+    # declared window, the closed form of 1/a
+    windows, terms = [], []
+    checked = wl.InvertiblePair._checked
+    monkeypatch.setattr(wl.InvertiblePair, "_checked",
+                        lambda self, w: windows.append(w) or checked(self, w))
+    monkeypatch.setattr("whlaurent.series.int_div",
+                        lambda x, u, count: terms.append(count) or int_div(x, u, count))
+    params = [(Fraction(1, 2), Fraction(-1, 3), Fraction(3, 5)),
+              (Fraction(0), Fraction(2, 7), Fraction(-4))][:len(ring.components or [ring])]
+    al, be, u = (col[0] if ring is Q else col for col in zip(*params))
+    facs = [wl.Antiholo(al), wl.Holo(be), wl.Mono(2, u)]
+    pair = wl.invert_from_factors(ring, facs, (-4096, 4096))
+    res = wl.factorize(pair)
+    assert windows == [(-7, 1)] and 0 < max(terms) <= 9
+    errors = []
+    for least in itertools.count(1):
+        try:
+            want = wl.factorize(wl.invert_from_factors(ring, facs, (-least, least)))
+            break
+        except WindowError as exc:
+            errors.append(str(exc))
+    assert least == 5 and errors[-1] == "inverse window [-4,4] too small; need at least [-5,-1]"
+    for got, ref in ((res.pi_minus, want.pi_minus), (res.pi_tilde, want.pi_tilde),
+                     (res.pi_plus, want.pi_plus)):
+        assert got.coeffs == ref.coeffs
+    assert (res.residual, res.winding) == (want.residual, want.winding) == (0.0, 2)
+    windows.clear()
+    b = pair.b
+    assert windows == [(-4096, 4096)] and b.window == (-4096, 4096) and pair.b is b
+    assert pair.residual == 0.0
+    # per leaf, on the integer form: the Fraction map of 8193 terms is slow
+    for (lo, nums, den), (x, y, v) in zip(b.ints, params):
+        want = _geometric_inverse(x, y, 2, v, (-4096, 4096))
+        assert {lo + i for i, c in enumerate(nums) if c} == want.keys()
+        assert all(nums[n - lo] * c.denominator == c.numerator * den for n, c in want.items())
+
+
+def test_complex_factor_pair_residual_is_that_of_the_declared_window():
+    # over C the residual depends on the window, so a factor pair builds b
+    # and its residual on the declared window when it is made, as
+    # InvertiblePair.make does on the same b
+    rng = random.Random(41)
+    residuals = []
+    for k in (0, 3):
+        for _ in range(6):
+            facs = random_complex_factors(rng, n_factors=8) + [wl.Mono(0, complex(10.0 ** k))]
+            pair = wl.invert_from_factors(C, facs, (-32, 32))
+            residuals.append(pair.residual)
+            assert pair.b.window == (-32, 32)
+            assert residuals[-1] == wl.InvertiblePair.make(pair.a, pair.b).residual
+    assert max(residuals) > 0.0
 
 
 # -- the checks at the end of factorize read the integer forms ----------
