@@ -451,8 +451,13 @@ def certify(pair: InvertiblePair, pm: LaurentSeries, pt: LaurentSeries,
 def factorize(pair: InvertiblePair) -> FactorizationResult:
     """Assemble the full decomposition a = pi_minus * pi_tilde * pi_plus, with
     pi~ on ``[s0 - deg pi_+, s1 + deg pi_-]`` for ``a``'s support ``[s0, s1]``:
-    the least window on which the product that :func:`certify` compares spans ``a``."""
-    _check_pair(pair)
+    the least window on which the product that :func:`certify` compares spans ``a``.
+    A pair that carries ``b`` fails first if ``b`` does not invert ``a``
+    (:func:`_check_pair`); one that defers ``b`` is checked by :func:`certify`,
+    on what :func:`pi_plus` built of ``b``, so that ``b`` is not built on the
+    declared window for the check alone."""
+    if not pair.deferred:
+        _check_pair(pair)
     pp = pi_plus(pair)
     pm = pi_minus(pair)
     s0, s1 = pair.a._supp_bounds()

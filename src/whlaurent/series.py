@@ -347,8 +347,9 @@ class InvertiblePair:
     coefficients asks for (:meth:`read`), and on the declared window when
     ``b`` itself is first read.  Each build checks ``a b - 1`` on the
     product coefficients that the built window determines, and
-    ``residual`` is the largest residual over the builds, 0 before the
-    first.
+    ``residual`` is the largest residual over the builds; read before the
+    first, it builds ``b`` on the declared window, so that no residual is
+    reported unchecked.
     """
 
     a: LaurentSeries
@@ -367,22 +368,28 @@ class InvertiblePair:
         """The pair of ``a`` and ``build(w)``, ``b`` on a window ``w``, with ``b``
         declared on ``window`` and not yet built."""
         pair = InvertiblePair.__new__(InvertiblePair)
-        pair.a, pair.residual, pair.projections = a, 0.0, {}
+        pair.a, pair.projections = a, {}
         pair._window, pair._build = window, build
         return pair
 
     def __getattr__(self, name: str) -> Any:
         # reached only for an attribute that is not set: ``b`` of a deferred
-        # pair before its first read
-        if name != "b" or "_build" not in vars(self):
+        # pair before its first read, or ``residual`` before its first build
+        if name not in ("b", "residual") or not self.deferred:
             return super().__getattribute__(name)  # raises the usual AttributeError
         self.b = self._checked(self._window)
-        return self.b
+        return getattr(self, name)
+
+    @property
+    def deferred(self) -> bool:
+        """Whether ``b`` was deferred (:func:`invert_from_factors` over an
+        exact ring), built or not since."""
+        return "_build" in vars(self)
 
     @property
     def window(self) -> Window:
         """The declared window of ``b``, read without building ``b``."""
-        return self._window if "_build" in vars(self) else self.b.window
+        return self._window if self.deferred else self.b.window
 
     def read(self, need: Window) -> LaurentSeries:
         """``b`` for a reader of its coefficients on ``need`` alone (of none
@@ -391,7 +398,7 @@ class InvertiblePair:
         declared window, so that, inside the declared window, the build
         checks every product coefficient that a coefficient on ``need``
         enters."""
-        if "_build" not in vars(self) or "b" in vars(self):
+        if not self.deferred or "b" in vars(self):
             return self.b
         if need is not None:
             s0, s1 = self.a._supp_bounds()
@@ -402,7 +409,8 @@ class InvertiblePair:
 
     def _checked(self, window: Tuple[int, int]) -> LaurentSeries:
         b = self._build(window)
-        self.residual = max(self.residual, _residual(self.a, b))
+        r = _residual(self.a, b)
+        self.residual = max(vars(self).get("residual", r), r)
         return b
 
 
@@ -485,8 +493,8 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
 
     Over an exact ring the pair defers ``b`` (:class:`InvertiblePair`): a
     factorization builds it on the window its blocks read
-    (:meth:`InvertiblePair.read`), and ``pair.b`` on ``window`` when first
-    read; the coefficients are exact, so every build's residual is zero.
+    (:meth:`InvertiblePair.read`), and ``pair.b`` or ``pair.residual`` on
+    ``window`` when first read; the coefficients are exact, so every build's residual is zero.
     Over an inexact ring ``b`` and its residual are built on ``window``
     here, since there the residual depends on the window.  The factors must
     pass :func:`check_factors`.  An empty window (``lo > hi``) is a

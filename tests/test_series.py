@@ -604,6 +604,8 @@ def test_complex_kernels_match_ring_element_path(arity):
         one = LaurentSeries.one(C, prod.window)
         residual = max(w.a.mul(w.b).truncate(prod.window).sup_diff(one) for w in wants)
         assert abs(got.residual - residual) <= 1e-12, facs
+        # built on the declared window, as by InvertiblePair.make on the same b
+        assert got.residual == wl.InvertiblePair.make(got.a, got.b).residual, facs
         _close(got.b.mul(got.b), [w.b.mul(w.b) for w in wants])
         for kind in (wl.Holo, wl.Antiholo):
             u = wl.factors_to_series(fast, [f for f in facs if isinstance(f, kind)])
@@ -830,27 +832,15 @@ def test_exact_factor_pair_builds_b_on_the_read_window(monkeypatch, ring):
     b = pair.b
     assert windows == [(-4096, 4096)] and b.window == (-4096, 4096) and pair.b is b
     assert pair.residual == 0.0
+    # a residual read before any build is that of b built on the declared window
+    windows.clear()
+    assert wl.invert_from_factors(ring, facs, (-64, 64)).residual == 0.0
+    assert windows == [(-64, 64)]
     # per leaf, on the integer form: the Fraction map of 8193 terms is slow
     for (lo, nums, den), (x, y, v) in zip(b.ints, params):
         want = _geometric_inverse(x, y, 2, v, (-4096, 4096))
         assert {lo + i for i, c in enumerate(nums) if c} == want.keys()
         assert all(nums[n - lo] * c.denominator == c.numerator * den for n, c in want.items())
-
-
-def test_complex_factor_pair_residual_is_that_of_the_declared_window():
-    # over C the residual depends on the window, so a factor pair builds b
-    # and its residual on the declared window when it is made, as
-    # InvertiblePair.make does on the same b
-    rng = random.Random(41)
-    residuals = []
-    for k in (0, 3):
-        for _ in range(6):
-            facs = random_complex_factors(rng, n_factors=8) + [wl.Mono(0, complex(10.0 ** k))]
-            pair = wl.invert_from_factors(C, facs, (-32, 32))
-            residuals.append(pair.residual)
-            assert pair.b.window == (-32, 32)
-            assert residuals[-1] == wl.InvertiblePair.make(pair.a, pair.b).residual
-    assert max(residuals) > 0.0
 
 
 # -- the checks at the end of factorize read the integer forms ----------
