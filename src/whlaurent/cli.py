@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from .rings import Ring, RingError, leaf_kind
 from .series import (Antiholo, Holo, InvertiblePair, LaurentSeries, Mono, WindowError,
-                     check_factors, invert_from_factors, invert_numeric, laurent_ring)
+                     invert_from_factors, invert_numeric, laurent_ring)
 from . import matrices as mx
 from .corpus import random_complex_factors
 from .factorization import (FactorizationError, NotOrthogonalError, certify, factorize,
@@ -74,11 +74,11 @@ def _build_pair(job: Dict[str, Any], ring: Ring,
     if has_factors:
         with _field("factors"):
             factors = [_parse_factor(ring, f) for f in job["factors"]]
-            check_factors(ring, factors)
         try:
             return invert_from_factors(ring, factors, window)
         except RingError as exc:
-            # a product of units that each pass check_factors may still not invert
+            # a factor that check_factors refuses, or a product of units
+            # that each pass it and still do not invert
             raise JobError("bad 'factors' field: %s" % exc) from exc
     with _field("coefficients"):
         a = series_from_json(ring, job["coefficients"])

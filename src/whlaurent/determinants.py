@@ -18,7 +18,8 @@ The outer projections call their kernel here directly
 the stack of a leaf's two pencils ``I - w K``, pi_+'s and its mirror
 image's, sampled at one cached set of points (:func:`_circle`) in one
 batched determinant and one FFT; and :func:`berkowitz` over ``Q`` (on the
-integer blocks) and over every other ring (on ring elements).
+integer blocks, stopped at the degree the leaf's winding fixes) and over
+every other ring (on ring elements, in full).
 """
 
 from __future__ import annotations
@@ -39,31 +40,40 @@ MAX_BERKOWITZ = 64
 # -- Berkowitz --------------------------------------------------------
 
 def berkowitz(a: Sequence[Sequence[Any]], dot: Callable[[Sequence[Any], Sequence[Any]], Any],
-              neg: Callable[[Any], Any], one: Any) -> List[Any]:
-    """Coefficients ``c_0..c_n`` of ``det(x I - A) = sum c_i x^(n-i)`` by
-    division-free Berkowitz (Berkowitz, "On computing the determinant in
-    small parallel time using a small number of processors", 1984), with
-    ``dot`` the inner product of two sequences that stops at the shorter
-    one: :func:`exact.dot` on integers, :meth:`rings.Ring.dot` on ring
-    elements.  ``berkowitz([])`` is ``[one]``."""
+              neg: Callable[[Any], Any], one: Any, deg: int) -> List[Any]:
+    """Coefficients ``c_0..c_D`` of ``det(x I - A) = sum c_i x^(n-i)``,
+    ``D = min(deg, n)``, by division-free Berkowitz (Berkowitz, "On
+    computing the determinant in small parallel time using a small number
+    of processors", 1984), with ``dot`` the inner product of two sequences
+    that stops at the shorter one: :func:`exact.dot` on integers,
+    :meth:`rings.Ring.dot` on ring elements.  ``deg = len(a)`` gives them
+    all; ``berkowitz([], ..., 0)`` is ``[one]``.
+
+    Step ``r`` multiplies the coefficients by a lower triangular Toeplitz
+    matrix, so its coefficient ``i`` reads only the Toeplitz column's
+    entries ``0..i`` and the previous coefficients ``0..i``: keeping
+    coefficients ``0..deg`` at every step, and forming ``A^t col`` only
+    for ``t <= deg - 2``, gives the first ``deg + 1`` coefficients exactly.
+    A caller that knows ``c_i = 0`` for ``i > deg`` (the characteristic
+    polynomial ``det(I - w A)`` of degree ``deg``) so loses none."""
     coeffs = [one]
     for r in range(1, len(a) + 1):
         # principal r x r block, partitioned around its last row/column
         row = a[r - 1][:r - 1]
         cur = [a[i][r - 1] for i in range(r - 1)]
-        # Toeplitz column: [1, -top, -row*col, -row*A*col, ...]; the last
-        # entry needs A^(r-2)*col, so A*cur is formed r-2 times
-        tvec = [one, neg(a[r - 1][r - 1])]
-        for t in range(r - 1):
+        # Toeplitz column: [1, -top, -row*col, -row*A*col, ...] up to entry
+        # min(r, deg); entry t + 2 needs A^t*col, so A*cur is formed t times
+        tvec = [one, neg(a[r - 1][r - 1])][:deg + 1]
+        for t in range(min(r, deg) - 1):
             if t:  # dot stops at the shorter input, so a[i] is read on the leading block
                 cur = [dot(a[i], cur) for i in range(r - 1)]
             tvec.append(neg(dot(row, cur)))
-        coeffs = [dot(tvec[i::-1], coeffs) for i in range(r + 1)]
+        coeffs = [dot(tvec[i::-1], coeffs) for i in range(min(r, deg) + 1)]
     return coeffs
 
 
 def det_berkowitz(ring: Ring, a: List[List[Any]]) -> Any:
-    d = berkowitz(a, ring.dot, ring.neg, ring.one)[-1]
+    d = berkowitz(a, ring.dot, ring.neg, ring.one, len(a))[-1]
     return ring.neg(d) if len(a) % 2 else d  # det(x*I - A) at x=0 is (-1)^n det A
 
 

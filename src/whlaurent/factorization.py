@@ -19,7 +19,12 @@ ones.  Every path reads that map, and one call returns both projections
 of every leaf and the one window [e - 2 hi, e - 2 lo] of b that they
 read.  Over Q the blocks are integer, the numerators of a and b over the
 common denominator d = da db, built by slices and ``exact.dot``, and d K
-goes straight to division-free Berkowitz on Python integers.  Over C
+goes straight to division-free Berkowitz on Python integers, which stops
+at the degree the winding fixes: a leaf a = pi_- u z^p pi_+ over a field
+spans [p - deg pi_-, p + deg pi_+], so pi_+ has degree hi - p and pi_-
+degree p - lo, and the winding p is the constant term of z a'(z) b(z),
+sum n a_n b_-n over [lo, hi], read on b's slice [-hi, -lo] inside the
+window.  Over C
 both blocks come from one gather and one batched matmul, and their two
 pencils I - w K go to the circle sampler as one stack, one batched
 determinant and one FFT, where Berkowitz loses accuracy on these
@@ -238,9 +243,11 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
     determinant kernel.  Over ``Q`` (and per leaf of a product of ``Q``)
     the integer blocks ``d K`` (:func:`_int_projections`, on the integer
     forms of ``a`` and ``b``) go straight to Berkowitz on integers
-    (:func:`determinants.berkowitz` with :func:`exact.dot`), and each
-    projection is one integer form over ``d^n``, with no ``Fraction`` in
-    between.  Over ``C`` (and per component of a product of ``C``) both
+    (:func:`determinants.berkowitz` with :func:`exact.dot`), each run
+    stopped at its projection's degree, which the leaf's winding fixes:
+    the ``c_i`` past it are 0, and the bounded run's ``c_i`` up to it are
+    the full run's.  Each projection is one integer form over a power of
+    ``d``, with no ``Fraction`` in between.  Over ``C`` (and per component of a product of ``C``) both
     blocks are one gather and one batched matmul on complex arrays, and
     the two pencils ``I - w K`` are sampled on the unit circle as one
     stack (:func:`determinants._poly_det` at degree ``n``), since
@@ -260,7 +267,7 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
         xs = [a.coeff(d) for d in range(lo, hi + 1)]
         ys = [b.coeff(k) for k in range(b_lo, b_hi + 1)]
         pp, pm = [berkowitz(_k_rows(m, block, x, y, ring.dot, ring.neg, ring.add, ring.one),
-                            ring.dot, ring.neg, ring.one)
+                            ring.dot, ring.neg, ring.one, m.n)
                   for block, x, y in zip(m.blocks, (xs, xs[::-1]), (ys, ys[::-1]))]
         return (LaurentSeries(ring, dict(enumerate(pp))),
                 LaurentSeries(ring, {-i: c for i, c in enumerate(pm)}), need)
@@ -281,24 +288,43 @@ def _int_projections(a: Ints, m: _BlockMap, read: Tuple[int, int],
     forms ``a`` and ``b`` and the leaf's map ``m`` and ``read``, the window
     of ``b`` it reads (:func:`_leaf_map`): for
     ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of
-    ``w^i`` (``w^-i`` for pi_-) is ``m_i / d^i = m_i d^(n-i) / d^n``.
+    ``w^i`` (``w^-i`` for pi_-) is ``m_i / d^i = m_i d^(D-i) / d^D``, for
+    ``i <= D``, the projection's degree.
 
     ``d = da db``, with ``db`` the denominator of the slice of ``b`` that
     the block reads: pi_+'s block never reads the two lowest exponents of
     the window and the mirror block never the two highest, so each takes
-    its own slice, the least denominator, with two zeros in their place."""
-    _lo, nums, da = a
+    its own slice, the least denominator, with two zeros in their place.
+
+    The degrees come from the winding ``p = sum n a_n b_-n`` over the
+    leaf's support ``[lo, hi]``, the constant term of ``z a'(z) b(z)``:
+    over a field ``z a'/a`` has the constant term ``p`` of ``z^p`` and
+    none from ``pi_+`` or ``pi_-``, and ``a = pi_- u z^p pi_+`` spans
+    ``[p - deg pi_-, p + deg pi_+]``, so ``det(I - w K) = pi_+`` has
+    degree ``D = hi - p`` and its mirror ``p - lo``.  The sum reads ``b``
+    on ``[-hi, -lo]``, inside ``read``.  Berkowitz bounded at ``D``
+    (:func:`determinants.berkowitz`) returns ``m_0..m_D`` as the full run
+    does, and the ``m_i`` past ``D`` are 0, so nothing is lost.  A sum
+    that is no integer in ``[lo, hi]`` (a ``b`` that does not invert
+    ``a``) runs both blocks in full, as if no degree were known."""
+    lo, nums, da = a
+    hi = lo + len(nums) - 1
     b_lo, b_hi = read
     (bp, dp), (bm, dm) = slice_ints(b, b_lo + 2, b_hi), slice_ints(b, b_lo, b_hi - 2)
+    # the winding sum n a_n b_-n over [lo, hi], on b's slice [-hi, -lo]
+    bw, dw = slice_ints(b, -hi, -lo)
+    p, rem = divmod(dot([n * x for n, x in enumerate(nums, lo)], bw[::-1]), da * dw)
+    degs = (hi - p, p - lo) if not rem and lo <= p <= hi else (m.n, m.n)
     forms = []
-    for block, x, y, db in zip(m.blocks, (nums, nums[::-1]), ([0, 0] + bp, [0, 0] + bm[::-1]),
-                               (dp, dm)):
+    for block, x, y, db, deg in zip(m.blocks, (nums, nums[::-1]),
+                                    ([0, 0] + bp, [0, 0] + bm[::-1]), (dp, dm), degs):
         d = da * db
         ms = berkowitz(_k_rows(m, block, x, y, dot, operator.neg, operator.add, d),
-                       dot, operator.neg, 1)
-        forms.append(([c * d ** (m.n - i) for i, c in enumerate(ms)], d ** m.n))
+                       dot, operator.neg, 1, deg)
+        k = len(ms) - 1
+        forms.append(([c * d ** (k - i) for i, c in enumerate(ms)], d ** k))
     (pp, p_den), (pm, m_den) = forms
-    return reduced(0, pp, p_den), reduced(-m.n, pm[::-1], m_den)
+    return reduced(0, pp, p_den), reduced(1 - len(pm), pm[::-1], m_den)
 
 
 def _c_projections(comp: Ring, a: Dict[int, complex], b: Dict[int, complex]) -> Tuple[

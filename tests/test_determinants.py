@@ -4,6 +4,7 @@ identity-plus-perturbation operators, and nested-window truncations."""
 import dataclasses
 import operator
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -91,7 +92,7 @@ def _int_charpoly(ring, a):
     # det(x I - M / d) has the coefficients m_i / d^i
     return [Fraction(c, d ** i)
             for i, c in enumerate(berkowitz([m[i * n:(i + 1) * n] for i in range(n)],
-                                            dot, operator.neg, 1))]
+                                            dot, operator.neg, 1, n))]
 
 
 @pytest.mark.parametrize("ring", [Q, Q2, wl.product_ring(Q2, 2)], ids=["Q", "Q^2", "(Q^2)^2"])
@@ -105,8 +106,55 @@ def test_charpoly_on_integers_matches_berkowitz(ring):
             a[n // 2] = [ring.zero] * n
         got = _int_charpoly(ring, a)
         # the same rationals, so the same reduced Fractions
-        assert repr(got) == repr(berkowitz(a, ring.dot, ring.neg, ring.one)), n
+        assert repr(got) == repr(berkowitz(a, ring.dot, ring.neg, ring.one, n)), n
         assert (got[-1] == ring.zero) == (n % 3 == 1), n
+
+
+def _plain_berkowitz(a, dot, neg, one):
+    """The textbook Berkowitz loop with no degree bound: every Toeplitz
+    column entry and every coefficient of every step."""
+    coeffs = [one]
+    for r in range(1, len(a) + 1):
+        row, cur = a[r - 1][:r - 1], [a[i][r - 1] for i in range(r - 1)]
+        tvec = [one, neg(a[r - 1][r - 1])]
+        for t in range(r - 1):
+            if t:
+                cur = [dot(a[i][:r - 1], cur) for i in range(r - 1)]
+            tvec.append(neg(dot(row, cur)))
+        coeffs = [dot(tvec[i::-1], coeffs) for i in range(r + 1)]
+    return coeffs
+
+
+def _low_rank_rows(ring, draw, rng, n, k):
+    """An ``n x n`` matrix ``X Y`` of rank at most ``k`` over ``ring``, for
+    ``n x k`` and ``k x n`` factors with entries from ``draw``."""
+    x = [[draw(rng) for _ in range(k)] for _ in range(n)]
+    y = [[draw(rng) for _ in range(n)] for _ in range(k)]
+    return [[ring.dot(xi, [yt[j] for yt in y]) for j in range(n)] for xi in x]
+
+
+# the integer blocks' arithmetic, with exact.dot as the inner product
+_INTS = types.SimpleNamespace(dot=dot, neg=operator.neg, one=1, is_zero=operator.not_)
+
+
+@pytest.mark.parametrize("name", ["int", "Q^2", "Q[e]"])
+def test_berkowitz_bound_keeps_the_leading_coefficients(name):
+    # rank <= k: every principal minor of order > k is 0, so c_i = 0 for
+    # i > k, and the run bounded at k returns c_0..c_k of the full run
+    ring, draw = {
+        "int": (_INTS, lambda r: r.randint(-9, 9)),
+        "Q^2": (Q2, lambda r: (rand_q(r), rand_q(r))),
+        "Q[e]": (dual_ring(Q), lambda r: (rand_q(r), rand_q(r))),
+    }[name]
+    rng = random.Random("bound:" + name)
+    for n in range(13):
+        for k in sorted({0, 1, n // 2, max(n - 1, 0), n}):
+            a = _low_rank_rows(ring, draw, rng, n, k)
+            full = berkowitz(a, ring.dot, ring.neg, ring.one, n)
+            if k == n // 2:
+                assert repr(full) == repr(_plain_berkowitz(a, ring.dot, ring.neg, ring.one)), n
+            assert all(ring.is_zero(c) for c in full[k + 1:]), (n, k)
+            assert repr(berkowitz(a, ring.dot, ring.neg, ring.one, k)) == repr(full[:k + 1]), (n, k)
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -138,7 +186,7 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
         rows = _k_rows(m, m.blocks[0], [p.a.coeff(d) for d in range(lo, hi + 1)],
                        [p.b.coeff(k) for k in range(b_lo, b_hi + 1)],
                        ring.dot, ring.neg, ring.add, ring.one)
-        ref = berkowitz(rows, ring.dot, ring.neg, ring.one)
+        ref = berkowitz(rows, ring.dot, ring.neg, ring.one, len(rows))
         ref = LaurentSeries(ring, dict(enumerate(ref)))
         assert got[kind].equals(ref if kind == "plus" else ref.reflect())
     assert calls

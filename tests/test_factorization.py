@@ -10,7 +10,8 @@ import pytest
 
 import whlaurent as wl
 from whlaurent import factorization
-from whlaurent.corpus import random_complex_factors, random_rational_factors
+from whlaurent.corpus import (random_complex_factors, random_rational_factors,
+                              random_rational_parameter)
 from whlaurent.factorization import FactorizationError
 from whlaurent.rings import RingError, leaf_kind
 from whlaurent.series import LaurentSeries, WindowError
@@ -787,6 +788,104 @@ def test_outer_projection_blocks_span_their_leaves(monkeypatch, ring_name):
         sizes.clear()
         wl.factorize(pair)
         assert sizes == [span] * (2 * leaves), (pair.a, sizes)
+
+
+def _winding_symbols(R, seed):
+    """Seeded exact pairs over ``Q`` or ``Q^2``: 1-12 factors of random
+    kinds, the one-sided shapes (all antiholo, all holo) with and without
+    a monomial, and several monomials per symbol; over ``Q^2`` times
+    ``z^e0`` (+) ``z^e1`` from ``ORTHOGONAL_EXPS``, so the two leaves wind
+    differently."""
+    rng = random.Random("winding:%s:%d" % (R.name, seed))
+    units = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3)]
+    draw = (lambda f: f(rng)) if R is Q else (lambda f: (f(rng), f(rng)))
+    shapes = [[rng.choice("AHM") for _ in range(count)] for count in range(1, 13)]
+    shapes += [["A"] * 4, ["H"] * 5, ["A"] * 3 + ["M"], ["H"] * 2 + ["M", "M"],
+               ["M", "A", "M", "H", "M"]]
+    for i, shape in enumerate(shapes):
+        facs = [wl.Antiholo(draw(random_rational_parameter)) if kind == "A" else
+                wl.Holo(draw(random_rational_parameter)) if kind == "H" else
+                wl.Mono(rng.randint(-3, 3), draw(lambda r: r.choice(units)))
+                for kind in shape]
+        half = 3 * sum(abs(getattr(f, "p", 0)) + 1 for f in facs) + 10
+        pair = wl.invert_from_factors(R, facs, (-half, half))
+        if R is not Q:
+            o_a, o_b = _split_monomial(R, ORTHOGONAL_EXPS[i % len(ORTHOGONAL_EXPS)])
+            pair = wl.InvertiblePair.make(pair.a.mul(o_a), pair.b.mul(o_b))
+        yield pair
+
+
+def _projection_runs(monkeypatch, pair, full):
+    """``(pi_+, pi_-, bounds)`` of ``pair`` by :func:`_outer_projections`,
+    with ``bounds`` the ``(rows, deg)`` of each Berkowitz call, in leaf
+    order, pi_+'s block before its mirror's; ``full`` runs every call in
+    full, as if no degree were known."""
+    from whlaurent.determinants import berkowitz
+
+    bounds = []
+
+    def run(a, dot, neg, one, deg):
+        bounds.append((len(a), deg))
+        return berkowitz(a, dot, neg, one, len(a) if full else deg)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(factorization, "berkowitz", run)
+        pp, pm, _need = factorization._outer_projections(pair)
+    return pp, pm, bounds
+
+
+def _winding_sum(a, b, leaf=lambda x: x):
+    """``sum n a_n b_-n`` of one leaf over ``Q``: the constant term of
+    ``z a'(z) b(z)``."""
+    return sum(n * leaf(c) * leaf(b.coeff(-n)) for n, c in a.coeffs.items())
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2"])
+def test_int_projections_stop_at_the_winding_degree(monkeypatch, ring_name):
+    # each leaf's pi_+ block runs to hi - p and its mirror block to p - lo,
+    # p = sum n a_n b_-n its winding, and both equal the full runs' forms
+    R = Q if ring_name == "Q" else Q2
+    for seed in range(3):
+        for pair in _winding_symbols(R, seed):
+            pp, pm, bounds = _projection_runs(monkeypatch, pair, False)
+            fpp, fpm, _ = _projection_runs(monkeypatch, pair, True)
+            assert pp.ints == fpp.ints and pm.ints == fpm.ints, pair.a
+            for (n, d_plus), (_n, d_minus), plus, minus in zip(
+                    bounds[::2], bounds[1::2], pp.ints, pm.ints):
+                # the bounds are the projections' degrees and sum to n
+                assert d_plus + d_minus == n, (pair.a, bounds)
+                assert (d_plus, d_minus) == (plus[0] + len(plus[1]) - 1, -minus[0]), pair.a
+            if R is Q:
+                assert _winding_sum(pair.a, pair.b) == wl.factorize(pair).winding, pair.a
+
+
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2"])
+def test_int_projections_run_in_full_off_an_integer_winding(monkeypatch, ring_name):
+    # b_-hi off by 1/1000 in one leaf: the winding sum is no integer there,
+    # so that leaf's blocks run in full, and factorize refuses the pair
+    R = Q if ring_name == "Q" else Q2
+    eps = Fraction(1, 1000) if R is Q else (Fraction(0), Fraction(1, 1000))
+    leaf = (lambda x: x) if R is Q else (lambda x: x[1])  # the perturbed leaf
+    checked = 0
+    for pair in _winding_symbols(R, 0):
+        a1 = {n: leaf(c) for n, c in pair.a.coeffs.items() if leaf(c)}
+        hi = max(a1)
+        if hi == min(a1) or not hi:
+            continue  # no block, or a perturbation the winding sum does not read
+        coeffs = dict(pair.b.coeffs)
+        coeffs[-hi] = R.add(pair.b.coeff(-hi), eps)
+        b = LaurentSeries(R, coeffs, pair.b.window)
+        bad = wl.InvertiblePair.make(pair.a, b)
+        assert _winding_sum(pair.a, b, leaf).denominator != 1, pair.a
+        checked += 1
+        pp, pm, bounds = _projection_runs(monkeypatch, bad, False)
+        fpp, fpm, _ = _projection_runs(monkeypatch, bad, True)
+        assert bounds[-2] == (hi - min(a1), hi - min(a1)), bounds
+        assert pp.ints == fpp.ints and pm.ints == fpm.ints, pair.a
+        assert wl.pi_plus(bad).equals(fpp)
+        with pytest.raises(FactorizationError, match="pair residual"):
+            wl.factorize(bad)
+    assert checked > 10
 
 
 def _leaf_spans(a):
