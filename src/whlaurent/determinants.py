@@ -11,9 +11,17 @@ and then evaluated at integer points with fraction-free elimination and
 interpolated by a fraction-free Vandermonde solve over ``Q``, or sampled
 on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block`` builds
 that array from Laurent polynomial entries, and runs Berkowitz over any
-other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` and
-has no path for other rings (:func:`ring_array` raises ``RingError``).
-The outer projections call their kernel here directly
+other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` on
+its largest window and has no path for other rings (:func:`ring_array`
+raises ``RingError``).  Its nested windows are centred sub-blocks of that
+array, and one call reads them all: the row bounds and the row shift are
+taken once, on the whole array, and the shifted array is sampled (or
+evaluated) once, each window reading the centred sub-block of every
+sample.  A sub-block's row reads some of the columns of the whole row, so
+the whole row's bounds hold on it, and its degree is at most the whole
+array's, so the shared sample count serves it.  ``det_block`` and the
+outer projections take the same path with one window.  The outer
+projections call their kernel here directly
 (``factorization._outer_projections``): over ``C`` :func:`_poly_det` of
 the stack of a leaf's two pencils ``I - w K``, pi_+'s and its mirror
 image's, sampled at one cached set of points (:func:`_circle`) in one
@@ -97,45 +105,70 @@ def _split_pencil(ring: Ring, coef: Any) -> List[Any]:
     return [coef[:, :, :, i] for i in range(len(ring.components))]
 
 
-def _poly_det(ring: Ring, coef: Any, deg: int) -> List[Any]:
-    """Coefficients ``c_0..c_deg`` of ``det(sum_k coef[k] w^k)``, a polynomial
-    of degree at most ``deg`` with ``coef`` a ``(width, n, n)`` array over
-    ``Q`` or ``C``.  Over ``C`` ``coef`` may also be a stack of pencils,
-    ``(width, ..., n, n)``; each is sampled at the same points, and the
-    coefficients come as nested lists in the stack's shape, ``c_0..c_deg``
-    last.
+def _centred(n: int, size: int) -> slice:
+    """The rows (and columns) of the centred ``size``-square sub-block of an
+    ``n``-square block, ``n - size`` even."""
+    return slice((n - size) // 2, (n + size) // 2)
 
-    Over ``C`` it is sampled at the ``nsamp >= deg + 1`` roots of unity
-    (the next power of two, their powers cached per sample count and
-    width, :func:`_circle`), sixteen sample points to one batched
-    determinant (a bounded stack), and one FFT along the sample axis gives
-    the coefficients without aliasing.  Over ``Q`` the array is cleared to
-    integers over one common denominator ``d``; each of the ``deg + 1``
-    points 1, -1, 2, -2, ... gives an integer matrix, whose determinant
-    comes from fraction-free elimination (:func:`exact.bareiss`).  The
-    integer Vandermonde system of the points and those determinants is
-    solved by the same elimination (:func:`exact.bareiss_solve`), and its
-    solution is divided by its determinant and by ``d^n``.
+
+def _poly_det(ring: Ring, coef: Any, windows: Sequence[Tuple[int, int]]) -> List[Any]:
+    """Coefficients ``c_0..c_deg`` of ``det(sum_k coef[k] w^k)`` on each
+    window ``(size, deg)``, one list per window: the centred ``size``-square
+    sub-block (:func:`_centred`) of a ``(width, n, n)`` array over ``Q`` or
+    ``C``, whose determinant is a polynomial of degree at most ``deg``.
+    Over ``C`` ``coef`` may also be a stack of pencils, ``(width, ..., n,
+    n)``; each is sampled at the same points, and a window's coefficients
+    come as nested lists in the stack's shape, ``c_0..c_deg`` last.
+
+    The array is evaluated once, at the points the largest degree needs,
+    and each window reads the centred sub-block of every evaluation.  Over
+    ``C`` those are the ``nsamp >= deg + 1`` roots of unity (the next power
+    of two, their powers cached per sample count and width,
+    :func:`_circle`), sixteen sample points to one matrix product (a
+    bounded stack) and, per window, one batched determinant of its
+    sub-blocks; one FFT per window along the sample axis gives its
+    coefficients without aliasing, its degree being at most the largest.
+    Over ``Q`` the array is cleared to integers over one common denominator
+    ``d``; each of the points 1, -1, 2, -2, ... gives an integer matrix by
+    Horner.  A window of degree ``deg`` takes the determinants of its
+    sub-block at the first ``deg + 1`` points by fraction-free elimination
+    (:func:`exact.bareiss`), solves the integer Vandermonde system of those
+    points and determinants by the same elimination
+    (:func:`exact.bareiss_solve`), and divides the solution by its
+    determinant and by ``d^size``.
     """
+    n = coef.shape[-1]
+    cuts = [_centred(n, size) for size, _deg in windows]
+    top = max(deg for _size, deg in windows)
     if leaf_kind(ring) is Fraction:
         nums, d = clear(coef.ravel().tolist())
         ints = np.array(nums, dtype=object).reshape(coef.shape)
-        rows = []
-        for k in range(deg + 1):
+        points = []
+        for k in range(top + 1):
             p = (k // 2 + 1) * (-1) ** k
             mat = ints[-1]
             for c in ints[-2::-1]:  # Horner in p, on integers
                 mat = mat * p + c
-            rows.append([p ** j for j in range(deg + 1)] + [bareiss(mat.tolist())])
-        z, det = bareiss_solve(rows)
-        scale = det * d ** coef.shape[1]  # det(d M) = d^n det(M)
-        return [Fraction(c, scale) for c in z]
-    nsamp = 1 << deg.bit_length()
+            points.append((p, mat))
+        out = []
+        for cut, (size, deg) in zip(cuts, windows):
+            z, det = bareiss_solve([[p ** j for j in range(deg + 1)]
+                                    + [bareiss(mat[cut, cut].tolist())]
+                                    for p, mat in points[:deg + 1]])
+            scale = det * d ** size  # det(d M) = d^size det(M)
+            out.append([Fraction(c, scale) for c in z])
+        return out
+    nsamp = 1 << top.bit_length()
     powers = _circle(nsamp, len(coef))
-    dets = np.concatenate([
-        np.linalg.det(np.tensordot(powers[s:s + 16], coef, axes=1))
-        for s in range(0, nsamp, 16)])
-    return np.moveaxis(np.fft.fft(dets, axis=0)[:deg + 1] / nsamp, 0, -1).tolist()
+    flat = coef.reshape(len(coef), -1)
+    dets: List[List[Any]] = [[] for _ in windows]
+    for s in range(0, nsamp, 16):
+        chunk = powers[s:s + 16]
+        mats = (chunk @ flat).reshape(chunk.shape[:1] + coef.shape[1:])
+        for out, cut in zip(dets, cuts):
+            out.append(np.linalg.det(mats[..., cut, cut]))
+    return [np.moveaxis(np.fft.fft(np.concatenate(ds), axis=0)[:deg + 1] / nsamp, 0, -1).tolist()
+            for ds, (_size, deg) in zip(dets, windows)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -149,33 +182,52 @@ def _circle(nsamp: int, width: int) -> Any:
     return out
 
 
-def _row_det(ring: Ring, coef: Any) -> Dict[int, Any]:
-    """:func:`_det_rows` over ``Q`` or ``C``, as a map from exponent to
-    coefficient."""
+def _row_det(ring: Ring, coef: Any, sizes: Sequence[int]) -> Tuple[Dict[int, Any], ...]:
+    """:func:`_det_rows` over ``Q`` or ``C``, one map from exponent to
+    coefficient per size."""
     width, n = coef.shape[:2]
     nz = coef.any(axis=2).astype(bool)  # any() over an object array may return its elements
-    if not nz.any(axis=0).all():
-        return {}
+    live = nz.any(axis=0)
     lo = nz.argmax(axis=0)
-    span = width - 1 - nz[::-1].argmax(axis=0) - lo
-    # exponent lo_i + j of row i; one past the top wraps to one below lo_i, a zero
-    k = (np.arange(1 + span.max(initial=0))[:, None] + lo) % width
-    coeffs = _poly_det(ring, coef[k, np.arange(n)], int(span.sum()))
-    off = int(lo.sum())
-    return {i + off: c for i, c in enumerate(coeffs)}
+    span = np.where(live, width - 1 - nz[::-1].argmax(axis=0) - lo, 0)
+    cuts = [_centred(n, size) for size in sizes]
+    # a window that holds a zero row is 0; the windows nest, so the rest come first
+    keep = sum(bool(live[cut].all()) for cut in cuts)
+    if not keep:
+        return ({},) * len(sizes)
+    # exponent lo_i + j of row i; past the top (j <= max span < width) it wraps
+    # below lo_i, to zeros
+    k = (np.arange(1 + span.max())[:, None] + lo) % width
+    vals = _poly_det(ring, coef[k, np.arange(n)],
+                     [(size, int(span[cut].sum())) for size, cut in zip(sizes, cuts[:keep])])
+    return tuple([{i + int(lo[cut].sum()): c for i, c in enumerate(v)}
+                  for v, cut in zip(vals, cuts)] + [{}] * (len(sizes) - keep))
 
 
-def _det_rows(ring: Ring, coef: Any) -> LaurentSeries:
-    """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over ``ring``.
+def _det_rows(ring: Ring, coef: Any, sizes: Sequence[int]) -> List[LaurentSeries]:
+    """``det(sum_k coef[k] w^k)`` for a ``(width, n, n)`` array over
+    ``ring``, on the centred sub-block of each of the increasing ``sizes``
+    (the last may be ``n``), one series per size.
 
     A product ring is split first (:func:`rings.per_component`), so each
-    component gets its own row bound.  The determinant is linear in each
+    component gets its own row bounds.  The determinant is linear in each
     row: row ``i``, nonzero only at ``w^lo_i..w^hi_i``, gives the factor
-    ``w^lo_i`` and degree ``hi_i - lo_i``, and a zero row gives 0.  Each row
-    is shifted down by its ``lo_i`` and the rest goes to :func:`_poly_det`
-    at the summed degree.
+    ``w^lo_i`` and degree ``span_i = hi_i - lo_i``, and a zero row gives 0.
+    The bounds are read once, on the whole array, and each row is shifted
+    down by its ``lo_i`` once; every sub-block then goes to
+    :func:`_poly_det`, which evaluates the shifted array once, at the
+    degree ``sum span_i`` over its own rows, and takes ``w^(sum lo_i)``
+    over them.  The whole array's bounds hold on every sub-block: its row
+    ``i`` reads a subset of the columns of the whole row ``i``, so its
+    nonzero exponents lie in ``[lo_i, hi_i]`` too (it may be zero there, or
+    have a lower degree, which only leaves the top coefficients 0), and its
+    degree bound is at most the whole array's, so the shared evaluation
+    points serve it.  A sub-block that holds a zero row of the whole array
+    is 0 without evaluation; a row that is zero on a sub-block's columns
+    only stays zero through elimination, which gives 0 too.
     """
-    return LaurentSeries(ring, per_component(ring, _row_det, _split_pencil, coef))
+    maps = per_component(ring, functools.partial(_row_det, sizes=sizes), _split_pencil, coef)
+    return [LaurentSeries(ring, m) for m in maps]
 
 
 def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
@@ -197,13 +249,25 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
         lo = min(exps)
         coef = ring_array(base, [[[x.coeff(lo + k) for x in row] for row in rows]
                                  for k in range(1 + max(exps) - lo)])
-        return _det_rows(base, coef).shift(n * lo)
+        return _det_rows(base, coef, [n])[0].shift(n * lo)
     if n > MAX_BERKOWITZ:
         raise RingError("matrix size %d exceeds the determinant bound" % n)
     return det_berkowitz(ring, rows)
 
 
 # -- truncated determinants on nested windows -------------------------
+
+def _check_windows(windows: Sequence[int]) -> None:
+    """Refuse nested windows that :func:`det_truncated` cannot read: fewer
+    than two, not strictly increasing, or below 1 (an empty block, whose
+    determinant 1 would stand in for a value)."""
+    if len(windows) < 2:
+        raise ValueError("need at least two nested windows")
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError("windows must be strictly increasing")
+    if windows[0] < 1:
+        raise ValueError("windows must be at least 1")
+
 
 def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
                   windows: Sequence[int]) -> Tuple[LaurentSeries, float]:
@@ -213,26 +277,25 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     ``(P0 + w P1) diag(w^shifts)``: ``p0`` and ``p1`` are ``2 top``-square
     arrays over the base ``ring`` (:func:`ring_array`) indexed by
     ``[-top, top)``, and column ``j`` carries the exponent offset
-    ``shifts[j]``.  ``windows`` must be strictly increasing; window
-    ``wsize`` is the centred sub-block on ``[-wsize, wsize)``.  Each value
-    is a Laurent polynomial in ``w`` over ``ring`` (:func:`_det_rows`).
-    Returns ``(value, tail)``: the largest window's value, and the seminorm
-    of the difference between the last two window values as the tail
-    estimate, which must not increase along the sequence.
+    ``shifts[j]``.  ``windows`` must be strictly increasing and at least 1
+    (:func:`_check_windows`); window ``wsize`` is the centred sub-block on
+    ``[-wsize, wsize)``.  Each value is a Laurent polynomial in ``w`` over
+    ``ring``, and all of them come from one :func:`_det_rows` call: the row
+    bounds and the row shift are taken once, on the largest window, and
+    the shifted pencil is sampled (over ``C``) or evaluated (over ``Q``)
+    once, every window reading its centred sub-block, since a sub-block's
+    row reads a subset of the largest window's row and so keeps its
+    bounds.  Returns ``(value, tail)``: the largest window's value, and the
+    seminorm of the difference between the last two window values as the
+    tail estimate, which must not increase along the sequence.
     """
-    if len(windows) < 2:
-        raise ValueError("need at least two nested windows")
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be strictly increasing")
+    _check_windows(windows)
     top = windows[-1]
     p0, p1 = ring_array(ring, p0), ring_array(ring, p1)
     if p0.shape[:2] != (2 * top, 2 * top) or p1.shape != p0.shape or len(shifts) != 2 * top:
         raise ValueError("pencil must be square on the largest window")
-    vals = []
-    for wsize in windows:
-        cut = slice(top - wsize, top + wsize)
-        pencil = np.stack([p0[cut, cut], p1[cut, cut]])
-        vals.append(_det_rows(ring, pencil).shift(sum(shifts[cut])))
+    dets = _det_rows(ring, np.stack([p0, p1]), [2 * wsize for wsize in windows])
+    vals = [v.shift(sum(shifts[top - wsize:top + wsize])) for v, wsize in zip(dets, windows)]
     tails = [vals[i + 1].sub(vals[i]).sup_seminorm() for i in range(len(vals) - 1)]
     slack = 1e-12 if not ring.is_exact else 0.0
     for i in range(1, len(tails)):

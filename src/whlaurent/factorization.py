@@ -46,11 +46,12 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import Ints, dot, reduced, slice_ints
 from .rings import Ring, RingError, check_same, leaf_kind, per_component, split_map
 from .series import InvertiblePair, LaurentSeries, WindowError, div_unit, is_orthogonal
-from .determinants import _poly_det, berkowitz, det_truncated, ring_array
+from .determinants import _check_windows, _poly_det, berkowitz, det_truncated, ring_array
 
 
 class FactorizationError(ValueError):
@@ -340,7 +341,8 @@ def _c_projections(comp: Ring, a: Dict[int, complex], b: Dict[int, complex]) -> 
     y = np.array([b.get(k, 0j) for k in range(b_lo, b_hi + 1)], complex)
     gw = np.concatenate([y, [0], x, -x, y[::-1], [0], x[::-1], -x[::-1]])[m.take]
     k = gw[:, 0] @ gw[:, 1] + m.shift
-    pp, pm = _poly_det(comp, np.stack([np.broadcast_to(np.eye(m.n), k.shape), -k]), m.n)
+    [(pp, pm)] = _poly_det(comp, np.stack([np.broadcast_to(np.eye(m.n), k.shape), -k]),
+                           [(m.n, m.n)])
     tol = comp.tolerance
     return ({i: c for i, c in enumerate(pp) if not abs(c) <= tol},
             {-i: c for i, c in enumerate(pm) if not abs(c) <= tol},
@@ -399,8 +401,16 @@ def pi_tilde_direct(pair: InvertiblePair,
 
     Returns (series, tail estimate).  The w-independent normalization is
     fixed by the w = 1 specialization, where the product of the two outer
-    projections equals a(1) divided by the middle one.
+    projections equals a(1) divided by the middle one.  The pencil is
+    built on the largest window from one vector of ``b``'s coefficients,
+    read with one dict lookup per exponent: each coefficient ``a_d`` scales
+    that vector once, and rows of ``P0`` and ``P1`` add a Toeplitz view of
+    the product (a ``sliding_window_view`` with its columns reversed, the
+    component axis of a product ring kept last), with no index gather.
+    Each entry is the same sum of the same products, in the same order,
+    as entry by entry.
     """
+    _check_windows(windows)
     a, b = pair.a, pair.b
     ring = a.ring
     pp = pi_plus(pair)
@@ -409,22 +419,25 @@ def pi_tilde_direct(pair: InvertiblePair,
     norm = ring.mul(a.evaluate(ring.one), ring.inverse(norm_inv))  # = pi_tilde(a, 1)
     # (U_half(a) D_w U_half(b) D_w^-1)[n, m] = sum_d a_d b_{n-d-m} w^([n<d] - [m<0]),
     # D_w = w 1_{S^-} + 1_{S^+}: the pencil P0 + w P1 (rows n >= d, rows n < d)
-    # with column m shifted by -[m<0], one Toeplitz slice of b per d
-    top = max(windows, default=0)
+    # with column m shifted by -[m<0], one Toeplitz view of b per d
+    top = windows[-1]
     d_lo, d_hi = a._supp_bounds()
-    kmin = 1 - 2 * top - d_hi
-    bvec = ring_array(ring, [b.coeff(k) for k in range(kmin, 2 * top - d_lo)])
-    idx = np.arange(-top, top)
-    diff = idx[:, None] - idx[None, :] - kmin  # n - m as an index into bvec
-    p0 = np.zeros(diff.shape + bvec.shape[1:], dtype=bvec.dtype)
+    coeffs, zero = b.coeffs, ring.zero
+    bvec = ring_array(ring, [coeffs.get(k, zero)
+                             for k in range(1 - 2 * top - d_hi, 2 * top - d_lo)])
+    # row t of scaled is a_d bvec for the t-th exponent d of a, and
+    # toeplitz[t, s][i, j] = scaled[t, s + i + 2 top - 1 - j]: at s = d_hi - d
+    # that is a_d b_{n-m-d} with n = i - top, m = j - top
+    scaled = ring_array(ring, list(a.coeffs.values()))[:, None] * bvec
+    toeplitz = np.moveaxis(sliding_window_view(scaled, 2 * top, axis=1), -1, 2)[:, :, ::-1]
+    p0 = np.zeros((2 * top, 2 * top) + bvec.shape[1:], dtype=bvec.dtype)
     p1 = np.zeros_like(p0)
-    for d, c in a.coeffs.items():
+    for d, views in zip(a.coeffs, toeplitz):
         r = min(max(d + top, 0), 2 * top)  # first row with n >= d
-        c = ring_array(ring, c)
-        p1[:r] += c * bvec[diff[:r] - d]
-        p0[r:] += c * bvec[diff[r:] - d]
-    value, tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx],
-                                list(windows))
+        block = views[d_hi - d:d_hi - d + 2 * top]
+        p1[:r] += block[:r]
+        p0[r:] += block[r:]
+    value, tail = det_truncated(ring, p0, p1, [-1] * top + [0] * top, list(windows))
     return value.scale(norm), tail * ring.seminorm(norm)
 
 

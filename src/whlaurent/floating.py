@@ -1,8 +1,12 @@
 """Complex floating-point kernels on numpy arrays.
 
-A ``C`` coefficient map is held as one dense complex array from its
-lowest exponent, the way :mod:`whlaurent.exact` holds a ``Q`` map as
-integer numerators over one denominator.  Products are ``np.convolve``;
+A ``LaurentSeries`` over ``C`` holds its coefficients as a dict from
+exponent to complex number; each kernel here converts at the call, the
+map to one dense complex array from a given lowest exponent
+(:func:`to_array`) and its result back to a map (:func:`from_array`).
+No array is kept on the series, unlike the integer numerators over one
+denominator of a ``Q`` series (:mod:`whlaurent.exact`), which the series
+keeps once built (``LaurentSeries.ints``).  Products are ``np.convolve``;
 the long division by a unit is a recurrence on Python complex numbers,
 and a product of linear factors a short Python list.  Over ``C`` the
 ring's absolute tolerance belongs to its equality: a coefficient within

@@ -286,9 +286,9 @@ def test_row_bounds_exact_on_unequal_row_spans(zero_row, monkeypatch):
     degrees = []
     poly_det = determinants._poly_det
 
-    def spy(ring, coef, deg):
-        degrees.append(deg)
-        return poly_det(ring, coef, deg)
+    def spy(ring, coef, windows):
+        degrees.extend(deg for _size, deg in windows)
+        return poly_det(ring, coef, windows)
 
     monkeypatch.setattr(determinants, "_poly_det", spy)
 
@@ -483,7 +483,7 @@ def test_pencil_row_shifts_exact(ring_name):
                                                           lambda: (cplx(), cplx()))
     p0, p1 = _mixed_row_pencil(ring.zero, coeff, n)
     pencil = np.stack([ring_array(ring, p0), ring_array(ring, p1)])
-    got = _det_rows(ring, pencil).shift(sum(shifts))
+    got = _det_rows(ring, pencil, [n])[0].shift(sum(shifts))
     want = det_berkowitz(laurent_ring(ring, "w"), _pencil_rows(ring, p0, p1, shifts))
     assert want.support()[0] == 2 + sum(shifts) and want.support()[-1] == n - 2 + sum(shifts)
     if ring.is_exact:
@@ -501,9 +501,9 @@ def test_product_ring_row_bound_per_component(monkeypatch):
     degrees = []
     poly_det = determinants._poly_det
 
-    def spy(ring, coef, deg):
-        degrees.append((ring.name, deg))
-        return poly_det(ring, coef, deg)
+    def spy(ring, coef, windows):
+        degrees.extend((ring.name, deg) for _size, deg in windows)
+        return poly_det(ring, coef, windows)
 
     monkeypatch.setattr(determinants, "_poly_det", spy)
     p0 = [[(rand_q(rng), Fraction(0)) if i % 3 else (Fraction(0), rand_q(rng))
@@ -512,7 +512,7 @@ def test_product_ring_row_bound_per_component(monkeypatch):
            for _ in range(n)] for i in range(n)]
     shifts = [0, 1, -1, 0, 2, 0]
     pencil = np.stack([ring_array(Q2, p0), ring_array(Q2, p1)])
-    got = _det_rows(Q2, pencil).shift(sum(shifts))
+    got = _det_rows(Q2, pencil, [n])[0].shift(sum(shifts))
     assert degrees == [("Q", 0), ("Q", 0)]
     want = det_berkowitz(laurent_ring(Q2, "w"), _pencil_rows(Q2, p0, p1, shifts))
     assert got.coeffs == want.coeffs
@@ -613,3 +613,114 @@ def test_truncated_determinant_samples_at_row_degree(monkeypatch):
     wl.pi_tilde_direct(pair, windows=(24, 32))
     assert set(samples) == {48, 64}
     assert max(samples.values()) <= bound
+
+
+@pytest.mark.parametrize("windows", [[-1, 4], [0, 4]])
+def test_truncated_determinant_rejects_windows_below_one(windows):
+    # an empty window's block would read as determinant 1
+    with pytest.raises(ValueError, match="at least 1"):
+        det_truncated(Q, *_decay_pencil(windows[-1]), windows)
+
+
+def test_pi_tilde_direct_rejects_windows_below_one():
+    pair = wl.invert_from_factors(Q, [wl.Antiholo(Fraction(1, 3)), wl.Holo(Fraction(1, 4))],
+                                  (-32, 32))
+    for windows in [(0, 4, 8), (-4, 8)]:
+        with pytest.raises(ValueError, match="at least 1"):
+            wl.pi_tilde_direct(pair, windows=windows)
+
+
+# rows of an 8-square pencil whose inner window is rows and columns 2..5:
+# "p0" and "p1" rows have only that part, "both" rows both, "zero" rows
+# neither, an "edge" row both but only outside the inner columns, and a
+# "split" row P1 on every column but P0 only outside the inner ones, so
+# that it is mixed on the largest window and pure P1 on the inner one
+NESTED_ROWS = {
+    "edge": ["both", "p1", "edge", "p0", "both", "p1", "p0", "both"],
+    "outer_zero": ["zero", "p0", "p1", "both", "both", "p0", "p1", "both"],
+    "mixed": ["p1", "p0", "both", "split", "p0", "both", "p1", "p0"],
+}
+
+
+def _nested_component(zero, coeff, kinds):
+    inner = range(2, 6)
+
+    def part(kind, which, col):
+        if kind == "edge" or (kind, which) == ("split", "p0"):
+            return zero if col in inner else coeff()
+        return coeff() if kind in (which, "both", "split") else zero
+
+    p0 = [[part(kind, "p0", col) for col in range(8)] for kind in kinds]
+    p1 = [[part(kind, "p1", col) for col in range(8)] for kind in kinds]
+    return p0, p1
+
+
+def _nested_pencil(ring_name, case, rng):
+    """``(ring, p0, p1)``: an 8-square pencil with the rows of
+    ``NESTED_ROWS[case]``; over a product ring the second component trades
+    the kinds ``p0`` -> ``p1`` -> ``both`` -> ``p0`` row by row, so that
+    each component has its own row bounds."""
+    C = wl.complex_ring()
+
+    def cplx():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    base, coeff = (Q, lambda: rand_q(rng)) if ring_name.startswith("Q") else (C, cplx)
+    kinds = NESTED_ROWS[case]
+    if "^" not in ring_name:
+        return (base,) + _nested_component(base.zero, coeff, kinds)
+    traded = [{"p0": "p1", "p1": "both", "both": "p0"}.get(k, k) for k in kinds]
+    parts = [_nested_component(base.zero, coeff, k) for k in (kinds, traded)]
+    p0, p1 = ([[tuple(xs) for xs in zip(*rows)] for rows in zip(*(p[i] for p in parts))]
+              for i in (0, 1))
+    return wl.product_ring(base, 2), p0, p1
+
+
+@pytest.mark.parametrize("case", sorted(NESTED_ROWS))
+@pytest.mark.parametrize("ring_name", ["Q", "Q^2", "C", "C^2"])
+def test_nested_windows_equal_each_window_alone(ring_name, case):
+    # every window's value, read from the one shift and sampling of the
+    # largest window, is the determinant of its own pencil computed alone
+    rng = random.Random("nested:%s:%s" % (ring_name, case))
+    ring, p0, p1 = _nested_pencil(ring_name, case, rng)
+    shifts = [-1] * 4 + [0] * 4
+    Rw = laurent_ring(ring, "w")
+    alone = []
+    for lo, hi in [(2, 6), (0, 8)]:
+        rows = _pencil_rows(ring, [r[lo:hi] for r in p0[lo:hi]], [r[lo:hi] for r in p1[lo:hi]],
+                            shifts[lo:hi])
+        alone.append(det_berkowitz(Rw, rows))
+    pencil = np.stack([ring_array(ring, p0), ring_array(ring, p1)])
+    nested = [v.shift(sum(shifts[(8 - size) // 2:(8 + size) // 2]))
+              for v, size in zip(_det_rows(ring, pencil, [4, 8]), [4, 8])]
+    value, tail = det_truncated(ring, p0, p1, shifts, [2, 4])
+    assert [v.is_zero() for v in alone] == {"edge": [True, False], "outer_zero": [False, True],
+                                            "mixed": [False, False]}[case]
+    if ring.is_exact:
+        assert [v.coeffs for v in nested] == [v.coeffs for v in alone]
+        assert value.coeffs == alone[1].coeffs
+        assert tail == alone[1].sub(alone[0]).sup_seminorm()
+    else:
+        assert all(v.sup_diff(w) < 1e-12 for v, w in zip(nested, alone))
+        assert value.sup_diff(alone[1]) < 1e-12
+        assert abs(tail - alone[1].sub(alone[0]).sup_seminorm()) < 1e-12
+
+
+def test_truncated_determinant_samples_once(monkeypatch):
+    # the pencil is sampled once, on the largest window: each smaller
+    # window's sample matrices are exactly the centred sub-blocks of the
+    # largest window's, one batched determinant per window; the split row
+    # is shifted by the largest window's bound, not by its own on the inner
+    rng = random.Random(31)
+    _ring, p0, p1 = _nested_pencil("C", "mixed", rng)
+    seen = []
+    det = np.linalg.det
+
+    def spy(mats):
+        seen.append(np.array(mats))
+        return det(mats)
+
+    monkeypatch.setattr(np.linalg, "det", spy)
+    det_truncated(wl.complex_ring(), p0, p1, [-1] * 4 + [0] * 4, [2, 4])
+    assert [m.shape for m in seen] == [(4, 4, 4), (4, 8, 8)]  # 3 mixed rows: 4 points
+    assert np.array_equal(seen[0], seen[1][:, 2:6, 2:6])
