@@ -126,7 +126,7 @@ def _poly_det(ring: Ring, coef: Any, windows: Sequence[Tuple[int, int]]) -> List
     of two, their powers cached per sample count and width,
     :func:`_circle`), sixteen sample points to one matrix product (a
     bounded stack) and, per window, one batched determinant of its
-    sub-blocks; one FFT per window along the sample axis gives its
+    sub-blocks; an FFT of each window's samples, all in one call, gives its
     coefficients without aliasing, its degree being at most the largest.
     Over ``Q`` the array is cleared to integers over one common denominator
     ``d``; each of the points 1, -1, 2, -2, ... gives an integer matrix by
@@ -161,14 +161,14 @@ def _poly_det(ring: Ring, coef: Any, windows: Sequence[Tuple[int, int]]) -> List
     nsamp = 1 << top.bit_length()
     powers = _circle(nsamp, len(coef))
     flat = coef.reshape(len(coef), -1)
-    dets: List[List[Any]] = [[] for _ in windows]
+    dets = []  # per chunk of samples, one batched determinant per window
     for s in range(0, nsamp, 16):
         chunk = powers[s:s + 16]
         mats = (chunk @ flat).reshape(chunk.shape[:1] + coef.shape[1:])
-        for out, cut in zip(dets, cuts):
-            out.append(np.linalg.det(mats[..., cut, cut]))
-    return [np.moveaxis(np.fft.fft(np.concatenate(ds), axis=0)[:deg + 1] / nsamp, 0, -1).tolist()
-            for ds, (_size, deg) in zip(dets, windows)]
+        dets.append([np.linalg.det(mats[..., cut, cut]) for cut in cuts])
+    # (window, sample, ...): one FFT call transforms each window's samples
+    coeffs = np.moveaxis(np.fft.fft(np.concatenate(dets, axis=1), axis=1) / nsamp, 1, -1)
+    return [c[..., :deg + 1].tolist() for c, (_size, deg) in zip(coeffs, windows)]
 
 
 @functools.lru_cache(maxsize=64)
