@@ -407,8 +407,8 @@ def pi_tilde_direct(pair: InvertiblePair,
     that vector once, and rows of ``P0`` and ``P1`` add a Toeplitz view of
     the product (a ``sliding_window_view`` with its columns reversed, the
     component axis of a product ring kept last), with no index gather.
-    Each entry is the same sum of the same products, in the same order,
-    as entry by entry.
+    Each entry sums the same products in the same order as an entry by
+    entry build would.
     """
     _check_windows(windows)
     a, b = pair.a, pair.b
@@ -426,8 +426,8 @@ def pi_tilde_direct(pair: InvertiblePair,
     bvec = ring_array(ring, [coeffs.get(k, zero)
                              for k in range(1 - 2 * top - d_hi, 2 * top - d_lo)])
     # row t of scaled is a_d bvec for the t-th exponent d of a, and
-    # toeplitz[t, s][i, j] = scaled[t, s + i + 2 top - 1 - j]: at s = d_hi - d
-    # that is a_d b_{n-m-d} with n = i - top, m = j - top
+    # toeplitz[t, s + i, j] = scaled[t, s + i + 2 top - 1 - j]: its rows
+    # s = d_hi - d onward hold a_d b_{n-m-d} at n = i - top, m = j - top
     scaled = ring_array(ring, list(a.coeffs.values()))[:, None] * bvec
     toeplitz = np.moveaxis(sliding_window_view(scaled, 2 * top, axis=1), -1, 2)[:, :, ::-1]
     p0 = np.zeros((2 * top, 2 * top) + bvec.shape[1:], dtype=bvec.dtype)
