@@ -19,9 +19,13 @@ taken once, on the whole array, and the shifted array is sampled (or
 evaluated) once, each window reading the centred sub-block of every
 sample.  A sub-block's row reads some of the columns of the whole row, so
 the whole row's bounds hold on it, and its degree is at most the whole
-array's, so the shared sample count serves it.  ``det_block`` and the
-outer projections take the same path with one window.  The outer
-projections call their kernel here directly
+array's, so the shared sample count serves it.  Over ``C``, where every
+w-free row (degree 0 after the shift) is strictly diagonally dominant,
+those rows are first eliminated by block LU once for all windows, and
+only each window's Schur complement on its w-rows is sampled
+(:func:`_eliminated`); otherwise every window is sampled whole.
+``det_block`` and the outer projections take the same path with one
+window.  The outer projections call their kernel here directly
 (``factorization._outer_projections``): over ``C`` :func:`_poly_det` of
 the stack of a leaf's two pencils ``I - w K``, pi_+'s and its mirror
 image's, sampled at one cached set of points (:func:`_circle`) in one
@@ -32,7 +36,9 @@ every other ring (on ring elements, in full).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -167,7 +173,8 @@ def _poly_det(ring: Ring, coef: Any, windows: Sequence[Tuple[int, int]]) -> List
         mats = (chunk @ flat).reshape(chunk.shape[:1] + coef.shape[1:])
         dets.append([np.linalg.det(mats[..., cut, cut]) for cut in cuts])
     # (window, sample, ...): one FFT call transforms each window's samples
-    coeffs = np.moveaxis(np.fft.fft(np.concatenate(dets, axis=1), axis=1) / nsamp, 1, -1)
+    coeffs = np.fft.fft(np.concatenate(dets, axis=1), axis=1) / nsamp
+    coeffs = coeffs.transpose(0, *range(2, coeffs.ndim), 1)  # the samples' axis last
     return [c[..., :deg + 1].tolist() for c, (_size, deg) in zip(coeffs, windows)]
 
 
@@ -184,24 +191,125 @@ def _circle(nsamp: int, width: int) -> Any:
 
 def _row_det(ring: Ring, coef: Any, sizes: Sequence[int]) -> Tuple[Dict[int, Any], ...]:
     """:func:`_det_rows` over ``Q`` or ``C``, one map from exponent to
-    coefficient per size."""
+    coefficient per size.  The bounds, the zero rows and the row shift come
+    first; then over ``C`` the w-free rows are eliminated once for all
+    windows where each is strictly diagonally dominant
+    (:func:`_eliminated`), and otherwise, and over ``Q``, every window is
+    sampled (or evaluated) whole by :func:`_poly_det`."""
     width, n = coef.shape[:2]
     nz = coef.any(axis=2).astype(bool)  # any() over an object array may return its elements
     live = nz.any(axis=0)
     lo = nz.argmax(axis=0)
     span = np.where(live, width - 1 - nz[::-1].argmax(axis=0) - lo, 0)
     cuts = [_centred(n, size) for size in sizes]
+    spans, lows, lives = span.tolist(), lo.tolist(), live.tolist()
     # a window that holds a zero row is 0; the windows nest, so the rest come first
-    keep = sum(bool(live[cut].all()) for cut in cuts)
+    keep = sum(all(lives[cut]) for cut in cuts)
     if not keep:
         return ({},) * len(sizes)
     # exponent lo_i + j of row i; past the top (j <= max span < width) it wraps
     # below lo_i, to zeros
-    k = (np.arange(1 + span.max())[:, None] + lo) % width
-    vals = _poly_det(ring, coef[k, np.arange(n)],
-                     [(size, int(span[cut].sum())) for size, cut in zip(sizes, cuts[:keep])])
-    return tuple([{i + int(lo[cut].sum()): c for i, c in enumerate(v)}
+    k = (np.arange(1 + max(spans))[:, None] + lo) % width
+    degs = [sum(spans[cut]) for cut in cuts[:keep]]
+    vals = None
+    if leaf_kind(ring) is complex:
+        vals = _eliminated(ring, coef, k, spans, sizes[:keep], degs)
+    if vals is None:
+        vals = _poly_det(ring, coef[k, np.arange(n)], list(zip(sizes, degs)))
+    return tuple([{i + sum(lows[cut]): c for i, c in enumerate(v)}
                   for v, cut in zip(vals, cuts)] + [{}] * (len(sizes) - keep))
+
+
+def _eliminated(ring: Ring, coef: Any, k: Any, spans: List[int], sizes: Sequence[int],
+                degs: Sequence[int]) -> Any:
+    """Each window's coefficients, as :func:`_poly_det` gives them, with the
+    w-free rows eliminated by block LU once for all windows; ``None`` where
+    no row is w-free or one is not strictly diagonally dominant.
+
+    ``k`` gathers the row-shifted array as in :func:`_row_det`, ``spans``
+    lists each row's degree, and every row of the largest window
+    ``sizes[-1]`` is nonzero.  One permutation of its rows and columns
+    (:func:`_block_order`), which leaves every determinant unchanged, puts
+    first the innermost window's w-free rows, then each outer border's,
+    then every w-row (``span > 0``), the innermost window's first.  The
+    w-free rows are read at power 0 only and each w-row once per power of
+    ``w``, as the rows of one 2-D array, so that one row operation acts on
+    every power.  The w-free rows are constant, so window ``j``'s
+    determinant is the product ``d_1 ... d_j`` of the determinants of the
+    blocks eliminated in turn (the Schur determinant identity
+    ``det M = det A det(M/A)``), times that of the Schur complement on its
+    w-rows: one ``det`` and one solve per block, then one
+    :func:`_poly_det` call per remainder size, at the window's own degree,
+    which the w-free rows do not add to.  A window with no w-row is the
+    product alone.  A Schur complement read on a window is that of the
+    window's own block, since every row eliminated for it lies inside it.
+
+    Each w-free row must satisfy ``|m_ii| > sum_{j != i} |m_ij|`` over the
+    largest window's columns (a NaN fails): it then stays so on every
+    window, which only drops columns, and through the elimination, so the
+    blocks are invertible and eliminating across them without pivoting is
+    stable, with growth at most 2 (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., section 9.5).
+    """
+    n, top, nwin = coef.shape[1], sizes[-1], len(sizes)
+    wpos = tuple(i for i, s in enumerate(spans[(n - top) // 2:(n + top) // 2]) if s)
+    g = len(wpos)
+    if g == top:
+        return None
+    power, row, col, counts = _block_order(n, tuple(sizes), wpos, len(k))
+    rest = coef[k[power, row], row].take(col, axis=1)
+    free = np.abs(rest[:top - g])
+    if not (free.sum(axis=1) < 2 * free.diagonal()).all():  # the row sums hold |m_ii| too
+        return None
+    scale, scales, groups = 1.0, [], {}
+    for j, b in enumerate(counts[:nwin]):
+        if b:
+            a = rest[:b, :b]
+            scale *= np.linalg.det(a)
+            rest = rest[b:, b:] - rest[b:, :b] @ np.linalg.solve(a, rest[:b, b:])
+        scales.append(complex(scale))
+        gj, off = sum(counts[nwin:nwin + j + 1]), rest.shape[1] - g
+        # the w-rows, one (g, g) block per power of w, restricted to window j
+        rem = rest[off:].reshape(len(k), g, g + off)[:, :gj, off:off + gj]
+        groups.setdefault(gj, []).append((j, rem))
+    vals: List[Any] = [None] * nwin
+    for gj, members in groups.items():
+        if gj:  # the remainders, one stack axis after the powers of w
+            [rows] = _poly_det(ring, np.array([rem for _j, rem in members]).swapaxes(0, 1),
+                               [(gj, max(degs[j] for j, _rem in members))])
+        for i, (j, _rem) in enumerate(members):
+            vals[j] = [scales[j] * c for c in rows[i][:degs[j] + 1]] if gj else [scales[j]]
+    return vals
+
+
+@functools.lru_cache(maxsize=64)
+def _block_order(n: int, sizes: Tuple[int, ...], wpos: Tuple[int, ...],
+                 width: int) -> Tuple[Any, Any, Any, Tuple[int, ...]]:
+    """The gather of :func:`_eliminated` on the centred window ``sizes[-1]``
+    of a ``(width, n, n)`` row-shifted array whose w-rows lie at ``wpos``
+    (from the window's first row): ``(power, row, col, counts)``.
+
+    The columns ``col`` and the rows take one order: the w-free rows of the
+    innermost window and of each outer border, then the w-rows of the
+    same, each in ascending order; ``counts`` has the size of each of these
+    blocks.  A w-free row is read at power 0 only, the other powers being
+    0; the w-rows are then read at each power in turn, ``power`` and
+    ``row`` giving the power and the row of each.  Read-only, since one
+    gather serves every call with the same windows and w-rows."""
+    top, nwin, wset = sizes[-1], len(sizes), set(wpos)
+    blocks: List[List[int]] = [[] for _ in range(2 * nwin)]
+    for i in range(top):
+        # the border of row i: how many windows leave it out (window s holds
+        # it iff |2 i - top + 1| < s)
+        border = bisect.bisect_right(sizes, abs(2 * i - top + 1))
+        blocks[nwin * (i in wset) + border].append(i + (n - top) // 2)
+    col = [i for block in blocks for i in block]
+    nfree = top - len(wpos)
+    out = (np.array([0] * nfree + [j for j in range(width) for _i in col[nfree:]]),
+           np.array(col[:nfree] + col[nfree:] * width), np.array(col))
+    for arr in out:
+        arr.flags.writeable = False
+    return out + (tuple(len(block) for block in blocks),)
 
 
 def _det_rows(ring: Ring, coef: Any, sizes: Sequence[int]) -> List[LaurentSeries]:
@@ -224,7 +332,11 @@ def _det_rows(ring: Ring, coef: Any, sizes: Sequence[int]) -> List[LaurentSeries
     degree bound is at most the whole array's, so the shared evaluation
     points serve it.  A sub-block that holds a zero row of the whole array
     is 0 without evaluation; a row that is zero on a sub-block's columns
-    only stays zero through elimination, which gives 0 too.
+    only stays zero through elimination, which gives 0 too.  Over ``C``
+    the rows of degree 0 are first eliminated once for all sub-blocks, by
+    block LU, when each is strictly diagonally dominant, and only the
+    Schur complements on the other rows are sampled, at the same degree
+    (:func:`_eliminated`); else the sub-blocks are sampled whole.
     """
     maps = per_component(ring, functools.partial(_row_det, sizes=sizes), _split_pencil, coef)
     return [LaurentSeries(ring, m) for m in maps]
@@ -257,16 +369,24 @@ def det_block(ring: Ring, rows: List[List[Any]]) -> Any:
 
 # -- truncated determinants on nested windows -------------------------
 
-def _check_windows(windows: Sequence[int]) -> None:
-    """Refuse nested windows that :func:`det_truncated` cannot read: fewer
-    than two, not strictly increasing, or below 1 (an empty block, whose
-    determinant 1 would stand in for a value)."""
+def _check_windows(windows: Sequence[int]) -> List[int]:
+    """``windows`` as a list of ints (``operator.index``, so numpy
+    integers pass and floats and strings do not); refuse nested windows
+    that :func:`det_truncated` cannot read: not integers, fewer than two,
+    not strictly increasing, or below 1 (an empty block, whose determinant
+    1 would stand in for a value)."""
+    windows = list(windows)
+    try:
+        windows = [operator.index(wsize) for wsize in windows]
+    except TypeError:
+        raise ValueError("windows must be integers") from None
     if len(windows) < 2:
         raise ValueError("need at least two nested windows")
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError("windows must be strictly increasing")
     if windows[0] < 1:
         raise ValueError("windows must be at least 1")
+    return windows
 
 
 def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
@@ -277,19 +397,23 @@ def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
     ``(P0 + w P1) diag(w^shifts)``: ``p0`` and ``p1`` are ``2 top``-square
     arrays over the base ``ring`` (:func:`ring_array`) indexed by
     ``[-top, top)``, and column ``j`` carries the exponent offset
-    ``shifts[j]``.  ``windows`` must be strictly increasing and at least 1
-    (:func:`_check_windows`); window ``wsize`` is the centred sub-block on
-    ``[-wsize, wsize)``.  Each value is a Laurent polynomial in ``w`` over
-    ``ring``, and all of them come from one :func:`_det_rows` call: the row
-    bounds and the row shift are taken once, on the largest window, and
-    the shifted pencil is sampled (over ``C``) or evaluated (over ``Q``)
-    once, every window reading its centred sub-block, since a sub-block's
-    row reads a subset of the largest window's row and so keeps its
-    bounds.  Returns ``(value, tail)``: the largest window's value, and the
-    seminorm of the difference between the last two window values as the
-    tail estimate, which must not increase along the sequence.
+    ``shifts[j]``.  ``windows`` must be strictly increasing integers, at
+    least 1 (:func:`_check_windows`); window ``wsize`` is the centred
+    sub-block on ``[-wsize, wsize)``.  Each value is a Laurent polynomial
+    in ``w`` over ``ring``, and all of them come from one :func:`_det_rows`
+    call: the row bounds and the row shift are taken once, on the largest
+    window, and the shifted pencil is sampled (over ``C``) or evaluated
+    (over ``Q``) once, every window reading its centred sub-block, since a
+    sub-block's row reads a subset of the largest window's row and so
+    keeps its bounds.  Over ``C`` the w-free rows, when each is strictly
+    diagonally dominant, are eliminated once for all windows and only the
+    Schur complements on the w-rows are sampled (:func:`_eliminated`);
+    otherwise the whole windows are.  Returns ``(value, tail)``: the
+    largest window's value, and the seminorm of the difference between the
+    last two window values as the tail estimate, which must not increase
+    along the sequence.
     """
-    _check_windows(windows)
+    windows = _check_windows(windows)
     top = windows[-1]
     p0, p1 = ring_array(ring, p0), ring_array(ring, p1)
     if p0.shape[:2] != (2 * top, 2 * top) or p1.shape != p0.shape or len(shifts) != 2 * top:

@@ -408,9 +408,14 @@ def pi_tilde_direct(pair: InvertiblePair,
     the product (a ``sliding_window_view`` with its columns reversed, the
     component axis of a product ring kept last), with no index gather.
     Each entry sums the same products in the same order as an entry by
-    entry build would.
+    entry build would.  Only the rows ``min d <= n < max d`` over ``a``'s
+    support carry both ``P0`` and ``P1``; over ``C``, where the other rows
+    are strictly diagonally dominant, :func:`determinants.det_truncated`
+    eliminates them once for all windows and samples only the Schur
+    complements on those rows.  ``windows`` must be strictly increasing
+    integers, at least 1.
     """
-    _check_windows(windows)
+    windows = _check_windows(windows)
     a, b = pair.a, pair.b
     ring = a.ring
     pp = pi_plus(pair)
@@ -437,7 +442,7 @@ def pi_tilde_direct(pair: InvertiblePair,
         block = views[d_hi - d:d_hi - d + 2 * top]
         p1[:r] += block[:r]
         p0[r:] += block[r:]
-    value, tail = det_truncated(ring, p0, p1, [-1] * top + [0] * top, list(windows))
+    value, tail = det_truncated(ring, p0, p1, [-1] * top + [0] * top, windows)
     return value.scale(norm), tail * ring.seminorm(norm)
 
 

@@ -592,27 +592,51 @@ def test_truncated_determinant_rejects_unordered_windows(windows):
 
 def test_truncated_determinant_samples_at_row_degree(monkeypatch):
     # P0 and P1 of the half-lattice matrix share only the rows
-    # min d <= n < max d over a's support, so each window is sampled at
-    # the next power of two >= max d - min d + 1 roots of unity (4 here),
-    # where its 64 columns alone would need 128
+    # min d <= n < max d over a's support, so only those 3 rows carry w:
+    # every other row is eliminated once, each window's block (45 and 16
+    # rows) in one matrix, and only the 3 x 3 remainders are sampled, at the
+    # next power of two >= max d - min d + 1 roots of unity (4 here); no
+    # sample is a window-size matrix
     C = wl.complex_ring()
     factors = [wl.Antiholo(0.3 + 0.2j), wl.Antiholo(-0.2 + 0.1j), wl.Holo(-0.4 + 0.1j)]
     pair = wl.invert_from_factors(C, factors, (-48, 48))
     lo, hi = pair.a._supp_bounds()
     bound = 1 << (hi - lo).bit_length()  # 2^ceil(log2(max d - min d + 1))
     assert bound == 4
-    samples = {}
+    wl.pi_plus(pair)  # the outer projections' determinants, kept on the pair
+    shapes = []
     det = np.linalg.det
 
-    def counting(mats):
-        if mats.shape[-1] in (48, 64):  # the two windows, not the outer projections' blocks
-            samples[mats.shape[-1]] = samples.get(mats.shape[-1], 0) + len(mats)
+    def spy(mats):
+        shapes.append(np.shape(mats))
         return det(mats)
 
-    monkeypatch.setattr(np.linalg, "det", counting)
+    monkeypatch.setattr(np.linalg, "det", spy)
     wl.pi_tilde_direct(pair, windows=(24, 32))
-    assert set(samples) == {48, 64}
-    assert max(samples.values()) <= bound
+    assert not any(shape[-1] in (48, 64) for shape in shapes)
+    assert sorted(shape for shape in shapes if len(shape) == 2) == [(16, 16), (45, 45)]
+    samples = [shape for shape in shapes if len(shape) > 2]
+    assert samples and all(shape[0] <= bound and shape[-2:] == (3, 3) for shape in samples)
+
+
+@pytest.mark.parametrize("windows", [("8", "16"), (24.0, 32.0), [2.0, 4.0], ["2", "4"]])
+def test_truncated_determinant_rejects_non_integer_windows(windows):
+    pair = wl.invert_from_factors(Q, [wl.Antiholo(Fraction(1, 3)), wl.Holo(Fraction(1, 4))],
+                                  (-32, 32))
+    with pytest.raises(ValueError, match="windows must be integers"):
+        wl.pi_tilde_direct(pair, windows=windows)
+    with pytest.raises(ValueError, match="windows must be integers"):
+        det_truncated(Q, *_decay_pencil(4), windows)
+
+
+def test_truncated_determinant_takes_numpy_integer_windows():
+    pair = wl.invert_from_factors(Q, [wl.Antiholo(Fraction(1, 3)), wl.Holo(Fraction(1, 4))],
+                                  (-32, 32))
+    for call, windows in [(lambda w: wl.pi_tilde_direct(pair, windows=w), [4, 8]),
+                          (lambda w: det_truncated(Q, *_decay_pencil(4), w), [2, 4])]:
+        value, tail = call([np.int64(windows[0]), np.int32(windows[1])])
+        want, want_tail = call(windows)
+        assert (value.coeffs, tail) == (want.coeffs, want_tail)
 
 
 @pytest.mark.parametrize("windows", [[-1, 4], [0, 4]])
@@ -724,3 +748,140 @@ def test_truncated_determinant_samples_once(monkeypatch):
     det_truncated(wl.complex_ring(), p0, p1, [-1] * 4 + [0] * 4, [2, 4])
     assert [m.shape for m in seen] == [(4, 4, 4), (4, 8, 8)]  # 3 mixed rows: 4 points
     assert np.array_equal(seen[0], seen[1][:, 2:6, 2:6])
+
+
+# w-rows of a 12-square pencil on [-6, 6) with windows 2, 4, 6: all inside the
+# inner window, one only in the outer border, one in each border, or all
+# inside with a zero row in the middle border (the two outer windows read 0)
+ELIMINATED_ROWS = {"inner": ([-1, 0], None), "outer": ([4], None),
+                   "each": ([0, -3, 5], None), "zero_border": ([-1, 0], -4)}
+
+
+def _near_identity_component(wrows, zero_row, rng):
+    """A complex pencil near diag(w 1_{n<0} + 1_{n>=0}) on [-6, 6): a w-free
+    row n has only its P0 part (n >= 0) or only its P1 part (n < 0), a row
+    in ``wrows`` has both (each half the diagonal) and ``zero_row`` neither.
+    Every other entry is at most 0.04 sqrt(2) in modulus, so the w-free rows
+    are strictly diagonally dominant; with entries that decay like
+    :func:`_decaying_pencil`'s, Berkowitz over ``C[w]``, the reference, is
+    itself off by up to 1.6e-7 on the largest window."""
+    idx = range(-6, 6)
+
+    def small(n, m):
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 0.04
+
+    p0 = [[(n == m) * (0.5 if n in wrows else n >= 0) + small(n, m) for m in idx] for n in idx]
+    p1 = [[(n == m) * (0.5 if n in wrows else n < 0) + small(n, m) for m in idx] for n in idx]
+    for i, n in enumerate(idx):
+        if n == zero_row or (n not in wrows and n >= 0):
+            p1[i] = [0j] * 12
+        if n == zero_row or (n not in wrows and n < 0):
+            p0[i] = [0j] * 12
+    return p0, p1
+
+
+def _near_identity_pencil(ring_name, case, rng):
+    """``(ring, p0, p1)`` of :func:`_near_identity_component`; over ``C^2``
+    the second component mirrors the w-rows and the zero row, n -> -1 - n,
+    so that each component has its own order."""
+    wrows, zero_row = ELIMINATED_ROWS[case]
+    C = wl.complex_ring()
+    first = _near_identity_component(wrows, zero_row, rng)
+    if ring_name == "C":
+        return (C,) + first
+    mirror = _near_identity_component([-1 - n for n in wrows],
+                                      None if zero_row is None else -1 - zero_row, rng)
+    p0, p1 = ([[tuple(xs) for xs in zip(r, s)] for r, s in zip(first[i], mirror[i])]
+              for i in (0, 1))
+    return wl.product_ring(C, 2), p0, p1
+
+
+def _spy_eliminated(monkeypatch):
+    """Record whether each :func:`determinants._eliminated` call eliminated
+    (True) or left the call to whole-window sampling (False)."""
+    taken = []
+    eliminated = determinants._eliminated
+
+    def spy(*args):
+        vals = eliminated(*args)
+        taken.append(vals is not None)
+        return vals
+
+    monkeypatch.setattr(determinants, "_eliminated", spy)
+    return taken
+
+
+def _assert_windows_alone(ring, p0, p1, windows=(2, 4, 6)):
+    """Every window's value, from one :func:`_det_rows` call, and
+    :func:`det_truncated`'s value and tail equal each window's pencil computed
+    alone by Berkowitz, within 1e-12, and so does ``det_block`` of the
+    largest window (one window); ``det_truncated`` reads the last two
+    windows, since these pencils do not decay and their tails need not
+    decrease."""
+    shifts = [-1] * 6 + [0] * 6
+    Rw = laurent_ring(ring, "w")
+    alone = []
+    for wsize in windows:
+        cut = slice(6 - wsize, 6 + wsize)
+        alone.append(det_berkowitz(Rw, _pencil_rows(ring, [r[cut] for r in p0[cut]],
+                                                    [r[cut] for r in p1[cut]], shifts[cut])))
+    pencil = np.stack([ring_array(ring, p0), ring_array(ring, p1)])
+    nested = _det_rows(ring, pencil, [2 * wsize for wsize in windows])
+    for v, want, wsize in zip(nested, alone, windows):
+        assert v.shift(-wsize).sup_diff(want) < 1e-12
+    # det_block reads no column shifts, which would give every row two exponents
+    block = det_block(Rw, _pencil_rows(ring, p0, p1, [0] * 12)).shift(sum(shifts))
+    assert block.sup_diff(alone[-1]) < 1e-12
+    value, tail = det_truncated(ring, p0, p1, shifts, list(windows[-2:]))
+    assert value.sup_diff(alone[-1]) < 1e-12
+    assert abs(tail - alone[-1].sub(alone[-2]).sup_seminorm()) < 1e-12
+    return alone
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATED_ROWS))
+@pytest.mark.parametrize("ring_name", ["C", "C^2"])
+def test_eliminated_windows_equal_each_window_alone(ring_name, case, monkeypatch):
+    # the w-free rows are eliminated once for all windows and only the
+    # remainders on the w-rows are sampled; each window's value is still
+    # the determinant of its own pencil
+    rng = random.Random("eliminated:%s:%s" % (ring_name, case))
+    ring, p0, p1 = _near_identity_pencil(ring_name, case, rng)
+    taken = _spy_eliminated(monkeypatch)
+    alone = _assert_windows_alone(ring, p0, p1)
+    assert taken and all(taken)
+    assert [v.is_zero() for v in alone] == [False] + [case == "zero_border"] * 2
+
+
+@pytest.mark.parametrize("ring_name", ["C", "C^2"])
+def test_a_non_dominant_row_samples_whole_windows(ring_name, monkeypatch):
+    # one w-free row whose off-diagonal entries outweigh its diagonal: the
+    # call falls back to sampling every window whole, with the same values
+    rng = random.Random("dominance:%s" % ring_name)
+    ring, p0, p1 = _near_identity_pencil(ring_name, "inner", rng)
+    row = 8  # n = 2: w-free, P0 only, in the middle border
+    p0[row][3] = (1.5 * p0[row][row] if ring_name == "C"
+                  else tuple(1.5 * x for x in p0[row][row]))
+    taken = _spy_eliminated(monkeypatch)
+    sampled = []
+    poly_det = determinants._poly_det
+
+    def spy(ring, coef, windows):
+        sampled.extend(size for size, _deg in windows)
+        return poly_det(ring, coef, windows)
+
+    monkeypatch.setattr(determinants, "_poly_det", spy)
+    _assert_windows_alone(ring, p0, p1)
+    assert taken and not any(taken)
+    assert set(sampled) == {4, 8, 12}
+
+
+def test_random_pencils_sample_whole_windows(monkeypatch):
+    # the random pencils of the tests above have w-free rows that are not
+    # diagonally dominant, so those tests still cover whole-window sampling
+    taken = _spy_eliminated(monkeypatch)
+    for ring_name in ["C", "C^2"]:
+        test_pencil_row_shifts_exact(ring_name)
+        for case in sorted(NESTED_ROWS):
+            test_nested_windows_equal_each_window_alone(ring_name, case)
+    test_truncated_determinant_samples_once(monkeypatch)
+    assert taken and not any(taken)
