@@ -24,7 +24,7 @@ import numpy as np
 
 from .determinants import det_block, det_truncated, ring_array
 from .factorization import (FactorizationError, OrthogonalDecomposition, _BlockMap, _bracket,
-                            _check_b_window, _leaf_map)
+                            _leaf_map)
 from .rings import Ring, RingError, check_same
 from .series import InvertiblePair, LaurentSeries, WindowError, is_orthogonal
 
@@ -402,16 +402,16 @@ def det_tilde_column_reduced(variant: str, a: WindowedMatrix, w: Any) -> Any:
     return det_block(ring, block)
 
 
-def _own_map(pair: InvertiblePair) -> Tuple[int, int, _BlockMap, Tuple[int, int]]:
-    """``(lo, hi, map, window)`` of the closed forms' block: on the hull
+def _own_map(pair: InvertiblePair) -> Tuple[int, int, _BlockMap, Tuple[int, int],
+                                            LaurentSeries]:
+    """``(lo, hi, map, window, b)`` of the closed forms' block: on the hull
     ``[lo, hi]`` of ``a``'s support widened to hold 0, not re-centred, so it
-    reads ``b`` on ``[-2 max(hi, 0), -2 min(lo, 0)]``, checked here on
-    ``b`` as given."""
+    reads ``b`` on ``window = [-2 max(hi, 0), -2 min(lo, 0)]``, and ``b``
+    read there (:meth:`InvertiblePair.read`)."""
     lo, hi = pair.a._supp_bounds()
     lo, hi = min(lo, 0), max(hi, 0)
     m, window = _leaf_map(lo, hi)
-    _check_b_window(pair.window, window if m.n else None)
-    return lo, hi, m, window
+    return lo, hi, m, window, pair.read(window if m.n else None)
 
 
 def _w_block(ring_w: Ring, coef: Any, rows: List[List[Any]], lo: int,
@@ -431,8 +431,8 @@ def holomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Window
     ``a``'s own support widened to hold 0 (:func:`_own_map`), not
     re-centred, on the rows J' = P read by the column reduction, from ring
     elements over every ring, ``Q`` and ``C`` included."""
-    a, b = pair.a, pair.b
-    lo, hi, m, (b_lo, b_hi) = _own_map(pair)
+    a = pair.a
+    lo, hi, m, (b_lo, b_hi), b = _own_map(pair)
     rows = _bracket(m.g, m.blocks[0][0], [a.coeff(d) for d in range(lo, hi + 1)],
                     [b.coeff(k) for k in range(b_lo, b_hi + 1)], a.ring.dot, a.ring.neg)
     return _w_block(ring_w, ring_w.neg(w), rows, lo, hi)
@@ -442,9 +442,9 @@ def antiholomorphic_det_matrix(pair: InvertiblePair, ring_w: Ring, w: Any) -> Wi
     """Finite-column part  -w^-1 (U(b) 1_{Z^+} U(a) - 1_{Z^+}) U(z), on the
     rows J' only: the mirror image J A' J, J: k -> -k, of the holomorphic
     block A' of the reflected pair at w^-1: the mirror block of the same
-    map on the reversed coefficients, with ``b``'s window checked as given."""
-    a, b = pair.a, pair.b
-    lo, hi, m, (b_lo, b_hi) = _own_map(pair)
+    map on the reversed coefficients."""
+    a = pair.a
+    lo, hi, m, (b_lo, b_hi), b = _own_map(pair)
     rows = _bracket(m.g, m.blocks[1][0], [a.coeff(d) for d in range(hi, lo - 1, -1)],
                     [b.coeff(k) for k in range(b_hi, b_lo - 1, -1)], a.ring.dot, a.ring.neg)
     return _reflect(_w_block(ring_w, ring_w.neg(ring_w.inverse(w)), rows, -hi, -lo))

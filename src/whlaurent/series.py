@@ -27,11 +27,17 @@ only where a series is stored, as the ring-element path drops it in the
 :class:`LaurentSeries` constructor.  Every other ring
 (rings with nilpotents, series rings) runs the same algorithms on its own
 elements.
+
+An :class:`InvertiblePair` holds a symbol and its inverse ``b`` on a
+declared window.  A reader asks it for the window it reads
+(:meth:`InvertiblePair.read`), which checks that the declared window holds
+it before anything is built and, over an exact ring, builds ``b`` there
+only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -332,85 +338,73 @@ def is_orthogonal(a: LaurentSeries) -> bool:
 
 # -- invertible pairs -------------------------------------------------
 
-@dataclass
 class InvertiblePair:
-    """A series together with its (possibly truncated) inverse.
+    """A series ``a`` together with its (possibly truncated) inverse ``b``,
+    declared on ``window``.
+
+    ``b`` is either given (:meth:`make`) or built by ``build(w)``: on what
+    a reader asks for (:meth:`read`), and on the declared window when
+    :attr:`b` is first read.  Each build checks ``a b - 1`` on the product
+    coefficients that the built window determines, and :attr:`residual` is
+    the largest residual over the builds; read before the first, it builds
+    ``b`` on the declared window, so that no residual is reported unchecked.
 
     ``projections`` keeps the outer projections of the pair by kind
     (``"plus"``, ``"minus"``) once :func:`factorization.pi_plus` or
     :func:`factorization.pi_minus` has computed them, so that every later
     call reads them.
-
-    A pair that :func:`invert_from_factors` builds over an exact ring
-    defers ``b``: it keeps a builder of ``b`` on a window and the declared
-    window (:attr:`window`), builds ``b`` on what a reader of a few of its
-    coefficients asks for (:meth:`read`), and on the declared window when
-    ``b`` itself is first read.  Each build checks ``a b - 1`` on the
-    product coefficients that the built window determines, and
-    ``residual`` is the largest residual over the builds; read before the
-    first, it builds ``b`` on the declared window, so that no residual is
-    reported unchecked.
     """
 
-    a: LaurentSeries
-    b: LaurentSeries
-    residual: float
-    projections: Dict[str, LaurentSeries] = field(default_factory=dict, init=False,
-                                                  repr=False, compare=False)
+    def __init__(self, a: LaurentSeries, window: Window,
+                 build: Optional[Callable[[Tuple[int, int]], LaurentSeries]]):
+        self.a, self.window, self._build = a, window, build
+        self._b: Optional[LaurentSeries] = None
+        self._residual: Optional[float] = None
+        self.projections: Dict[str, LaurentSeries] = {}
 
     @staticmethod
     def make(a: LaurentSeries, b: LaurentSeries) -> "InvertiblePair":
-        return InvertiblePair(a, b, _residual(a, b))
-
-    @staticmethod
-    def _deferred(a: LaurentSeries, window: Tuple[int, int],
-                  build: Callable[[Tuple[int, int]], LaurentSeries]) -> "InvertiblePair":
-        """The pair of ``a`` and ``build(w)``, ``b`` on a window ``w``, with ``b``
-        declared on ``window`` and not yet built."""
-        pair = InvertiblePair.__new__(InvertiblePair)
-        pair.a, pair.projections = a, {}
-        pair._window, pair._build = window, build
+        """The pair of ``a`` and a given ``b``, its residual taken now."""
+        pair = InvertiblePair(a, b.window, None)
+        pair._b, pair._residual = b, _residual(a, b)
         return pair
 
-    def __getattr__(self, name: str) -> Any:
-        # reached only for an attribute that is not set: ``b`` of a deferred
-        # pair before its first read, or ``residual`` before its first build
-        if name not in ("b", "residual") or not self.deferred:
-            return super().__getattribute__(name)  # raises the usual AttributeError
-        self.b = self._checked(self._window)
-        return getattr(self, name)
+    @property
+    def b(self) -> LaurentSeries:
+        """``b`` on the declared window, built on first read if not given."""
+        if self._b is None:
+            self._b = self._checked(self.window)
+        return self._b
 
     @property
-    def deferred(self) -> bool:
-        """Whether ``b`` was deferred (:func:`invert_from_factors` over an
-        exact ring), built or not since."""
-        return "_build" in vars(self)
-
-    @property
-    def window(self) -> Window:
-        """The declared window of ``b``, read without building ``b``."""
-        return self._window if self.deferred else self.b.window
+    def residual(self) -> float:
+        if self._residual is None:
+            self._b = self._checked(self.window)
+        return self._residual
 
     def read(self, need: Window) -> LaurentSeries:
         """``b`` for a reader of its coefficients on ``need`` alone (of none
-        for None): ``b`` once built or given; else ``b`` built on ``need``
-        widened by the span of ``a`` on both sides and clipped to the
-        declared window, so that, inside the declared window, the build
-        checks every product coefficient that a coefficient on ``need``
-        enters."""
-        if not self.deferred or "b" in vars(self):
-            return self.b
-        if need is not None:
-            s0, s1 = self.a._supp_bounds()
-            lo, hi = max(self._window[0], need[0] - s1 + s0), min(self._window[1], need[1] + s1 - s0)
-            if lo <= hi:
-                return self._checked((lo, hi))
-        return LaurentSeries.zero(self.a.ring)
+        for None): a :class:`WindowError`, before anything is built, if the
+        declared window does not hold ``need``; else ``b`` as given or built
+        on the declared window; else ``b`` built on ``need`` widened by the
+        span of ``a`` on both sides and clipped to the declared window, so
+        that, inside it, the build checks every product coefficient that a
+        coefficient on ``need`` enters."""
+        w = self.window
+        if need and w and (w[0] > need[0] or w[1] < need[1]):
+            raise WindowError("inverse window [%d,%d] too small; need at least [%d,%d]"
+                              % (*w, *need))
+        if self._b is not None:
+            return self._b
+        if need is None:
+            return LaurentSeries.zero(self.a.ring)
+        s0, s1 = self.a._supp_bounds()
+        return self._checked((max(w[0], need[0] - s1 + s0), min(w[1], need[1] + s1 - s0)))
 
     def _checked(self, window: Tuple[int, int]) -> LaurentSeries:
         b = self._build(window)
         r = _residual(self.a, b)
-        self.residual = max(vars(self).get("residual", r), r)
+        self._residual = r if self._residual is None else max(self._residual, r)
         return b
 
 
@@ -491,8 +485,8 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
     returns a builder of ``b`` on a window, which runs the two long
     divisions.
 
-    Over an exact ring the pair defers ``b`` (:class:`InvertiblePair`): a
-    factorization builds it on the window its blocks read
+    Over an exact ring the pair keeps the builder (:class:`InvertiblePair`):
+    a factorization builds ``b`` on the window its blocks read
     (:meth:`InvertiblePair.read`), and ``pair.b`` or ``pair.residual`` on
     ``window`` when first read; the coefficients are exact, so every build's residual is zero.
     Over an inexact ring ``b`` and its residual are built on ``window``
@@ -513,7 +507,7 @@ def invert_from_factors(ring: Ring, factors: Sequence[Factor],
                                         builders), w)
 
     if ring.is_exact:
-        return InvertiblePair._deferred(wrap(ring, a), window, build)
+        return InvertiblePair(wrap(ring, a), window, build)
     return InvertiblePair.make(wrap(ring, a), build(window))
 
 

@@ -116,6 +116,15 @@ def test_orthogonal_mode_checks_the_pair_first(tmp_path, capsys):
     assert code == 3 and report["error"].startswith("pair residual 0.333: "), report
 
 
+def test_orthogonal_mode_needs_b_on_the_mirrored_support(tmp_path, capsys):
+    # 2z^5 reads b_-5, outside the window: a window error, not a wrong sum
+    job = {"mode": "orthogonal", "coefficients": [{"n": 5, "c": "2"}],
+           "inverse": [{"n": -5, "c": "1/2"}], "window": 2}
+    code, report = run(tmp_path, capsys, job)
+    assert code == 3 and report == {
+        "error": "inverse window [-2,2] too small; need at least [-5,-5]"}, report
+
+
 def test_matrix_dump_mode(tmp_path, capsys):
     job = dict(GOLDEN_JOB)
     job["mode"] = "matrix-dump"

@@ -180,11 +180,11 @@ def test_charpoly_over_q_makes_no_ring_multiplication(arity):
     # the ring-element reference: the block on a's own support (not
     # re-centred) and Berkowitz on Fractions, for pi_- on the reflected
     # pair and reflected back
-    mirror = wl.InvertiblePair(pair.a.reflect(), pair.b.reflect(), pair.residual)
+    mirror = wl.InvertiblePair.make(pair.a.reflect(), pair.b.reflect())
     for kind, p in (("plus", pair), ("minus", mirror)):
-        lo, hi, m, (b_lo, b_hi) = _own_map(p)
+        lo, hi, m, (b_lo, b_hi), b = _own_map(p)
         rows = _k_rows(m, m.blocks[0], [p.a.coeff(d) for d in range(lo, hi + 1)],
-                       [p.b.coeff(k) for k in range(b_lo, b_hi + 1)],
+                       [b.coeff(k) for k in range(b_lo, b_hi + 1)],
                        ring.dot, ring.neg, ring.add, ring.one)
         ref = berkowitz(rows, ring.dot, ring.neg, ring.one, len(rows))
         ref = LaurentSeries(ring, dict(enumerate(ref)))

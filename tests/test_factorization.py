@@ -1,7 +1,6 @@
 """End-to-end factorization: projections, group laws, orthogonal series
 machinery, and the two routes to the middle factor."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -168,10 +167,12 @@ def test_orthogonal_decompose_laws():
 
 
 def test_orthogonal_decompose_rejects_generic_series():
-    a = LaurentSeries(Q, {0: Fraction(2), 1: Fraction(3)})
-    b = LaurentSeries(Q, {0: Fraction(1)})
-    with pytest.raises(FactorizationError):
-        wl.orthogonal_decompose(wl.InvertiblePair(a, b, 0.0))
+    # 2 + 3z with its true inverse: the pair passes, the orthogonality fails
+    pair = wl.invert_from_factors(Q, [wl.Mono(0, Fraction(2)), wl.Holo(Fraction(-3, 2))],
+                                  (-8, 8))
+    assert pair.a.coeffs == {0: 2, 1: 3}
+    with pytest.raises(FactorizationError, match="not orthogonal"):
+        wl.orthogonal_decompose(pair)
 
 
 def test_orthonormal_split_and_product():
@@ -830,7 +831,7 @@ def _projection_runs(monkeypatch, pair, full):
 
     with monkeypatch.context() as mp:
         mp.setattr(factorization, "berkowitz", run)
-        pp, pm, _need = factorization._outer_projections(pair)
+        pp, pm = factorization._outer_projections(pair)
     return pp, pm, bounds
 
 
@@ -910,7 +911,7 @@ def _least_inverse_window(a):
 
 def _windowed(pair, lo, hi):
     """``pair`` with its inverse cut to ``[lo, hi]``."""
-    return dataclasses.replace(pair, b=LaurentSeries(pair.b.ring, pair.b.coeffs, (lo, hi)))
+    return wl.InvertiblePair.make(pair.a, LaurentSeries(pair.b.ring, pair.b.coeffs, (lo, hi)))
 
 
 @pytest.mark.parametrize("name", ["Q", "Q^2", "C", "Q[e]"])
@@ -1035,9 +1036,10 @@ def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     res = wl.factorize(pair)
     assert len(calls) == 1
     assert res.pi_plus is pp and res.pi_minus is pm
-    # the kept projections are no part of the pair's value
-    fresh = dataclasses.replace(pair)
-    assert fresh == pair and fresh.projections == {} and "projections" not in repr(pair)
+    # the kept projections are no part of the pair's value: a pair of the
+    # same parts starts with none, and the pair's repr shows none
+    fresh = wl.InvertiblePair.make(pair.a, pair.b)
+    assert fresh.projections == {} and "projections" not in repr(pair)
 
 
 def _reflect_factor(f):
@@ -1180,3 +1182,39 @@ def test_window_errors_name_the_inverse_as_given():
         with pytest.raises(WindowError) as info:
             build(pair)
         assert str(info.value) == "inverse window [1,10] too small; need at least [0,2]"
+
+
+def test_narrow_window_fails_before_b_is_built():
+    # a = (z - 1/2)(1 - z/3) spans [0, 2]: pi_+ and the closed forms' block
+    # read b on [-4, 0], the idempotents on [-2, 0].  Declared on [-1, 1],
+    # each reader fails in InvertiblePair.read with one message, naming its
+    # own window, and the builder of b never runs
+    from whlaurent.matrices import holomorphic_det_matrix
+    from whlaurent.series import laurent_ring
+
+    Rw, w = laurent_ring(Q, "w"), LaurentSeries.monomial(Q, 1)
+    readers = ((wl.pi_plus, (-4, 0)), (lambda p: holomorphic_det_matrix(p, Rw, w), (-4, 0)),
+               (wl.orthogonal_decompose, (-2, 0)))
+    for read, need in readers:
+        _, pair = worked_pair(Q, (-1, 1))
+        built, build = [], pair._build
+        pair._build = lambda window: built.append(window) or build(window)
+        with pytest.raises(WindowError) as info:
+            read(pair)
+        assert str(info.value) == ("inverse window [-1,1] too small; need at least [%d,%d]"
+                                   % need)
+        assert built == []
+
+
+def test_orthogonal_decompose_reads_b_on_the_mirrored_support():
+    # 2 z^5 reads b_-5 alone: b declared on [-2, 2] holds none of it, which
+    # used to read as 0 and fail as "idempotents do not sum to 1"
+    a = LaurentSeries(Q, {5: Fraction(2)})
+    b = LaurentSeries(Q, {-5: Fraction(1, 2)}, (-2, 2))
+    for pair in (wl.InvertiblePair.make(a, b),
+                 wl.invert_from_factors(Q, [wl.Mono(5, Fraction(2))], (-2, 2))):
+        with pytest.raises(WindowError, match=r"^inverse window \[-2,2\] too small; "
+                                              r"need at least \[-5,-5\]$"):
+            wl.orthogonal_decompose(pair)
+    dec = wl.orthogonal_decompose(wl.invert_from_factors(Q, [wl.Mono(5, Fraction(2))], (-5, 5)))
+    assert dec.idempotents == {5: 1} and dec.unit == 2

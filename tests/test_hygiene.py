@@ -5,8 +5,9 @@ optional parameter that no call sets, no cross reference in a docstring
 or comment that names nothing, no series product or comparison in the
 command line, no run of statements written out twice, no private
 function that takes its orientation as a ``sign`` or ``ascending`` flag,
-and no engine module that imports the windowed-matrix apparatus, in the
-library modules (stdlib ``ast`` only)."""
+no engine module that imports the windowed-matrix apparatus, and no read
+of a pair's inverse but by ``InvertiblePair.read``, in the library
+modules (stdlib ``ast`` only)."""
 
 import ast
 import math
@@ -441,3 +442,47 @@ def test_apparatus_import_search_finds_each_form():
            "from ..matrices import x\n"
            "import matrices_util\n")
     assert _apparatus_imports(ast.parse(src)) == [1, 2, 3, 4, 5, 7]
+
+
+# pi_tilde_direct reads b on the declared window, unchecked, and a
+# coefficient past it reads as 0: the pairs the benchmark's middle-factor
+# workload builds on (-48, 48) read out to about (-66, 66), so checking the
+# window there waits for that workload's windows to change
+B_READERS = {("factorization.py", "pi_tilde_direct")}
+
+
+def _b_reads(tree, exempt=()):
+    """Line numbers of the reads of an attribute ``b`` in a module, ``x.b``
+    loaded or ``getattr(x, "b")``, outside the bodies of the functions
+    named in ``exempt``."""
+    skip = {id(n) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in exempt
+            for n in ast.walk(node)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == "b" and isinstance(node.ctx, ast.Load):
+            out.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and len(node.args) > 1 and getattr(node.args[1], "value", None) == "b"):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_only_the_pair_reads_its_inverse():
+    # every reader asks InvertiblePair.read for the window it reads, which
+    # checks the declared window before anything is built
+    assert [(p.name, line) for p in MODULES if p.name != "series.py"
+            for line in _b_reads(_tree(p), {f for m, f in B_READERS if m == p.name})] == []
+
+
+def test_b_read_search_finds_each_form():
+    src = ("a, b = pair.a, pair.b\n"
+           "x = self.pair.b.coeffs\n"
+           "y = getattr(pair, 'b')\n"
+           "def direct(pair):\n    return pair.b\n"
+           "pair.b = b\n"
+           "z = pair.bb + b + getattr(pair, 'a')\n"
+           "def g(p):\n    return p.read(w).b\n")
+    assert _b_reads(ast.parse(src), {"direct"}) == [1, 2, 3, 9]
