@@ -12,12 +12,13 @@ interpolated by a fraction-free Vandermonde solve over ``Q``, or sampled
 on the unit circle over ``C`` (:func:`_poly_det`).  ``det_block`` builds
 that array from Laurent polynomial entries, and runs Berkowitz over any
 other ring; ``det_truncated`` builds it from a pencil ``P0 + w P1`` on
-its largest window and has no path for other rings (:func:`ring_array`
-raises ``RingError``).  Its nested windows are centred sub-blocks of that
-array, and one call reads them all: the row bounds and the row shift are
-taken once, on the whole array, and the shifted array is sampled (or
-evaluated) once, each window reading the centred sub-block of every
-sample.  A sub-block's row reads some of the columns of the whole row, so
+its largest window (the half-lattice column factor ``D_w^-1`` is the
+factor ``w^-s`` of window ``[-s, s)``) and has no path for other rings
+(:func:`ring_array` raises ``RingError``).  Its nested windows are
+centred sub-blocks of that array, and one call reads them all: the row
+bounds and the row shift are taken once, on the whole array, and the
+shifted array is sampled (or evaluated) once, each window reading the
+centred sub-block of every sample.  A sub-block's row reads some of the columns of the whole row, so
 the whole row's bounds hold on it, and its degree is at most the whole
 array's, so the shared sample count serves it.  Over ``C``, where every
 w-free row (degree 0 after the shift) is strictly diagonally dominant,
@@ -389,37 +390,36 @@ def _check_windows(windows: Sequence[int]) -> List[int]:
     return windows
 
 
-def det_truncated(ring: Ring, p0: Any, p1: Any, shifts: Sequence[int],
+def det_truncated(ring: Ring, p0: Any, p1: Any,
                   windows: Sequence[int]) -> Tuple[LaurentSeries, float]:
-    """Determinant of an identity-plus-decay pencil on nested windows.
+    """The half-lattice truncated determinant of a pencil on nested windows.
 
-    On the largest window ``top = windows[-1]`` the matrix is
-    ``(P0 + w P1) diag(w^shifts)``: ``p0`` and ``p1`` are ``2 top``-square
-    arrays over the base ``ring`` (:func:`ring_array`) indexed by
-    ``[-top, top)``, and column ``j`` carries the exponent offset
-    ``shifts[j]``.  ``windows`` must be strictly increasing integers, at
-    least 1 (:func:`_check_windows`); window ``wsize`` is the centred
-    sub-block on ``[-wsize, wsize)``.  Each value is a Laurent polynomial
-    in ``w`` over ``ring``, and all of them come from one :func:`_det_rows`
-    call: the row bounds and the row shift are taken once, on the largest
-    window, and the shifted pencil is sampled (over ``C``) or evaluated
-    (over ``Q``) once, every window reading its centred sub-block, since a
-    sub-block's row reads a subset of the largest window's row and so
-    keeps its bounds.  Over ``C`` the w-free rows, when each is strictly
-    diagonally dominant, are eliminated once for all windows and only the
-    Schur complements on the w-rows are sampled (:func:`_eliminated`);
-    otherwise the whole windows are.  Returns ``(value, tail)``: the
-    largest window's value, and the seminorm of the difference between the
-    last two window values as the tail estimate, which must not increase
-    along the sequence.
+    On the centred window ``[-s, s)`` the matrix is ``(P0 + w P1) D_w^-1``
+    with the half-lattice column factor ``D_w = w 1_{S^-} + 1_{S^+}``, so
+    that the value is ``w^-s det(P0 + w P1)`` on that window.  ``p0`` and
+    ``p1`` are ``2 top``-square arrays over the base ``ring``
+    (:func:`ring_array`) indexed by ``[-top, top)``, ``top = windows[-1]``,
+    and ``windows`` must be strictly increasing integers, at least 1
+    (:func:`_check_windows`).  Each value is a Laurent polynomial in ``w``
+    over ``ring``, and all of them come from one :func:`_det_rows` call: the
+    row bounds and the row shift are taken once, on the largest window, and
+    the shifted pencil is sampled (over ``C``) or evaluated (over ``Q``)
+    once, every window reading its centred sub-block, since a sub-block's
+    row reads a subset of the largest window's row and so keeps its bounds.
+    Over ``C`` the w-free rows, when each is strictly diagonally dominant,
+    are eliminated once for all windows and only the Schur complements on
+    the w-rows are sampled (:func:`_eliminated`); otherwise the whole
+    windows are.  Returns ``(value, tail)``: the largest window's value, and
+    the seminorm of the difference between the last two window values as the
+    tail estimate, which must not increase along the sequence.
     """
     windows = _check_windows(windows)
     top = windows[-1]
     p0, p1 = ring_array(ring, p0), ring_array(ring, p1)
-    if p0.shape[:2] != (2 * top, 2 * top) or p1.shape != p0.shape or len(shifts) != 2 * top:
+    if p0.shape[:2] != (2 * top, 2 * top) or p1.shape != p0.shape:
         raise ValueError("pencil must be square on the largest window")
     dets = _det_rows(ring, np.stack([p0, p1]), [2 * wsize for wsize in windows])
-    vals = [v.shift(sum(shifts[top - wsize:top + wsize])) for v, wsize in zip(dets, windows)]
+    vals = [v.shift(-wsize) for v, wsize in zip(dets, windows)]
     tails = [vals[i + 1].sub(vals[i]).sup_seminorm() for i in range(len(vals) - 1)]
     slack = 1e-12 if not ring.is_exact else 0.0
     for i in range(1, len(tails)):

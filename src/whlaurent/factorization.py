@@ -243,7 +243,7 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
     ring = a.ring
     kind = leaf_kind(ring)
     if kind is Fraction:
-        hulls = [(lo, lo + len(nums) - 1) for lo, nums, _d in a.ints]
+        hulls = [(lo, lo + len(nums) - 1) if nums else (0, 0) for lo, nums, _d in a.ints]
     elif kind is complex:
         xs = per_component(ring, lambda _c, x: [x], split_map, a.coeffs)
         exps = [[n for n, c in x.items() if c] or [0] for x in xs]
@@ -255,8 +255,8 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
     reads = [read for m, read in maps if m.n]
     b = pair.read((min(r[0] for r in reads), max(r[1] for r in reads)) if reads else None)
     if kind is Fraction:
-        plus, minus = zip(*(_int_projections(x, *mr, y)
-                            for x, mr, y in zip(a.ints, maps, b.ints)))
+        plus, minus = zip(*(_int_projections(x, h, *mr, y)
+                            for x, h, mr, y in zip(a.ints, hulls, maps, b.ints)))
         return (LaurentSeries._from_ints(ring, list(plus)),
                 LaurentSeries._from_ints(ring, list(minus)))
     if kind is complex:
@@ -273,11 +273,12 @@ def _outer_projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeri
             LaurentSeries(ring, {-i: c for i, c in enumerate(pm)}))
 
 
-def _int_projections(a: Ints, m: _BlockMap, read: Tuple[int, int],
+def _int_projections(a: Ints, hull: Tuple[int, int], m: _BlockMap, read: Tuple[int, int],
                      b: Ints) -> Tuple[Ints, Ints]:
     """pi_+ and pi_- of one leaf over ``Q`` as integer forms, from the leaf
-    forms ``a`` and ``b`` and the leaf's map ``m`` and ``read``, the window
-    of ``b`` it reads (:func:`_leaf_map`): for
+    forms ``a`` and ``b``, ``a``'s ``hull`` (``[0, 0]`` for a zero leaf)
+    and the leaf's map ``m`` and ``read``, the window of ``b`` it reads
+    (:func:`_leaf_map`): for
     ``M = d K`` with ``det(x I - M) = sum m_i x^(n-i)``, the coefficient of
     ``w^i`` (``w^-i`` for pi_-) is ``m_i / d^i = m_i d^(D-i) / d^D``, for
     ``i <= D``, the projection's degree.
@@ -298,8 +299,7 @@ def _int_projections(a: Ints, m: _BlockMap, read: Tuple[int, int],
     does, and the ``m_i`` past ``D`` are 0, so nothing is lost.  A sum
     that is no integer in ``[lo, hi]`` (a ``b`` that does not invert
     ``a``) runs both blocks in full, as if no degree were known."""
-    lo, nums, da = a
-    hi = lo + len(nums) - 1
+    (lo, hi), (_lo, nums, da) = hull, a
     b_lo, b_hi = read
     (bp, dp), (bm, dm) = slice_ints(b, b_lo + 2, b_hi), slice_ints(b, b_lo, b_hi - 2)
     # the winding sum n a_n b_-n over [lo, hi], on b's slice [-hi, -lo]
@@ -341,13 +341,11 @@ def _c_projections(comp: Ring, a: List[Dict[int, complex]], hull: List[Tuple[int
             {-i: c for i, c in enumerate(pm) if not abs(c) <= tol})
 
 
-def _projections(pair: InvertiblePair) -> Dict[str, LaurentSeries]:
-    """Both outer projections of ``pair`` by kind, kept on it: computed by
-    one :func:`_outer_projections` call unless both are kept already; a
-    projection already kept is not replaced."""
-    if not pair.projections.keys() >= {"plus", "minus"}:
-        pp, pm = _outer_projections(pair)
-        pair.projections = {"plus": pp, "minus": pm, **pair.projections}
+def _projections(pair: InvertiblePair) -> Tuple[LaurentSeries, LaurentSeries]:
+    """``(pi_+, pi_-)`` of ``pair``, kept on it: computed by one
+    :func:`_outer_projections` call on the first."""
+    if pair.projections is None:
+        pair.projections = _outer_projections(pair)
     return pair.projections
 
 
@@ -356,7 +354,7 @@ def pi_plus(pair: InvertiblePair) -> LaurentSeries:
     for a constant matrix K_+ over the base ring, from one
     characteristic polynomial.  Computed once per pair, together with
     :func:`pi_minus`, and kept on it."""
-    return _projections(pair)["plus"]
+    return _projections(pair)[0]
 
 
 def pi_minus(pair: InvertiblePair) -> LaurentSeries:
@@ -364,7 +362,7 @@ def pi_minus(pair: InvertiblePair) -> LaurentSeries:
     uniqueness of a(1/z) = pi_+(1/z) pi~(1/z) pi_-(1/z), :func:`pi_plus` of
     the reflected pair, read at 1/w, from the mirror block of each leaf.
     Computed once per pair, together with :func:`pi_plus`, and kept on it."""
-    return _projections(pair)["minus"]
+    return _projections(pair)[1]
 
 
 def _check_projection(p: LaurentSeries, kind: str) -> None:
@@ -391,8 +389,10 @@ def pi_tilde_direct(pair: InvertiblePair,
 
     Returns (series, tail estimate).  The w-independent normalization is
     fixed by the w = 1 specialization, where the product of the two outer
-    projections equals a(1) divided by the middle one.  The pencil is
-    built on the largest window from one vector of ``b``'s coefficients,
+    projections equals a(1) divided by the middle one.  The matrix is
+    ``(P0 + w P1) D_w^-1``, with ``P0 + w P1 = U_half(a) D_w U_half(b)``:
+    :func:`determinants.det_truncated` applies ``D_w^-1``, and the pencil
+    is built on the largest window from one vector of ``b``'s coefficients,
     read with one dict lookup per exponent: each coefficient ``a_d`` scales
     that vector once, and rows of ``P0`` and ``P1`` add a Toeplitz view of
     the product (a ``sliding_window_view`` with its columns reversed, the
@@ -419,8 +419,8 @@ def pi_tilde_direct(pair: InvertiblePair,
     norm_inv = ring.mul(pp.evaluate(ring.one), pm.evaluate(ring.one))
     norm = ring.mul(a.evaluate(ring.one), ring.inverse(norm_inv))  # = pi_tilde(a, 1)
     # (U_half(a) D_w U_half(b) D_w^-1)[n, m] = sum_d a_d b_{n-d-m} w^([n<d] - [m<0]),
-    # D_w = w 1_{S^-} + 1_{S^+}: the pencil P0 + w P1 (rows n >= d, rows n < d)
-    # with column m shifted by -[m<0], one Toeplitz view of b per d
+    # D_w = w 1_{S^-} + 1_{S^+}: the pencil P0 + w P1 (rows n >= d, rows n < d),
+    # one Toeplitz view of b per d; det_truncated applies D_w^-1
     top = windows[-1]
     d_lo, d_hi = a._supp_bounds()
     coeffs, zero = b.coeffs, ring.zero
@@ -438,7 +438,7 @@ def pi_tilde_direct(pair: InvertiblePair,
         block = views[d_hi - d:d_hi - d + 2 * top]
         p1[:r] += block[:r]
         p0[r:] += block[r:]
-    value, tail = det_truncated(ring, p0, p1, [-1] * top + [0] * top, windows)
+    value, tail = det_truncated(ring, p0, p1, windows)
     return value.scale(norm), tail * ring.seminorm(norm)
 
 

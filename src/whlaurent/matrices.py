@@ -472,7 +472,7 @@ def projection_matrix(d: OrthogonalDecomposition,
 def n_p_series(p: WindowedMatrix) -> LaurentSeries:
     """Orthonormal series of a half-lattice idempotent close to 1_{S^-}:
     det((1 - P + z P)(1_{S^+} + z 1_{S^-})^-1) on the nested windows
-    8, 12 and 16."""
+    8, 12 and 16 (:func:`determinants.det_truncated`)."""
     windows = [8, 12, 16]
     ring = p.ring
     if p.lattice is not Lattice.HALF:
@@ -492,12 +492,12 @@ def n_p_series(p: WindowedMatrix) -> LaurentSeries:
             return ring.one if n < p.window[0] else ring.zero
         return p.get(n, m)
 
-    # the pencil (1 - P) + z P, column m shifted by -[m<0]
+    # the pencil (1 - P) + z P; det_truncated applies D_z^-1
     p1 = ring_array(ring, [[entry(n, m) for m in idx] for n in idx])
     p0 = -p1
     diag = np.arange(2 * top)
     p0[diag, diag] += ring_array(ring, ring.one)
-    out, _tail = det_truncated(ring, p0, p1, [-1 if m < 0 else 0 for m in idx], windows)
+    out, _tail = det_truncated(ring, p0, p1, windows)
     if not is_orthogonal(out) or not ring.equals(out.evaluate(ring.one), ring.one):
         raise FactorizationError("determinant did not yield an orthonormal series")
     return out

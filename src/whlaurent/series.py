@@ -349,10 +349,10 @@ class InvertiblePair:
     the largest residual over the builds; read before the first, it builds
     ``b`` on the declared window, so that no residual is reported unchecked.
 
-    ``projections`` keeps the outer projections of the pair by kind
-    (``"plus"``, ``"minus"``) once :func:`factorization.pi_plus` or
-    :func:`factorization.pi_minus` has computed them, so that every later
-    call reads them.
+    ``projections`` is ``None`` until :func:`factorization.pi_plus` or
+    :func:`factorization.pi_minus` first runs, and then keeps the pair's
+    outer projections ``(pi_+, pi_-)``, set once, so that every later call
+    reads them.
     """
 
     def __init__(self, a: LaurentSeries, window: Window,
@@ -360,7 +360,7 @@ class InvertiblePair:
         self.a, self.window, self._build = a, window, build
         self._b: Optional[LaurentSeries] = None
         self._residual: Optional[float] = None
-        self.projections: Dict[str, LaurentSeries] = {}
+        self.projections: Optional[Tuple[LaurentSeries, LaurentSeries]] = None
 
     @staticmethod
     def make(a: LaurentSeries, b: LaurentSeries) -> "InvertiblePair":

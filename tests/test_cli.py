@@ -224,6 +224,51 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert "error" in payload
 
 
+# a zero leaf, over Q^2 and Q, with a given inverse that does not invert it
+Q2_ZERO_LEAF = {"ring": {"kind": "product", "arity": 2}, "window": 8,
+                "coefficients": [{"n": 0, "c": "(2|0)"}, {"n": 1, "c": "(1|0)"}],
+                "inverse": [{"n": 0, "c": "(1/2|0)"}]}
+Q_ZERO = {"window": 8, "coefficients": [{"n": 0, "c": "0"}], "inverse": [{"n": 0, "c": "1"}]}
+NOT_INVERTED = "pair residual 1: the supplied series does not invert the symbol"
+DEGENERATE_JOBS = {  # case: (job, exit code, start of the error)
+    "Q^2 zero leaf": (Q2_ZERO_LEAF, 3, NOT_INVERTED),
+    "Q zero": (Q_ZERO, 3, NOT_INVERTED),
+    "C^2 zero leaf": ({"ring": {"kind": "product", "arity": 2, "base": {"kind": "complex"}},
+                       "window": 8, "coefficients": [{"n": 0, "c": "(2,0|0,0)"},
+                                                     {"n": 1, "c": "(1,0|0,0)"}],
+                       "inverse": [{"n": 0, "c": "(0.5,0|0,0)"}]}, 3, NOT_INVERTED),
+    "C zero, no inverse": ({"ring": {"kind": "complex"}, "window": 8,
+                            "coefficients": [{"n": 0, "c": "0,0"}]},
+                           2, "error: symbol (nearly) vanishes on the unit circle"),
+    "2 + z, inverse 1/3": ({"window": 8, "coefficients": [{"n": 0, "c": "2"}, {"n": 1, "c": "1"}],
+                            "inverse": [{"n": 0, "c": "1/3"}]}, 3, "pair residual 0.333"),
+    "2 + z, empty inverse": ({"window": 8,
+                              "coefficients": [{"n": 0, "c": "2"}, {"n": 1, "c": "1"}],
+                              "inverse": []}, 3, NOT_INVERTED),
+    "Q^2 zero leaf, orthogonal": (dict(Q2_ZERO_LEAF, mode="orthogonal"), 3, NOT_INVERTED),
+    "Q^2 zero leaf, verify": (dict(Q2_ZERO_LEAF, mode="verify", factorization={
+        part: [{"n": 0, "c": "(1|1)"}] for part in ("pi_minus", "pi_tilde", "pi_plus")}),
+        3, NOT_INVERTED),
+    "Q zero, matrix-dump": (dict(Q_ZERO, mode="matrix-dump"), 0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_JOBS))
+def test_degenerate_jobs_exit_with_a_code(tmp_path, capsys, case):
+    # a degenerate job ends in an exit code of main and its message, never
+    # in a traceback; a zero leaf over Q or Q^2 fails the pair check
+    job, want, message = DEGENERATE_JOBS[case]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = main(["--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == want
+    if code == 3:
+        assert json.loads(out)["error"].startswith(message)
+    elif code == 2:
+        assert err.startswith(message)
+
+
 def test_malformed_fields_exit_2(tmp_path, capsys):
     bad_jobs = [
         {"factors": [{"type": "antiholo"}]},          # no alpha

@@ -220,7 +220,7 @@ def test_det_truncated_rejects_dual_numbers(base_name):
     dual = dual_ring(DUAL_BASES[base_name])
     p0 = [[dual.one if i == j else dual.zero for j in range(4)] for i in range(4)]
     with pytest.raises(RingError, match="coefficient-array"):
-        det_truncated(dual, p0, p0, [0] * 4, [1, 2])
+        det_truncated(dual, p0, p0, [1, 2])
 
 
 def test_interpolation_path_matches_division_free():
@@ -520,11 +520,15 @@ def test_product_ring_row_bound_per_component(monkeypatch):
 
 
 def _decay_pencil(top):
-    """Diagonal 1 + 2^-|n| on [-top, top), no w part."""
+    """Diagonal 1 + 2^-|n| on [-top, top) in half-lattice form: in P0 on
+    the rows n >= 0 and in P1 on the rows n < 0, so that the column factor
+    D_w^-1 leaves the diagonal free of w."""
     idx = range(-top, top)
     p0 = ring_array(Q, [[1 + Fraction(1, 2) ** min(abs(n), 20) if n == m else Fraction(0)
                          for m in idx] for n in idx])
-    return p0, np.zeros_like(p0), [0] * (2 * top)
+    p1 = p0.copy()
+    p0[:top], p1[top:] = Fraction(0), Fraction(0)
+    return p0, p1
 
 
 def test_truncated_determinant_converges():
@@ -541,7 +545,7 @@ def test_truncated_determinant_rejects_growing_tail():
     p0 = ring_array(Q, [[Fraction(rng.randint(-3, 3), 2) for _ in range(10)]
                         for _ in range(10)])
     with pytest.raises(WindowError):
-        det_truncated(Q, p0, np.zeros_like(p0), [0] * 10, [2, 3, 4, 5])
+        det_truncated(Q, p0, np.zeros_like(p0), [2, 3, 4, 5])
 
 
 def test_truncated_determinant_needs_two_windows():
@@ -549,19 +553,18 @@ def test_truncated_determinant_needs_two_windows():
         det_truncated(Q, *_decay_pencil(4), [4])
 
 
-@pytest.mark.parametrize("cut", ["p0", "p1", "shifts"])
+@pytest.mark.parametrize("cut", ["p0", "p1"])
 def test_truncated_determinant_rejects_a_non_square_pencil(cut):
-    p0, p1, shifts = _decay_pencil(4)
-    p0, p1, shifts = {"p0": (p0[:, :-1], p1, shifts), "p1": (p0, p1[:-1], shifts),
-                      "shifts": (p0, p1, shifts[:-1])}[cut]
+    p0, p1 = _decay_pencil(4)
+    p0, p1 = {"p0": (p0[:, :-1], p1), "p1": (p0, p1[:-1])}[cut]
     with pytest.raises(ValueError, match="pencil must be square"):
-        det_truncated(Q, p0, p1, shifts, [2, 4])
+        det_truncated(Q, p0, p1, [2, 4])
 
 
 def _decaying_pencil(top):
     """A pencil near diag(w 1_{n<0} + 1_{n>=0}) whose other entries decay
-    like 2^-(|n| + |m|), columns m < 0 shifted by -1: near the identity,
-    as in the half-lattice determinants."""
+    like 2^-(|n| + |m|): times the column factor D_w^-1, near the
+    identity, as in the half-lattice determinants."""
     idx = range(-top, top)
 
     def small(n, m, k):
@@ -569,14 +572,15 @@ def _decaying_pencil(top):
 
     p0 = [[(n == m >= 0) + small(n, m, 0) for m in idx] for n in idx]
     p1 = [[(n == m < 0) + small(n, m, 1) for m in idx] for n in idx]
-    return p0, p1, [-1 if m < 0 else 0 for m in idx]
+    return p0, p1
 
 
 def test_truncated_determinant_windows_are_centred_sub_blocks():
     # each window's value is the determinant of its own pencil computed
     # alone: the last value directly, the one before it through the tail
     windows = [2, 4, 6]
-    alone = [det_block(laurent_ring(Q, "w"), _pencil_rows(Q, *_decaying_pencil(w)))
+    alone = [det_block(laurent_ring(Q, "w"),
+                       _pencil_rows(Q, *_decaying_pencil(w), [-1] * w + [0] * w))
              for w in windows]
     for k in range(1, len(windows)):
         value, tail = det_truncated(Q, *_decaying_pencil(windows[k]), windows[:k + 1])
@@ -717,7 +721,7 @@ def test_nested_windows_equal_each_window_alone(ring_name, case):
     pencil = np.stack([ring_array(ring, p0), ring_array(ring, p1)])
     nested = [v.shift(sum(shifts[(8 - size) // 2:(8 + size) // 2]))
               for v, size in zip(_det_rows(ring, pencil, [4, 8]), [4, 8])]
-    value, tail = det_truncated(ring, p0, p1, shifts, [2, 4])
+    value, tail = det_truncated(ring, p0, p1, [2, 4])
     assert [v.is_zero() for v in alone] == {"edge": [True, False], "outer_zero": [False, True],
                                             "mixed": [False, False]}[case]
     if ring.is_exact:
@@ -745,7 +749,7 @@ def test_truncated_determinant_samples_once(monkeypatch):
         return det(mats)
 
     monkeypatch.setattr(np.linalg, "det", spy)
-    det_truncated(wl.complex_ring(), p0, p1, [-1] * 4 + [0] * 4, [2, 4])
+    det_truncated(wl.complex_ring(), p0, p1, [2, 4])
     assert [m.shape for m in seen] == [(4, 4, 4), (4, 8, 8)]  # 3 mixed rows: 4 points
     assert np.array_equal(seen[0], seen[1][:, 2:6, 2:6])
 
@@ -832,7 +836,7 @@ def _assert_windows_alone(ring, p0, p1, windows=(2, 4, 6)):
     # det_block reads no column shifts, which would give every row two exponents
     block = det_block(Rw, _pencil_rows(ring, p0, p1, [0] * 12)).shift(sum(shifts))
     assert block.sup_diff(alone[-1]) < 1e-12
-    value, tail = det_truncated(ring, p0, p1, shifts, list(windows[-2:]))
+    value, tail = det_truncated(ring, p0, p1, list(windows[-2:]))
     assert value.sup_diff(alone[-1]) < 1e-12
     assert abs(tail - alone[-1].sub(alone[-2]).sup_seminorm()) < 1e-12
     return alone

@@ -650,6 +650,23 @@ def test_non_finite_coefficient_fails_factorize(bad):
         wl.factorize(mono)
 
 
+ZERO_LEAF_PAIRS = {  # a over Q, or over Q^2 with a zero second leaf, and a b that is no inverse
+    "Q": (Q, {}, {0: Fraction(1)}),
+    "Q^2": (wl.product_ring(Q, 2), {0: (Fraction(2), Fraction(0)), 1: (Fraction(1), Fraction(0))},
+            {0: (Fraction(1, 2), Fraction(0))}),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(ZERO_LEAF_PAIRS))
+def test_a_zero_leaf_fails_the_pair_check(ring_name):
+    # a leaf of a that is 0 spans [0, 0], as over C: its blocks are empty,
+    # and the pair check, not the block builder, rejects the pair
+    ring, a, b = ZERO_LEAF_PAIRS[ring_name]
+    pair = wl.InvertiblePair.make(LaurentSeries(ring, a), LaurentSeries(ring, b, (-8, 8)))
+    with pytest.raises(FactorizationError, match="pair residual 1:"):
+        wl.factorize(pair)
+
+
 @pytest.mark.parametrize("arity", [1, 2])
 def test_bumped_pi_plus_division_runs_to_the_window(arity):
     # pi_+ with one coefficient off by 1/7 (in one component over Q^2) no
@@ -1039,7 +1056,7 @@ def test_outer_projections_computed_once_per_pair(monkeypatch, exact_ring):
     # the kept projections are no part of the pair's value: a pair of the
     # same parts starts with none, and the pair's repr shows none
     fresh = wl.InvertiblePair.make(pair.a, pair.b)
-    assert fresh.projections == {} and "projections" not in repr(pair)
+    assert fresh.projections is None and "projections" not in repr(pair)
 
 
 def _reflect_factor(f):
@@ -1139,7 +1156,7 @@ def test_factorize_rejects_a_wrong_pi_plus(ring_name):
             wl.Holo(elem(Fraction(-1, 3)))]
     pair = wl.invert_from_factors(R, facs, (-32, 32))
     bump = LaurentSeries.monomial(R, 1, elem(Fraction(1, 7)))
-    pair.projections["plus"] = wl.pi_plus(pair).add(bump)
+    pair.projections = (wl.pi_plus(pair).add(bump), wl.pi_minus(pair))
     with pytest.raises(FactorizationError, match="middle projection is not orthogonal"):
         wl.factorize(pair)
 
@@ -1162,8 +1179,8 @@ def test_factorize_compares_the_product_on_all_of_a(ring_name):
     bare = [LaurentSeries(R, p.coeffs) for p in (res.pi_minus, res.pi_tilde, res.pi_plus)]
     assert res.residual == factorization.certify(pair, *bare)
     top = res.pi_plus._supp_bounds()[1]
-    pair.projections["plus"] = res.pi_plus.add(
-        LaurentSeries.monomial(R, top, elem(Fraction(1, 10 ** 6))))
+    bumped = res.pi_plus.add(LaurentSeries.monomial(R, top, elem(Fraction(1, 10 ** 6))))
+    pair.projections = (bumped, pair.projections[1])
     with pytest.raises(FactorizationError, match="middle projection is not orthogonal"):
         wl.factorize(pair)
 
